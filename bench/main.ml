@@ -55,6 +55,17 @@ let bench_paths9 =
     (Staged.stage (fun () ->
          ignore (Nm.find_paths v_shared.Scenarios.nm v_shared.Scenarios.goal)))
 
+(* The NM's planner on the n=11 Table-VI chain (2049 sane candidates).
+   Lazy so --quick, which runs no micro-benchmarks, never builds it;
+   [run_benchmarks] forces it before timing. *)
+let chain11_shared = lazy (Scenarios.build_chain 11)
+
+let bench_plan_best =
+  Test.make ~name:"plan: best-first (chain n=11)"
+    (Staged.stage (fun () ->
+         let c = Lazy.force chain11_shared in
+         ignore (Path_finder.best (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal)))
+
 let gre_path =
   List.find Scenarios.pure_gre (Nm.find_paths v_shared.Scenarios.nm v_shared.Scenarios.goal)
 
@@ -210,6 +221,7 @@ let all_tests =
       bench_table4;
       bench_fig5;
       bench_paths9;
+      bench_plan_best;
       bench_fig2;
       bench_fig3;
       bench_fig7_today;
@@ -234,6 +246,7 @@ let run_benchmarks () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false () in
+  ignore (Lazy.force chain11_shared);
   let raw = Benchmark.all cfg [ instance ] all_tests in
   let results = Analyze.all ols instance raw in
   let rows =
@@ -247,6 +260,52 @@ let run_benchmarks () =
     |> List.sort compare
   in
   List.iter (fun (name, est) -> Printf.printf "%-60s %14.0f ns/run\n" name est) rows
+
+(* --- planner data points (BENCH_plan.json) --------------------------------------- *)
+
+(* The NM plans with the best-first search; the exhaustive enumerator is
+   the reference. Per testbed: the enumerator's candidates and expanded
+   search states, the planner's expanded states and completed candidates,
+   and whether both land on the same plan (signature and script body).
+   Counts only, so the file is deterministic. *)
+let plan_datapoints () =
+  let row name topo goal =
+    let full = Path_finder.enumerate topo goal in
+    let chosen, search = Path_finder.best topo goal in
+    let body p =
+      let s = Script_gen.generate topo goal p in
+      (s.Script_gen.prims, s.Script_gen.per_device, s.Script_gen.reporter)
+    in
+    let same_choice =
+      match (Path_finder.choose topo full.Path_finder.completed, chosen) with
+      | Some e, Some g -> Path_finder.signature e = Path_finder.signature g && body e = body g
+      | None, None -> true
+      | Some _, None | None, Some _ -> false
+    in
+    Printf.sprintf
+      "    { \"testbed\": \"%s\", \"enum_candidates\": %d, \"enum_expanded\": %d, \
+       \"best_expanded\": %d, \"best_completed\": %d, \"same_choice\": %b }"
+      name
+      (List.length full.Path_finder.completed)
+      full.Path_finder.expanded search.Path_finder.expanded
+      (List.length search.Path_finder.completed)
+      same_choice
+  in
+  let d = Scenarios.build_diamond () in
+  let rows =
+    row "diamond" (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal
+    :: List.map
+         (fun n ->
+           let c = Scenarios.build_chain n in
+           row (Printf.sprintf "chain_n%d" n) (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal)
+         [ 8; 11; 14 ]
+  in
+  let json = Printf.sprintf "{\n  \"plans\": [\n%s\n  ]\n}\n" (String.concat ",\n" rows) in
+  let oc = open_out "BENCH_plan.json" in
+  output_string oc json;
+  close_out oc;
+  print_endline "\n===== planner data points (BENCH_plan.json) =====";
+  print_string json
 
 (* --- self-healing data points (BENCH_selfheal.json) ---------------------------- *)
 
@@ -1009,7 +1068,8 @@ let () =
     ha_datapoints ();
     overload_datapoints ();
     federation_datapoints ();
-    trace_datapoints ()
+    trace_datapoints ();
+    plan_datapoints ()
   end
   else begin
     reproductions ();
@@ -1020,5 +1080,6 @@ let () =
     ha_datapoints ();
     overload_datapoints ();
     federation_datapoints ();
-    trace_datapoints ()
+    trace_datapoints ();
+    plan_datapoints ()
   end

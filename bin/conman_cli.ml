@@ -182,6 +182,11 @@ let flap_cycles_arg =
 let selfheal ticks cycles =
   let d = Scenarios.build_diamond () in
   let nm = d.Scenarios.dnm in
+  let obs = Observe.create () in
+  ignore
+    (Observe.attach_nm obs ~agents:d.Scenarios.dagents ~transport:d.Scenarios.dtransport
+       ~admission:d.Scenarios.dadmission ~faults:d.Scenarios.dfaults
+       ~station:Scenarios.nm_station_id nm);
   let chosen =
     match Nm.achieve nm d.Scenarios.dgoal with
     | Ok (_, path, _) ->
@@ -210,8 +215,10 @@ let selfheal ticks cycles =
     (Netsim.Link.drop_count seg "loss")
     (Netsim.Link.drop_count seg "corrupt")
     (Netsim.Link.drop_count seg "mtu");
-  Fmt.pr "monitor event-ring dropped: %d (of limit %d)@." (Monitor.dropped_events mon)
+  Fmt.pr "ring-buffer drops:@.";
+  Fmt.pr "  %-24s %d (of limit %d)@." "monitor_events" (Monitor.dropped_events mon)
     (Monitor.event_limit mon);
+  List.iter (fun (ring, n) -> Fmt.pr "  %-24s %d@." ring n) (Observe.ring_dropped obs);
   Fmt.pr "end-to-end reachable: %b@." (Scenarios.diamond_reachable d)
 
 let selfheal_cmd =

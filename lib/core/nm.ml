@@ -12,6 +12,25 @@
    add-on, not part of the accounting being reproduced. *)
 type stats = { mutable sent : int; mutable received : int; mutable acks : int }
 
+(* The per-goal logs (the figure-3 convey trace, module completions) are
+   bounded drop-oldest rings with a dropped counter, like Netsim.Trace and
+   the Monitor's event ring, so an NM serving goals in a long closed loop
+   holds constant memory. *)
+let log_capacity = 256
+
+type 'a ring = { items : 'a Queue.t; mutable dropped : int }
+
+let ring () = { items = Queue.create (); dropped = 0 }
+
+let record r x =
+  Queue.add x r.items;
+  if Queue.length r.items > log_capacity then begin
+    ignore (Queue.pop r.items);
+    r.dropped <- r.dropped + 1
+  end
+
+let contents r = List.of_seq (Queue.to_seq r.items)
+
 type t = {
   chan : Mgmt.Channel.t;
   transport : Mgmt.Reliable.t option; (* when the channel is lossy *)
@@ -26,11 +45,12 @@ type t = {
   mutable outstanding : int list; (* unanswered request ids *)
   mutable actuals : (int * (Ids.t * (string * string) list) list) list;
   mutable perfs : (int * (Ids.t * (string * (string * int) list) list) list) list;
-  mutable completions : (Ids.t * string) list;
-  mutable errors : (string * string) list;
   mutable self_tests : (int * (Ids.t * bool * string)) list;
+      (* replies to read requests, held only until their reader takes them *)
+  completions : (Ids.t * string) ring;
+  mutable errors : (string * string) list;
   mutable triggers : (Ids.t * string * string) list;
-  mutable convey_log : (Ids.t * Ids.t * Peer_msg.t) list; (* figure-3 trace *)
+  convey_log : (Ids.t * Ids.t * Peer_msg.t) ring; (* figure-3 trace *)
   mutable active_scripts : Script_gen.script list; (* for dependency repair *)
   mutable auto_repair : bool;
   journal : Intent.journal; (* write-ahead journal of desired state *)
@@ -248,6 +268,21 @@ let settle_debts t src =
         (Wire.Bundle { req = t.req; cmds = prims; annex = annex_of t None })
   | _ -> Hashtbl.remove t.pending_deletes src
 
+(* A read reply is kept for its reader only while the request is still
+   outstanding; a late answer (its reader gave up at a horizon), a
+   duplicate or a reply to someone else's request is dropped. *)
+let answered t req =
+  let waiting = List.mem req t.outstanding in
+  if waiting then t.outstanding <- List.filter (( <> ) req) t.outstanding;
+  waiting
+
+(* Hands the reader its reply and forgets the request, answered or not. *)
+let take t req replies =
+  t.outstanding <- List.filter (( <> ) req) t.outstanding;
+  match List.assoc_opt req replies with
+  | Some r -> (Some r, List.remove_assoc req replies)
+  | None -> (None, replies)
+
 let rec handle t ~src payload =
   match Wire.decode payload with
   | exception (Sexp.Parse_error _ | Mgmt.Frame.Bad_frame _) -> ()
@@ -332,28 +367,24 @@ and handle_msg t ~src msg =
           Topology.record_potential t.topo ~src modules;
           t.outstanding <- List.filter (( <> ) req) t.outstanding
       | Wire.Show_actual_resp { req; state } ->
-          t.actuals <- (req, state) :: t.actuals;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
-      | Wire.Show_perf_resp { req; perf } ->
-          t.perfs <- (req, perf) :: t.perfs;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
+          if answered t req then t.actuals <- (req, state) :: t.actuals
+      | Wire.Show_perf_resp { req; perf } -> if answered t req then t.perfs <- (req, perf) :: t.perfs
       | Wire.Convey { src = msrc; dst; payload } -> (
           (* the NM relays module-to-module messages (conveyMessage); a
              destination outside our domain is handed to the federation
              layer, which forwards it to the owning NM *)
-          t.convey_log <- (msrc, dst, payload) :: t.convey_log;
+          record t.convey_log (msrc, dst, payload);
           match t.convey_relay with
           | Some relay when not (owns t dst.Ids.dev) -> relay ~src:msrc ~dst payload
           | _ -> send t ~dst:dst.Ids.dev (Wire.Convey { src = msrc; dst; payload }))
-      | Wire.Completion { src = m; what } -> t.completions <- (m, what) :: t.completions
+      | Wire.Completion { src = m; what } -> record t.completions (m, what)
       | Wire.Bundle_err { req; error } ->
           (* the request reached the device; it failed rather than vanished *)
           finish_req t req ("failed: " ^ error);
           confirm t req;
           t.errors <- (src, error) :: t.errors
       | Wire.Self_test_resp { req; target; ok; detail } ->
-          t.self_tests <- (req, (target, ok, detail)) :: t.self_tests;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
+          if answered t req then t.self_tests <- (req, (target, ok, detail)) :: t.self_tests
       | Wire.Trigger { src = m; field; value } ->
           t.triggers <- (m, field, value) :: t.triggers;
           (* dependency maintenance (§II-E): a low-level value changed; the
@@ -391,11 +422,11 @@ and create ?transport ?journal ~chan ~net ~my_id () =
       outstanding = [];
       actuals = [];
       perfs = [];
-      completions = [];
-      errors = [];
       self_tests = [];
+      completions = ring ();
+      errors = [];
       triggers = [];
-      convey_log = [];
+      convey_log = ring ();
       active_scripts = [];
       auto_repair = false;
       journal;
@@ -502,7 +533,9 @@ let show_actual t dev =
   let req = fresh_req t in
   send t ~dst:dev (Wire.Show_actual_req { req });
   run t;
-  List.assoc_opt req t.actuals
+  let reply, rest = take t req t.actuals in
+  t.actuals <- rest;
+  reply
 
 (* showPerf at one device: per-module, per-pipe counter snapshots. [None]
    means the agent never answered (within the horizon). *)
@@ -510,7 +543,9 @@ let show_perf t dev =
   let req = fresh_req t in
   send t ~dst:dev (Wire.Show_perf_req { req });
   run t;
-  List.assoc_opt req t.perfs
+  let reply, rest = take t req t.perfs in
+  t.perfs <- rest;
+  reply
 
 (* --- goal achievement (figure 7(a) top: high-level goal -> low-level goal ->
    CONMan script -> protocol state) ------------------------------------------ *)
@@ -580,24 +615,19 @@ let abort_script t (script : Script_gen.script) =
   run t;
   close_goal t g ~status:"ok"
 
-(* The achievement pipeline without intent bookkeeping. [exclude] skips
-   candidate paths by signature (the monitor's "next-best path" lever) and
-   [avoid] skips paths visiting the listed devices (diagnosed as faulty). *)
+(* The achievement pipeline without intent bookkeeping. Every attempt
+   plans with the best-first search, which skips devices currently marked
+   unreachable; [exclude] skips candidate paths by signature (the
+   monitor's "next-best path" lever) and [avoid] skips paths visiting the
+   listed devices (diagnosed as faulty). *)
 let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid = []) t goal =
+  let usable d = Topology.is_reachable t.topo d && not (List.mem d avoid) in
   let rec go attempts =
-    let paths = find_paths t goal in
-    let viable =
-      List.filter
-        (fun p ->
-          List.for_all (Topology.is_reachable t.topo) (devices_of_path p)
-          && (exclude = [] || not (List.mem (Path_finder.signature p) exclude))
-          && (avoid = [] || not (List.exists (fun d -> List.mem d avoid) (devices_of_path p))))
-        paths
-    in
-    match Path_finder.choose t.topo viable with
-    | None -> (
+    match Path_finder.best ~exclude ~usable t.topo goal with
+    | None, _ -> (
         (* Name the unreachable devices only when they are what stands
-           between the NM and a path. *)
+           between the NM and a path: only this branch enumerates. *)
+        let paths = find_paths t goal in
         match
           List.filter
             (fun d -> List.exists (fun p -> List.mem d (devices_of_path p)) paths)
@@ -605,8 +635,8 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
         with
         | [] -> Error "no path satisfies the goal"
         | down -> Error ("device unreachable: " ^ String.concat ", " down))
-    | Some path ->
-        if not configure then Ok (paths, path, Script_gen.generate t.topo goal path)
+    | Some path, { Path_finder.completed; _ } ->
+        if not configure then Ok (completed, path, Script_gen.generate t.topo goal path)
         else begin
           let down_before = Topology.unreachable t.topo in
           let script = configure_path t goal path in
@@ -615,7 +645,7 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
               (fun d -> List.mem d (devices_of_path path) && not (List.mem d down_before))
               (Topology.unreachable t.topo)
           in
-          if newly_down = [] then Ok (paths, path, script)
+          if newly_down = [] then Ok (completed, path, script)
           else begin
             (* A path device died mid-script: back out what was applied and
                try again — the dead device is now filtered out, so a retry
@@ -1132,7 +1162,9 @@ let self_test ?against t target =
   let req = fresh_req t in
   send t ~dst:target.Ids.dev (Wire.Self_test_req { req; target; against });
   run t;
-  match List.assoc_opt req t.self_tests with
+  let reply, rest = take t req t.self_tests in
+  t.self_tests <- rest;
+  match reply with
   | Some (_, ok, detail) -> (ok, detail)
   | None -> (false, "no response from device (management channel?)")
 
@@ -1167,8 +1199,10 @@ let topology t = t.topo
 let net t = t.net
 let journal t = t.journal
 let intents t = t.intents
-let conveys t = List.rev t.convey_log
-let completions t = t.completions
+let conveys t = contents t.convey_log
+let completions t = List.rev (contents t.completions)
+let ring_dropped t = [ ("conveys", t.convey_log.dropped); ("completions", t.completions.dropped) ]
+let stored_replies t = List.length t.actuals + List.length t.perfs + List.length t.self_tests
 let errors t = t.errors
 let triggers t = t.triggers
 let set_auto_repair t v = t.auto_repair <- v

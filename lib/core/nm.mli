@@ -48,13 +48,21 @@ val harvest_potentials : t -> string list -> unit
 (** showPotential at every listed device; fills {!topology}. *)
 
 val show_actual : t -> string -> (Ids.t * (string * string) list) list option
-(** showActual at one device: per-module low-level state report. *)
+(** showActual at one device: per-module low-level state report. [None]
+    when the agent did not answer within the horizon. The NM keeps no
+    reply once it is returned, and ignores an answer that arrives after
+    its reader gave up. *)
 
 val show_perf : t -> string -> (Ids.t * (string * (string * int) list) list) list option
 (** showPerf at one device: per-module, per-pipe monotonic counter
     snapshots (the abstraction's performance aspect). [None] when the
     agent did not answer within the horizon — telemetry treats that as
-    the device being unreachable. *)
+    the device being unreachable. Replies are kept no longer than
+    {!show_actual}'s. *)
+
+val stored_replies : t -> int
+(** showActual, showPerf and selfTest replies the NM holds for readers
+    that have not taken them yet: 0 between calls. *)
 
 val topology : t -> Topology.t
 val net : t -> Netsim.Net.t
@@ -62,6 +70,9 @@ val net : t -> Netsim.Net.t
 (** {1 Goal achievement (§III-C)} *)
 
 val find_paths : t -> Path_finder.goal -> Path_finder.path list
+(** Every protocol-sane path ({!Path_finder.find}): the paper's
+    enumeration, e.g. the nine figure-4 paths. {!achieve} does not
+    enumerate. *)
 
 val configure_path :
   ?batched:bool -> t -> Path_finder.goal -> Path_finder.path -> Script_gen.script
@@ -75,9 +86,12 @@ val achieve :
   t ->
   Path_finder.goal ->
   (Path_finder.path list * Path_finder.path * Script_gen.script, string) result
-(** The full pipeline: enumerate, choose, generate and (unless
-    [configure:false]) execute. Returns all candidate paths, the chosen
-    one, and its script.
+(** The full pipeline: plan, generate and (unless [configure:false])
+    execute. Planning is {!Path_finder.best}: the path
+    {!Path_finder.choose} would pick from {!find_paths}, found without
+    enumerating. Returns the candidates the search completed (in discovery
+    order; a handful, not every sane path), the chosen path, and its
+    script.
 
     Degraded mode: paths through devices currently marked unreachable are
     skipped, and if a path device stops answering mid-script the partial
@@ -308,10 +322,22 @@ val inflight_count : t -> int
 (** State-changing requests sent but not yet confirmed by an agent. *)
 
 val transport : t -> Mgmt.Reliable.t option
+
+val log_capacity : int
+(** Entries kept by each per-goal log ({!conveys}, {!completions}); past
+    it the oldest entry is dropped and counted in {!ring_dropped}. *)
+
 val conveys : t -> (Ids.t * Ids.t * Peer_msg.t) list
-(** The conveyMessage relay log (the figure-3 trace). *)
+(** The conveyMessage relay log (the figure-3 trace), oldest first: the
+    last {!log_capacity} relays. *)
 
 val completions : t -> (Ids.t * string) list
+(** Module completion reports, newest first: the last {!log_capacity}. *)
+
+val ring_dropped : t -> (string * int) list
+(** Entries dropped from each per-goal log ring ([conveys],
+    [completions]). *)
+
 val errors : t -> (string * string) list
 val triggers : t -> (Ids.t * string * string) list
 

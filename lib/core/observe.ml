@@ -8,10 +8,11 @@
 type t = {
   registry : Obs.Registry.t;
   mutable collectors : Obs.Trace.t list;
+  mutable nms : (string * Nm.t) list; (* attached NMs by station, for their log rings *)
   mutable tick : int; (* shared logical clock stamped onto spans/events *)
 }
 
-let create () = { registry = Obs.Registry.create (); collectors = []; tick = 0 }
+let create () = { registry = Obs.Registry.create (); collectors = []; nms = []; tick = 0 }
 let registry t = t.registry
 let collectors t = t.collectors
 let set_tick t n = t.tick <- n
@@ -47,6 +48,7 @@ let attach_nm ?prefix ?(agents = []) ?transport ?admission ?faults t ~station nm
   let trace = Obs.Trace.create ~station () in
   Obs.Trace.set_clock trace (fun () -> t.tick);
   t.collectors <- t.collectors @ [ trace ];
+  t.nms <- t.nms @ [ (station, nm) ];
   Nm.set_obs nm trace;
   Nm.set_registry nm t.registry;
   Obs.Registry.register t.registry (pfx prefix "nm") (fun () -> Nm.obs_counters nm);
@@ -96,9 +98,13 @@ let attach_monitor ?prefix t mon =
 
 (* Ring-buffer loss accounting: everything the deployment silently drops
    when bounded buffers overflow, one gauge per ring (the packet-trace
-   ring is process-global; collector rings are per station). *)
+   ring is process-global; collector and NM log rings are per station). *)
 let ring_dropped t =
-  ("netsim_trace", Netsim.Trace.dropped ())
-  :: List.map (fun c -> ("spans_" ^ Obs.Trace.station c, Obs.Trace.dropped c)) t.collectors
+  (("netsim_trace", Netsim.Trace.dropped ())
+  :: List.map (fun c -> ("spans_" ^ Obs.Trace.station c, Obs.Trace.dropped c)) t.collectors)
+  @ List.concat_map
+      (fun (station, nm) ->
+        List.map (fun (ring, n) -> ("nm_" ^ ring ^ "_" ^ station, n)) (Nm.ring_dropped nm))
+      t.nms
 
 let attach_rings t = Obs.Registry.register t.registry "rings" (fun () -> ring_dropped t)

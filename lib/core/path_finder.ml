@@ -40,15 +40,44 @@ type entry = From_phy | From_above | From_below
 (* a pushed header on the logical stack *)
 type hdr = { h_chain : int; h_proto : string; h_domain : string option }
 
+(* What the traversal needs of a module: looked up once per traversal,
+   since branches revisit the same modules many times. *)
+type node = { abs : Abstraction.t; above : Ids.t list; below : Ids.t list; phys : Ids.t list }
+
+(* One traversal serves both searches. The enumerator admits every
+   in-scope module and keeps every completed path; the best-first search
+   also bounds what it admits and keeps only an incumbent. *)
 type dfs_state = {
   topo : Topology.t;
   goal : goal;
   prune_domains : bool;
+  nodes : (Ids.t, node) Hashtbl.t;
   mutable next_chain : int;
-  mutable found : path list;
+  mutable expanded : int;
+  admit : Ids.t -> pipes:int -> bool;
+      (* may the traversal step onto this module, [pipes] pipes into the
+         path? *)
+  complete : visit list -> pipes:int -> fast:int -> unit;
+      (* a sane path reached the goal: its visits, pipe count and number
+         of fast-forwarding modules *)
 }
 
-let in_scope st (m : Ids.t) = List.mem m.Ids.dev st.goal.g_scope
+let in_scope goal (m : Ids.t) = List.mem m.Ids.dev goal.g_scope
+
+let node st m =
+  match Hashtbl.find_opt st.nodes m with
+  | Some n -> n
+  | None ->
+      let n =
+        {
+          abs = Topology.find_module_exn st.topo m;
+          above = Potential_graph.above st.topo m;
+          below = Potential_graph.below st.topo m;
+          phys = List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_neighbours st.topo m);
+        }
+      in
+      Hashtbl.replace st.nodes m n;
+      n
 
 let domain st m = Topology.domain_of st.topo m
 
@@ -67,34 +96,34 @@ let domain_compatible st m hdr =
     | Some a, Some b -> a = b
     | _ -> false (* IP modules without domain knowledge cannot be placed *)
 
-let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc =
-  let abs = Topology.find_module_exn st.topo pos in
+let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc ~pipes ~fast =
+  st.expanded <- st.expanded + 1;
+  let node = node st pos in
+  let abs = node.abs in
+  let fast = if abs.Abstraction.fast_forwarding then fast + 1 else fast in
   let visited' = pos :: visited in
   let emit kind action chain next =
     let visit = { v_mod = pos; v_kind = kind; v_action = action; v_chain = chain } in
-    next (visit :: acc)
+    (* every transition but a physical hop instantiates a pipe *)
+    let pipes =
+      match kind with Abstraction.Up_phy | Abstraction.Phy_phy -> pipes | _ -> pipes + 1
+    in
+    next (visit :: acc) pipes
   in
-  let go_above ~stack ~eth_missing acc =
+  let go ~entry ~stack ~eth_missing acc pipes mods =
     List.iter
-      (fun up ->
-        if (not (List.exists (Ids.equal up) visited')) && in_scope st up then
-          step st ~pos:up ~entry:From_below ~stack ~eth_missing ~visited:visited' ~acc)
-      (Potential_graph.above st.topo pos)
+      (fun m ->
+        if (not (List.exists (Ids.equal m) visited')) && st.admit m ~pipes then
+          step st ~pos:m ~entry ~stack ~eth_missing ~visited:visited' ~acc ~pipes ~fast)
+      mods
   in
-  let go_below ~stack ~eth_missing acc =
-    List.iter
-      (fun down ->
-        if (not (List.exists (Ids.equal down) visited')) && in_scope st down then
-          step st ~pos:down ~entry:From_above ~stack ~eth_missing ~visited:visited' ~acc)
-      (Potential_graph.below st.topo pos)
+  let go_above ~stack ~eth_missing acc pipes =
+    go ~entry:From_below ~stack ~eth_missing acc pipes node.above
   in
-  let go_phys ~stack ~eth_missing acc =
-    List.iter
-      (fun (_, remote, _) ->
-        if (not (List.exists (Ids.equal remote) visited')) && in_scope st remote then
-          step st ~pos:remote ~entry:From_phy ~stack ~eth_missing ~visited:visited' ~acc)
-      (Potential_graph.phys_neighbours st.topo pos)
+  let go_below ~stack ~eth_missing acc pipes =
+    go ~entry:From_above ~stack ~eth_missing acc pipes node.below
   in
+  let go_phys ~stack ~eth_missing acc pipes = go ~entry:From_phy ~stack ~eth_missing acc pipes node.phys in
   (* goal completion: at the target ETH module, entered from above, with all
      transit encapsulations undone — push the customer frame back out. *)
   if
@@ -102,7 +131,7 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc =
     && Abstraction.can_switch abs Abstraction.Up_phy
   then begin
     let visit = { v_mod = pos; v_kind = Abstraction.Up_phy; v_action = Push; v_chain = base_eth } in
-    st.found <- { visits = List.rev (visit :: acc) } :: st.found
+    st.complete (List.rev (visit :: acc)) ~pipes ~fast
   end
   else
     List.iter
@@ -110,38 +139,36 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc =
         match (kind, entry) with
         | Abstraction.Phy_up, From_phy -> (
             match stack with
-            | h :: rest when h.h_proto = "ETH" ->
-                emit kind Pop h.h_chain (fun acc -> go_above ~stack:rest ~eth_missing acc)
+            | h :: rest when h.h_proto = "ETH" -> emit kind Pop h.h_chain (go_above ~stack:rest ~eth_missing)
             | _ :: _ -> ()
             | [] ->
                 if not eth_missing then
                   (* popping the customer's own frame: path entry *)
-                  emit kind Pop base_eth (fun acc -> go_above ~stack ~eth_missing:true acc))
+                  emit kind Pop base_eth (go_above ~stack ~eth_missing:true))
         | Abstraction.Phy_phy, From_phy -> (
             match logical_top st stack ~eth_missing with
-            | Some h when h.h_proto = "ETH" ->
-                emit kind Inspect h.h_chain (fun acc -> go_phys ~stack ~eth_missing acc)
+            | Some h when h.h_proto = "ETH" -> emit kind Inspect h.h_chain (go_phys ~stack ~eth_missing)
             | _ -> ())
         | Abstraction.Down_up, From_below -> (
             match stack with
             | h :: rest when h.h_proto = abs.Abstraction.name && domain_compatible st pos h ->
-                emit kind Pop h.h_chain (fun acc -> go_above ~stack:rest ~eth_missing acc)
+                emit kind Pop h.h_chain (go_above ~stack:rest ~eth_missing)
             | _ -> () (* base headers are never terminated mid-path *))
         | Abstraction.Down_down, From_below -> (
             match logical_top st stack ~eth_missing with
             | Some h when h.h_proto = abs.Abstraction.name && domain_compatible st pos h ->
-                emit kind Inspect h.h_chain (fun acc -> go_below ~stack ~eth_missing acc)
+                emit kind Inspect h.h_chain (go_below ~stack ~eth_missing)
             | _ -> ())
         | Abstraction.Up_down, From_above ->
             st.next_chain <- st.next_chain + 1;
             let h =
               { h_chain = st.next_chain; h_proto = abs.Abstraction.name; h_domain = domain st pos }
             in
-            emit kind Push h.h_chain (fun acc -> go_below ~stack:(h :: stack) ~eth_missing acc)
+            emit kind Push h.h_chain (go_below ~stack:(h :: stack) ~eth_missing)
         | Abstraction.Up_phy, From_above ->
             st.next_chain <- st.next_chain + 1;
             let h = { h_chain = st.next_chain; h_proto = "ETH"; h_domain = None } in
-            emit kind Push h.h_chain (fun acc -> go_phys ~stack:(h :: stack) ~eth_missing acc)
+            emit kind Push h.h_chain (go_phys ~stack:(h :: stack) ~eth_missing)
         | Abstraction.Up_up, _ ->
             (* loopback switching creates no inter-device paths; skipped *)
             ()
@@ -151,13 +178,38 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc =
             ())
       abs.Abstraction.switch
 
+let traverse ?(prune_domains = true) topo goal ~admit ~complete =
+  let st =
+    {
+      topo;
+      goal;
+      prune_domains;
+      nodes = Hashtbl.create 64;
+      next_chain = base_ip;
+      expanded = 0;
+      admit;
+      complete;
+    }
+  in
+  step st ~pos:goal.g_from ~entry:From_phy ~stack:[] ~eth_missing:false ~visited:[] ~acc:[] ~pipes:0
+    ~fast:0;
+  st.expanded
+
+type search = { completed : path list; expanded : int }
+
 (* [prune_domains:false] disables the figure-6(b) address-domain check —
    an ablation showing how many protocol-plausible but semantically invalid
    paths the pruning removes. *)
-let find ?(prune_domains = true) topo goal =
-  let st = { topo; goal; prune_domains; next_chain = base_ip; found = [] } in
-  step st ~pos:goal.g_from ~entry:From_phy ~stack:[] ~eth_missing:false ~visited:[] ~acc:[];
-  List.rev st.found
+let enumerate ?prune_domains topo goal =
+  let found = ref [] in
+  let expanded =
+    traverse ?prune_domains topo goal
+      ~admit:(fun m ~pipes:_ -> in_scope goal m)
+      ~complete:(fun visits ~pipes:_ ~fast:_ -> found := { visits } :: !found)
+  in
+  { completed = List.rev !found; expanded }
+
+let find ?prune_domains topo goal = (enumerate ?prune_domains topo goal).completed
 
 (* --- hierarchical two-step traversal (§III-C.3) -------------------------------
 
@@ -229,16 +281,113 @@ let fast_modules topo path =
        (fun v -> (Topology.find_module_exn topo v.v_mod).Abstraction.fast_forwarding)
        path.visits)
 
+(* The chooser's order on (pipes, fast-forwarding modules): fewer pipes
+   first, then more fast forwarding. [choose] and [best] both rank with it,
+   so they cannot drift apart. *)
+let compare_cost (p1, f1) (p2, f2) = match compare p1 p2 with 0 -> compare f2 f1 | c -> c
+
 let choose topo paths =
-  match paths with
-  | [] -> None
-  | _ ->
-      let best =
-        List.stable_sort
-          (fun a b ->
-            match compare (pipe_count a) (pipe_count b) with
-            | 0 -> compare (fast_modules topo b) (fast_modules topo a)
-            | c -> c)
-          paths
+  List.fold_left
+    (fun acc p ->
+      let cost = (pipe_count p, fast_modules topo p) in
+      match acc with Some (_, best) when compare_cost cost best >= 0 -> acc | _ -> Some (p, cost))
+    None paths
+  |> Option.map fst
+
+(* --- best-first search -----------------------------------------------------------
+
+   [best] returns the path [choose] would pick from the enumeration,
+   without enumerating: the same traversal run as a branch-and-bound. It
+   carries the partial path's pipe and fast-forwarding counts, keeps the
+   first optimum in traversal order as its incumbent, and skips a branch
+   once its pipes plus a lower bound on the pipes still to come exceed the
+   incumbent's. A skipped branch holds only strictly worse paths, so the
+   answer cannot change.
+
+   The bound is the §III-C.3 device-level first step, used as a bound
+   rather than a commitment: a BFS over physical links towards the target
+   device, where crossing a transit device costs 2 pipes (the traffic
+   must be lifted off an ETH module and put back down onto another)
+   unless one of its modules can switch [phy=>phy]. *)
+
+(* Lower bound on the pipes a path still needs from each device it may
+   enter (in scope and [usable]) to the target; devices that cannot reach
+   the target through such devices are absent. *)
+let transit_bounds topo goal ~usable =
+  let target = goal.g_to.Ids.dev in
+  let preds = Hashtbl.create 16 in
+  List.iter
+    (fun u ->
+      if usable u then
+        List.iter
+          (fun (_, (a : Abstraction.t)) ->
+            List.iter
+              (fun (p : Abstraction.physical_pipe) ->
+                let v = p.Abstraction.peer_device in
+                Hashtbl.replace preds v (u :: Option.value ~default:[] (Hashtbl.find_opt preds v)))
+              a.Abstraction.physical)
+          (Topology.modules_of_device topo u))
+    (List.sort_uniq compare goal.g_scope);
+  (* crossing a device costs 2 pipes unless it can bridge [phy=>phy];
+     reaching the target costs nothing more *)
+  let free dev =
+    dev = target
+    || List.exists
+         (fun (_, a) -> Abstraction.can_switch a Abstraction.Phy_phy)
+         (Topology.modules_of_device topo dev)
+  in
+  let dist = Hashtbl.create 16 in
+  (* a 0/2-weighted BFS: settle each layer's free closure before the next *)
+  let rec layer d frontier =
+    if frontier <> [] then begin
+      let later = ref [] in
+      let rec spread = function
+        | [] -> ()
+        | v :: rest ->
+            let free_v = free v and now = ref rest in
+            List.iter
+              (fun u ->
+                if not (Hashtbl.mem dist u) then
+                  if free_v then begin
+                    Hashtbl.replace dist u d;
+                    now := u :: !now
+                  end
+                  else later := u :: !later)
+              (Option.value ~default:[] (Hashtbl.find_opt preds v));
+            spread !now
       in
-      Some (List.hd best)
+      spread frontier;
+      let next = List.filter (fun u -> not (Hashtbl.mem dist u)) (List.sort_uniq compare !later) in
+      List.iter (fun u -> Hashtbl.replace dist u (d + 2)) next;
+      layer (d + 2) next
+    end
+  in
+  Hashtbl.replace dist target 0;
+  layer 0 [ target ];
+  dist
+
+let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
+  let lower = transit_bounds topo goal ~usable in
+  let incumbent = ref None and completed = ref [] in
+  let limit () = match !incumbent with Some (_, (pipes, _)) -> pipes | None -> max_int in
+  (* only usable devices that can still reach the target have a bound;
+     the endpoints' usability is checked before the search starts *)
+  let admit (m : Ids.t) ~pipes =
+    in_scope goal m
+    && match Hashtbl.find_opt lower m.Ids.dev with Some lb -> pipes + lb <= limit () | None -> false
+  in
+  let complete visits ~pipes ~fast =
+    let path = { visits } in
+    if exclude = [] || not (List.mem (signature path) exclude) then begin
+      completed := path :: !completed;
+      match !incumbent with
+      | Some (_, cost) when compare_cost (pipes, fast) cost >= 0 -> ()
+      | _ -> incumbent := Some (path, (pipes, fast))
+    end
+  in
+  let expanded =
+    if usable goal.g_from.Ids.dev && usable goal.g_to.Ids.dev then
+      traverse topo goal ~admit ~complete
+    else 0
+  in
+  (Option.map fst !incumbent, { completed = List.rev !completed; expanded })

@@ -40,9 +40,21 @@ val base_ip : int
 (** Chain id of the customer's IP packet (inspected by the edge IP
     modules, never terminated mid-path). *)
 
+(** What one traversal did. *)
+type search = {
+  completed : path list;
+      (** the sane paths it completed, in discovery order: every candidate
+          for the enumerator, only the unpruned ones for {!best} *)
+  expanded : int; (** search states (module visits) it expanded *)
+}
+
+val enumerate : ?prune_domains:bool -> Topology.t -> goal -> search
+(** The exhaustive traversal behind {!find}, with its work count. *)
+
 val find : ?prune_domains:bool -> Topology.t -> goal -> path list
 (** All protocol-sane paths. [prune_domains:false] disables the
-    figure-6(b) address-domain check (ablation). *)
+    figure-6(b) address-domain check (ablation). The reference for the
+    paper's path counts and for {!best}. *)
 
 val find_hierarchical : ?prune_domains:bool -> Topology.t -> goal -> path list
 (** The paper's scalability suggestion (§III-C.3): find a device-level walk
@@ -64,5 +76,20 @@ val fast_modules : Topology.t -> path -> int
 (** How many modules along the path advertise fast forwarding. *)
 
 val choose : Topology.t -> path list -> path option
-(** Minimise {!pipe_count}, tie-break on {!fast_modules} — the rule that
-    makes the NM pick the MPLS path, as in the paper. *)
+(** Minimise {!pipe_count}, tie-break on {!fast_modules}; among equals the
+    first in the list wins — the rule that makes the NM pick the MPLS
+    path, as in the paper. *)
+
+val best :
+  ?exclude:string list -> ?usable:(string -> bool) -> Topology.t -> goal -> path option * search
+(** The NM's planner: the path {!choose} would pick from
+    [find topo goal] after dropping the paths whose {!signature} is in
+    [exclude] or that visit a device (endpoints included) for which
+    [usable] is false — found by a branch-and-bound over the same
+    traversal instead of by enumeration. Branches are pruned once their
+    pipes plus a device-level lower bound (a BFS over physical links to
+    the target, 2 pipes per transit device without a [phy=>phy] module)
+    exceed the best path found so far, so only a few candidates are ever
+    completed. The returned path's [v_chain] numbers may differ
+    from the enumerator's (they are traversal-global), but its signature
+    and generated script are identical. *)

@@ -344,12 +344,13 @@ let test_e2e_ipip () =
   check tbool "S1 <-> S2 over CONMan IP-IP" true (Scenarios.vpn_reachable v)
 
 let test_e2e_achieve_default () =
-  (* the full pipeline: achieve() enumerates, picks MPLS and configures *)
+  (* the full pipeline: of the nine options the enumerator finds, achieve()
+     plans the MPLS one and configures it *)
   let v = Scenarios.build_vpn () in
+  check tint "nine options" 9 (List.length (Nm.find_paths v.Scenarios.nm v.Scenarios.goal));
   match Nm.achieve v.Scenarios.nm v.Scenarios.goal with
   | Error e -> Alcotest.fail e
-  | Ok (paths, chosen, _) ->
-      check tint "nine options" 9 (List.length paths);
+  | Ok (_, chosen, _) ->
       check tstr "mpls chosen" canonical_mpls (Path_finder.signature chosen);
       check tbool "reachable" true (Scenarios.vpn_reachable v)
 
@@ -715,6 +716,45 @@ let test_nm_takeover () =
   check tint "primary received nothing after takeover" before_primary
     (Nm.stats_received v.Scenarios.nm)
 
+(* --- bounded NM state -------------------------------------------------------- *)
+
+let test_goal_logs_bounded () =
+  (* a long closed loop of goals: the per-goal logs stay at their ring
+     capacity and count what they dropped *)
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  for _ = 1 to 600 do
+    match Nm.achieve nm v.Scenarios.goal with
+    | Ok (_, _, script) -> Nm.teardown nm script
+    | Error e -> Alcotest.fail e
+  done;
+  check tint "convey log at capacity" Nm.log_capacity (List.length (Nm.conveys nm));
+  let dropped = List.assoc "conveys" (Nm.ring_dropped nm) in
+  check tbool "dropped conveys counted" true (dropped > 0);
+  let obs = Observe.create () in
+  ignore (Observe.attach_nm obs ~station:Scenarios.nm_station_id nm);
+  check tint "surfaced beside the other rings" dropped
+    (List.assoc ("nm_conveys_" ^ Scenarios.nm_station_id) (Observe.ring_dropped obs));
+  check tbool "completions bounded" true (List.length (Nm.completions nm) <= Nm.log_capacity);
+  check tbool "still configures" true
+    (match Nm.achieve nm v.Scenarios.goal with Ok _ -> Scenarios.vpn_reachable v | Error _ -> false)
+
+let test_read_replies_not_retained () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  for _ = 1 to 100 do
+    check tbool "showActual answered" true (Nm.show_actual nm "id-B" <> None);
+    check tbool "showPerf answered" true (Nm.show_perf nm "id-B" <> None)
+  done;
+  check tint "no replies held after 200 reads" 0 (Nm.stored_replies nm);
+  (* a reader that gives up at a horizon: the late answer is dropped *)
+  let now = Netsim.Event_queue.now (Netsim.Net.eq v.Scenarios.tb.Netsim.Testbeds.vpn_net) in
+  Nm.set_horizon nm (Some now);
+  check tbool "no answer within the horizon" true (Nm.show_actual nm "id-B" = None);
+  Nm.set_horizon nm None;
+  Nm.run nm;
+  check tint "late answer not kept" 0 (Nm.stored_replies nm)
+
 let () =
   Alcotest.run "conman"
     [
@@ -788,5 +828,10 @@ let () =
           Alcotest.test_case "GRE teardown" `Quick test_teardown;
           Alcotest.test_case "reconfigure after teardown" `Quick test_reconfigure_after_teardown;
           Alcotest.test_case "VLAN teardown" `Quick test_vlan_teardown;
+        ] );
+      ( "bounded-state",
+        [
+          Alcotest.test_case "per-goal logs are rings" `Quick test_goal_logs_bounded;
+          Alcotest.test_case "read replies not retained" `Quick test_read_replies_not_retained;
         ] );
     ]

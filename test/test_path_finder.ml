@@ -1,6 +1,7 @@
 (* Dedicated path-finder tests: enumeration on chains of varying length,
    the domain-pruning ablation, encapsulation-balance invariants, goal
-   error cases, and a property test that configures randomly chosen paths
+   error cases, the best-first planner against the chooser over the
+   enumeration, and a property test that configures randomly chosen paths
    end to end. *)
 
 open Conman
@@ -8,6 +9,7 @@ open Conman
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
+let tstr = Alcotest.string
 
 (* --- invariants over enumerated paths --------------------------------------- *)
 
@@ -134,6 +136,107 @@ let test_diamond_both_cores_work () =
         (Nm.errors d.Scenarios.dnm = [] && Scenarios.diamond_reachable d))
     [ "p1"; "p2" ]
 
+(* --- best-first planning = chooser over the enumeration ---------------------------- *)
+
+(* The trade-off sets the wall-clock benchmark draws goals from; they reach
+   the generated script through the GRE pipes. *)
+let tradeoff_sets =
+  [ []; [ "in-order-delivery" ]; [ "low-error-rate" ]; [ "in-order-delivery"; "low-error-rate" ] ]
+
+let devices_of (p : Path_finder.path) =
+  List.sort_uniq compare (List.map (fun v -> v.Path_finder.v_mod.Ids.dev) p.Path_finder.visits)
+
+(* What the NM ships. The path record is left out: its v_chain numbers come
+   from a traversal-global counter, differ once branches are pruned, and
+   serve the generator only as keys. *)
+let script_body topo goal path =
+  let s = Script_gen.generate topo goal path in
+  (s.Script_gen.prims, s.Script_gen.per_device, s.Script_gen.reporter)
+
+(* For every trade-off set and every filter the NM applies (none, the
+   monitor's exclude of the paths tried so far, avoiding each device of
+   the optimum in turn, endpoints included), [best] must return the
+   signature and the script [choose] picks from the filtered enumeration,
+   or no path on both sides. Excluding the top 1, 2, 3, 4 paths in turn
+   moves the optimum deeper into the traversal, behind incumbents the
+   bound prunes against. *)
+let check_best_matches_choose name topo goal =
+  let all = Path_finder.find topo goal in
+  let agree label ~exclude ~avoid =
+    let viable =
+      List.filter
+        (fun p ->
+          (not (List.mem (Path_finder.signature p) exclude))
+          && not (List.exists (fun d -> List.mem d avoid) (devices_of p)))
+        all
+    in
+    let expected = Path_finder.choose topo viable in
+    List.iter
+      (fun tradeoffs ->
+        let goal = { goal with Path_finder.g_tradeoffs = tradeoffs } in
+        let label = Printf.sprintf "%s, %s, tradeoffs [%s]" name label (String.concat "+" tradeoffs) in
+        let got, search =
+          Path_finder.best ~exclude ~usable:(fun d -> not (List.mem d avoid)) topo goal
+        in
+        let sigs = List.map Path_finder.signature viable in
+        List.iter
+          (fun p ->
+            check tbool (label ^ ": completed a viable candidate") true
+              (List.mem (Path_finder.signature p) sigs))
+          search.Path_finder.completed;
+        match (expected, got) with
+        | None, None -> ()
+        | Some e, Some g ->
+            check tstr (label ^ ": signature") (Path_finder.signature e) (Path_finder.signature g);
+            check tbool (label ^ ": script body") true
+              (script_body topo goal e = script_body topo goal g);
+            check tbool (label ^ ": the choice is among the completed") true
+              (List.exists (fun p -> p == g) search.Path_finder.completed)
+        | Some _, None -> Alcotest.failf "%s: best found no path" label
+        | None, Some _ -> Alcotest.failf "%s: best found a path the chooser rejects" label)
+      tradeoff_sets
+  in
+  agree "no filter" ~exclude:[] ~avoid:[];
+  let rec exclude_top tried r =
+    if r <= 4 then
+      let rest = List.filter (fun p -> not (List.mem (Path_finder.signature p) tried)) all in
+      match Path_finder.choose topo rest with
+      | None -> ()
+      | Some next ->
+          let tried = Path_finder.signature next :: tried in
+          agree (Printf.sprintf "exclude the top %d" r) ~exclude:tried ~avoid:[];
+          exclude_top tried (r + 1)
+  in
+  exclude_top [] 1;
+  match Path_finder.choose topo all with
+  | None -> Alcotest.failf "%s: no path at all" name
+  | Some opt -> List.iter (fun d -> agree ("avoid " ^ d) ~exclude:[] ~avoid:[ d ]) (devices_of opt)
+
+let test_best_matches_choose () =
+  let v = Scenarios.build_vpn () in
+  check_best_matches_choose "vpn" (Nm.topology v.Scenarios.nm) v.Scenarios.goal;
+  let s = Scenarios.build_vpn ~secure:true () in
+  check_best_matches_choose "secure vpn" (Nm.topology s.Scenarios.nm) s.Scenarios.goal;
+  let d = Scenarios.build_diamond () in
+  check_best_matches_choose "diamond" (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal;
+  for n = 2 to 12 do
+    let c = Scenarios.build_chain n in
+    check_best_matches_choose (Printf.sprintf "chain n=%d" n) (Nm.topology c.Scenarios.cnm)
+      c.Scenarios.cgoal
+  done
+
+let test_best_prunes () =
+  (* the point of the bound: on the n=11 chain (2049 candidates) the
+     planner completes a handful of paths and expands a fraction of the
+     enumerator's states *)
+  let c = Scenarios.build_chain 11 in
+  let topo = Nm.topology c.Scenarios.cnm in
+  let full = Path_finder.enumerate topo c.Scenarios.cgoal in
+  let _, s = Path_finder.best topo c.Scenarios.cgoal in
+  check tint "enumerator candidates" 2049 (List.length full.Path_finder.completed);
+  check tbool "a handful completed" true (List.length s.Path_finder.completed <= 4);
+  check tbool "under a tenth of the states" true (s.Path_finder.expanded * 10 < full.Path_finder.expanded)
+
 (* --- goal error cases ------------------------------------------------------------- *)
 
 let test_no_path_outside_scope () =
@@ -215,6 +318,11 @@ let () =
         [
           Alcotest.test_case "full vs hierarchical" `Quick test_diamond_full_vs_hierarchical;
           Alcotest.test_case "both cores configure" `Quick test_diamond_both_cores_work;
+        ] );
+      ( "best-first",
+        [
+          Alcotest.test_case "best = choose over filtered find" `Quick test_best_matches_choose;
+          Alcotest.test_case "bound prunes the chain" `Quick test_best_prunes;
         ] );
       ( "errors",
         [
