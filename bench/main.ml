@@ -1060,6 +1060,65 @@ let trace_datapoints () =
   print_endline "\n===== trace soak data points (BENCH_trace.json) =====";
   print_string json
 
+(* --- per-goal cost over an NM's history (BENCH_history.json) ----------------------- *)
+
+(* One VPN NM serves 1000 goals (achieve, ping, teardown). A long-lived NM
+   must pay the same for its last goal as for an early one, and teardown
+   must leave each device as it found it. Counts only, never wall clock:
+   mean minor words allocated per goal over goals 51-100 and 951-1000, the
+   policy routing tables on each edge router after the first and the last
+   teardown, and the intents the NM still lists. CI gates on late <= 1.01
+   x early and on unchanged table counts. *)
+let history_datapoints () =
+  let goals = 1000 in
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  let edges = [ v.Scenarios.tb.Netsim.Testbeds.ra; v.Scenarios.tb.Netsim.Testbeds.rc ] in
+  let policy_tables () =
+    List.map (fun d -> (d.Netsim.Device.dev_id, List.length d.Netsim.Device.tables - 1)) edges
+  in
+  let words = Array.make goals 0. in
+  let after_first = ref [] in
+  for k = 0 to goals - 1 do
+    let w0 = Gc.minor_words () in
+    (match Nm.achieve nm v.Scenarios.goal with
+    | Ok (_, _, script) ->
+        if not (Scenarios.vpn_reachable v) then failwith "history bench: ping failed";
+        Nm.teardown nm script
+    | Error e -> failwith ("history bench: achieve: " ^ e));
+    words.(k) <- Gc.minor_words () -. w0;
+    if k = 0 then after_first := policy_tables ()
+  done;
+  let mean first last =
+    let sum = ref 0. in
+    for k = first - 1 to last - 1 do
+      sum := !sum +. words.(k)
+    done;
+    !sum /. float_of_int (last - first + 1)
+  in
+  let tables_json l =
+    String.concat ", " (List.map (fun (dev, n) -> Printf.sprintf "\"%s\": %d" dev n) l)
+  in
+  let json =
+    Printf.sprintf
+      "{\n\
+      \  \"goals\": %d,\n\
+      \  \"minor_words_per_goal_51_100\": %.1f,\n\
+      \  \"minor_words_per_goal_951_1000\": %.1f,\n\
+      \  \"policy_tables_after_first\": { %s },\n\
+      \  \"policy_tables_after_last\": { %s },\n\
+      \  \"intents\": %d\n\
+       }\n"
+      goals (mean 51 100) (mean 951 1000) (tables_json !after_first)
+      (tables_json (policy_tables ()))
+      (List.length (Nm.intents nm))
+  in
+  let oc = open_out "BENCH_history.json" in
+  output_string oc json;
+  close_out oc;
+  print_endline "\n===== per-goal cost over history (BENCH_history.json) =====";
+  print_string json
+
 let () =
   if quick then begin
     selfheal_datapoints ();
@@ -1069,7 +1128,8 @@ let () =
     overload_datapoints ();
     federation_datapoints ();
     trace_datapoints ();
-    plan_datapoints ()
+    plan_datapoints ();
+    history_datapoints ()
   end
   else begin
     reproductions ();
@@ -1081,5 +1141,6 @@ let () =
     overload_datapoints ();
     federation_datapoints ();
     trace_datapoints ();
-    plan_datapoints ()
+    plan_datapoints ();
+    history_datapoints ()
   end

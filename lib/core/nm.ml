@@ -12,10 +12,10 @@
    add-on, not part of the accounting being reproduced. *)
 type stats = { mutable sent : int; mutable received : int; mutable acks : int }
 
-(* The per-goal logs (the figure-3 convey trace, module completions) are
-   bounded drop-oldest rings with a dropped counter, like Netsim.Trace and
-   the Monitor's event ring, so an NM serving goals in a long closed loop
-   holds constant memory. *)
+(* The per-goal logs (the figure-3 convey trace, module completions,
+   retired intents) are bounded drop-oldest rings with a dropped counter,
+   like Netsim.Trace and the Monitor's event ring, so an NM serving goals
+   in a long closed loop holds constant memory. *)
 let log_capacity = 256
 
 type 'a ring = { items : 'a Queue.t; mutable dropped : int }
@@ -54,7 +54,8 @@ type t = {
   mutable active_scripts : Script_gen.script list; (* for dependency repair *)
   mutable auto_repair : bool;
   journal : Intent.journal; (* write-ahead journal of desired state *)
-  mutable intents : Intent.t list; (* in id order *)
+  mutable live : Intent.t list; (* live intents, newest first *)
+  retired : Intent.t ring; (* the last [log_capacity] retired intents *)
   mutable next_intent : int;
   pending_deletes : (string, Primitive.t list) Hashtbl.t;
       (* deletion primitives owed to devices that were unreachable when a
@@ -430,7 +431,8 @@ and create ?transport ?journal ~chan ~net ~my_id () =
       active_scripts = [];
       auto_repair = false;
       journal;
-      intents = Intent.replay journal;
+      live = List.rev (Intent.replay journal);
+      retired = ring ();
       next_intent = Intent.next_id journal;
       pending_deletes = Hashtbl.create 8;
       horizon = None;
@@ -480,17 +482,12 @@ let set_horizon t h = t.horizon <- h
    equivalent live intent is reused, so re-asking for the same goal after a
    failure does not duplicate desired state. *)
 let record_intent t spec =
-  match
-    List.find_opt
-      (fun (i : Intent.t) ->
-        i.Intent.status <> Intent.Retired && Intent.spec_equal i.Intent.spec spec)
-      t.intents
-  with
+  match List.find_opt (fun (i : Intent.t) -> Intent.spec_equal i.Intent.spec spec) t.live with
   | Some i -> i
   | None ->
       let i = Intent.make ~id:t.next_intent spec in
       t.next_intent <- t.next_intent + 1;
-      t.intents <- t.intents @ [ i ];
+      t.live <- i :: t.live;
       Intent.append t.journal (Intent.Begin (i.Intent.id, spec));
       i
 
@@ -516,11 +513,18 @@ let bind_intent t (i : Intent.t) script =
       end);
   commit_intent t i
 
-let retire_intent t (i : Intent.t) =
-  if i.Intent.status <> Intent.Retired then begin
-    Intent.append t.journal (Intent.Retire i.Intent.id);
-    i.Intent.status <- Intent.Retired
-  end
+(* Retires the live intents matching [f], in id order: each is journalled,
+   loses its script and moves to the retired ring. *)
+let retire_intents t f =
+  let gone, kept = List.partition f t.live in
+  t.live <- kept;
+  List.iter
+    (fun (i : Intent.t) ->
+      Intent.append t.journal (Intent.Retire i.Intent.id);
+      i.Intent.status <- Intent.Retired;
+      i.Intent.script <- None;
+      record t.retired i)
+    (List.rev gone)
 
 (* --- discovery -------------------------------------------------------------- *)
 
@@ -699,7 +703,7 @@ let replicate_to t ~(standby : t) =
   List.iteri
     (fun i e -> if i >= have then Intent.append standby.journal e)
     (Intent.entries t.journal);
-  standby.intents <- Intent.replay standby.journal;
+  standby.live <- List.rev (Intent.replay standby.journal);
   standby.next_intent <- max standby.next_intent (Intent.next_id standby.journal);
   (* requests the primary has issued but not yet seen confirmed: the
      standby must be able to replay them if it takes over mid-script
@@ -787,14 +791,10 @@ let remove_rate t ~owner ~pipe_id =
          cmds = [ Primitive.Delete_perf { owner; pipe_id } ];
          annex = annex_of t None;
        });
-  List.iter
-    (fun (i : Intent.t) ->
+  retire_intents t (fun (i : Intent.t) ->
       match i.Intent.spec with
-      | Intent.Rate { owner = o; pipe_id = p; rate_kbps = _ }
-        when Ids.equal o owner && p = pipe_id ->
-          retire_intent t i
-      | _ -> ())
-    t.intents;
+      | Intent.Rate { owner = o; pipe_id = p; rate_kbps = _ } -> Ids.equal o owner && p = pipe_id
+      | _ -> false);
   run t
 
 (* Tears a configured script down: deletes switch rules (undoing the
@@ -805,14 +805,8 @@ let teardown t (script : Script_gen.script) =
   let del = Script_gen.deletion_script script in
   send_script t del;
   t.active_scripts <- List.filter (fun s -> s != script) t.active_scripts;
-  List.iter
-    (fun (i : Intent.t) ->
-      match i.Intent.script with
-      | Some s when s == script ->
-          i.Intent.script <- None;
-          retire_intent t i
-      | _ -> ())
-    t.intents;
+  retire_intents t (fun (i : Intent.t) ->
+      match i.Intent.script with Some s -> s == script | None -> false);
   run t
 
 (* --- layer-2 (VLAN) goals: figure 9 ------------------------------------------
@@ -1120,11 +1114,7 @@ let reconfigure ?(exclude = []) ?(avoid = []) t (intent : Intent.t) =
    re-realised. Agents execute re-issued primitives idempotently and the
    script generator is deterministic, so an intent that survived the crash
    converges to the same configuration without duplicates. *)
-let recover t =
-  List.iter
-    (fun (i : Intent.t) ->
-      if i.Intent.status <> Intent.Retired then ignore (reconfigure t i))
-    t.intents
+let recover t = List.iter (fun i -> ignore (reconfigure t i)) (List.rev t.live)
 
 (* Re-issues every state-changing request sent but never confirmed — the
    backstop for requests the reliable transport abandoned (give-up during a
@@ -1198,10 +1188,20 @@ let probe_end_to_end t (path : Path_finder.path) =
 let topology t = t.topo
 let net t = t.net
 let journal t = t.journal
-let intents t = t.intents
+
+let intents t =
+  List.sort (fun (a : Intent.t) b -> compare a.Intent.id b.Intent.id) (contents t.retired @ t.live)
+
 let conveys t = contents t.convey_log
 let completions t = List.rev (contents t.completions)
-let ring_dropped t = [ ("conveys", t.convey_log.dropped); ("completions", t.completions.dropped) ]
+
+let ring_dropped t =
+  [
+    ("conveys", t.convey_log.dropped);
+    ("completions", t.completions.dropped);
+    ("retired_intents", t.retired.dropped);
+  ]
+
 let stored_replies t = List.length t.actuals + List.length t.perfs + List.length t.self_tests
 let errors t = t.errors
 let triggers t = t.triggers
@@ -1229,7 +1229,7 @@ let set_repl_hooks t ~on_add ~on_confirm =
    with respect to duplicated entries, so re-shipped deltas are safe. *)
 let apply_replicated_entry t entry =
   Intent.append t.journal entry;
-  t.intents <- Intent.replay t.journal;
+  t.live <- List.rev (Intent.replay t.journal);
   t.next_intent <- max t.next_intent (Intent.next_id t.journal)
 
 let inflight t = t.inflight

@@ -134,7 +134,8 @@ val teardown : t -> Script_gen.script -> unit
 
 val journal : t -> Intent.journal
 val intents : t -> Intent.t list
-(** Live and historical intents, in id order. *)
+(** Live intents and the most recent {!log_capacity} retired ones, in id
+    order. Retired intents beyond that are counted in {!ring_dropped}. *)
 
 val recover : t -> unit
 (** Re-realises every live intent — the second half of a restart from the
@@ -324,8 +325,9 @@ val inflight_count : t -> int
 val transport : t -> Mgmt.Reliable.t option
 
 val log_capacity : int
-(** Entries kept by each per-goal log ({!conveys}, {!completions}); past
-    it the oldest entry is dropped and counted in {!ring_dropped}. *)
+(** Entries kept by each per-goal log ({!conveys}, {!completions}, the
+    retired half of {!intents}); past it the oldest entry is dropped and
+    counted in {!ring_dropped}. *)
 
 val conveys : t -> (Ids.t * Ids.t * Peer_msg.t) list
 (** The conveyMessage relay log (the figure-3 trace), oldest first: the
@@ -336,7 +338,7 @@ val completions : t -> (Ids.t * string) list
 
 val ring_dropped : t -> (string * int) list
 (** Entries dropped from each per-goal log ring ([conveys],
-    [completions]). *)
+    [completions], [retired_intents]). *)
 
 val errors : t -> (string * string) list
 val triggers : t -> (Ids.t * string * string) list

@@ -274,10 +274,25 @@ let add_route dev ?(table = "main") route =
   let t = table_exn dev table in
   t := route :: !t
 
+(* A policy table with no routes that no rule names is forgotten, so a
+   configuration's teardown leaves the device as it found it. [lookup_route]
+   treats a missing table as an empty one; [main] always stays. *)
+let reclaim_table dev name =
+  if
+    name <> "main"
+    && (match List.assoc_opt name dev.tables with Some t -> !t = [] | None -> false)
+    && not (List.exists (fun r -> r.rl_table = name) dev.rules)
+  then begin
+    dev.tables <- List.remove_assoc name dev.tables;
+    dev.rt_table_names <- List.filter (( <> ) name) dev.rt_table_names
+  end
+
 let del_routes dev ?(table = "main") pred =
   match List.assoc_opt table dev.tables with
   | None -> ()
-  | Some t -> t := List.filter (fun r -> not (pred r)) !t
+  | Some t ->
+      t := List.filter (fun r -> not (pred r)) !t;
+      reclaim_table dev table
 
 (* Assigning an address also installs the connected route, as the Linux
    stack does. *)
@@ -291,7 +306,10 @@ let add_addr dev ~iface ~addr ~prefix =
 let add_rule dev rule =
   dev.rules <- List.stable_sort (fun a b -> compare a.rl_prio b.rl_prio) (dev.rules @ [ rule ])
 
-let del_rule dev pred = dev.rules <- List.filter (fun r -> not (pred r)) dev.rules
+let del_rule dev pred =
+  let gone, kept = List.partition pred dev.rules in
+  dev.rules <- kept;
+  List.iter (fun r -> reclaim_table dev r.rl_table) gone
 
 let lpm routes dst =
   List.fold_left

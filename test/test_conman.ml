@@ -755,6 +755,123 @@ let test_read_replies_not_retained () =
   Nm.run nm;
   check tint "late answer not kept" 0 (Nm.stored_replies nm)
 
+(* Everything configuration writes into a device's datapath: interfaces
+   with addresses and up flag, every table with its routes, policy rules,
+   MPLS ILM and NHLFE entries, IP filters and registered table names. ARP
+   and FDB caches and counters are traffic's, not configuration's. *)
+let datapath_state net scope =
+  let module D = Netsim.Device in
+  let bindings tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  List.map
+    (fun id ->
+      let d = Option.get (Netsim.Net.device_by_id net id) in
+      ( id,
+        ( List.map (fun (i : D.iface) -> (i.D.if_name, i.D.if_addrs, i.D.if_up)) d.D.ifaces,
+          List.map (fun (name, routes) -> (name, !routes)) d.D.tables,
+          d.D.rules,
+          bindings d.D.mpls.D.ilm_table,
+          bindings d.D.mpls.D.nhlfe_table,
+          d.D.ip_drops,
+          d.D.rt_table_names ) ))
+    scope
+
+let check_no_residue ~what net scope base =
+  List.iter2
+    (fun (id, before) (_, after) -> check tbool (what ^ " leaves " ^ id ^ " as found") true (before = after))
+    base (datapath_state net scope)
+
+(* The perfbench goal trade-off sets. *)
+let tradeoff_sets =
+  [ []; [ "in-order-delivery" ]; [ "low-error-rate" ]; [ "in-order-delivery"; "low-error-rate" ] ]
+
+let test_teardown_leaves_no_residue () =
+  (* every enumerated path of the plain and the secure VPN, configured,
+     pinged and torn down three times each *)
+  List.iter
+    (fun secure ->
+      let v = Scenarios.build_vpn ~secure () in
+      let nm = v.Scenarios.nm and net = v.Scenarios.tb.Netsim.Testbeds.vpn_net in
+      let paths = Nm.find_paths nm v.Scenarios.goal in
+      let cycle path =
+        let script = Nm.configure_path nm v.Scenarios.goal path in
+        ignore (Scenarios.vpn_reachable v);
+        Nm.teardown nm script
+      in
+      cycle (List.hd paths);
+      let base = datapath_state net v.Scenarios.scope in
+      List.iter
+        (fun path ->
+          for k = 1 to 3 do
+            cycle path;
+            check_no_residue
+              ~what:(Printf.sprintf "[%s] cycle %d" (Path_finder.signature path) k)
+              net v.Scenarios.scope base
+          done)
+        paths)
+    [ false; true ];
+  (* achieve cycles over the trade-off sets on the VPN, a chain and the
+     diamond *)
+  let achieve_cycles name nm net scope goal reachable =
+    let cycle k =
+      let goal = { goal with Path_finder.g_tradeoffs = List.nth tradeoff_sets (k mod 4) } in
+      match Nm.achieve nm goal with
+      | Ok (_, _, script) ->
+          check tbool (Printf.sprintf "%s goal %d reachable" name k) true (reachable ());
+          Nm.teardown nm script
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+    in
+    cycle 0;
+    let base = datapath_state net scope in
+    for k = 1 to 40 do
+      cycle k;
+      check_no_residue ~what:(Printf.sprintf "%s goal %d" name k) net scope base
+    done
+  in
+  let v = Scenarios.build_vpn () in
+  achieve_cycles "vpn" v.Scenarios.nm v.Scenarios.tb.Netsim.Testbeds.vpn_net v.Scenarios.scope
+    v.Scenarios.goal (fun () -> Scenarios.vpn_reachable v);
+  let c = Scenarios.build_chain 4 in
+  achieve_cycles "chain" c.Scenarios.cnm c.Scenarios.ctb.Netsim.Testbeds.chain_net c.Scenarios.cscope
+    c.Scenarios.cgoal (fun () -> Scenarios.chain_reachable c);
+  let d = Scenarios.build_diamond () in
+  achieve_cycles "diamond" d.Scenarios.dnm d.Scenarios.dtb.Netsim.Testbeds.dia_net d.Scenarios.dscope
+    d.Scenarios.dgoal (fun () -> Scenarios.diamond_reachable d)
+
+let test_flat_goal_cost () =
+  (* the 400th goal allocates what the 51st did: nothing an NM or a device
+     keeps grows with the goals served (counts only, never wall clock) *)
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  let words =
+    Array.init 400 (fun _ ->
+        let w0 = Gc.minor_words () in
+        (match Nm.achieve nm v.Scenarios.goal with
+        | Ok (_, _, script) ->
+            ignore (Scenarios.vpn_reachable v);
+            Nm.teardown nm script
+        | Error e -> Alcotest.fail e);
+        Gc.minor_words () -. w0)
+  in
+  let mean first last =
+    let sum = ref 0. in
+    for k = first - 1 to last - 1 do
+      sum := !sum +. words.(k)
+    done;
+    !sum /. float_of_int (last - first + 1)
+  in
+  let early = mean 51 100 and late = mean 351 400 in
+  check tbool
+    (Printf.sprintf "minor words per goal %.0f late vs %.0f early, within 1%%" late early)
+    true
+    (Float.abs (late -. early) <= 0.01 *. early);
+  check tbool "intents bounded" true (List.length (Nm.intents nm) <= Nm.log_capacity);
+  let dropped = List.assoc "retired_intents" (Nm.ring_dropped nm) in
+  check tbool "retired intents dropped" true (dropped > 0);
+  let obs = Observe.create () in
+  ignore (Observe.attach_nm obs ~station:Scenarios.nm_station_id nm);
+  check tint "surfaced beside the other rings" dropped
+    (List.assoc ("nm_retired_intents_" ^ Scenarios.nm_station_id) (Observe.ring_dropped obs))
+
 let () =
   Alcotest.run "conman"
     [
@@ -833,5 +950,7 @@ let () =
         [
           Alcotest.test_case "per-goal logs are rings" `Quick test_goal_logs_bounded;
           Alcotest.test_case "read replies not retained" `Quick test_read_replies_not_retained;
+          Alcotest.test_case "teardown leaves no residue" `Quick test_teardown_leaves_no_residue;
+          Alcotest.test_case "flat per-goal cost" `Quick test_flat_goal_cost;
         ] );
     ]

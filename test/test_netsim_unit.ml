@@ -385,6 +385,84 @@ let test_register_table_idempotent () =
   check tint "one entry" 1
     (List.length (List.filter (( = ) "t") d.Device.rt_table_names))
 
+(* --- policy-table reclamation --------------------------------------------------------------- *)
+
+let route ?via ?dev dst =
+  { Device.rt_dst = pfx dst; rt_via = Option.map ip via; rt_dev = dev; rt_mpls = None }
+
+(* A device with main routing 10.0.0.0/8 via 1.1.1.1 and policy table "t"
+   sending 10.0.2.0/24 via 2.2.2.2, as the IP module installs it. *)
+let policy_device () =
+  let eq = Event_queue.create () in
+  let d = Device.create ~eq ~id:"id-x" ~name:"x" () in
+  ignore (Device.add_port ~name:"eth0" d);
+  Device.add_route d (route ~via:"1.1.1.1" ~dev:"eth0" "10.0.0.0/8");
+  Device.register_table d "t";
+  Device.add_rule d
+    { Device.rl_sel = Device.To_prefix (pfx "10.0.2.0/24"); rl_table = "t"; rl_prio = 100 };
+  Device.add_route d ~table:"t" (route ~via:"2.2.2.2" ~dev:"eth0" "0.0.0.0/0");
+  d
+
+(* Whether [name] is a table and a registered table name. *)
+let known d name = (List.mem_assoc name d.Device.tables, List.mem name d.Device.rt_table_names)
+
+let del_rule_t d = Device.del_rule d (fun r -> r.Device.rl_table = "t")
+let del_routes_t d = Device.del_routes d ~table:"t" (fun _ -> true)
+
+let test_table_reclaimed () =
+  List.iter
+    (fun (first, second) ->
+      let d = policy_device () in
+      first d;
+      check tbool "kept while a route or a rule uses it" true (known d "t" = (true, true));
+      second d;
+      check tbool "dropped once empty and unreferenced" true (known d "t" = (false, false)))
+    [ (del_rule_t, del_routes_t); (del_routes_t, del_rule_t) ]
+
+let test_table_kept_in_use () =
+  let d = policy_device () in
+  Device.add_route d ~table:"t" (route ~dev:"eth0" "10.0.3.0/24");
+  Device.del_routes d ~table:"t" (fun r -> Prefix.equal r.Device.rt_dst (pfx "0.0.0.0/0"));
+  check tbool "a route left" true (known d "t" = (true, true));
+  Device.add_rule d { Device.rl_sel = Device.Match_all; rl_table = "t"; rl_prio = 50 };
+  Device.del_routes d ~table:"t" (fun _ -> true);
+  Device.del_rule d (fun r -> r.Device.rl_sel = Device.Match_all);
+  check tbool "another rule still names it" true (known d "t" = (true, true))
+
+let test_main_never_reclaimed () =
+  let d = policy_device () in
+  Device.add_rule d { Device.rl_sel = Device.Match_all; rl_table = "main"; rl_prio = 300 };
+  Device.del_routes d (fun _ -> true);
+  Device.del_rule d (fun r -> r.Device.rl_table = "main");
+  check tbool "main stays" true (known d "main" = (true, true));
+  check tbool "main empty" true (!(Device.table_exn d "main") = [])
+
+let test_reclaimed_table_recreated () =
+  let d = policy_device () in
+  del_rule_t d;
+  del_routes_t d;
+  Device.add_route d ~table:"t" (route ~via:"3.3.3.3" ~dev:"eth0" "0.0.0.0/0");
+  check tbool "recreated" true (known d "t" = (true, true));
+  Device.add_rule d
+    { Device.rl_sel = Device.To_prefix (pfx "10.0.2.0/24"); rl_table = "t"; rl_prio = 100 };
+  match Device.lookup_route d (ip "10.0.2.7") with
+  | Some r -> check tbool "routes through it" true (r.Device.rt_via = Some (ip "3.3.3.3"))
+  | None -> Alcotest.fail "no route"
+
+let test_lookup_unchanged_by_reclaim () =
+  let via d = Option.map (fun r -> r.Device.rt_via) (Device.lookup_route d (ip "10.0.2.7")) in
+  let d = policy_device () in
+  check tbool "policy route first" true (via d = Some (Some (ip "2.2.2.2")));
+  del_routes_t d;
+  let before = via d in
+  check tbool "empty table falls through to main" true (before = Some (Some (ip "1.1.1.1")));
+  del_rule_t d;
+  check tbool "dropped" true (known d "t" = (false, false));
+  check tbool "same answer after the drop" true (via d = before);
+  (* a rule naming the forgotten table reads it as empty *)
+  Device.add_rule d { Device.rl_sel = Device.Match_all; rl_table = "t"; rl_prio = 10 };
+  check tbool "missing table reads as empty" true (via d = before)
+
 (* --- tunnel validation --------------------------------------------------------------------- *)
 
 let test_gre_checksum_required () =
@@ -485,6 +563,11 @@ let () =
           Alcotest.test_case "lpm" `Quick test_lpm_longest_prefix_wins;
           Alcotest.test_case "rule priority" `Quick test_rule_priority_order;
           Alcotest.test_case "table idempotence" `Quick test_register_table_idempotent;
+          Alcotest.test_case "reclaim, either order" `Quick test_table_reclaimed;
+          Alcotest.test_case "reclaim keeps tables in use" `Quick test_table_kept_in_use;
+          Alcotest.test_case "reclaim spares main" `Quick test_main_never_reclaimed;
+          Alcotest.test_case "reclaimed table recreated" `Quick test_reclaimed_table_recreated;
+          Alcotest.test_case "reclaim keeps lookups" `Quick test_lookup_unchanged_by_reclaim;
         ] );
       ( "tunnels",
         [
