@@ -265,13 +265,16 @@ let run_benchmarks () =
 
 (* The NM plans with the best-first search; the exhaustive enumerator is
    the reference. Per testbed: the enumerator's candidates and expanded
-   search states, the planner's expanded states and completed candidates,
-   and whether both land on the same plan (signature and script body).
-   Counts only, so the file is deterministic. *)
+   search states, the planner's expanded states, completed candidates and
+   minor-heap words allocated, and whether both land on the same plan
+   (signature and script body). Counts only, so the file is
+   deterministic. *)
 let plan_datapoints () =
   let row name topo goal =
     let full = Path_finder.enumerate topo goal in
+    let w0 = Gc.minor_words () in
     let chosen, search = Path_finder.best topo goal in
+    let best_words = Gc.minor_words () -. w0 in
     let body p =
       let s = Script_gen.generate topo goal p in
       (s.Script_gen.prims, s.Script_gen.per_device, s.Script_gen.reporter)
@@ -284,12 +287,13 @@ let plan_datapoints () =
     in
     Printf.sprintf
       "    { \"testbed\": \"%s\", \"enum_candidates\": %d, \"enum_expanded\": %d, \
-       \"best_expanded\": %d, \"best_completed\": %d, \"same_choice\": %b }"
+       \"best_expanded\": %d, \"best_completed\": %d, \"same_choice\": %b, \
+       \"best_minor_words\": %.0f }"
       name
       (List.length full.Path_finder.completed)
       full.Path_finder.expanded search.Path_finder.expanded
       (List.length search.Path_finder.completed)
-      same_choice
+      same_choice best_words
   in
   let d = Scenarios.build_diamond () in
   let rows =
@@ -1067,8 +1071,9 @@ let trace_datapoints () =
    must leave each device as it found it. Counts only, never wall clock:
    mean minor words allocated per goal over goals 51-100 and 951-1000, the
    policy routing tables on each edge router after the first and the last
-   teardown, and the intents the NM still lists. CI gates on late <= 1.01
-   x early and on unchanged table counts. *)
+   teardown, the intents the NM still lists, and its journal: the entries
+   it holds and the entries ever appended. CI gates on late <= 1.01 x
+   early, on unchanged table counts and on a bounded journal. *)
 let history_datapoints () =
   let goals = 1000 in
   let v = Scenarios.build_vpn () in
@@ -1107,11 +1112,15 @@ let history_datapoints () =
       \  \"minor_words_per_goal_951_1000\": %.1f,\n\
       \  \"policy_tables_after_first\": { %s },\n\
       \  \"policy_tables_after_last\": { %s },\n\
-      \  \"intents\": %d\n\
+      \  \"intents\": %d,\n\
+      \  \"journal_entries\": %d,\n\
+      \  \"journal_length\": %d\n\
        }\n"
       goals (mean 51 100) (mean 951 1000) (tables_json !after_first)
       (tables_json (policy_tables ()))
       (List.length (Nm.intents nm))
+      (List.length (Intent.entries (Nm.journal nm)))
+      (Intent.length (Nm.journal nm))
   in
   let oc = open_out "BENCH_history.json" in
   output_string oc json;

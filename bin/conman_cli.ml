@@ -216,9 +216,9 @@ let selfheal ticks cycles =
     (Netsim.Link.drop_count seg "corrupt")
     (Netsim.Link.drop_count seg "mtu");
   Fmt.pr "ring-buffer drops:@.";
-  Fmt.pr "  %-24s %d (of limit %d)@." "monitor_events" (Monitor.dropped_events mon)
+  Fmt.pr "  %-28s %d (of limit %d)@." "monitor_events" (Monitor.dropped_events mon)
     (Monitor.event_limit mon);
-  List.iter (fun (ring, n) -> Fmt.pr "  %-24s %d@." ring n) (Observe.ring_dropped obs);
+  List.iter (fun (ring, n) -> Fmt.pr "  %-28s %d@." ring n) (Observe.ring_dropped obs);
   Fmt.pr "end-to-end reachable: %b@." (Scenarios.diamond_reachable d)
 
 let selfheal_cmd =
@@ -307,7 +307,7 @@ let diagnose fault rounds =
   (* bounded rings drop silently under pressure; a diagnosis that ignores
      how much evidence was lost can be confidently wrong *)
   Fmt.pr "@.ring-buffer drops (evidence silently discarded):@.";
-  List.iter (fun (ring, n) -> Fmt.pr "  %-24s %d@." ring n) (Observe.ring_dropped obs)
+  List.iter (fun (ring, n) -> Fmt.pr "  %-28s %d@." ring n) (Observe.ring_dropped obs)
 
 let diagnose_cmd =
   Cmd.v

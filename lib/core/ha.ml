@@ -16,13 +16,15 @@
    promotion past anything the promoting node has observed, so two acting
    primaries can never share an epoch.
 
-   Journal shipping uses absolute journal indexes (1-based): both
-   journals are prefix-equal from the bootstrap replication on, the
-   standby appends entry [k+1] only when it holds exactly [k] entries and
-   cumulatively acks its length, and the primary re-ships a bounded
-   unacked tail each tick. Losses, duplicates and reordering below are
-   absorbed by the {!Mgmt.Reliable} envelope layer; a gap only delays
-   shipping, never corrupts the prefix. *)
+   Journal shipping uses the journal's absolute sequence numbers: both
+   journals number entries alike from the bootstrap replication on, the
+   standby appends entry [k+1] only when its journal length is exactly [k]
+   and cumulatively acks its length, and the primary re-ships a bounded
+   unacked tail each tick. The ack is also the primary's compaction floor,
+   so the primary keeps every entry the standby has not acknowledged.
+   Losses, duplicates and reordering below are absorbed by the
+   {!Mgmt.Reliable} envelope layer; a gap only delays shipping, never
+   corrupts the prefix. *)
 
 type role = Primary | Standby
 
@@ -127,7 +129,7 @@ let suspicion t =
 
 let send_peer t msg = Nm.send_msg t.nm ~dst:t.peer msg
 
-let journal_len t = List.length (Intent.entries (Nm.journal t.nm))
+let journal_len t = Intent.length (Nm.journal t.nm)
 
 let ship_entry t seq entry =
   t.stats.entries_shipped <- t.stats.entries_shipped + 1;
@@ -273,13 +275,9 @@ let tick t ~tick:tick_no =
         t.hb_seq <- t.hb_seq + 1;
         t.stats.heartbeats_sent <- t.stats.heartbeats_sent + 1;
         send_peer t (Wire.Ha_heartbeat { epoch = t.epoch; seq = t.hb_seq });
-        let entries = Intent.entries (Nm.journal t.nm) in
         List.iteri
-          (fun i entry ->
-            let seq = i + 1 in
-            if seq > t.acked && seq <= t.acked + t.config.ship_batch then
-              ship_entry t seq entry)
-          entries
+          (fun i (seq, entry) -> if i < t.config.ship_batch then ship_entry t seq entry)
+          (Intent.since (Nm.journal t.nm) t.acked)
     | Standby -> if suspicion t >= t.config.phi_threshold then promote t ~tick:tick_no
 
 let set_alive t v =
@@ -321,6 +319,9 @@ let create ?(config = default_config) ~role ~peer nm =
     }
   in
   Nm.set_ha_hook nm (fun ~src msg -> on_msg t ~src msg);
+  (* compaction keeps whatever the standby has not acknowledged; a
+     standby's own cursor stays 0, so it keeps its whole journal *)
+  Intent.set_floor (Nm.journal nm) (fun () -> t.acked);
   (* continuous replication: every journal append and in-flight delta on
      the acting primary streams to the standby as it happens *)
   Intent.on_append (Nm.journal nm) (fun entry ->
@@ -342,7 +343,7 @@ let pair ?config ~primary ~standby () =
   let p = create ?config ~role:Primary ~peer:(Nm.my_id standby) primary in
   let s = create ?config ~role:Standby ~peer:(Nm.my_id primary) standby in
   Nm.replicate_to primary ~standby;
-  p.acked <- List.length (Intent.entries (Nm.journal primary));
+  p.acked <- Intent.length (Nm.journal primary);
   Nm.set_epoch primary 1;
   (p, s)
 

@@ -20,7 +20,14 @@
     sender believed in): agents silently fence its frames after the
     transport-level ack, so without the hand-off any back-out deletion it
     issued after losing leadership would be stranded, leaking datapath
-    state. *)
+    state.
+
+    The journal ships by sequence number ({!Intent.length},
+    {!Intent.since}): the standby appends entry [k+1] only when its journal
+    length is [k] and cumulatively acks its length; the primary re-ships
+    at most [ship_batch] unacked entries per tick. The ack is the primary's
+    compaction floor ({!Intent.set_floor}), so it keeps every entry its
+    standby has not acknowledged, however long the standby is down. *)
 
 type role = Primary | Standby
 
@@ -49,7 +56,8 @@ type t
 
 val create : ?config:config -> role:role -> peer:string -> Nm.t -> t
 (** Wraps one NM as an HA node talking to the station [peer]. Installs the
-    HA receive hook, the journal-append sink and the in-flight delta hooks
+    HA receive hook, the journal-append sink, the journal's compaction
+    floor (this node's acknowledged cursor) and the in-flight delta hooks
     on the NM. Prefer {!pair} for a correctly bootstrapped pair. *)
 
 val pair : ?config:config -> primary:Nm.t -> standby:Nm.t -> unit -> t * t

@@ -8,7 +8,9 @@
    configuration was applied successfully at least once) and Retire (it was
    torn down) — so replay is a trivial left fold and duplicated Commits are
    harmless. Everything else on an intent (script, health, repair counters)
-   is runtime state rebuilt by the monitor loop. *)
+   is runtime state rebuilt by the monitor loop. The journal forgets all
+   but the most recent retired intents (see [journal] below), so it stays
+   bounded however many goals an NM serves. *)
 
 type spec =
   | Connect of Path_finder.goal
@@ -162,19 +164,86 @@ let entry_of_sexp s =
   | [ Sexp.Atom "bind"; id; sg ] -> Bind (Sexp.to_int id, Sexp.to_atom sg)
   | _ -> raise (Sexp.Parse_error "intent journal entry")
 
+(* The retired intents a journal keeps, and the bound on the NM's log
+   rings (Nm.log_capacity): one constant for all of an NM's history. *)
+let log_capacity = 256
+
+(* Compaction drops the entries of retired intents but never renumbers, so
+   [length] keeps counting every entry ever appended. Replay never sees a
+   retired intent and the newest intent is always held, so neither
+   [replay] nor [next_id] changes. *)
 type journal = {
-  mutable log : entry list; (* newest first *)
+  mutable log : (int * entry) list; (* held entries and their sequence numbers, newest first *)
+  mutable length : int; (* entries ever appended: the newest sequence number *)
+  mutable retired : int; (* retired intents held: those the last pass kept, plus Retires since *)
+  mutable next_pass : int; (* compact when [retired] reaches this *)
+  mutable compacted : int; (* retired intents dropped *)
+  mutable floor : unit -> int;
   mutable sinks : (entry -> unit) list; (* durability hooks *)
 }
 
-let journal () = { log = []; sinks = [] }
+let journal () =
+  {
+    log = [];
+    length = 0;
+    retired = 0;
+    next_pass = 2 * log_capacity;
+    compacted = 0;
+    floor = (fun () -> max_int);
+    sinks = [];
+  }
 
-let append j e =
-  j.log <- e :: j.log;
-  List.iter (fun sink -> sink e) j.sinks
+let entry_id = function Begin (id, _) | Commit id | Retire id | Bind (id, _) -> id
 
+let compact j =
+  (* newest entry first: an id's first entry seen is its newest (an
+     intent's Retire is its last entry) *)
+  let newest = Hashtbl.create 64 and retired = ref [] in
+  List.iter
+    (fun (seq, e) ->
+      let id = entry_id e in
+      if not (Hashtbl.mem newest id) then Hashtbl.add newest id seq;
+      match e with Retire _ -> retired := id :: !retired | Begin _ | Commit _ | Bind _ -> ())
+    j.log;
+  let retired = List.sort_uniq (fun a b -> compare b a) !retired in
+  let floor = j.floor () and drop = Hashtbl.create 64 in
+  List.iteri
+    (fun rank id ->
+      if rank >= log_capacity && Hashtbl.find newest id <= floor then Hashtbl.replace drop id ())
+    retired;
+  j.log <- List.filter (fun (_, e) -> not (Hashtbl.mem drop (entry_id e))) j.log;
+  j.compacted <- j.compacted + Hashtbl.length drop;
+  j.retired <- List.length retired - Hashtbl.length drop;
+  (* what the floor pinned waits for another [log_capacity] retirements *)
+  j.next_pass <- max (2 * log_capacity) (j.retired + log_capacity)
+
+let push j seq e =
+  j.length <- seq;
+  j.log <- (seq, e) :: j.log;
+  List.iter (fun sink -> sink e) j.sinks;
+  match e with
+  | Retire _ ->
+      j.retired <- j.retired + 1;
+      if j.retired >= j.next_pass then compact j
+  | Begin _ | Commit _ | Bind _ -> ()
+
+let append j e = push j (j.length + 1) e
 let on_append j sink = j.sinks <- sink :: j.sinks
-let entries j = List.rev j.log
+let set_floor j floor = j.floor <- floor
+let length j = j.length
+let compacted j = j.compacted
+let entries j = List.rev_map snd j.log
+
+let since j n =
+  let rec tail acc = function
+    | ((seq, _) as x) :: rest when seq > n -> tail (x :: acc) rest
+    | _ -> acc
+  in
+  tail [] j.log
+
+let catch_up j ~from =
+  List.iter (fun (seq, e) -> push j seq e) (since from j.length);
+  j.length <- max j.length from.length
 
 let journal_to_string j =
   String.concat "\n" (List.map (fun e -> Sexp.to_string (entry_to_sexp e)) (entries j))
@@ -184,7 +253,7 @@ let journal_of_string s =
   String.split_on_char '\n' s
   |> List.iter (fun line ->
          let line = String.trim line in
-         if line <> "" then j.log <- entry_of_sexp (Sexp.of_string line) :: j.log);
+         if line <> "" then append j (entry_of_sexp (Sexp.of_string line)));
   j
 
 (* Rebuilds the live intent set: Begin creates a Pending intent, Commit
@@ -214,6 +283,4 @@ let replay j =
          match Hashtbl.find tbl id with i when i.status = Retired -> None | i -> Some i)
 
 let next_id j =
-  List.fold_left
-    (fun acc -> function Begin (id, _) -> max acc (id + 1) | _ -> acc)
-    1 (entries j)
+  List.fold_left (fun acc -> function _, Begin (id, _) -> max acc (id + 1) | _ -> acc) 1 j.log

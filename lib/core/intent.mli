@@ -67,23 +67,63 @@ val entry_to_sexp : entry -> Sexp.t
 val entry_of_sexp : Sexp.t -> entry
 
 type journal
+(** A write-ahead journal. Every appended entry gets an absolute sequence
+    number (1, 2, …). The journal {e holds} every entry of the intents that
+    are not retired, and the entries of the {!log_capacity} retired intents
+    with the highest ids; the other retired intents are {e compacted}
+    away. Compaction is amortised: once [2 * log_capacity] retired intents
+    are held, one pass keeps only the highest [log_capacity]. It never
+    renumbers, never changes what {!replay} or {!next_id} return (the
+    newest intent is always held), and never drops an entry whose sequence
+    number is above the journal's floor (see {!set_floor}). *)
+
+val log_capacity : int
+(** The retired intents a journal keeps (256) — the same bound as the NM's
+    log rings ({!Nm.log_capacity}). *)
 
 val journal : unit -> journal
+(** An empty journal, with no floor: it compacts freely. *)
+
 val append : journal -> entry -> unit
+(** Appends an entry under sequence number [length j + 1]. *)
 
 val on_append : journal -> (entry -> unit) -> unit
 (** Durability hook, called with each entry as it is appended (e.g. to
     write it through to stable storage). *)
 
+val set_floor : journal -> (unit -> int) -> unit
+(** Compaction never drops an entry whose sequence number is above the
+    value this returns when it runs. An HA primary sets it to what its
+    standby has acknowledged ({!Ha.create}), so it keeps every entry the
+    standby may still need; the standby's floor stays 0, so it keeps
+    everything. *)
+
+val length : journal -> int
+(** Entries ever appended — the newest sequence number, in O(1). Counts
+    the compacted entries too. *)
+
 val entries : journal -> entry list
-(** In append order. *)
+(** The held entries, in append order. *)
+
+val since : journal -> int -> (int * entry) list
+(** [since j n]: the held entries with sequence numbers above [n], with
+    those numbers, in append order. Walks only that tail. *)
+
+val catch_up : journal -> from:journal -> unit
+(** Appends [from]'s held entries above [length j] under their own
+    sequence numbers and takes on [from]'s length, so [j] numbers every
+    later entry as [from] does — even when [from] has compacted. Assumes
+    [j]'s entries are a prefix of [from]'s. *)
+
+val compacted : journal -> int
+(** Retired intents compaction has dropped. *)
 
 val journal_to_string : journal -> string
-(** One sexp entry per line — the durable representation. *)
+(** The held entries, one sexp entry per line — the durable representation. *)
 
 val journal_of_string : string -> journal
-(** Inverse of {!journal_to_string}; raises {!Sexp.Parse_error} on
-    malformed input. *)
+(** Inverse of {!journal_to_string}, numbering the entries from 1; raises
+    {!Sexp.Parse_error} on malformed input. *)
 
 val replay : journal -> t list
 (** Rebuilds the live (non-retired) intents in id order: [Begin] creates a

@@ -15,8 +15,9 @@ type stats = { mutable sent : int; mutable received : int; mutable acks : int }
 (* The per-goal logs (the figure-3 convey trace, module completions,
    retired intents) are bounded drop-oldest rings with a dropped counter,
    like Netsim.Trace and the Monitor's event ring, so an NM serving goals
-   in a long closed loop holds constant memory. *)
-let log_capacity = 256
+   in a long closed loop holds constant memory. The journal keeps as many
+   retired intents. *)
+let log_capacity = Intent.log_capacity
 
 type 'a ring = { items : 'a Queue.t; mutable dropped : int }
 
@@ -697,12 +698,10 @@ let replicate_to t ~(standby : t) =
   standby.topo.Topology.domain_prefixes <- t.topo.Topology.domain_prefixes;
   standby.active_scripts <- t.active_scripts;
   standby.auto_repair <- t.auto_repair;
-  (* ship the journal entries the standby lacks and rebuild its intent list
-     from its own journal — fresh records, not aliases of the primary's *)
-  let have = List.length (Intent.entries standby.journal) in
-  List.iteri
-    (fun i e -> if i >= have then Intent.append standby.journal e)
-    (Intent.entries t.journal);
+  (* ship the journal entries the standby lacks, numbered as on the primary,
+     and rebuild its intent list from its own journal — fresh records, not
+     aliases of the primary's *)
+  Intent.catch_up standby.journal ~from:t.journal;
   standby.live <- List.rev (Intent.replay standby.journal);
   standby.next_intent <- max standby.next_intent (Intent.next_id standby.journal);
   (* requests the primary has issued but not yet seen confirmed: the
@@ -1200,6 +1199,7 @@ let ring_dropped t =
     ("conveys", t.convey_log.dropped);
     ("completions", t.completions.dropped);
     ("retired_intents", t.retired.dropped);
+    ("journal_compacted", Intent.compacted t.journal);
   ]
 
 let stored_replies t = List.length t.actuals + List.length t.perfs + List.length t.self_tests

@@ -188,7 +188,10 @@ val replicate_to : t -> standby:t -> unit
     and unconfirmed in-flight requests into a warm standby. Nothing mutable
     is shared: topology records are copied and the standby's intents are
     rebuilt by replaying the shipped journal entries, so later mutations on
-    the primary never leak into the standby. {!Ha} supersedes this one-shot
+    the primary never leak into the standby. The journal entries keep their
+    sequence numbers and the standby takes on the primary's
+    {!Intent.length} ({!Intent.catch_up}), so both number later entries
+    alike even after the primary compacted. {!Ha} supersedes this one-shot
     copy with continuous journal-shipping; it remains the bootstrap. *)
 
 val take_over : ?epoch:int -> t -> unit
@@ -327,7 +330,8 @@ val transport : t -> Mgmt.Reliable.t option
 val log_capacity : int
 (** Entries kept by each per-goal log ({!conveys}, {!completions}, the
     retired half of {!intents}); past it the oldest entry is dropped and
-    counted in {!ring_dropped}. *)
+    counted in {!ring_dropped}. The same constant as
+    {!Intent.log_capacity}: the journal keeps as many retired intents. *)
 
 val conveys : t -> (Ids.t * Ids.t * Peer_msg.t) list
 (** The conveyMessage relay log (the figure-3 trace), oldest first: the
@@ -338,7 +342,8 @@ val completions : t -> (Ids.t * string) list
 
 val ring_dropped : t -> (string * int) list
 (** Entries dropped from each per-goal log ring ([conveys],
-    [completions], [retired_intents]). *)
+    [completions], [retired_intents]), and the retired intents compacted
+    out of the journal ([journal_compacted], see {!Intent.compacted}). *)
 
 val errors : t -> (string * string) list
 val triggers : t -> (Ids.t * string * string) list

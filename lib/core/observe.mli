@@ -56,8 +56,8 @@ val attach_monitor : ?prefix:string -> t -> Monitor.t -> unit
 
 val ring_dropped : t -> (string * int) list
 (** Every bounded ring's silent-drop count: the global packet-trace ring,
-    each station's span collector and each attached NM's per-goal log
-    rings ({!Nm.ring_dropped}). *)
+    each station's span collector, and each attached NM's per-goal log
+    rings and journal compaction ({!Nm.ring_dropped}). *)
 
 val attach_rings : t -> unit
 (** Registers {!ring_dropped} as the [rings] subsystem. *)

@@ -64,19 +64,20 @@ type dfs_state = {
 
 let in_scope goal (m : Ids.t) = List.mem m.Ids.dev goal.g_scope
 
-let node st m =
-  match Hashtbl.find_opt st.nodes m with
+(* The module's entry in a traversal's table, derived on first use. *)
+let node_of topo nodes m =
+  match Hashtbl.find_opt nodes m with
   | Some n -> n
   | None ->
       let n =
         {
-          abs = Topology.find_module_exn st.topo m;
-          above = Potential_graph.above st.topo m;
-          below = Potential_graph.below st.topo m;
-          phys = List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_neighbours st.topo m);
+          abs = Topology.find_module_exn topo m;
+          above = Potential_graph.above topo m;
+          below = Potential_graph.below topo m;
+          phys = List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_neighbours topo m);
         }
       in
-      Hashtbl.replace st.nodes m n;
+      Hashtbl.replace nodes m n;
       n
 
 let domain st m = Topology.domain_of st.topo m
@@ -98,7 +99,7 @@ let domain_compatible st m hdr =
 
 let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc ~pipes ~fast =
   st.expanded <- st.expanded + 1;
-  let node = node st pos in
+  let node = node_of st.topo st.nodes pos in
   let abs = node.abs in
   let fast = if abs.Abstraction.fast_forwarding then fast + 1 else fast in
   let visited' = pos :: visited in
@@ -178,13 +179,13 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc ~pipes ~fast =
             ())
       abs.Abstraction.switch
 
-let traverse ?(prune_domains = true) topo goal ~admit ~complete =
+let traverse ?(prune_domains = true) topo goal ~nodes ~admit ~complete =
   let st =
     {
       topo;
       goal;
       prune_domains;
-      nodes = Hashtbl.create 64;
+      nodes;
       next_chain = base_ip;
       expanded = 0;
       admit;
@@ -203,7 +204,7 @@ type search = { completed : path list; expanded : int }
 let enumerate ?prune_domains topo goal =
   let found = ref [] in
   let expanded =
-    traverse ?prune_domains topo goal
+    traverse ?prune_domains topo goal ~nodes:(Hashtbl.create 64)
       ~admit:(fun m ~pipes:_ -> in_scope goal m)
       ~complete:(fun visits ~pipes:_ ~fast:_ -> found := { visits } :: !found)
   in
@@ -304,77 +305,89 @@ let choose topo paths =
    incumbent's. A skipped branch holds only strictly worse paths, so the
    answer cannot change.
 
-   The bound is the §III-C.3 device-level first step, used as a bound
-   rather than a commitment: a BFS over physical links towards the target
-   device, where crossing a transit device costs 2 pipes (the traffic
-   must be lifted off an ETH module and put back down onto another)
-   unless one of its modules can switch [phy=>phy]. *)
+   The bound works at the module level: a shortest path to the target
+   module over the potential graph, charging each step exactly what
+   [step] charges for it. Lifting traffic to a module above (by [phy=>up] or [down=>up])
+   or pushing it to one below (by [down=>down] or [up=>down]) instantiates
+   a pipe; a physical hop (by [up=>phy] or [phy=>phy]) does not, and
+   neither does completing at the target. Header stacks and visited sets
+   only remove steps from a real path, so no path from a module costs
+   fewer pipes than its bound. *)
 
-(* Lower bound on the pipes a path still needs from each device it may
-   enter (in scope and [usable]) to the target; devices that cannot reach
-   the target through such devices are absent. *)
-let transit_bounds topo goal ~usable =
-  let target = goal.g_to.Ids.dev in
-  let preds = Hashtbl.create 16 in
+(* The traversal's entries for every module of the in-scope devices
+   [usable] allows: the only modules [best] may step onto. *)
+let module_table topo goal ~usable =
+  let nodes = Hashtbl.create 64 in
   List.iter
-    (fun u ->
-      if usable u then
+    (fun dev ->
+      if usable dev then
         List.iter
-          (fun (_, (a : Abstraction.t)) ->
-            List.iter
-              (fun (p : Abstraction.physical_pipe) ->
-                let v = p.Abstraction.peer_device in
-                Hashtbl.replace preds v (u :: Option.value ~default:[] (Hashtbl.find_opt preds v)))
-              a.Abstraction.physical)
-          (Topology.modules_of_device topo u))
-    (List.sort_uniq compare goal.g_scope);
-  (* crossing a device costs 2 pipes unless it can bridge [phy=>phy];
-     reaching the target costs nothing more *)
-  let free dev =
-    dev = target
-    || List.exists
-         (fun (_, a) -> Abstraction.can_switch a Abstraction.Phy_phy)
-         (Topology.modules_of_device topo dev)
+          (fun (m, _) -> ignore (node_of topo nodes m))
+          (Topology.modules_of_device topo dev))
+    goal.g_scope;
+  nodes
+
+(* Fewest pipes from each module of [nodes] to the target; modules that
+   cannot reach it within [nodes] are absent. *)
+let lower_bounds nodes goal =
+  let preds = Hashtbl.create 64 in
+  let edge m cost u =
+    if Hashtbl.mem nodes u then
+      Hashtbl.replace preds u ((m, cost) :: Option.value ~default:[] (Hashtbl.find_opt preds u))
   in
-  let dist = Hashtbl.create 16 in
-  (* a 0/2-weighted BFS: settle each layer's free closure before the next *)
+  Hashtbl.iter
+    (fun m n ->
+      let can kinds = List.exists (Abstraction.can_switch n.abs) kinds in
+      if can Abstraction.[ Phy_up; Down_up ] then List.iter (edge m 1) n.above;
+      if can Abstraction.[ Down_down; Up_down ] then List.iter (edge m 1) n.below;
+      if can Abstraction.[ Up_phy; Phy_phy ] then List.iter (edge m 0) n.phys)
+    nodes;
+  let dist = Hashtbl.create 64 in
+  (* a 0/1-weighted BFS backwards from the target: settle each layer's
+     free closure before the next *)
   let rec layer d frontier =
     if frontier <> [] then begin
       let later = ref [] in
       let rec spread = function
         | [] -> ()
-        | v :: rest ->
-            let free_v = free v and now = ref rest in
+        | u :: rest ->
+            let now = ref rest in
             List.iter
-              (fun u ->
-                if not (Hashtbl.mem dist u) then
-                  if free_v then begin
-                    Hashtbl.replace dist u d;
-                    now := u :: !now
+              (fun (m, cost) ->
+                if not (Hashtbl.mem dist m) then
+                  if cost = 0 then begin
+                    Hashtbl.replace dist m d;
+                    now := m :: !now
                   end
-                  else later := u :: !later)
-              (Option.value ~default:[] (Hashtbl.find_opt preds v));
+                  else later := m :: !later)
+              (Option.value ~default:[] (Hashtbl.find_opt preds u));
             spread !now
       in
       spread frontier;
-      let next = List.filter (fun u -> not (Hashtbl.mem dist u)) (List.sort_uniq compare !later) in
-      List.iter (fun u -> Hashtbl.replace dist u (d + 2)) next;
-      layer (d + 2) next
+      let next = List.filter (fun m -> not (Hashtbl.mem dist m)) (List.sort_uniq compare !later) in
+      List.iter (fun m -> Hashtbl.replace dist m (d + 1)) next;
+      layer (d + 1) next
     end
   in
-  Hashtbl.replace dist target 0;
-  layer 0 [ target ];
+  if Hashtbl.mem nodes goal.g_to then begin
+    Hashtbl.replace dist goal.g_to 0;
+    layer 0 [ goal.g_to ]
+  end;
   dist
 
+let bounds ?(usable = fun _ -> true) topo goal =
+  Hashtbl.find_opt (lower_bounds (module_table topo goal ~usable) goal)
+
 let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
-  let lower = transit_bounds topo goal ~usable in
+  let nodes = module_table topo goal ~usable in
+  let lower = lower_bounds nodes goal in
   let incumbent = ref None and completed = ref [] in
   let limit () = match !incumbent with Some (_, (pipes, _)) -> pipes | None -> max_int in
-  (* only usable devices that can still reach the target have a bound;
-     the endpoints' usability is checked before the search starts *)
-  let admit (m : Ids.t) ~pipes =
-    in_scope goal m
-    && match Hashtbl.find_opt lower m.Ids.dev with Some lb -> pipes + lb <= limit () | None -> false
+  (* only modules of usable in-scope devices that can still reach the
+     target have a bound; the endpoints' usability is checked before the
+     search starts *)
+  let admit m ~pipes =
+    match Hashtbl.find_opt lower m with Some lb -> pipes + lb <= limit () | None -> false
   in
   let complete visits ~pipes ~fast =
     let path = { visits } in
@@ -387,7 +400,7 @@ let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
   in
   let expanded =
     if usable goal.g_from.Ids.dev && usable goal.g_to.Ids.dev then
-      traverse topo goal ~admit ~complete
+      traverse topo goal ~nodes ~admit ~complete
     else 0
   in
   (Option.map fst !incumbent, { completed = List.rev !completed; expanded })

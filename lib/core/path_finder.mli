@@ -87,9 +87,18 @@ val best :
     [exclude] or that visit a device (endpoints included) for which
     [usable] is false — found by a branch-and-bound over the same
     traversal instead of by enumeration. Branches are pruned once their
-    pipes plus a device-level lower bound (a BFS over physical links to
-    the target, 2 pipes per transit device without a [phy=>phy] module)
-    exceed the best path found so far, so only a few candidates are ever
-    completed. The returned path's [v_chain] numbers may differ
+    pipes plus the module-level lower bound of {!bounds} exceed the best
+    path found so far, so only a few candidates are ever completed. One
+    table of the usable in-scope modules serves both the bound and the
+    traversal. The returned path's [v_chain] numbers may differ
     from the enumerator's (they are traversal-global), but its signature
     and generated script are identical. *)
+
+val bounds : ?usable:(string -> bool) -> Topology.t -> goal -> Ids.t -> int option
+(** The lower bound {!best} prunes with: for each module of a usable
+    in-scope device, the fewest pipes any path from it to [g_to] could
+    still instantiate — a 0/1 shortest path over the potential graph where
+    a step to a module above or below costs the one pipe {!pipe_count}
+    charges for it (if the module can switch that way) and a physical hop
+    costs none. [None] for a module that cannot reach [g_to] that way; the
+    search never steps onto such a module. *)

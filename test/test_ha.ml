@@ -348,6 +348,91 @@ let test_takeover_duplicates_and_stale_epochs () =
       check tbool (id ^ " counted the stale takeover") true (Agent.takeover_rejects a > 0))
     d.Scenarios.dagents
 
+(* --- journal shipping over a long history ----------------------------------------- *)
+
+let live_set nm =
+  List.map
+    (fun (i : Intent.t) -> (i.Intent.id, i.Intent.spec, i.Intent.status))
+    (Intent.replay (Nm.journal nm))
+
+(* [goals] achieve/teardown cycles on the primary, one HA tick each. *)
+let churn d net p s ~goals ~from =
+  for k = 0 to goals - 1 do
+    (match Nm.achieve (Ha.nm p) d.Scenarios.dgoal with
+    | Ok (_, _, script) -> Nm.teardown (Ha.nm p) script
+    | Error e -> Alcotest.failf "achieve: %s" e);
+    step net p s (from + k)
+  done
+
+let check_in_sync p s ~shipped =
+  let jp = Nm.journal (Ha.nm p) and js = Nm.journal (Ha.nm s) in
+  check tint "standby applied every entry" shipped (Ha.entries_applied s);
+  check tint "equal journal lengths" (Intent.length jp) (Intent.length js);
+  check tbool "same live intents" true (live_set (Ha.nm p) = live_set (Ha.nm s))
+
+let test_journal_in_sync_over_history () =
+  (* 700 goals: the primary compacts what the standby has acknowledged,
+     the standby (whose own floor stays 0) keeps everything *)
+  let d, net, p, s = build_pair ~fault_seed:21 () in
+  let goals = 700 in
+  churn d net p s ~goals ~from:0;
+  for t = goals to goals + 2 do
+    step net p s t
+  done;
+  check_in_sync p s ~shipped:(4 * goals);
+  let jp = Nm.journal (Ha.nm p) and js = Nm.journal (Ha.nm s) in
+  check tbool "the primary compacted acknowledged history" true (Intent.compacted jp > 0);
+  check tint "the standby keeps every entry" (Intent.length js) (List.length (Intent.entries js));
+  check tint "no promotion" 0 (Ha.promotions s)
+
+let test_journal_catch_up_after_standby_down () =
+  let d, net, p, s = build_pair ~fault_seed:22 () in
+  for t = 0 to 1 do
+    step net p s t
+  done;
+  (* the standby is down for 700 goals: nothing is acknowledged, so the
+     primary must hold every entry *)
+  Ha.set_alive s false;
+  let goals = 700 in
+  churn d net p s ~goals ~from:2;
+  let jp = Nm.journal (Ha.nm p) in
+  check tint "the primary kept every unacknowledged entry" (Intent.length jp)
+    (List.length (Intent.entries jp));
+  check tint "nothing compacted" 0 (Intent.compacted jp);
+  (* revived, the standby catches up from the re-shipped tail *)
+  Ha.set_alive s true;
+  let t = ref (goals + 2) in
+  while Intent.length (Nm.journal (Ha.nm s)) < Intent.length jp && !t < goals + 2 + 400 do
+    step net p s !t;
+    incr t
+  done;
+  check_in_sync p s ~shipped:(4 * goals);
+  check tint "no promotion" 0 (Ha.promotions s)
+
+let test_pair_after_compaction () =
+  (* the primary served 520 goals alone and compacted before the standby
+     joined: bootstrap copies the held entries under their sequence
+     numbers, so later entries ship and apply in order *)
+  let d = Scenarios.build_diamond () in
+  let net = d.Scenarios.dtb.Netsim.Testbeds.dia_net in
+  for _ = 1 to 520 do
+    match Nm.achieve d.Scenarios.dnm d.Scenarios.dgoal with
+    | Ok (_, _, script) -> Nm.teardown d.Scenarios.dnm script
+    | Error e -> Alcotest.failf "achieve: %s" e
+  done;
+  check tbool "the primary compacted" true (Intent.compacted (Nm.journal d.Scenarios.dnm) > 0);
+  let standby =
+    Nm.create ~transport:d.Scenarios.dtransport ~chan:d.Scenarios.dchan ~net
+      ~my_id:Scenarios.standby_station_id ()
+  in
+  let p, s = Ha.pair ~primary:d.Scenarios.dnm ~standby () in
+  check tint "the standby numbers entries as the primary"
+    (Intent.length (Nm.journal d.Scenarios.dnm))
+    (Intent.length (Nm.journal standby));
+  churn d net p s ~goals:10 ~from:0;
+  step net p s 10;
+  check_in_sync p s ~shipped:40
+
 let () =
   Alcotest.run "ha"
     [
@@ -366,5 +451,12 @@ let () =
             test_takeover_duplicates_and_stale_epochs;
         ] );
       ( "replication",
-        [ Alcotest.test_case "replicate_to does not alias" `Quick test_replicate_isolation ] );
+        [
+          Alcotest.test_case "replicate_to does not alias" `Quick test_replicate_isolation;
+          Alcotest.test_case "journal in sync over 700 goals" `Quick
+            test_journal_in_sync_over_history;
+          Alcotest.test_case "standby down for 700 goals catches up" `Quick
+            test_journal_catch_up_after_standby_down;
+          Alcotest.test_case "pairing after compaction" `Quick test_pair_after_compaction;
+        ] );
     ]

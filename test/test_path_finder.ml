@@ -237,6 +237,55 @@ let test_best_prunes () =
   check tbool "a handful completed" true (List.length s.Path_finder.completed <= 4);
   check tbool "under a tenth of the states" true (s.Path_finder.expanded * 10 < full.Path_finder.expanded)
 
+(* The bound is admissible: from every visit of every enumerated path, the
+   pipes the rest of the path instantiates are at least the bound of the
+   visited module — so pruning on it can never cut off a sane path. *)
+let check_bound_admissible name topo goal =
+  let lb = Path_finder.bounds topo goal in
+  let rec suffixes = function [] -> [] | _ :: rest as l -> l :: suffixes rest in
+  List.iter
+    (fun (p : Path_finder.path) ->
+      List.iter
+        (fun visits ->
+          let v = List.hd visits in
+          let label =
+            Printf.sprintf "%s: %s at %s" name (Path_finder.signature p)
+              (Ids.short v.Path_finder.v_mod)
+          in
+          match lb v.Path_finder.v_mod with
+          | None -> Alcotest.failf "%s: no bound" label
+          | Some b ->
+              check tbool (label ^ ": bound <= pipes still to come") true
+                (b <= Path_finder.pipe_count { Path_finder.visits }))
+        (suffixes p.Path_finder.visits))
+    (Path_finder.find topo goal)
+
+let test_bound_admissible () =
+  let v = Scenarios.build_vpn () in
+  check_bound_admissible "vpn" (Nm.topology v.Scenarios.nm) v.Scenarios.goal;
+  let s = Scenarios.build_vpn ~secure:true () in
+  check_bound_admissible "secure vpn" (Nm.topology s.Scenarios.nm) s.Scenarios.goal;
+  let d = Scenarios.build_diamond () in
+  check_bound_admissible "diamond" (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal;
+  for n = 2 to 8 do
+    let c = Scenarios.build_chain n in
+    check_bound_admissible (Printf.sprintf "chain n=%d" n) (Nm.topology c.Scenarios.cnm)
+      c.Scenarios.cgoal
+  done
+
+let test_best_search_size () =
+  (* the module-level bound keeps the search near the optimal path: a few
+     hundred states on chains whose enumeration takes 54 327 and 434 246 *)
+  List.iter
+    (fun (n, most) ->
+      let c = Scenarios.build_chain n in
+      let _, s = Path_finder.best (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal in
+      check tbool
+        (Printf.sprintf "n=%d: %d states expanded, at most %d" n s.Path_finder.expanded most)
+        true
+        (s.Path_finder.expanded <= most))
+    [ (11, 500); (14, 800) ]
+
 (* --- goal error cases ------------------------------------------------------------- *)
 
 let test_no_path_outside_scope () =
@@ -323,6 +372,8 @@ let () =
         [
           Alcotest.test_case "best = choose over filtered find" `Quick test_best_matches_choose;
           Alcotest.test_case "bound prunes the chain" `Quick test_best_prunes;
+          Alcotest.test_case "bound is admissible" `Quick test_bound_admissible;
+          Alcotest.test_case "search size on long chains" `Quick test_best_search_size;
         ] );
       ( "errors",
         [

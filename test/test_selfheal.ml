@@ -309,6 +309,65 @@ let test_teardown_retires_intent () =
   in
   check tint "retired intents are not replayed" 0 (List.length (Nm.intents nm2))
 
+(* --- the journal stays bounded over a long-lived NM ----------------------------- *)
+
+(* Live ids, specs and statuses: what an NM restarting from the journal
+   would rebuild. *)
+let live_set j =
+  List.map (fun (i : Intent.t) -> (i.Intent.id, i.Intent.spec, i.Intent.status)) (Intent.replay j)
+
+let test_journal_compacts () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  (* one long-lived intent (Begin, Bind, Commit), then 600 goals that each
+     journal Begin, Bind, Commit and Retire *)
+  let keep = Scenarios.vpn_goal ~tradeoffs:[ "in-order-delivery" ] () in
+  (match Nm.achieve nm keep with Ok _ -> () | Error e -> Alcotest.failf "achieve: %s" e);
+  for _ = 1 to 600 do
+    match Nm.achieve nm v.Scenarios.goal with
+    | Ok (_, _, script) -> Nm.teardown nm script
+    | Error e -> Alcotest.failf "achieve: %s" e
+  done;
+  let j = Nm.journal nm in
+  check tint "length counts every entry appended" (3 + (4 * 600)) (Intent.length j);
+  let held = List.length (Intent.entries j) in
+  check tbool
+    (Printf.sprintf "held entries bounded (%d)" held)
+    true
+    (held <= (2 * Intent.log_capacity * 4) + 3);
+  check tint "ids continue after the highest journalled" 602 (Intent.next_id j);
+  check tbool "retired intents were compacted" true (Intent.compacted j > 0);
+  (* what is held: the long-lived intent and the newest retired ones *)
+  let entry_id = function
+    | Intent.Begin (id, _) | Intent.Commit id | Intent.Retire id | Intent.Bind (id, _) -> id
+  in
+  (match List.sort_uniq compare (List.map entry_id (Intent.entries j)) with
+  | 1 :: (oldest :: _ as retired) ->
+      check
+        Alcotest.(list int)
+        "the newest retired intents are held"
+        (List.init (601 - oldest + 1) (fun k -> oldest + k))
+        retired
+  | _ -> Alcotest.fail "the long-lived intent is not held");
+  check tint "compaction surfaced with the NM's rings" (Intent.compacted j)
+    (List.assoc "journal_compacted" (Nm.ring_dropped nm));
+  (* the durable form replays the same live set ... *)
+  let stored = Intent.journal_to_string j in
+  check tbool "the string round-trip replays the same live set" true
+    (live_set (Intent.journal_of_string stored) = live_set j);
+  (match live_set j with
+  | [ (1, Intent.Connect g, Intent.Active) ] -> check tbool "the long-lived goal" true (g = keep)
+  | l -> Alcotest.failf "expected the long-lived intent alone, got %d" (List.length l));
+  (* ... and an NM restarting from it reconfigures the long-lived intent *)
+  let v2 = Scenarios.build_vpn ~journal:(Intent.journal_of_string stored) () in
+  Nm.recover v2.Scenarios.nm;
+  (match Nm.intents v2.Scenarios.nm with
+  | [ i ] ->
+      check tint "recovered the long-lived intent" 1 i.Intent.id;
+      check tbool "reconfigured" true (i.Intent.status = Intent.Active && i.Intent.script <> None)
+  | l -> Alcotest.failf "expected 1 recovered intent, got %d" (List.length l));
+  check tbool "VPN works after recovery" true (Scenarios.vpn_reachable v2)
+
 let () =
   Alcotest.run "selfheal"
     [
@@ -317,6 +376,7 @@ let () =
           Alcotest.test_case "sexp roundtrip" `Quick test_journal_roundtrip;
           Alcotest.test_case "replay semantics" `Quick test_journal_replay;
           Alcotest.test_case "teardown retires" `Quick test_teardown_retires_intent;
+          Alcotest.test_case "bounded over 600 goals" `Quick test_journal_compacts;
         ] );
       ( "monitor",
         [
