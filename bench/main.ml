@@ -267,14 +267,18 @@ let run_benchmarks () =
    the reference. Per testbed: the enumerator's candidates and expanded
    search states, the planner's expanded states, completed candidates and
    minor-heap words allocated, and whether both land on the same plan
-   (signature and script body). Counts only, so the file is
+   (signature and script body). [size_curve] runs the planner alone on
+   chains too long to enumerate. Counts only, so the file is
    deterministic. *)
 let plan_datapoints () =
-  let row name topo goal =
-    let full = Path_finder.enumerate topo goal in
+  let planned topo goal =
     let w0 = Gc.minor_words () in
     let chosen, search = Path_finder.best topo goal in
-    let best_words = Gc.minor_words () -. w0 in
+    (chosen, search, Gc.minor_words () -. w0)
+  in
+  let row name topo goal =
+    let full = Path_finder.enumerate topo goal in
+    let chosen, search, best_words = planned topo goal in
     let body p =
       let s = Script_gen.generate topo goal p in
       (s.Script_gen.prims, s.Script_gen.per_device, s.Script_gen.reporter)
@@ -304,7 +308,23 @@ let plan_datapoints () =
            row (Printf.sprintf "chain_n%d" n) (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal)
          [ 8; 11; 14 ]
   in
-  let json = Printf.sprintf "{\n  \"plans\": [\n%s\n  ]\n}\n" (String.concat ",\n" rows) in
+  let curve =
+    List.map
+      (fun n ->
+        let c = Scenarios.build_chain n in
+        let _, search, words = planned (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal in
+        Printf.sprintf
+          "    { \"testbed\": \"chain_n%d\", \"best_expanded\": %d, \"best_completed\": %d, \
+           \"best_minor_words\": %.0f }"
+          n search.Path_finder.expanded
+          (List.length search.Path_finder.completed)
+          words)
+      [ 32; 64; 128; 160 ]
+  in
+  let json =
+    Printf.sprintf "{\n  \"plans\": [\n%s\n  ],\n  \"size_curve\": [\n%s\n  ]\n}\n"
+      (String.concat ",\n" rows) (String.concat ",\n" curve)
+  in
   let oc = open_out "BENCH_plan.json" in
   output_string oc json;
   close_out oc;

@@ -40,136 +40,178 @@ type entry = From_phy | From_above | From_below
 (* a pushed header on the logical stack *)
 type hdr = { h_chain : int; h_proto : string; h_domain : string option }
 
-(* What the traversal needs of a module: looked up once per traversal,
-   since branches revisit the same modules many times. *)
-type node = { abs : Abstraction.t; above : Ids.t list; below : Ids.t list; phys : Ids.t list }
+(* --- the search table --------------------------------------------------------------
+
+   Each search numbers the modules it may visit once, up front: [g_from]
+   as entry 0, then every module of the usable in-scope devices in
+   [g_scope] order. An entry holds what the traversal reads of its module
+   and its potential-graph neighbours as entry numbers, in the graph's
+   order, so a search state costs array reads. Neighbours outside the
+   table are dropped: the search may not step onto them. The table lives
+   for one search; nothing is cached across goals. *)
+
+type node = {
+  id : Ids.t;
+  abs : Abstraction.t;
+  domain : string option; (* the module's address domain, if the NM knows one *)
+  above : int array;
+  below : int array;
+  phys : int array;
+  mutable bound : int; (* fewest pipes to the target, [unreached] if none *)
+  mutable on_path : bool; (* on the partial path being extended *)
+}
+
+type table = {
+  nodes : node array;
+  index : (Ids.t, int) Hashtbl.t; (* the in-scope entries; [g_from] only if in scope *)
+  target : int; (* [g_to]'s entry, or -1 when it is out of scope *)
+}
+
+let unreached = max_int
+
+let table ?(usable = fun _ -> true) topo goal =
+  (* one pass each over the devices and the domain list; the first match
+     wins, as in [Topology.device] and [Topology.domain_of] *)
+  let devices = Hashtbl.create 64 and domains = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Topology.device_info) ->
+      if not (Hashtbl.mem devices d.Topology.di_id) then
+        Hashtbl.add devices d.Topology.di_id d.Topology.di_modules)
+    topo.Topology.devices;
+  List.iter
+    (fun (m, dom) -> if not (Hashtbl.mem domains m) then Hashtbl.add domains m dom)
+    topo.Topology.module_domains;
+  let modules_of dev = Option.value ~default:[] (Hashtbl.find_opt devices dev) in
+  let index = Hashtbl.create 64 in
+  let numbered = ref [ (goal.g_from, Topology.find_module_exn topo goal.g_from) ] in
+  let count = ref 1 in
+  List.iter
+    (fun dev ->
+      if usable dev then
+        List.iter
+          (fun (m, a) ->
+            if Ids.equal m goal.g_from then Hashtbl.replace index m 0
+            else if not (Hashtbl.mem index m) then begin
+              Hashtbl.add index m !count;
+              numbered := (m, a) :: !numbered;
+              incr count
+            end)
+          (modules_of dev))
+    goal.g_scope;
+  let entries ms = Array.of_list (List.filter_map (Hashtbl.find_opt index) ms) in
+  let node (m, a) =
+    let mods = modules_of m.Ids.dev in
+    {
+      id = m;
+      abs = a;
+      domain = Hashtbl.find_opt domains m;
+      above = entries (Potential_graph.above_in mods m a);
+      below = entries (Potential_graph.below_in mods m a);
+      phys =
+        entries (List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_in ~modules_of m a));
+      bound = unreached;
+      on_path = false;
+    }
+  in
+  {
+    nodes = Array.of_list (List.rev_map node !numbered);
+    index;
+    target = Option.value ~default:(-1) (Hashtbl.find_opt index goal.g_to);
+  }
+
+(* --- the traversal -------------------------------------------------------------------- *)
 
 (* One traversal serves both searches. The enumerator admits every
-   in-scope module and keeps every completed path; the best-first search
-   also bounds what it admits and keeps only an incumbent. *)
+   entry and keeps every completed path; the best-first search also
+   bounds what it admits and keeps only an incumbent. *)
 type dfs_state = {
-  topo : Topology.t;
-  goal : goal;
+  nodes : node array;
+  target : int;
+  customer_ip : hdr; (* the customer's packet, outermost once its frame is popped *)
   prune_domains : bool;
-  nodes : (Ids.t, node) Hashtbl.t;
   mutable next_chain : int;
   mutable expanded : int;
-  admit : Ids.t -> pipes:int -> bool;
-      (* may the traversal step onto this module, [pipes] pipes into the
+  admit : int -> pipes:int -> bool;
+      (* may the traversal step onto this entry, [pipes] pipes into the
          path? *)
   complete : visit list -> pipes:int -> fast:int -> unit;
       (* a sane path reached the goal: its visits, pipe count and number
          of fast-forwarding modules *)
 }
 
-let in_scope goal (m : Ids.t) = List.mem m.Ids.dev goal.g_scope
-
-(* The module's entry in a traversal's table, derived on first use. *)
-let node_of topo nodes m =
-  match Hashtbl.find_opt nodes m with
-  | Some n -> n
-  | None ->
-      let n =
-        {
-          abs = Topology.find_module_exn topo m;
-          above = Potential_graph.above topo m;
-          below = Potential_graph.below topo m;
-          phys = List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_neighbours topo m);
-        }
-      in
-      Hashtbl.replace nodes m n;
-      n
-
-let domain st m = Topology.domain_of st.topo m
+let customer_eth = { h_chain = base_eth; h_proto = "ETH"; h_domain = None }
 
 (* What the traversal sees as the outermost header. *)
 let logical_top st stack ~eth_missing =
-  match stack with
-  | h :: _ -> Some h
-  | [] ->
-      if eth_missing then Some { h_chain = base_ip; h_proto = "IP"; h_domain = Some st.goal.g_customer }
-      else Some { h_chain = base_eth; h_proto = "ETH"; h_domain = None }
+  match stack with h :: _ -> h | [] -> if eth_missing then st.customer_ip else customer_eth
 
-let domain_compatible st m hdr =
+let domain_compatible st node hdr =
   if (not st.prune_domains) || hdr.h_proto <> "IP" then true
   else
-    match (hdr.h_domain, domain st m) with
+    match (hdr.h_domain, node.domain) with
     | Some a, Some b -> a = b
     | _ -> false (* IP modules without domain knowledge cannot be placed *)
 
-let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc ~pipes ~fast =
+(* every transition but a physical hop instantiates a pipe *)
+let pipes_after kind pipes =
+  match kind with Abstraction.Up_phy | Abstraction.Phy_phy -> pipes | _ -> pipes + 1
+
+let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~pipes ~fast =
   st.expanded <- st.expanded + 1;
-  let node = node_of st.topo st.nodes pos in
+  let node = st.nodes.(pos) in
   let abs = node.abs in
   let fast = if abs.Abstraction.fast_forwarding then fast + 1 else fast in
-  let visited' = pos :: visited in
-  let emit kind action chain next =
-    let visit = { v_mod = pos; v_kind = kind; v_action = action; v_chain = chain } in
-    (* every transition but a physical hop instantiates a pipe *)
-    let pipes =
-      match kind with Abstraction.Up_phy | Abstraction.Phy_phy -> pipes | _ -> pipes + 1
-    in
-    next (visit :: acc) pipes
+  let visit kind action chain =
+    { v_mod = node.id; v_kind = kind; v_action = action; v_chain = chain } :: acc
   in
-  let go ~entry ~stack ~eth_missing acc pipes mods =
-    List.iter
-      (fun m ->
-        if (not (List.exists (Ids.equal m) visited')) && st.admit m ~pipes then
-          step st ~pos:m ~entry ~stack ~eth_missing ~visited:visited' ~acc ~pipes ~fast)
-      mods
+  (* take [kind] here, then try each of [mods], entered as [entry] *)
+  let next kind action chain ~entry ~stack ~eth_missing mods =
+    go st ~entry ~stack ~eth_missing ~acc:(visit kind action chain) ~pipes:(pipes_after kind pipes)
+      ~fast mods
   in
-  let go_above ~stack ~eth_missing acc pipes =
-    go ~entry:From_below ~stack ~eth_missing acc pipes node.above
-  in
-  let go_below ~stack ~eth_missing acc pipes =
-    go ~entry:From_above ~stack ~eth_missing acc pipes node.below
-  in
-  let go_phys ~stack ~eth_missing acc pipes = go ~entry:From_phy ~stack ~eth_missing acc pipes node.phys in
+  node.on_path <- true;
   (* goal completion: at the target ETH module, entered from above, with all
      transit encapsulations undone — push the customer frame back out. *)
   if
-    Ids.equal pos st.goal.g_to && entry = From_above && stack = [] && eth_missing
+    pos = st.target && entry = From_above && stack = [] && eth_missing
     && Abstraction.can_switch abs Abstraction.Up_phy
-  then begin
-    let visit = { v_mod = pos; v_kind = Abstraction.Up_phy; v_action = Push; v_chain = base_eth } in
-    st.complete (List.rev (visit :: acc)) ~pipes ~fast
-  end
+  then st.complete (List.rev (visit Abstraction.Up_phy Push base_eth)) ~pipes ~fast
   else
     List.iter
       (fun kind ->
         match (kind, entry) with
         | Abstraction.Phy_up, From_phy -> (
             match stack with
-            | h :: rest when h.h_proto = "ETH" -> emit kind Pop h.h_chain (go_above ~stack:rest ~eth_missing)
+            | h :: rest when h.h_proto = "ETH" ->
+                next kind Pop h.h_chain ~entry:From_below ~stack:rest ~eth_missing node.above
             | _ :: _ -> ()
             | [] ->
                 if not eth_missing then
                   (* popping the customer's own frame: path entry *)
-                  emit kind Pop base_eth (go_above ~stack ~eth_missing:true))
-        | Abstraction.Phy_phy, From_phy -> (
-            match logical_top st stack ~eth_missing with
-            | Some h when h.h_proto = "ETH" -> emit kind Inspect h.h_chain (go_phys ~stack ~eth_missing)
-            | _ -> ())
+                  next kind Pop base_eth ~entry:From_below ~stack ~eth_missing:true node.above)
+        | Abstraction.Phy_phy, From_phy ->
+            let h = logical_top st stack ~eth_missing in
+            if h.h_proto = "ETH" then
+              next kind Inspect h.h_chain ~entry:From_phy ~stack ~eth_missing node.phys
         | Abstraction.Down_up, From_below -> (
             match stack with
-            | h :: rest when h.h_proto = abs.Abstraction.name && domain_compatible st pos h ->
-                emit kind Pop h.h_chain (go_above ~stack:rest ~eth_missing)
+            | h :: rest when h.h_proto = abs.Abstraction.name && domain_compatible st node h ->
+                next kind Pop h.h_chain ~entry:From_below ~stack:rest ~eth_missing node.above
             | _ -> () (* base headers are never terminated mid-path *))
-        | Abstraction.Down_down, From_below -> (
-            match logical_top st stack ~eth_missing with
-            | Some h when h.h_proto = abs.Abstraction.name && domain_compatible st pos h ->
-                emit kind Inspect h.h_chain (go_below ~stack ~eth_missing)
-            | _ -> ())
+        | Abstraction.Down_down, From_below ->
+            let h = logical_top st stack ~eth_missing in
+            if h.h_proto = abs.Abstraction.name && domain_compatible st node h then
+              next kind Inspect h.h_chain ~entry:From_above ~stack ~eth_missing node.below
         | Abstraction.Up_down, From_above ->
             st.next_chain <- st.next_chain + 1;
             let h =
-              { h_chain = st.next_chain; h_proto = abs.Abstraction.name; h_domain = domain st pos }
+              { h_chain = st.next_chain; h_proto = abs.Abstraction.name; h_domain = node.domain }
             in
-            emit kind Push h.h_chain (go_below ~stack:(h :: stack) ~eth_missing)
+            next kind Push h.h_chain ~entry:From_above ~stack:(h :: stack) ~eth_missing node.below
         | Abstraction.Up_phy, From_above ->
             st.next_chain <- st.next_chain + 1;
             let h = { h_chain = st.next_chain; h_proto = "ETH"; h_domain = None } in
-            emit kind Push h.h_chain (go_phys ~stack:(h :: stack) ~eth_missing)
+            next kind Push h.h_chain ~entry:From_phy ~stack:(h :: stack) ~eth_missing node.phys
         | Abstraction.Up_up, _ ->
             (* loopback switching creates no inter-device paths; skipped *)
             ()
@@ -177,23 +219,32 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~visited ~acc ~pipes ~fast =
             | Abstraction.Down_down | Abstraction.Up_down | Abstraction.Up_phy ),
             _ ) ->
             ())
-      abs.Abstraction.switch
+      abs.Abstraction.switch;
+  node.on_path <- false
 
-let traverse ?(prune_domains = true) topo goal ~nodes ~admit ~complete =
+and go st ~entry ~stack ~eth_missing ~acc ~pipes ~fast mods =
+  for i = 0 to Array.length mods - 1 do
+    let m = mods.(i) in
+    if (not st.nodes.(m).on_path) && st.admit m ~pipes then
+      step st ~pos:m ~entry ~stack ~eth_missing ~acc ~pipes ~fast
+  done
+
+(* Runs from [g_from], entry 0; the root stays on the path throughout, so
+   the search never steps back onto it. *)
+let traverse ?(prune_domains = true) (t : table) goal ~admit ~complete =
   let st =
     {
-      topo;
-      goal;
+      nodes = t.nodes;
+      target = t.target;
+      customer_ip = { h_chain = base_ip; h_proto = "IP"; h_domain = Some goal.g_customer };
       prune_domains;
-      nodes;
       next_chain = base_ip;
       expanded = 0;
       admit;
       complete;
     }
   in
-  step st ~pos:goal.g_from ~entry:From_phy ~stack:[] ~eth_missing:false ~visited:[] ~acc:[] ~pipes:0
-    ~fast:0;
+  step st ~pos:0 ~entry:From_phy ~stack:[] ~eth_missing:false ~acc:[] ~pipes:0 ~fast:0;
   st.expanded
 
 type search = { completed : path list; expanded : int }
@@ -204,8 +255,8 @@ type search = { completed : path list; expanded : int }
 let enumerate ?prune_domains topo goal =
   let found = ref [] in
   let expanded =
-    traverse ?prune_domains topo goal ~nodes:(Hashtbl.create 64)
-      ~admit:(fun m ~pipes:_ -> in_scope goal m)
+    traverse ?prune_domains (table topo goal) goal
+      ~admit:(fun _ ~pipes:_ -> true)
       ~complete:(fun visits ~pipes:_ ~fast:_ -> found := { visits } :: !found)
   in
   { completed = List.rev !found; expanded }
@@ -310,97 +361,80 @@ let choose topo paths =
    [step] charges for it. Lifting traffic to a module above (by [phy=>up] or [down=>up])
    or pushing it to one below (by [down=>down] or [up=>down]) instantiates
    a pipe; a physical hop (by [up=>phy] or [phy=>phy]) does not, and
-   neither does completing at the target. Header stacks and visited sets
-   only remove steps from a real path, so no path from a module costs
-   fewer pipes than its bound. *)
+   neither does completing at the target. Header stacks and the on-path
+   flags only remove steps from a real path, so no path from a module
+   costs fewer pipes than its bound. *)
 
-(* The traversal's entries for every module of the in-scope devices
-   [usable] allows: the only modules [best] may step onto. *)
-let module_table topo goal ~usable =
-  let nodes = Hashtbl.create 64 in
-  List.iter
-    (fun dev ->
-      if usable dev then
-        List.iter
-          (fun (m, _) -> ignore (node_of topo nodes m))
-          (Topology.modules_of_device topo dev))
-    goal.g_scope;
-  nodes
-
-(* Fewest pipes from each module of [nodes] to the target; modules that
-   cannot reach it within [nodes] are absent. *)
-let lower_bounds nodes goal =
-  let preds = Hashtbl.create 64 in
-  let edge m cost u =
-    if Hashtbl.mem nodes u then
-      Hashtbl.replace preds u ((m, cost) :: Option.value ~default:[] (Hashtbl.find_opt preds u))
-  in
-  Hashtbl.iter
-    (fun m n ->
-      let can kinds = List.exists (Abstraction.can_switch n.abs) kinds in
-      if can Abstraction.[ Phy_up; Down_up ] then List.iter (edge m 1) n.above;
-      if can Abstraction.[ Down_down; Up_down ] then List.iter (edge m 1) n.below;
-      if can Abstraction.[ Up_phy; Phy_phy ] then List.iter (edge m 0) n.phys)
-    nodes;
-  let dist = Hashtbl.create 64 in
-  (* a 0/1-weighted BFS backwards from the target: settle each layer's
-     free closure before the next *)
-  let rec layer d frontier =
-    if frontier <> [] then begin
-      let later = ref [] in
-      let rec spread = function
-        | [] -> ()
-        | u :: rest ->
-            let now = ref rest in
-            List.iter
-              (fun (m, cost) ->
-                if not (Hashtbl.mem dist m) then
-                  if cost = 0 then begin
-                    Hashtbl.replace dist m d;
-                    now := m :: !now
-                  end
-                  else later := m :: !later)
-              (Option.value ~default:[] (Hashtbl.find_opt preds u));
-            spread !now
-      in
-      spread frontier;
-      let next = List.filter (fun m -> not (Hashtbl.mem dist m)) (List.sort_uniq compare !later) in
-      List.iter (fun m -> Hashtbl.replace dist m (d + 1)) next;
-      layer (d + 1) next
+(* Fills every entry's [bound]: a 0/1 BFS backwards from the target over
+   predecessor lists, settling each distance's free closure before the
+   next distance. An entry stays [unreached] if it cannot reach the
+   target within the table. *)
+let lower_bounds (t : table) =
+  let n = Array.length t.nodes in
+  let free = Array.make n [] and paid = Array.make n [] in
+  Array.iteri
+    (fun m node ->
+      let can kinds = List.exists (Abstraction.can_switch node.abs) kinds in
+      let pred preds u = preds.(u) <- m :: preds.(u) in
+      if can Abstraction.[ Phy_up; Down_up ] then Array.iter (pred paid) node.above;
+      if can Abstraction.[ Down_down; Up_down ] then Array.iter (pred paid) node.below;
+      if can Abstraction.[ Up_phy; Phy_phy ] then Array.iter (pred free) node.phys)
+    t.nodes;
+  let settle d queue m =
+    let node = t.nodes.(m) in
+    if node.bound > d then begin
+      node.bound <- d;
+      m :: queue
     end
+    else queue
   in
-  if Hashtbl.mem nodes goal.g_to then begin
-    Hashtbl.replace dist goal.g_to 0;
-    layer 0 [ goal.g_to ]
-  end;
-  dist
+  (* [now] holds entries settled at [d], [later] those reached at [d + 1];
+     an entry lowered since it was queued is skipped *)
+  let rec drain d now later =
+    match now with
+    | u :: rest when t.nodes.(u).bound = d ->
+        let later = List.fold_left (settle (d + 1)) later paid.(u) in
+        drain d (List.fold_left (settle d) rest free.(u)) later
+    | _ :: rest -> drain d rest later
+    | [] -> if later <> [] then drain (d + 1) later []
+  in
+  if t.target >= 0 then begin
+    t.nodes.(t.target).bound <- 0;
+    drain 0 [ t.target ] []
+  end
 
-let bounds ?(usable = fun _ -> true) topo goal =
-  Hashtbl.find_opt (lower_bounds (module_table topo goal ~usable) goal)
+let bounds ?usable topo goal =
+  let t = table ?usable topo goal in
+  lower_bounds t;
+  fun m ->
+    match Hashtbl.find_opt t.index m with
+    | Some i when t.nodes.(i).bound <> unreached -> Some t.nodes.(i).bound
+    | _ -> None
 
 let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
-  let nodes = module_table topo goal ~usable in
-  let lower = lower_bounds nodes goal in
-  let incumbent = ref None and completed = ref [] in
-  let limit () = match !incumbent with Some (_, (pipes, _)) -> pipes | None -> max_int in
-  (* only modules of usable in-scope devices that can still reach the
-     target have a bound; the endpoints' usability is checked before the
-     search starts *)
-  let admit m ~pipes =
-    match Hashtbl.find_opt lower m with Some lb -> pipes + lb <= limit () | None -> false
-  in
-  let complete visits ~pipes ~fast =
-    let path = { visits } in
-    if exclude = [] || not (List.mem (signature path) exclude) then begin
-      completed := path :: !completed;
-      match !incumbent with
-      | Some (_, cost) when compare_cost (pipes, fast) cost >= 0 -> ()
-      | _ -> incumbent := Some (path, (pipes, fast))
-    end
-  in
-  let expanded =
-    if usable goal.g_from.Ids.dev && usable goal.g_to.Ids.dev then
-      traverse topo goal ~nodes ~admit ~complete
-    else 0
-  in
-  (Option.map fst !incumbent, { completed = List.rev !completed; expanded })
+  (* the endpoints' usability is checked before the search starts; the
+     table holds only the modules of usable in-scope devices *)
+  if not (usable goal.g_from.Ids.dev && usable goal.g_to.Ids.dev) then
+    (None, { completed = []; expanded = 0 })
+  else begin
+    let t = table ~usable topo goal in
+    lower_bounds t;
+    let incumbent = ref None and completed = ref [] in
+    let limit () = match !incumbent with Some (_, (pipes, _)) -> pipes | None -> max_int in
+    (* only entries that can still reach the target have a bound *)
+    let admit m ~pipes =
+      let lb = t.nodes.(m).bound in
+      lb <> unreached && pipes + lb <= limit ()
+    in
+    let complete visits ~pipes ~fast =
+      let path = { visits } in
+      if exclude = [] || not (List.mem (signature path) exclude) then begin
+        completed := path :: !completed;
+        match !incumbent with
+        | Some (_, cost) when compare_cost (pipes, fast) cost >= 0 -> ()
+        | _ -> incumbent := Some (path, (pipes, fast))
+      end
+    in
+    let expanded = traverse t goal ~admit ~complete in
+    (Option.map fst !incumbent, { completed = List.rev !completed; expanded })
+  end

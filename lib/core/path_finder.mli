@@ -4,7 +4,17 @@
     encapsulation and decapsulation so only protocol-"sane" paths survive
     (figure 6(a)), and prunes paths that would peer IP modules from
     different address domains (figure 6(b)). On the figure-4 testbed it
-    enumerates exactly the paper's nine paths. *)
+    enumerates exactly the paper's nine paths.
+
+    Every search ({!enumerate}, {!find}, {!find_hierarchical}, {!best},
+    {!bounds}) first numbers the modules it may visit into one table:
+    [g_from], then every module of the (usable) in-scope devices. Each
+    entry holds the module's abstraction, its address domain, its pipe
+    bound and its potential-graph neighbours ({!Potential_graph.above_in},
+    {!Potential_graph.below_in}, {!Potential_graph.phys_in}) as entry
+    numbers, built in one pass over the topology. A search state then costs
+    O(1) array reads: an on-path flag per entry stands for the visited set.
+    The table lives for one search; nothing is cached across goals. *)
 
 (** What a module does to the traffic at its step of the path. *)
 type action = Push | Pop | Inspect
@@ -88,9 +98,10 @@ val best :
     [usable] is false — found by a branch-and-bound over the same
     traversal instead of by enumeration. Branches are pruned once their
     pipes plus the module-level lower bound of {!bounds} exceed the best
-    path found so far, so only a few candidates are ever completed. One
-    table of the usable in-scope modules serves both the bound and the
-    traversal. The returned path's [v_chain] numbers may differ
+    path found so far, so only a few candidates are ever completed. The
+    search's table holds only the modules of usable in-scope devices and
+    serves both the bound and the traversal. The returned path's
+    [v_chain] numbers may differ
     from the enumerator's (they are traversal-global), but its signature
     and generated script are identical. *)
 
@@ -100,5 +111,6 @@ val bounds : ?usable:(string -> bool) -> Topology.t -> goal -> Ids.t -> int opti
     still instantiate — a 0/1 shortest path over the potential graph where
     a step to a module above or below costs the one pipe {!pipe_count}
     charges for it (if the module can switch that way) and a physical hop
-    costs none. [None] for a module that cannot reach [g_to] that way; the
-    search never steps onto such a module. *)
+    costs none; computed by a 0/1 BFS over the table's predecessor lists.
+    [None] for a module outside the table or that cannot reach [g_to] that
+    way; the search never steps onto such a module. *)

@@ -59,8 +59,6 @@ let find_module_exn t mref =
 let modules_of_device t dev =
   match device t dev with Some d -> d.di_modules | None -> []
 
-let all_modules t = List.concat_map (fun d -> d.di_modules) t.devices
-
 (* Renders the network map of figure 4(b)/Table IV. *)
 let pp_table4 ppf t =
   List.iter

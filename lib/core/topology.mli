@@ -42,7 +42,6 @@ val prefix_of_domain : t -> string -> string option
 val find_module : t -> Ids.t -> Abstraction.t option
 val find_module_exn : t -> Ids.t -> Abstraction.t
 val modules_of_device : t -> string -> (Ids.t * Abstraction.t) list
-val all_modules : t -> (Ids.t * Abstraction.t) list
 
 val pp_table4 : t Fmt.t
 (** Renders the network map the way the paper's Table IV does. *)

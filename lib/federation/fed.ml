@@ -751,12 +751,6 @@ let status t id =
 
 let achieved t id = status t id = Achieved_ok
 
-let global_script t id =
-  match find_goal t id with
-  | Some { gr_phase = Achieved { global; _ }; _ } -> Some global
-  | Some { gr_phase = Committing { global; _ }; _ } -> Some global
-  | _ -> None
-
 let replans t = List.fold_left (fun acc g -> acc + g.gr_replans) 0 t.goals
 let backouts t = List.fold_left (fun acc g -> acc + g.gr_backouts) 0 t.goals
 let relays t = t.stats.relays
@@ -782,7 +776,6 @@ let obs_counters t =
     ("backouts", backouts t);
     ("delegated_aborted", delegated_aborted t);
   ]
-let peers_known t = List.filter_map (fun p -> if p.p_seen then Some (p.p_domain, p.p_devices) else None) t.peers
 
 (* --- construction ---------------------------------------------------------------- *)
 

@@ -66,10 +66,6 @@ type status = Pending | Achieved_ok | Failed_with of string
 val status : t -> int -> status
 val achieved : t -> int -> bool
 
-val global_script : t -> int -> Script_gen.script option
-(** The coordinator's full cross-domain script (for parity checks against
-    a single-NM plan). *)
-
 val replans : t -> int
 (** Planning rounds restarted after a plan error or back-out. *)
 
@@ -90,9 +86,6 @@ val delegated_aborted : t -> int
 val nm : t -> Nm.t
 val domain : t -> string
 val devices : t -> string list
-
-val peers_known : t -> (string * string list) list
-(** Advertised peer domains and their device sets. *)
 
 (** {1 Tracing and metrics}
 

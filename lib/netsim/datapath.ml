@@ -211,7 +211,10 @@ and mpls_impose dev ~depth key ip_bytes =
   match Hashtbl.find_opt dev.mpls.nhlfe_table key with
   | None -> count dev "mpls_no_nhlfe_drop"
   | Some nh ->
-      let stack = List.map (fun l -> Mpls.entry ~ttl:64 l) nh.nh_push in
+      (* the pipe model (RFC 3443): an LSP is one IP hop, and its labels
+         start from the largest TTL, so an LSP may cross up to 254
+         label-switching routers *)
+      let stack = List.map (fun l -> Mpls.entry ~ttl:255 l) nh.nh_push in
       if stack = [] then count dev "mpls_empty_push_drop"
       else mpls_xmit dev ~depth nh (Mpls.encode stack ip_bytes)
 

@@ -27,11 +27,6 @@ let devices t = t.devices
 
 let find_device t name = List.find_opt (fun d -> d.Device.dev_name = name) t.devices
 
-let find_device_exn t name =
-  match find_device t name with
-  | Some d -> d
-  | None -> failwith ("Net.find_device: no device " ^ name)
-
 let device_by_id t id = List.find_opt (fun d -> d.Device.dev_id = id) t.devices
 
 (* A broadcast segment with the given attachments; a two-element list is a

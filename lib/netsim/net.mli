@@ -18,7 +18,6 @@ val add_device : ?switching:bool -> t -> id:string -> name:string -> Device.t
 
 val devices : t -> Device.t list
 val find_device : t -> string -> Device.t option
-val find_device_exn : t -> string -> Device.t
 val device_by_id : t -> string -> Device.t option
 
 val lan :

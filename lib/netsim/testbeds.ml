@@ -110,13 +110,19 @@ type chain = {
 }
 
 (* Router [i] and [i+1] are linked on 204.9.(100+i).0/30 with the left end
-   at .1; edge addressing mirrors the 3-router testbed. With
+   at .1, carrying into the second octet past 204.9.255 (i = 156 is
+   204.10.0.0/30); edge addressing mirrors the 3-router testbed. With
    [addressed:false] the ISP routers get no addresses and no static routes:
    the NM is expected to assign them (§II-E: "this is best done by the NM
    having explicit knowledge of how to assign IP addresses, as DHCP servers
    do today"). *)
 let chain ?(addressed = true) n =
   if n < 2 then invalid_arg "Testbeds.chain: need at least 2 routers";
+  (* the first three octets of core link [i]'s /30 *)
+  let core i =
+    let k = 100 + i in
+    Printf.sprintf "204.%d.%d" (9 + (k / 256)) (k mod 256)
+  in
   let net = Net.create () in
   let router ?(ports = [ "eth1"; "eth2" ]) ?(forwarding = false) name =
     let d = Net.add_device net ~id:("id-" ^ name) ~name in
@@ -160,13 +166,9 @@ let chain ?(addressed = true) n =
       ~prefix:(pfx "192.168.1.0/30");
     (* core links *)
     for i = 0 to n - 2 do
-      let p = Printf.sprintf "204.9.%d.0/30" (100 + i) in
-      Device.add_addr routers.(i) ~iface:"eth2"
-        ~addr:(ip (Printf.sprintf "204.9.%d.1" (100 + i)))
-        ~prefix:(pfx p);
-      Device.add_addr routers.(i + 1) ~iface:"eth1"
-        ~addr:(ip (Printf.sprintf "204.9.%d.2" (100 + i)))
-        ~prefix:(pfx p)
+      let p = core i ^ ".0/30" in
+      Device.add_addr routers.(i) ~iface:"eth2" ~addr:(ip (core i ^ ".1")) ~prefix:(pfx p);
+      Device.add_addr routers.(i + 1) ~iface:"eth1" ~addr:(ip (core i ^ ".2")) ~prefix:(pfx p)
     done
   end;
   (* static routes standing in for the IGP: every router knows every core
@@ -175,13 +177,13 @@ let chain ?(addressed = true) n =
   if addressed then
   for i = 0 to n - 1 do
     for j = 0 to n - 2 do
-      let p = pfx (Printf.sprintf "204.9.%d.0/30" (100 + j)) in
+      let p = pfx (core j ^ ".0/30") in
       if j > i then
         (* towards the right *)
         Device.add_route routers.(i)
           {
             Device.rt_dst = p;
-            rt_via = Some (ip (Printf.sprintf "204.9.%d.2" (100 + i)));
+            rt_via = Some (ip (core i ^ ".2"));
             rt_dev = Some "eth2";
             rt_mpls = None;
           }
@@ -189,7 +191,7 @@ let chain ?(addressed = true) n =
         Device.add_route routers.(i)
           {
             Device.rt_dst = p;
-            rt_via = Some (ip (Printf.sprintf "204.9.%d.1" (100 + i - 1)));
+            rt_via = Some (ip (core (i - 1) ^ ".1"));
             rt_dev = Some "eth1";
             rt_mpls = None;
           }

@@ -1,8 +1,9 @@
-(* Dedicated path-finder tests: enumeration on chains of varying length,
-   the domain-pruning ablation, encapsulation-balance invariants, goal
-   error cases, the best-first planner against the chooser over the
-   enumeration, and a property test that configures randomly chosen paths
-   end to end. *)
+(* Dedicated path-finder tests: enumeration on chains of varying length
+   (up to a 160-router chain configured and pinged), the domain-pruning
+   ablation, encapsulation-balance invariants, goal error cases, the
+   best-first planner against the chooser over the enumeration, the
+   traversal order and both searches' exact work, and a property test that
+   configures randomly chosen paths end to end. *)
 
 open Conman
 
@@ -85,6 +86,18 @@ let test_chain_pure_paths_exist () =
       check tbool "pure mpls exists" true (List.exists Scenarios.pure_mpls paths);
       check tbool "pure ipip exists" true (List.exists Scenarios.pure_ipip paths))
     [ 2; 4; 6 ]
+
+let test_chain_past_the_octet () =
+  (* core link i = 156 is the first past 204.9.255.0/30: n = 158 is the
+     shortest chain that needs it, n = 160 has three such links; the LSP
+     crosses every router *)
+  let c = Scenarios.build_chain 160 in
+  match Nm.achieve c.Scenarios.cnm c.Scenarios.cgoal with
+  | Error e -> Alcotest.fail e
+  | Ok (_, path, _) ->
+      check tbool "the MPLS path" true (Scenarios.pure_mpls path);
+      check tbool "no errors" true (Nm.errors c.Scenarios.cnm = []);
+      check tbool "pings both ways" true (Scenarios.chain_reachable c)
 
 (* --- ablation: domain pruning ---------------------------------------------------- *)
 
@@ -286,6 +299,79 @@ let test_best_search_size () =
         (s.Path_finder.expanded <= most))
     [ (11, 500); (14, 800) ]
 
+(* --- traversal order ("order") --------------------------------------------------- *)
+
+(* The enumerator's output, in order, and both searches' exact work: the
+   traversal order decides which of equal-cost paths [best] keeps and how
+   many states either search expands, which the bounds above cannot see. *)
+
+let vpn_paths =
+  [
+    "a, g, h, b, c, i, d, e, j, k, f";
+    "a, g, h, b, c, i, p, d, e, q, j, k, f";
+    "a, g, h, o, b, c, p, i, d, e, j, k, f";
+    "a, g, h, o, b, c, p, d, e, q, j, k, f";
+    "a, g, l, h, b, c, i, d, e, j, n, k, f";
+    "a, g, l, h, b, c, i, p, d, e, q, j, n, k, f";
+    "a, g, l, h, o, b, c, p, i, d, e, j, n, k, f";
+    "a, g, l, h, o, b, c, p, d, e, q, j, n, k, f";
+    "a, g, o, b, c, p, d, e, q, k, f";
+  ]
+
+let diamond_paths =
+  [
+    "a, g, h, b1, c1, i1, d1, e1, j, k, f";
+    "a, g, h, b1, c1, i1, p1, d1, e1, q, j, k, f";
+    "a, g, h, b2, c2, i2, d2, e2, j, k, f";
+    "a, g, h, b2, c2, i2, p2, d2, e2, q, j, k, f";
+    "a, g, h, o, b1, c1, p1, i1, d1, e1, j, k, f";
+    "a, g, h, o, b1, c1, p1, d1, e1, q, j, k, f";
+    "a, g, h, o, b2, c2, p2, i2, d2, e2, j, k, f";
+    "a, g, h, o, b2, c2, p2, d2, e2, q, j, k, f";
+    "a, g, l, h, b1, c1, i1, d1, e1, j, n, k, f";
+    "a, g, l, h, b1, c1, i1, p1, d1, e1, q, j, n, k, f";
+    "a, g, l, h, b2, c2, i2, d2, e2, j, n, k, f";
+    "a, g, l, h, b2, c2, i2, p2, d2, e2, q, j, n, k, f";
+    "a, g, l, h, o, b1, c1, p1, i1, d1, e1, j, n, k, f";
+    "a, g, l, h, o, b1, c1, p1, d1, e1, q, j, n, k, f";
+    "a, g, l, h, o, b2, c2, p2, i2, d2, e2, j, n, k, f";
+    "a, g, l, h, o, b2, c2, p2, d2, e2, q, j, n, k, f";
+    "a, g, o, b1, c1, p1, d1, e1, q, k, f";
+    "a, g, o, b2, c2, p2, d2, e2, q, k, f";
+  ]
+
+let test_find_order () =
+  let v = Scenarios.build_vpn () in
+  check (Alcotest.list tstr) "vpn" vpn_paths
+    (List.map Path_finder.signature (Path_finder.find (Nm.topology v.Scenarios.nm) v.Scenarios.goal));
+  let d = Scenarios.build_diamond () in
+  check (Alcotest.list tstr) "diamond" diamond_paths
+    (List.map Path_finder.signature (Path_finder.find (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal))
+
+(* (name, topology, goal) for the VPN, the diamond and chains n = 8, 11, 14 *)
+let testbeds () =
+  let v = Scenarios.build_vpn () and d = Scenarios.build_diamond () in
+  ("vpn", Nm.topology v.Scenarios.nm, v.Scenarios.goal)
+  :: ("diamond", Nm.topology d.Scenarios.dnm, d.Scenarios.dgoal)
+  :: List.map
+       (fun n ->
+         let c = Scenarios.build_chain n in
+         (Printf.sprintf "chain n=%d" n, Nm.topology c.Scenarios.cnm, c.Scenarios.cgoal))
+       [ 8; 11; 14 ]
+
+let test_best_states () =
+  List.iter2
+    (fun (name, topo, goal) states ->
+      check tint name states (snd (Path_finder.best topo goal)).Path_finder.expanded)
+    (testbeds ()) [ 70; 135; 250; 406; 598 ]
+
+let test_enumerate_states () =
+  List.iter2
+    (fun (name, topo, goal) states ->
+      check tint name states (Path_finder.enumerate topo goal).Path_finder.expanded)
+    (List.tl (testbeds ()))
+    [ 1_211; 6_824; 54_327; 434_246 ]
+
 (* --- goal error cases ------------------------------------------------------------- *)
 
 let test_no_path_outside_scope () =
@@ -360,6 +446,7 @@ let () =
         [
           Alcotest.test_case "path counts" `Quick test_chain_path_counts;
           Alcotest.test_case "pure paths exist" `Quick test_chain_pure_paths_exist;
+          Alcotest.test_case "n=160 past the address octet" `Quick test_chain_past_the_octet;
         ] );
       ( "ablation",
         [ Alcotest.test_case "domain pruning" `Quick test_domain_pruning_ablation ] );
@@ -374,6 +461,12 @@ let () =
           Alcotest.test_case "bound prunes the chain" `Quick test_best_prunes;
           Alcotest.test_case "bound is admissible" `Quick test_bound_admissible;
           Alcotest.test_case "search size on long chains" `Quick test_best_search_size;
+        ] );
+      ( "order",
+        [
+          Alcotest.test_case "find order on vpn and diamond" `Quick test_find_order;
+          Alcotest.test_case "best expanded states" `Quick test_best_states;
+          Alcotest.test_case "enumerate expanded states" `Quick test_enumerate_states;
         ] );
       ( "errors",
         [
