@@ -825,7 +825,7 @@ let overload_datapoints () =
   for t = 0 to 7 do
     for i = 1 to 800 do
       incr wide_storm;
-      Mgmt.Channel.send c.Scenarios.cchan ~src:Scenarios.nm_station_id
+      Mgmt.Channel.send c.Scenarios.cchan ~cls:3 ~src:Scenarios.nm_station_id
         ~dst:(List.nth c.Scenarios.cscope (i mod List.length c.Scenarios.cscope))
         (Wire.encode (Wire.Show_perf_req { req = 910_000_000 + (t * 1000) + i }))
     done;

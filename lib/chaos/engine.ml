@@ -297,7 +297,8 @@ let run ?(config = default_config) (sched : Schedule.t) =
             for i = 0 to burst - 1 do
               incr storm_req;
               incr storm_frames;
-              Mgmt.Channel.send d.Scenarios.dchan ~src ~dst:(List.nth scope (i mod n_scope))
+              Mgmt.Channel.send d.Scenarios.dchan ~cls:3 ~src
+                ~dst:(List.nth scope (i mod n_scope))
                 (Wire.encode (Wire.Show_perf_req { req = !storm_req }))
             done)
   in

@@ -69,7 +69,8 @@ let send t msg =
     | Some ctx when Wire.trace_of msg = None -> Wire.Traced { ctx; msg }
     | _ -> msg
   in
-  Mgmt.Channel.send t.chan ~src:t.device.Netsim.Device.dev_id ~dst:t.nm_device (Wire.encode msg)
+  Mgmt.Channel.send t.chan ~cls:(Wire.priority_of msg) ~src:t.device.Netsim.Device.dev_id
+    ~dst:t.nm_device (Wire.encode msg)
 
 (* Re-polls every module until no one makes further progress; modules call
    [env.progress] when they unblock deferred work of other modules (which,
@@ -135,6 +136,16 @@ let exec_primitive t (prim : Primitive.t) =
       (find_module_exn t owner).Module_impl.delete_switch rule
   | Primitive.Delete_filter { owner; drop_src; drop_dst } ->
       (find_module_exn t owner).Module_impl.delete_filter ~drop_src ~drop_dst
+
+(* Runs module code on behalf of request [req]: [ok] if it completes, a
+   [Bundle_err] carrying the module's message if the module rejects its
+   input (a bad address, an unknown module), so a malformed request never
+   escapes into the event loop. *)
+let attempt ~req ~ok f =
+  try
+    f ();
+    ok
+  with Failure e | Devconf.Linux_cli.Error e -> Wire.Bundle_err { req; error = e }
 
 let rec handle_msg t ~src ~epoch msg =
   match msg with
@@ -221,11 +232,9 @@ and dispatch t ~src msg =
             | _ -> None
           in
           let reply =
-            try
-              List.iter (exec_primitive t) cmds;
-              poll_all t;
-              Wire.Bundle_ack { req }
-            with Failure e | Devconf.Linux_cli.Error e -> Wire.Bundle_err { req; error = e }
+            attempt ~req ~ok:(Wire.Bundle_ack { req }) (fun () ->
+                List.iter (exec_primitive t) cmds;
+                poll_all t)
           in
           (match span with
           | Some (obs, ctx) ->
@@ -253,12 +262,14 @@ and dispatch t ~src msg =
       (match Hashtbl.find_opt t.done_reqs req with
       | Some reply -> send t reply
       | None ->
-          (match find_module t target with
-          | Some m ->
-              m.Module_impl.set_address ~addr ~plen;
-              poll_all t
-          | None -> ());
-          let reply = Wire.Ack { req } in
+          let reply =
+            attempt ~req ~ok:(Wire.Ack { req }) (fun () ->
+                match find_module t target with
+                | Some m ->
+                    m.Module_impl.set_address ~addr ~plen;
+                    poll_all t
+                | None -> ())
+          in
           remember_done t req reply;
           send t reply)
   | Wire.Nm_takeover { nm; epoch } ->

@@ -114,7 +114,7 @@ let encode_out t msg =
 
 let send t ~dst msg =
   t.stats.sent <- t.stats.sent + 1;
-  Mgmt.Channel.send t.chan ~src:t.my_id ~dst (encode_out t msg)
+  Mgmt.Channel.send t.chan ~cls:(Wire.priority_of msg) ~src:t.my_id ~dst (encode_out t msg)
 
 (* Looks through the trace wrapper — matchers that compare bundle payloads
    byte-wise (back-out cancellation, federation pending checks) must see

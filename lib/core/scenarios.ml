@@ -12,14 +12,6 @@ let standby_station_id = "id-NM2"
 
 type channel_kind = [ `Oob | `Raw ]
 
-(* Admission class of an outgoing payload: decode the wire message and ask
-   it. Undecodable payloads (which senders never produce, but the layer
-   must be total) rank as interrogation — sheddable, but never ahead of
-   telemetry. *)
-let classify_payload payload =
-  Mgmt.Admission.priority_of_int
-    (match Wire.decode payload with exception _ -> 2 | msg -> Wire.priority_of msg)
-
 (* Builds the channel stack: base channel (Oob or Raw), fault-injection
    layer, reliable delivery, overload admission on top. With default knobs
    the fault layer is a no-op and the admission layer passes everything,
@@ -44,14 +36,8 @@ let make_channel ?(fault_seed = 42) ?reliability ?admission kind net ~devices ~a
         (chan, Some nms)
   in
   let faulty, faults = Mgmt.Faults.wrap ~seed:fault_seed ~eq:(Net.eq net) base in
-  let reliable, transport =
-    Mgmt.Reliable.create ?config:reliability
-      ~classify:(fun payload -> Mgmt.Admission.priority_index (classify_payload payload))
-      ~eq:(Net.eq net) faulty
-  in
-  let chan, adm =
-    Mgmt.Admission.wrap ?config:admission ~eq:(Net.eq net) ~classify:classify_payload reliable
-  in
+  let reliable, transport = Mgmt.Reliable.create ?config:reliability ~eq:(Net.eq net) faulty in
+  let chan, adm = Mgmt.Admission.wrap ?config:admission ~eq:(Net.eq net) reliable in
   (chan, faults, transport, adm, nms)
 
 let eth_neighbours net dev i =

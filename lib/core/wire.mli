@@ -102,10 +102,6 @@ type t =
   | Fed_relay of { src : Ids.t; dst : Ids.t; payload : Peer_msg.t }
       (** cross-domain conveyMessage hop between the two owning NMs *)
 
-val annex_to_sexp : annex -> Sexp.t
-val annex_of_sexp : Sexp.t -> annex
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> t
 val encode : t -> bytes
 
 val decode : bytes -> t

@@ -4,7 +4,8 @@
    (Faults); this layer makes it *survivable*: when management traffic
    exceeds what the channel should carry, the excess is shed by priority
    instead of squeezing out the frames the control plane cannot live
-   without. Every outgoing frame is classified into one of four classes:
+   without. Every outgoing frame arrives with one of four classes, stated
+   by its sender (see Channel.send):
 
      P0  liveness: HA heartbeats and takeover announcements. Unsheddable
          and unthrottled — a starved failure detector fakes a dead primary.
@@ -27,14 +28,6 @@
    clock, so runs stay deterministic under the chaos engine. *)
 
 open Netsim
-
-type priority = P0 | P1 | P2 | P3
-
-let priority_index = function P0 -> 0 | P1 -> 1 | P2 -> 2 | P3 -> 3
-
-let priority_of_int n = if n <= 0 then P0 else if n = 1 then P1 else if n = 2 then P2 else P3
-
-let pp_priority ppf p = Fmt.pf ppf "P%d" (priority_index p)
 
 type config = {
   bucket_capacity : int;  (* per-peer burst budget, frames *)
@@ -69,17 +62,16 @@ let fresh_class () =
 
 type bucket = { mutable tokens : float; mutable last_ns : int64 }
 
-type entry = { e_src : string; e_dst : string; e_bytes : bytes; e_enq_ns : int64 }
+type entry = { e_src : string; e_dst : string; e_cls : int; e_bytes : bytes; e_enq_ns : int64 }
 
 type t = {
   inner : Channel.t;
   eq : Event_queue.t;
   config : config;
-  classify : bytes -> priority;
   buckets : (string, bucket) Hashtbl.t;  (* sending peer -> budget *)
   q2 : entry Queue.t;
   q3 : entry Queue.t;
-  classes : class_counters array;  (* indexed by priority *)
+  classes : class_counters array;  (* indexed by class *)
   mutable drainer_armed : bool;
   mutable observer : (bytes -> string -> unit) option;
       (* (payload, event) tap — deferred / shed / expired — so the layer
@@ -103,13 +95,6 @@ let lost_total t =
   t.classes.(2).shed + t.classes.(2).expired + t.classes.(3).shed + t.classes.(3).expired
 
 let queue_depth t = Queue.length t.q2 + Queue.length t.q3
-
-let summary t =
-  let c i = t.classes.(i) in
-  Printf.sprintf
-    "adm[P0=%d P1=%d P2=%d/%d shed=%d P3=%d/%d shed=%d expired=%d hw=%d]"
-    (c 0).admitted (c 1).admitted (c 2).admitted (c 2).deferred (c 2).shed (c 3).admitted
-    (c 3).deferred (c 3).shed (c 3).expired (c 3).queue_high_water
 
 (* --- token buckets ------------------------------------------------------ *)
 
@@ -160,7 +145,7 @@ let rec serve t idx q =
   | Some e when take_token t e.e_src ->
       ignore (Queue.pop q);
       t.classes.(idx).admitted <- t.classes.(idx).admitted + 1;
-      Channel.send t.inner ~src:e.e_src ~dst:e.e_dst e.e_bytes;
+      Channel.send t.inner ~cls:e.e_cls ~src:e.e_src ~dst:e.e_dst e.e_bytes;
       serve t idx q
   | _ -> ()
 
@@ -178,8 +163,8 @@ let rec ensure_drainer t =
         ensure_drainer t)
   end
 
-let enqueue t p ~src ~dst payload =
-  let q, idx = match p with P2 -> (t.q2, 2) | _ -> (t.q3, 3) in
+let enqueue t idx ~cls ~src ~dst payload =
+  let q = if idx = 2 then t.q2 else t.q3 in
   let c = t.classes.(idx) in
   if queue_depth t >= t.config.queue_capacity then begin
     (* the backlog is full: make room by shedding the strictly
@@ -189,14 +174,16 @@ let enqueue t p ~src ~dst payload =
       t.classes.(3).shed <- t.classes.(3).shed + 1;
       observe t v.e_bytes "shed"
     end
-    else if p = P2 && not (Queue.is_empty t.q2) then begin
+    else if idx = 2 && not (Queue.is_empty t.q2) then begin
       let v = Queue.pop t.q2 in
       t.classes.(2).shed <- t.classes.(2).shed + 1;
       observe t v.e_bytes "shed"
     end
   end;
   if queue_depth t < t.config.queue_capacity then begin
-    Queue.push { e_src = src; e_dst = dst; e_bytes = payload; e_enq_ns = Event_queue.now t.eq } q;
+    Queue.push
+      { e_src = src; e_dst = dst; e_cls = cls; e_bytes = payload; e_enq_ns = Event_queue.now t.eq }
+      q;
     c.deferred <- c.deferred + 1;
     observe t payload "deferred";
     let depth = Queue.length q in
@@ -210,27 +197,29 @@ let enqueue t p ~src ~dst payload =
   end;
   ensure_drainer t
 
-let send t ~src ~dst payload =
-  match t.classify payload with
-  | (P0 | P1) as p ->
+(* The sender's class picks the counters and the policy; classes outside
+   0–3 clamp to the nearest end. *)
+let send t ~cls ~src ~dst payload =
+  match max 0 (min 3 cls) with
+  | (0 | 1) as idx ->
       (* liveness and mutations bypass admission entirely: nothing a
          telemetry storm does may delay a heartbeat or a back-out *)
-      t.classes.(priority_index p).admitted <- t.classes.(priority_index p).admitted + 1;
-      Channel.send t.inner ~src ~dst payload
-  | P2 ->
+      t.classes.(idx).admitted <- t.classes.(idx).admitted + 1;
+      Channel.send t.inner ~cls ~src ~dst payload
+  | 2 ->
       drain t;
       if Queue.is_empty t.q2 && take_token t src then begin
         t.classes.(2).admitted <- t.classes.(2).admitted + 1;
-        Channel.send t.inner ~src ~dst payload
+        Channel.send t.inner ~cls ~src ~dst payload
       end
-      else enqueue t P2 ~src ~dst payload
-  | P3 ->
+      else enqueue t 2 ~cls ~src ~dst payload
+  | _ ->
       drain t;
       if queue_depth t = 0 && take_token t src then begin
         t.classes.(3).admitted <- t.classes.(3).admitted + 1;
-        Channel.send t.inner ~src ~dst payload
+        Channel.send t.inner ~cls ~src ~dst payload
       end
-      else enqueue t P3 ~src ~dst payload
+      else enqueue t 3 ~cls ~src ~dst payload
 
 let set_observer t f = t.observer <- Some f
 
@@ -250,13 +239,12 @@ let obs_counters t =
   in
   List.concat_map per [ 0; 1; 2; 3 ] @ [ ("lost_total", lost_total t) ]
 
-let wrap ?(config = default_config) ~eq ~classify inner =
+let wrap ?(config = default_config) ~eq inner =
   let t =
     {
       inner;
       eq;
       config;
-      classify;
       buckets = Hashtbl.create 16;
       q2 = Queue.create ();
       q3 = Queue.create ();
@@ -267,7 +255,7 @@ let wrap ?(config = default_config) ~eq ~classify inner =
   in
   let chan =
     Channel.make
-      ~send:(fun ~src ~dst payload -> send t ~src ~dst payload)
+      ~send:(fun ~cls ~src ~dst payload -> send t ~cls ~src ~dst payload)
       ~subscribe:(fun id h -> Channel.subscribe inner ~device_id:id h)
       ~stats:(Channel.stats inner)
   in

@@ -1,11 +1,17 @@
-(** Overload protection for the management plane: priority classification,
-    per-peer token-bucket admission, bounded queues and lowest-priority-
-    first shedding.
+(** Overload protection for the management plane: per-class admission,
+    per-peer token buckets, bounded queues and lowest-priority-first
+    shedding.
 
     Interposes on a management channel the same way {!Faults} and
     {!Reliable} do, sitting {e above} {!Reliable} so that only fresh
-    application payloads are classified — acks and retransmissions of
+    application payloads are admitted — acks and retransmissions of
     already-admitted frames pass underneath.
+
+    Each frame's class is the [cls] its sender states (see
+    {!Channel.send}): 0 = P0 heartbeats/takeovers, 1 = P1
+    scripts/back-outs/replication, 2 = P2 probes/showState, 3 = P3
+    telemetry showPerf. This layer never parses a payload; a class below
+    0 or above 3 counts as the nearest end.
 
     Policy: P0 (liveness) and P1 (mutations) are unsheddable and
     unthrottled. P2 (interrogation) and P3 (telemetry) draw from a
@@ -15,16 +21,6 @@
     cap, and queued P3 frames expire after a deadline — a stale perf
     scrape is worthless by the next monitor tick. All timing uses the
     event queue's virtual clock, so runs are deterministic. *)
-
-type priority = P0 | P1 | P2 | P3
-(** P0 heartbeats/takeovers, P1 scripts/back-outs/replication,
-    P2 probes/showState, P3 telemetry showPerf. *)
-
-val priority_index : priority -> int
-val priority_of_int : int -> priority
-(** Clamps: [<= 0] is {!P0}, [>= 3] is {!P3}. *)
-
-val pp_priority : priority Fmt.t
 
 type config = {
   bucket_capacity : int;  (** per-peer burst budget, frames *)
@@ -48,20 +44,15 @@ type class_counters = {
 
 type t
 
-val wrap :
-  ?config:config ->
-  eq:Netsim.Event_queue.t ->
-  classify:(bytes -> priority) ->
-  Channel.t ->
-  Channel.t * t
-(** [wrap ~eq ~classify chan] returns the admission-controlled channel
-    plus the control handle. [classify] maps an outgoing payload to its
-    class; it must never raise (callers pass a total function that
-    defaults undecodable payloads to {!P2}). Subscription passes through
-    untouched. The returned channel shares [chan]'s frame stats. *)
+val wrap : ?config:config -> eq:Netsim.Event_queue.t -> Channel.t -> Channel.t * t
+(** [wrap ~eq chan] returns the admission-controlled channel plus the
+    control handle. Each send is admitted, queued or shed by the class it
+    states, and an admitted frame reaches [chan] with that class
+    unchanged. Subscription passes through untouched. The returned channel
+    shares [chan]'s frame stats. *)
 
 val counters : t -> class_counters array
-(** Indexed by {!priority_index}; length 4. *)
+(** Indexed by class (0 = P0 … 3 = P3); length 4. *)
 
 val reset_counters : t -> unit
 
@@ -84,6 +75,3 @@ val obs_counters : t -> (string * int) list
 
 val queue_depth : t -> int
 (** Frames currently waiting for tokens. *)
-
-val summary : t -> string
-(** One-line rendering of the per-class counters. *)

@@ -24,12 +24,12 @@ let fresh_stats () =
   { frames_sent = 0; frames_delivered = 0; frames_dropped = 0; seen_high_water = 0 }
 
 type t = {
-  send : src:string -> dst:string -> bytes -> unit;
+  send : cls:int -> src:string -> dst:string -> bytes -> unit;
   subscribe : string -> handler -> unit;
   stats : stats;
 }
 
-let send t ~src ~dst payload = t.send ~src ~dst payload
+let send t ~cls ~src ~dst payload = t.send ~cls ~src ~dst payload
 let subscribe t ~device_id handler = t.subscribe device_id handler
 let stats t = t.stats
 
@@ -48,7 +48,7 @@ module Oob = struct
           h ~src payload
       | None -> ()
     in
-    let send ~src ~dst payload =
+    let send ~cls:_ ~src ~dst payload =
       stats.frames_sent <- stats.frames_sent + 1;
       Event_queue.schedule eq ~delay_ns:latency_ns (fun () ->
           if dst = Frame.broadcast then
@@ -150,7 +150,7 @@ module Raw = struct
           h ~src:f.Frame.src_device f.Frame.payload
       | None -> ()
     in
-    let send ~src ~dst payload =
+    let send ~cls:_ ~src ~dst payload =
       match find_agent src with
       | None ->
           (* A crashed or detached device mid-flight must not abort the

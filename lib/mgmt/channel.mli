@@ -27,17 +27,26 @@ type t
 (** A channel endpoint: subscribe per device id, send to a device id or
     {!Frame.broadcast}. *)
 
-val send : t -> src:string -> dst:string -> bytes -> unit
+val send : t -> cls:int -> src:string -> dst:string -> bytes -> unit
+(** [send t ~cls ~src ~dst payload] ships [payload] from [src] to [dst].
+    [cls] is the frame's admission class, 0–3, stated by the sender from
+    the message it encoded (the NM and the agents pass
+    [Wire.priority_of msg]). It travels beside the bytes so that no layer
+    parses a payload to classify it: {!Admission} admits or sheds by it,
+    {!Reliable} keeps it with each pending frame, and {!Faults}, {!Oob} and
+    {!Raw} pass it on or ignore it. Receivers see only the bytes. *)
+
 val subscribe : t -> device_id:string -> handler -> unit
 val stats : t -> stats
 
 val make :
-  send:(src:string -> dst:string -> bytes -> unit) ->
+  send:(cls:int -> src:string -> dst:string -> bytes -> unit) ->
   subscribe:(string -> handler -> unit) ->
   stats:stats ->
   t
 (** Builds a channel from raw callbacks — the hook used by wrapping layers
-    ({!Faults}, {!Reliable}) to interpose on an existing channel. *)
+    ({!Faults}, {!Reliable}, {!Admission}) to interpose on an existing
+    channel. [send] receives each frame's class as {!send} does. *)
 
 module Oob : sig
   val create : ?latency_ns:int64 -> Netsim.Event_queue.t -> t

@@ -126,7 +126,7 @@ let wrap ?(seed = 0) ~eq inner =
         { dropped = 0; duplicated = 0; delayed = 0; crash_drops = 0; partition_drops = 0 };
     }
   in
-  let send ~src ~dst payload =
+  let send ~cls ~src ~dst payload =
     if Hashtbl.mem t.crashed src || (dst <> Frame.broadcast && Hashtbl.mem t.crashed dst)
     then t.counters.crash_drops <- t.counters.crash_drops + 1
     else if
@@ -137,7 +137,7 @@ let wrap ?(seed = 0) ~eq inner =
       let p = drop_prob t src dst in
       if p > 0. && uniform t < p then t.counters.dropped <- t.counters.dropped + 1
       else begin
-        let forward () = Channel.send inner ~src ~dst payload in
+        let forward () = Channel.send inner ~cls ~src ~dst payload in
         let ship () =
           if t.jitter_ns > 0L then begin
             t.counters.delayed <- t.counters.delayed + 1;

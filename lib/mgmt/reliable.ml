@@ -61,6 +61,7 @@ type counters = {
 
 type pending = {
   p_dst : string;
+  p_cls : int;  (* admission class the sender stated; retries keep it *)
   mutable p_bytes : bytes;  (* full envelope, ready to retransmit *)
   mutable p_retries : int;
 }
@@ -86,9 +87,6 @@ type t = {
   pending : (string * string * int, pending) Hashtbl.t;  (* (src, dst, seq) *)
   order : (string * string, order) Hashtbl.t;  (* (receiver, sender) *)
   mutable give_up_listeners : (src:string -> dst:string -> unit) list;
-  classify : (bytes -> int) option;
-      (* admission class of a payload (see Admission); lets the pending cap
-         pick telemetry (class 3) as its shed victims *)
   mutable observer : (bytes -> string -> unit) option;
       (* (payload, event) tap on per-frame fate — retried / gave-up /
          dedup / transport-shed. The layer above decodes the payload and
@@ -119,6 +117,17 @@ let decode b =
     let seq = (byte 1 lsl 24) lor (byte 2 lsl 16) lor (byte 3 lsl 8) lor byte 4 in
     let payload = Bytes.sub b 5 (Bytes.length b - 5) in
     Some (Bytes.get b 0, seq, payload)
+
+(* A voided send (see [cancel]) is a bare envelope header. *)
+let voided p = Bytes.length p.p_bytes = 5
+
+(* Taps a pending frame's fate. The envelope is unwrapped only when an
+   observer is attached; a voided send has no payload to attribute. *)
+let observe_pending t p event =
+  if Option.is_some t.observer then
+    match decode p.p_bytes with
+    | Some (_, _, pl) when Bytes.length pl > 0 -> observe t pl event
+    | _ -> ()
 
 (* --- in-order delivery + duplicate suppression ------------------------- *)
 
@@ -183,27 +192,23 @@ let rec arm_timer t key delay =
           if p.p_retries >= t.config.max_retries then begin
             Hashtbl.remove t.pending key;
             t.counters.gave_up <- t.counters.gave_up + 1;
-            (match decode p.p_bytes with
-            | Some (_, _, pl) when Bytes.length pl > 0 -> observe t pl "gave-up"
-            | _ -> ());
+            observe_pending t p "gave-up";
             let src, dst, _ = key in
             List.iter (fun f -> f ~src ~dst) t.give_up_listeners
           end
           else begin
             p.p_retries <- p.p_retries + 1;
             t.counters.retransmits <- t.counters.retransmits + 1;
-            (match decode p.p_bytes with
-            | Some (_, _, pl) when Bytes.length pl > 0 -> observe t pl "retried"
-            | _ -> ());
+            observe_pending t p "retried";
             let src, _, _ = key in
-            Channel.send t.inner ~src ~dst:p.p_dst p.p_bytes;
+            Channel.send t.inner ~cls:p.p_cls ~src ~dst:p.p_dst p.p_bytes;
             arm_timer t key (retry_delay t p.p_retries)
           end)
 
 (* The pending set is otherwise unbounded under a partitioned peer: every
    send to it parks an envelope in the retry wheel for the full backoff
    schedule. At [max_pending_per_dst] in-flight frames to one destination,
-   abandon the oldest telemetry payload (admission class 3) owed to it —
+   abandon the oldest telemetry payload (stated class 3) owed to it —
    the receiver's gap-skip machinery already copes with abandoned senders,
    and by the time the peer heals a stale perf scrape answers nothing.
    Frames of any other class are never shed here; if only those remain the
@@ -216,48 +221,37 @@ let enforce_pending_cap t ~src ~dst =
   in
   if per_dst > t.counters.pending_high_water then t.counters.pending_high_water <- per_dst;
   if per_dst > t.config.max_pending_per_dst then
-    match t.classify with
+    let victim =
+      Hashtbl.fold
+        (fun (s, d, seq) (p : pending) acc ->
+          if s = src && d = dst && p.p_cls >= 3 && not (voided p) then
+            match acc with Some (s0, _) when s0 <= seq -> acc | _ -> Some (seq, p)
+          else acc)
+        t.pending None
+    in
+    match victim with
+    | Some (seq, p) ->
+        observe_pending t p "transport-shed";
+        Hashtbl.remove t.pending (src, dst, seq);
+        t.counters.pending_shed <- t.counters.pending_shed + 1
     | None -> ()
-    | Some classify ->
-        let victim =
-          Hashtbl.fold
-            (fun (s, d, seq) (p : pending) acc ->
-              if s = src && d = dst then
-                match decode p.p_bytes with
-                | Some ('D', _, pl)
-                  when Bytes.length pl > 0 && (try classify pl >= 3 with _ -> false) -> (
-                    match acc with Some s0 when s0 <= seq -> acc | _ -> Some seq)
-                | _ -> acc
-              else acc)
-            t.pending None
-        in
-        (match victim with
-        | Some seq ->
-            (match Hashtbl.find_opt t.pending (src, dst, seq) with
-            | Some p -> (
-                match decode p.p_bytes with
-                | Some (_, _, pl) when Bytes.length pl > 0 -> observe t pl "transport-shed"
-                | _ -> ())
-            | None -> ());
-            Hashtbl.remove t.pending (src, dst, seq);
-            t.counters.pending_shed <- t.counters.pending_shed + 1
-        | None -> ())
 
-let send t ~src ~dst payload =
+let send t ~cls ~src ~dst payload =
   if dst = Frame.broadcast then begin
     (* No single acker for a broadcast: ship once, unreliably. Callers
        needing certainty (e.g. discovery) already re-broadcast. *)
     t.counters.broadcasts <- t.counters.broadcasts + 1;
-    Channel.send t.inner ~src ~dst (encode 'U' 0 payload)
+    Channel.send t.inner ~cls ~src ~dst (encode 'U' 0 payload)
   end
   else begin
     let seq = 1 + (try Hashtbl.find t.next_seq (src, dst) with Not_found -> 0) in
     Hashtbl.replace t.next_seq (src, dst) seq;
     let b = encode 'D' seq payload in
-    Hashtbl.replace t.pending (src, dst, seq) { p_dst = dst; p_bytes = b; p_retries = 0 };
+    Hashtbl.replace t.pending (src, dst, seq)
+      { p_dst = dst; p_cls = cls; p_bytes = b; p_retries = 0 };
     t.counters.data_sent <- t.counters.data_sent + 1;
     enforce_pending_cap t ~src ~dst;
-    Channel.send t.inner ~src ~dst b;
+    Channel.send t.inner ~cls ~src ~dst b;
     arm_timer t (src, dst, seq) t.config.timeout_ns
   end
 
@@ -272,9 +266,11 @@ let subscribe t id (h : Channel.handler) =
           t.counters.acks_received <- t.counters.acks_received + 1;
           Hashtbl.remove t.pending (id, src, seq)
       | Some ('D', seq, payload) ->
-          (* Always (re-)ack: the previous ack may have been lost. *)
+          (* Always (re-)ack: the previous ack may have been lost. Acks
+             state class 1, as acks do in the P0–P3 table; nothing below
+             this layer reads it. *)
           t.counters.acks_sent <- t.counters.acks_sent + 1;
-          Channel.send t.inner ~src:id ~dst:src (encode 'A' seq Bytes.empty);
+          Channel.send t.inner ~cls:1 ~src:id ~dst:src (encode 'A' seq Bytes.empty);
           let w = order_win t ~receiver:id ~sender:src in
           if Hashtbl.mem w.skipped seq then begin
             (* A straggler we already skipped past: deliver it late rather
@@ -296,7 +292,7 @@ let subscribe t id (h : Channel.handler) =
 
 (* --- construction ------------------------------------------------------ *)
 
-let create ?(config = default_config) ?classify ~eq inner =
+let create ?(config = default_config) ~eq inner =
   let t =
     {
       inner;
@@ -320,13 +316,12 @@ let create ?(config = default_config) ?classify ~eq inner =
       pending = Hashtbl.create 32;
       order = Hashtbl.create 32;
       give_up_listeners = [];
-      classify;
       observer = None;
     }
   in
   let chan =
     Channel.make
-      ~send:(fun ~src ~dst payload -> send t ~src ~dst payload)
+      ~send:(fun ~cls ~src ~dst payload -> send t ~cls ~src ~dst payload)
       ~subscribe:(fun id h -> subscribe t id h)
       ~stats:(Channel.stats inner)
   in

@@ -26,8 +26,8 @@ type config = {
           receiver skips past it *)
   max_pending_per_dst : int;
       (** in-flight unicasts tolerated per destination before the oldest
-          telemetry payload owed to it is shed (see {!create}'s
-          [classify]); bounds the retry wheel under a partitioned peer *)
+          telemetry payload owed to it is shed (see {!create}); bounds the
+          retry wheel under a partitioned peer *)
 }
 
 val default_config : config
@@ -52,19 +52,18 @@ type counters = {
 
 type t
 
-val create :
-  ?config:config -> ?classify:(bytes -> int) -> eq:Netsim.Event_queue.t -> Channel.t -> Channel.t * t
+val create : ?config:config -> eq:Netsim.Event_queue.t -> Channel.t -> Channel.t * t
 (** [create ~eq chan] wraps [chan] (typically the output of {!Faults.wrap})
     and returns the reliable channel plus the control handle. The returned
     channel shares [chan]'s frame stats.
 
-    [classify] maps a payload to its admission class (see
-    {!Admission.priority_index}); when present, sends past
+    Each pending frame keeps the class its sender stated (see
+    {!Channel.send}), and its retries ship with that class. Sends past
     [max_pending_per_dst] in-flight frames to one destination abandon the
     oldest class-3 (telemetry) payload owed to it — its retries stop, and
     the receiver's gap-skip machinery rides over the hole if the first
-    copy was lost. Without [classify] the cap only records
-    [pending_high_water]; no payload is ever shed.
+    copy was lost. Frames of any other class are never shed; the cap then
+    only records [pending_high_water]. Acks state class 1.
 
     Acks travel back over the same channel and are consumed by the
     sender's subscription, so an endpoint must be subscribed (even with a

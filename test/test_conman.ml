@@ -64,10 +64,119 @@ let test_wire_roundtrip () =
             ];
           annex = { Wire.domains = [ ("C1-S2", "10.0.2.0/24") ]; reporter = None };
         };
+      Wire.Show_actual_req { req = 4 };
+      Wire.Show_perf_req { req = 5 };
+      Wire.Nm_takeover { nm = "id-NM2"; epoch = 2 };
+      Wire.Fenced { epoch = 2; msg = Wire.Ha_heartbeat { epoch = 2; seq = 1 } };
+      Wire.Traced
+        {
+          ctx = { Obs.Trace.goal = 1; span = 5; parent = 4 };
+          msg = Wire.Show_perf_req { req = 6 };
+        };
+      (* Nm.send fences what it traces: the class must survive both wrappers *)
+      Wire.Fenced
+        {
+          epoch = 3;
+          msg =
+            Wire.Traced
+              {
+                ctx = { Obs.Trace.goal = 2; span = 9; parent = 0 };
+                msg =
+                  Wire.Set_address
+                    { req = 7; target = Ids.v "IP" "g" "id-A"; addr = "10.0.1.1"; plen = 24 };
+              };
+        };
+      Wire.Ha_heartbeat { epoch = 2; seq = 17 };
+      Wire.Ha_journal
+        {
+          epoch = 2;
+          seq = 3;
+          entry =
+            Intent.Begin
+              (1, Intent.Address { target = Ids.v "IP" "h" "id-A"; addr = "10.0.0.1"; plen = 30 });
+        };
+      Wire.Ha_journal_ack { epoch = 2; upto = 40 };
+      Wire.Ha_inflight
+        { epoch = 2; req = 41; dst = "id-A"; msg = Wire.Show_actual_req { req = 41 } };
+      Wire.Ha_confirm { epoch = 2; req = 41 };
+      Wire.Set_address { req = 6; target = Ids.v "IP" "i" "id-B"; addr = "204.9.168.2"; plen = 30 };
+      Wire.Self_test_req
+        { req = 8; target = Ids.v "IP" "g" "id-A"; against = Some (Ids.v "IP" "k" "id-C") };
+      Wire.Show_potential_resp
+        { req = 3; modules = [ (Ids.v "GRE" "l" "id-A", Gre_module.abstraction ()) ] };
+      Wire.Show_actual_resp
+        {
+          req = 4;
+          state = [ (Ids.v "IP" "g" "id-A", [ ("addr", "10.0.1.1/24"); ("up", "true") ]) ];
+        };
+      Wire.Show_perf_resp
+        {
+          req = 5;
+          perf = [ (Ids.v "ETH" "a" "id-A", [ ("P0", [ ("up_frames", 12); ("drop:cut", 1) ]) ]) ];
+        };
+      Wire.Bundle_ack { req = 9 };
+      Wire.Ack { req = 6 };
+      Wire.Bundle_err { req = 9; error = "no such module" };
+      Wire.Self_test_resp
+        {
+          req = 8;
+          target = Ids.v "IP" "g" "id-A";
+          ok = false;
+          detail = "no reply from <IP,id-C,k>";
+        };
+      Wire.Fed_advert
+        {
+          domain = "west";
+          nm = "id-NM-W";
+          borders = [ Ids.v "IP" "h" "id-R2" ];
+          summary = [ ("C1", 3) ];
+          devices = [ "id-R1"; "id-R2" ];
+        };
+      Wire.Fed_plan_req
+        { req = 11; domain = "west"; entry_dev = "id-R3"; target = Ids.v "IP" "k" "id-R4" };
+      Wire.Fed_plan_resp
+        {
+          req = 11;
+          devices =
+            [
+              ( "id-R3",
+                [ ("eth1", "id-R4", "eth0") ],
+                [ (Ids.v "IP" "j" "id-R3", Ip_module.abstraction ()) ] );
+            ];
+          module_domains = [ (Ids.v "IP" "j" "id-R3", "ISP") ];
+          prefixes = [ ("ISP", "204.9.0.0/16") ];
+        };
+      Wire.Fed_plan_err { req = 11; error = "no path satisfies the goal" };
+      Wire.Fed_commit
+        {
+          domain = "west";
+          gid = 2;
+          slices =
+            [
+              ( "id-R3",
+                [ Primitive.Delete_pipe { owner = Ids.v "IP" "j" "id-R3"; pipe_id = "P4" } ] );
+            ];
+          reporter = Some (Ids.v "MPLS" "q" "id-R4");
+        };
+      Wire.Fed_commit_ack { gid = 2 };
+      Wire.Fed_commit_err { gid = 2; error = "device unreachable: id-R4" };
+      Wire.Fed_abort { domain = "west"; gid = 2 };
+      Wire.Fed_abort_ack { gid = 2 };
+      Wire.Fed_relay
+        {
+          src = Ids.v "MPLS" "p" "id-R2";
+          dst = Ids.v "MPLS" "q" "id-R3";
+          payload = Peer_msg.Mpls_label_bind { pipe = "P2"; label = 17; nexthop = "204.9.168.2" };
+        };
     ]
   in
   List.iter
-    (fun m -> check tbool "wire roundtrip" true (Wire.equal m (Wire.decode (Wire.encode m))))
+    (fun m ->
+      let m' = Wire.decode (Wire.encode m) in
+      check tbool "wire roundtrip" true (Wire.equal m m');
+      (* a sender states [priority_of] of the message it holds; the
+         receiver's parse must agree *)
+      check tint "class survives the codec" (Wire.priority_of m) (Wire.priority_of m'))
     msgs
 
 let prop_peer_msg_roundtrip =
@@ -561,6 +670,27 @@ let test_nm_assigns_addresses () =
   check tbool "no errors" true (Nm.errors c.Scenarios.cnm = []);
   check tbool "VPN up over NM-assigned addresses" true (Scenarios.chain_reachable c)
 
+(* An address the IP module cannot parse is the module's error, not the
+   NM's crash: the agent answers Bundle_err, the request is confirmed and
+   the device keeps its state, so the next goal still configures. *)
+let test_bad_address_rejected () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm in
+  let before = Nm.show_actual nm "id-A" in
+  check tbool "id-A answers showActual" true (before <> None);
+  Nm.assign_address nm ~target:(Ids.v "IP" "g" "id-A") ~addr:"bogus" ~plen:24;
+  check tbool "id-A reported the error" true (List.mem_assoc "id-A" (Nm.errors nm));
+  check tint "the request was confirmed" 0 (Nm.inflight_count nm);
+  check tbool "id-A's state is unchanged" true (Nm.show_actual nm "id-A" = before);
+  (match Nm.achieve nm v.Scenarios.goal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "achieve after the rejected address: %s" e);
+  check tbool "S1 <-> S2 after the rejected address" true (Scenarios.vpn_reachable v);
+  (* and on a configured device *)
+  Nm.assign_address nm ~target:(Ids.v "IP" "h" "id-A") ~addr:"bogus" ~plen:24;
+  check tint "rejected after achieving too" 0 (Nm.inflight_count nm);
+  check tbool "S1 <-> S2 still" true (Scenarios.vpn_reachable v)
+
 (* --- performance enforcement (§II-D.1(c)) --------------------------------------- *)
 
 (* Blasts [n] UDP packets from X to Y, 10us apart; returns how many arrive. *)
@@ -927,7 +1057,10 @@ let () =
           Alcotest.test_case "end-to-end probe" `Quick test_probe_end_to_end;
         ] );
       ( "addressing",
-        [ Alcotest.test_case "NM assigns addresses" `Quick test_nm_assigns_addresses ] );
+        [
+          Alcotest.test_case "NM assigns addresses" `Quick test_nm_assigns_addresses;
+          Alcotest.test_case "a malformed address is rejected" `Quick test_bad_address_rejected;
+        ] );
       ( "performance",
         [ Alcotest.test_case "rate enforcement on a pipe" `Quick test_perf_enforcement ] );
       ( "security",

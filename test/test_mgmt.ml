@@ -9,6 +9,9 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
+(* Every send below states class 2 (interrogation): the payloads are not
+   wire messages, and Reliable's pending cap never sheds class 2. *)
+
 let test_frame_roundtrip () =
   let f =
     { Frame.src_device = "id-A"; dst_device = "id-NM"; seq = 42; payload = Bytes.of_string "hi" }
@@ -40,8 +43,8 @@ let test_oob_unicast_and_broadcast () =
   let got_a = ref [] and got_b = ref [] in
   Channel.subscribe chan ~device_id:"a" (fun ~src p -> got_a := (src, Bytes.to_string p) :: !got_a);
   Channel.subscribe chan ~device_id:"b" (fun ~src p -> got_b := (src, Bytes.to_string p) :: !got_b);
-  Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string "hello");
-  Channel.send chan ~src:"b" ~dst:Frame.broadcast (Bytes.of_string "all");
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "hello");
+  Channel.send chan ~cls:2 ~src:"b" ~dst:Frame.broadcast (Bytes.of_string "all");
   let _ = Event_queue.run eq in
   check tbool "b got unicast" true (List.mem ("a", "hello") !got_b);
   check tbool "a got broadcast" true (List.mem ("b", "all") !got_a);
@@ -72,7 +75,7 @@ let test_raw_flooding_delivery () =
   let net, chan, _, _ = raw_line () in
   let got = ref None in
   Channel.subscribe chan ~device_id:"id-h2" (fun ~src p -> got := Some (src, Bytes.to_string p));
-  Channel.send chan ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "showPotential");
+  Channel.send chan ~cls:2 ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "showPotential");
   let _ = Net.run net in
   check tbool "delivered without any configuration" true (!got = Some ("id-h1", "showPotential"))
 
@@ -82,7 +85,7 @@ let test_raw_broadcast_reaches_all () =
   List.iter
     (fun id -> Channel.subscribe chan ~device_id:id (fun ~src:_ _ -> seen := id :: !seen))
     [ "id-h1"; "id-sw"; "id-r"; "id-h2" ];
-  Channel.send chan ~src:"id-h1" ~dst:Frame.broadcast (Bytes.of_string "hello-nm");
+  Channel.send chan ~cls:2 ~src:"id-h1" ~dst:Frame.broadcast (Bytes.of_string "hello-nm");
   let _ = Net.run net in
   List.iter
     (fun id -> check tbool (id ^ " saw broadcast") true (List.mem id !seen))
@@ -106,7 +109,7 @@ let test_raw_loop_terminates () =
   List.iter attach [ a; b; c ];
   let got = ref 0 in
   Channel.subscribe chan ~device_id:"id-c" (fun ~src:_ _ -> incr got);
-  Channel.send chan ~src:"id-a" ~dst:"id-c" (Bytes.of_string "x");
+  Channel.send chan ~cls:2 ~src:"id-a" ~dst:"id-c" (Bytes.of_string "x");
   let events = Net.run ~max_events:100_000 net in
   check tbool "terminated" true (events < 100_000);
   check tint "delivered exactly once" 1 !got
@@ -118,14 +121,14 @@ let test_raw_independent_of_data_plane () =
   check tint "no addresses" 0 (List.length (Device.local_addrs h1) - 1);
   let got = ref false in
   Channel.subscribe chan ~device_id:"id-h2" (fun ~src:_ _ -> got := true);
-  Channel.send chan ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "boot");
+  Channel.send chan ~cls:2 ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "boot");
   let _ = Net.run net in
   check tbool "delivered" true !got
 
 let test_raw_stats_count () =
   let net, chan, _, _ = raw_line () in
   Channel.subscribe chan ~device_id:"id-h2" (fun ~src:_ _ -> ());
-  Channel.send chan ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "m");
+  Channel.send chan ~cls:2 ~src:"id-h1" ~dst:"id-h2" (Bytes.of_string "m");
   let _ = Net.run net in
   check tint "sent" 1 (Channel.stats chan).Channel.frames_sent;
   check tint "delivered" 1 (Channel.stats chan).Channel.frames_delivered
@@ -168,7 +171,8 @@ let prop_raw_delivery_on_random_trees =
       Channel.subscribe chan
         ~device_id:(Printf.sprintf "id-%d" (n - 1))
         (fun ~src:_ _ -> got := true);
-      Channel.send chan ~src:"id-0" ~dst:(Printf.sprintf "id-%d" (n - 1)) (Bytes.of_string "m");
+      Channel.send chan ~cls:2 ~src:"id-0" ~dst:(Printf.sprintf "id-%d" (n - 1))
+        (Bytes.of_string "m");
       let events = Net.run ~max_events:1_000_000 net in
       events < 1_000_000 && !got)
 
@@ -190,7 +194,7 @@ let test_raw_seen_window_bounded () =
   let got = ref 0 in
   Channel.subscribe chan ~device_id:"id-b" (fun ~src:_ _ -> incr got);
   for i = 1 to 100 do
-    Channel.send chan ~src:"id-a" ~dst:"id-b" (Bytes.of_string (string_of_int i));
+    Channel.send chan ~cls:2 ~src:"id-a" ~dst:"id-b" (Bytes.of_string (string_of_int i));
     ignore (Net.run net)
   done;
   check tint "all delivered" 100 !got;
@@ -204,7 +208,7 @@ let test_raw_unknown_source_drops () =
   (* A send from a device that is not attached (e.g. crashed mid-flight)
      must not raise — it is dropped and counted. *)
   let _, chan, _, _ = raw_line () in
-  Channel.send chan ~src:"id-ghost" ~dst:"id-h2" (Bytes.of_string "boo");
+  Channel.send chan ~cls:2 ~src:"id-ghost" ~dst:"id-h2" (Bytes.of_string "boo");
   check tint "dropped, not raised" 1 (Channel.stats chan).Channel.frames_dropped
 
 (* --- fault injection ------------------------------------------------------ *)
@@ -219,7 +223,7 @@ let lossy_oob_run ~seed ~drop n =
   let got = ref 0 in
   Channel.subscribe chan ~device_id:"b" (fun ~src:_ _ -> incr got);
   for i = 1 to n do
-    Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string (string_of_int i))
+    Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string (string_of_int i))
   done;
   let _ = Event_queue.run eq in
   (!got, Faults.counters faults)
@@ -241,13 +245,13 @@ let test_faults_crash_blocks_both_ways () =
   let got = ref 0 in
   Channel.subscribe chan ~device_id:"b" (fun ~src:_ _ -> incr got);
   Faults.crash faults "b";
-  Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string "to-dead");
-  Channel.send chan ~src:"b" ~dst:"a" (Bytes.of_string "from-dead");
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "to-dead");
+  Channel.send chan ~cls:2 ~src:"b" ~dst:"a" (Bytes.of_string "from-dead");
   let _ = Event_queue.run eq in
   check tint "nothing through a crashed endpoint" 0 !got;
   check tint "both counted" 2 (Faults.counters faults).Faults.crash_drops;
   Faults.restart faults "b";
-  Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string "alive");
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "alive");
   let _ = Event_queue.run eq in
   check tint "delivery resumes after restart" 1 !got
 
@@ -264,7 +268,7 @@ let test_reliable_over_lossy_channel () =
   Channel.subscribe chan ~device_id:"a" (fun ~src:_ _ -> ());
   Channel.subscribe chan ~device_id:"b" (fun ~src:_ p -> got := Bytes.to_string p :: !got);
   for i = 1 to 200 do
-    Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string (string_of_int i))
+    Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string (string_of_int i))
   done;
   let _ = Event_queue.run eq in
   let c = Reliable.counters rel in
@@ -284,7 +288,7 @@ let test_reliable_gives_up_on_dead_destination () =
   let abandoned = ref [] in
   Reliable.on_give_up rel (fun ~src ~dst -> abandoned := (src, dst) :: !abandoned);
   Faults.crash faults "b";
-  Channel.send chan ~src:"a" ~dst:"b" (Bytes.of_string "anyone there?");
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "anyone there?");
   let _ = Event_queue.run eq in
   check tint "retried the full budget" Reliable.default_config.Reliable.max_retries
     (Reliable.counters rel).Reliable.retransmits;

@@ -40,20 +40,19 @@ let recording () =
   in
   let chan =
     Mgmt.Channel.make
-      ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
+      ~send:(fun ~cls:_ ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
       ~subscribe:(fun _ _ -> ())
       ~stats
   in
   (chan, sent)
 
+(* Test frames. Each send below states the class [Wire.priority_of] gives
+   the message it encodes, as [Nm.send] does: hb 0, bundle 1, probe 2,
+   perf 3 (pinned by [test_wire_priorities]). *)
 let hb seq = Wire.encode (Wire.Ha_heartbeat { epoch = 1; seq })
 let bundle req = Wire.encode (Wire.Bundle { req; cmds = []; annex = Wire.empty_annex })
 let probe req = Wire.encode (Wire.Show_actual_req { req })
 let perf req = Wire.encode (Wire.Show_perf_req { req })
-
-let classify payload =
-  Mgmt.Admission.priority_of_int
-    (match Wire.decode payload with exception _ -> 2 | m -> Wire.priority_of m)
 
 let wrap_tight ?(bucket = 4) ?(refill = 1000) ?(queue = 8) ?(deadline = 50_000_000L) () =
   let eq = Netsim.Event_queue.create () in
@@ -67,7 +66,7 @@ let wrap_tight ?(bucket = 4) ?(refill = 1000) ?(queue = 8) ?(deadline = 50_000_0
       drain_period_ns = 1_000_000L;
     }
   in
-  let chan, adm = Mgmt.Admission.wrap ~config ~eq ~classify inner in
+  let chan, adm = Mgmt.Admission.wrap ~config ~eq inner in
   (eq, chan, adm, sent)
 
 let run_for eq ns =
@@ -78,29 +77,47 @@ let test_p0_bypasses_exhaustion () =
   let _eq, chan, adm, sent = wrap_tight () in
   (* exhaust the bucket and overflow the queue with telemetry *)
   for i = 1 to 30 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf i)
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf i)
   done;
   let before = List.length !sent in
   check tint "only the burst budget passed" 4 before;
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (hb 1);
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (bundle 99);
+  Mgmt.Channel.send chan ~cls:0 ~src:"id-NM" ~dst:"id-A" (hb 1);
+  Mgmt.Channel.send chan ~cls:1 ~src:"id-NM" ~dst:"id-A" (bundle 99);
   check tint "P0 and P1 passed straight through the jam" (before + 2) (List.length !sent);
   let c = Mgmt.Admission.counters adm in
   check tint "no P0 shed" 0 c.(0).Mgmt.Admission.shed;
   check tint "no P1 shed" 0 c.(1).Mgmt.Admission.shed;
   check tbool "telemetry was shed" true (c.(3).Mgmt.Admission.shed > 0)
 
+(* Admission acts on the class the sender states and never parses the
+   payload: bytes that are no wire message, stated as P0 and P1, still
+   bypass the jam. *)
+let test_stated_class_not_parsed () =
+  let _eq, chan, adm, sent = wrap_tight () in
+  for i = 1 to 30 do
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf i)
+  done;
+  let before = List.length !sent in
+  let opaque = Bytes.of_string "not a wire message" in
+  Mgmt.Channel.send chan ~cls:0 ~src:"id-NM" ~dst:"id-A" opaque;
+  Mgmt.Channel.send chan ~cls:1 ~src:"id-NM" ~dst:"id-A" opaque;
+  check tint "both passed the jam" (before + 2) (List.length !sent);
+  let c = Mgmt.Admission.counters adm in
+  check tint "admitted as P0" 1 c.(0).Mgmt.Admission.admitted;
+  check tint "admitted as P1" 1 c.(1).Mgmt.Admission.admitted;
+  check tint "nothing waits as P2" 0 c.(2).Mgmt.Admission.deferred
+
 let test_shed_lowest_priority_first () =
   let _eq, chan, adm, sent = wrap_tight ~bucket:2 ~refill:0 ~queue:4 () in
   (* two tokens, then a full queue of telemetry *)
   for i = 1 to 6 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf i)
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf i)
   done;
   check tint "burst budget" 2 (List.length !sent);
   check tint "queue full" 4 (Mgmt.Admission.queue_depth adm);
   (* probes arriving at the cap displace queued telemetry, not vice versa *)
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (probe 7);
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (probe 8);
+  Mgmt.Channel.send chan ~cls:2 ~src:"id-NM" ~dst:"id-A" (probe 7);
+  Mgmt.Channel.send chan ~cls:2 ~src:"id-NM" ~dst:"id-A" (probe 8);
   let c = Mgmt.Admission.counters adm in
   check tint "P3 shed to make room for P2" 2 c.(3).Mgmt.Admission.shed;
   check tint "no P2 shed" 0 c.(2).Mgmt.Admission.shed;
@@ -108,10 +125,10 @@ let test_shed_lowest_priority_first () =
 
 let test_refill_drains_p2_before_p3 () =
   let eq, chan, adm, sent = wrap_tight ~bucket:1 ~refill:1000 ~queue:8 () in
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf 1);
+  Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf 1);
   (* bucket empty: these queue *)
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf 2);
-  Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (probe 3);
+  Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf 2);
+  Mgmt.Channel.send chan ~cls:2 ~src:"id-NM" ~dst:"id-A" (probe 3);
   check tint "one admitted, two queued" 1 (List.length !sent);
   (* 10 virtual ms = 10 refilled tokens: the drainer must serve the probe
      (P2) before the older telemetry frame *)
@@ -125,7 +142,7 @@ let test_refill_drains_p2_before_p3 () =
 let test_p3_deadline_expiry () =
   let eq, chan, adm, sent = wrap_tight ~bucket:2 ~refill:0 ~queue:8 ~deadline:10_000_000L () in
   for i = 1 to 5 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf i)
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf i)
   done;
   check tint "three queued" 3 (Mgmt.Admission.queue_depth adm);
   (* no refill ever comes; past the deadline the stale scrapes expire *)
@@ -139,14 +156,14 @@ let test_p3_deadline_expiry () =
 let test_per_peer_buckets () =
   let _eq, chan, _adm, sent = wrap_tight ~bucket:3 ~refill:0 () in
   for i = 1 to 10 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-A" (perf i)
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-A" (perf i)
   done;
   let after_nm = List.length !sent in
   check tint "first peer exhausted its own budget" 3 after_nm;
   (* a different sending peer has an untouched bucket — but the shared
      backlog is non-empty, so its fresh telemetry must queue behind it
      rather than jump ahead *)
-  Mgmt.Channel.send chan ~src:"id-NM2" ~dst:"id-A" (perf 11);
+  Mgmt.Channel.send chan ~cls:3 ~src:"id-NM2" ~dst:"id-A" (perf 11);
   check tint "second peer queued behind the backlog" after_nm (List.length !sent)
 
 (* --- Reliable: bounded pending buffers ------------------------------------ *)
@@ -155,16 +172,11 @@ let test_reliable_pending_cap () =
   let eq = Netsim.Event_queue.create () in
   let oob = Mgmt.Channel.Oob.create eq in
   let config = { Mgmt.Reliable.default_config with Mgmt.Reliable.max_pending_per_dst = 4 } in
-  let chan, rel =
-    Mgmt.Reliable.create ~config
-      ~classify:(fun payload ->
-        match Wire.decode payload with exception _ -> 2 | m -> Wire.priority_of m)
-      ~eq oob
-  in
+  let chan, rel = Mgmt.Reliable.create ~config ~eq oob in
   Mgmt.Channel.subscribe chan ~device_id:"id-NM" (fun ~src:_ _ -> ());
   (* "id-dead" never subscribes: nothing is ever acked, pending grows *)
   for i = 1 to 10 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-dead" (perf i)
+    Mgmt.Channel.send chan ~cls:3 ~src:"id-NM" ~dst:"id-dead" (perf i)
   done;
   let c = Mgmt.Reliable.counters rel in
   check tint "oldest telemetry abandoned at the cap" 6 c.Mgmt.Reliable.pending_shed;
@@ -172,7 +184,7 @@ let test_reliable_pending_cap () =
   check tbool "high water recorded" true (c.Mgmt.Reliable.pending_high_water >= 4);
   (* non-telemetry frames are never shed: the cap only records them *)
   for i = 1 to 10 do
-    Mgmt.Channel.send chan ~src:"id-NM" ~dst:"id-dead2" (probe i)
+    Mgmt.Channel.send chan ~cls:2 ~src:"id-NM" ~dst:"id-dead2" (probe i)
   done;
   let c = Mgmt.Reliable.counters rel in
   check tint "no probe was shed" 6 c.Mgmt.Reliable.pending_shed;
@@ -439,7 +451,7 @@ let step net p s tick =
 
 let storm_burst d n =
   for i = 1 to 800 do
-    Mgmt.Channel.send d.Scenarios.dchan ~src:Scenarios.nm_station_id
+    Mgmt.Channel.send d.Scenarios.dchan ~cls:3 ~src:Scenarios.nm_station_id
       ~dst:(List.nth d.Scenarios.dscope (i mod List.length d.Scenarios.dscope))
       (perf (900_000_000 + (n * 1000) + i))
   done
@@ -527,6 +539,8 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "P0/P1 bypass a jammed channel" `Quick test_p0_bypasses_exhaustion;
+          Alcotest.test_case "the stated class, not the payload" `Quick
+            test_stated_class_not_parsed;
           Alcotest.test_case "lowest priority is shed first" `Quick
             test_shed_lowest_priority_first;
           Alcotest.test_case "refill drains probes before telemetry" `Quick
