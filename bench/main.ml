@@ -261,6 +261,34 @@ let run_benchmarks () =
   in
   List.iter (fun (name, est) -> Printf.printf "%-60s %14.0f ns/run\n" name est) rows
 
+(* --- machine-readable data points (BENCH_*.json) ----------------------------------- *)
+
+(* Writes one BENCH file and echoes it to stdout under a banner. *)
+let write_bench file ~title json =
+  let oc = open_out file in
+  output_string oc json;
+  close_out oc;
+  print_endline (Printf.sprintf "\n===== %s (%s) =====" title file);
+  print_string json
+
+(* Escapes a string for a JSON string literal (the values written here
+   hold no control characters). *)
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* --- planner data points (BENCH_plan.json) --------------------------------------- *)
 
 (* The NM plans with the best-first search; the exhaustive enumerator is
@@ -325,11 +353,7 @@ let plan_datapoints () =
     Printf.sprintf "{\n  \"plans\": [\n%s\n  ],\n  \"size_curve\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" rows) (String.concat ",\n" curve)
   in
-  let oc = open_out "BENCH_plan.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== planner data points (BENCH_plan.json) =====";
-  print_string json
+  write_bench "BENCH_plan.json" ~title:"planner data points" json
 
 (* --- self-healing data points (BENCH_selfheal.json) ---------------------------- *)
 
@@ -360,11 +384,6 @@ let selfheal_datapoints () =
   let sent_before = Nm.stats_sent nm in
   let mon = Monitor.create nm in
   Monitor.run mon ~ticks:10;
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let repaired_at =
     List.find_map
       (fun (e : Monitor.event) ->
@@ -392,11 +411,7 @@ let selfheal_datapoints () =
       (Netsim.Link.flaps seg)
       (Scenarios.diamond_reachable d)
   in
-  let oc = open_out "BENCH_selfheal.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== self-healing data points (BENCH_selfheal.json) =====";
-  print_string json
+  write_bench "BENCH_selfheal.json" ~title:"self-healing data points" json
 
 (* --- fault-localization data points (BENCH_diagnose.json) ----------------------- *)
 
@@ -407,11 +422,6 @@ let selfheal_datapoints () =
    and diagnosed root cause, and the detection latency in virtual time
    (fault injection to first correct top-ranked diagnosis). *)
 let diagnose_datapoints () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let matches expected (v : Diagnose.verdict) =
     match (expected, v) with
     | "cut_link", Diagnose.Cut_link _ -> true
@@ -543,11 +553,7 @@ let diagnose_datapoints () =
       accuracy first_action (Monitor.repairs mon) (Monitor.resyncs mon)
       (Scenarios.diamond_reachable d)
   in
-  let oc = open_out "BENCH_diagnose.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== fault-localization data points (BENCH_diagnose.json) =====";
-  print_string json
+  write_bench "BENCH_diagnose.json" ~title:"fault-localization data points" json
 
 (* --- chaos data points (BENCH_chaos.json) --------------------------------------- *)
 
@@ -583,17 +589,6 @@ let chaos_datapoints () =
   let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing demo in
   let replay_reproduces =
     failing (Chaos.Schedule.of_string (Chaos.Schedule.to_string minimized))
-  in
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
   in
   let seed_json (seed, events, (r : Chaos.Engine.report), fails) =
     Printf.sprintf
@@ -633,11 +628,7 @@ let chaos_datapoints () =
       runs replay_reproduces
       (escape (Chaos.Schedule.to_string minimized))
   in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== chaos soak data points (BENCH_chaos.json) =====";
-  print_string json
+  write_bench "BENCH_chaos.json" ~title:"chaos soak data points" json
 
 (* --- HA failover data points (BENCH_ha.json) ------------------------------------ *)
 
@@ -719,11 +710,7 @@ let ha_datapoints () =
       (total (fun h -> h.Chaos.Engine.lost_intents))
       (List.length (List.filter (fun (_, _, fails) -> fails <> []) results))
   in
-  let oc = open_out "BENCH_ha.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== HA failover data points (BENCH_ha.json) =====";
-  print_string json
+  write_bench "BENCH_ha.json" ~title:"HA failover data points" json
 
 (* --- overload data points (BENCH_overload.json) --------------------------------- *)
 
@@ -744,40 +731,13 @@ let ha_datapoints () =
 let overload_datapoints () =
   let soak_ticks = 6 in
   let seeds = List.init 20 (fun i -> i + 1) in
-  let has_overload s =
-    List.exists
-      (fun (e : Chaos.Schedule.event) ->
-        match e.Chaos.Schedule.fault with Chaos.Schedule.Overload _ -> true | _ -> false)
-      s.Chaos.Schedule.events
-  in
-  let has_ha s =
-    List.exists
-      (fun (e : Chaos.Schedule.event) ->
-        match e.Chaos.Schedule.fault with
-        | Chaos.Schedule.Nm_crash | Chaos.Schedule.Nm_failover _ | Chaos.Schedule.Ha_partition _
-        | Chaos.Schedule.Standby_crash _ ->
-            true
-        | _ -> false)
-      s.Chaos.Schedule.events
-  in
-  let force_overload s =
-    if has_overload s then s
-    else
-      let ev =
-        { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Overload { intensity = 0.6; ticks = 3 } }
-      in
-      {
-        s with
-        Chaos.Schedule.events =
-          List.stable_sort
-            (fun (a : Chaos.Schedule.event) b -> compare a.Chaos.Schedule.at b.Chaos.Schedule.at)
-            (ev :: s.Chaos.Schedule.events);
-      }
-  in
   let per_seed =
     List.map
       (fun seed ->
-        let sched = force_overload (Chaos.Schedule.generate ~seed ~ticks:soak_ticks ()) in
+        let sched =
+          Chaos.Schedule.with_overload ~intensity:0.6
+            (Chaos.Schedule.generate ~seed ~ticks:soak_ticks ())
+        in
         let r = Chaos.Engine.run sched in
         let fails = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r) in
         (seed, sched, r, fails))
@@ -790,7 +750,8 @@ let overload_datapoints () =
   let spurious_failovers =
     List.fold_left
       (fun acc (_, sched, r, _) ->
-        if (not (has_ha sched)) && r.Chaos.Engine.ha.Chaos.Engine.failovers > 0 then acc + 1
+        if (not (Chaos.Schedule.has_ha_fault sched)) && r.Chaos.Engine.ha.Chaos.Engine.failovers > 0
+        then acc + 1
         else acc)
       0 per_seed
   in
@@ -896,11 +857,7 @@ let overload_datapoints () =
       wc.(3).Mgmt.Admission.queue_high_water base_period (Telemetry.period_ns tel)
       (Telemetry.backoffs tel)
   in
-  let oc = open_out "BENCH_overload.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== overload data points (BENCH_overload.json) =====";
-  print_string json
+  write_bench "BENCH_overload.json" ~title:"overload data points" json
 
 let quick = Array.exists (fun a -> a = "--quick" || a = "quick") Sys.argv
 
@@ -931,17 +888,6 @@ let federation_datapoints () =
       (List.filter (fun (_, _, r, _) -> r.Chaos.Fed_engine.converged_tick <> None) per_seed)
   in
   let violations = List.length (List.filter (fun (_, _, _, fails) -> fails <> []) per_seed) in
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let seed_json (seed, events, (r : Chaos.Fed_engine.report), fails) =
     Printf.sprintf
       "    { \"seed\": %d, \"events\": %d, \"ok\": %b, \"converged\": %b, \"replans\": %d, \
@@ -978,11 +924,7 @@ let federation_datapoints () =
       (sum (fun r -> r.Chaos.Fed_engine.relays))
       (String.concat ",\n" (List.map seed_json per_seed))
   in
-  let oc = open_out "BENCH_federation.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== federation soak data points (BENCH_federation.json) =====";
-  print_string json
+  write_bench "BENCH_federation.json" ~title:"federation soak data points" json
 
 (* --- trace data points (BENCH_trace.json) --------------------------------------- *)
 
@@ -1078,11 +1020,7 @@ let trace_datapoints () =
             [ "fed.plan_ticks"; "fed.commit_ticks"; "fed.abort_ticks"; "ha.failover_detect_ticks" ]))
       (String.concat ",\n" (List.map seed_json fed_runs))
   in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== trace soak data points (BENCH_trace.json) =====";
-  print_string json
+  write_bench "BENCH_trace.json" ~title:"trace soak data points" json
 
 (* --- per-goal cost over an NM's history (BENCH_history.json) ----------------------- *)
 
@@ -1142,11 +1080,7 @@ let history_datapoints () =
       (List.length (Intent.entries (Nm.journal nm)))
       (Intent.length (Nm.journal nm))
   in
-  let oc = open_out "BENCH_history.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\n===== per-goal cost over history (BENCH_history.json) =====";
-  print_string json
+  write_bench "BENCH_history.json" ~title:"per-goal cost over history" json
 
 let () =
   if quick then begin

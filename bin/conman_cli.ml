@@ -317,6 +317,41 @@ let diagnose_cmd =
 
 (* --- chaos --------------------------------------------------------------------- *)
 
+(* A repro file is outside input: a malformed one, or one naming a
+   segment, device or domain the deployment lacks, gets one line on stderr
+   and exit status 2, not an uncaught exception. *)
+let replayed file run =
+  try
+    let sched = Chaos.Schedule.of_string (Common_args.read_file file) in
+    (sched, run sched)
+  with Sexp.Parse_error e | Invalid_argument e ->
+    Fmt.epr "conman: %s: %s@." file e;
+    exit 2
+
+(* A failing soak run: shrink the schedule while one of the same
+   invariants still fails ([failures] reruns a candidate), write the
+   minimized repro and say how to replay it. *)
+let shrink_on_failure ~failures ~out ~prefix ~rerun (sched : Chaos.Schedule.t) fails =
+  let names = List.map (fun (v : Chaos.Harness.verdict) -> v.Chaos.Harness.name) fails in
+  Fmt.pr "  shrinking the failure...@.";
+  let failing s =
+    List.exists
+      (fun (v : Chaos.Harness.verdict) -> List.mem v.Chaos.Harness.name names)
+      (failures s)
+  in
+  let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing sched in
+  let path =
+    match out with
+    | Some p -> p
+    | None -> Printf.sprintf "%s_repro_seed%d.sexp" prefix sched.Chaos.Schedule.seed
+  in
+  Common_args.write_file path (Chaos.Schedule.to_string minimized);
+  Fmt.pr "  minimized to %d event(s) in %d runs:@."
+    (List.length minimized.Chaos.Schedule.events)
+    runs;
+  Fmt.pr "%a" Chaos.Schedule.pp minimized;
+  Fmt.pr "  repro written to %s (re-run with: conman %s)@." path (rerun path)
+
 let chaos_seed_arg = Common_args.seed ~doc:"Seed for the composite fault schedule." ()
 
 let chaos_seeds_arg =
@@ -357,8 +392,7 @@ let chaos seed seeds ticks intensity quick replay weaken out show_trace =
         { Chaos.Engine.default_config with Chaos.Engine.oscillation_bound = Some 0 }
     | None -> Chaos.Engine.default_config
   in
-  let run_one sched =
-    let r = Chaos.Engine.run ~config sched in
+  let report sched r =
     Fmt.pr "seed %d · %d event(s) over %d ticks (+%d tail):@." sched.Chaos.Schedule.seed
       (List.length sched.Chaos.Schedule.events)
       sched.Chaos.Schedule.ticks sched.Chaos.Schedule.tail;
@@ -367,37 +401,24 @@ let chaos seed seeds ticks intensity quick replay weaken out show_trace =
     match Chaos.Engine.failures r with
     | [] -> true
     | fails ->
-        let names = List.map (fun v -> v.Chaos.Engine.name) fails in
-        Fmt.pr "  shrinking the failure...@.";
-        let failing s =
-          let r' = Chaos.Engine.run ~config s in
-          let names' = List.map (fun v -> v.Chaos.Engine.name) (Chaos.Engine.failures r') in
-          List.exists (fun n -> List.mem n names') names
-        in
-        let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing sched in
-        let path =
-          match out with
-          | Some p -> p
-          | None -> Printf.sprintf "chaos_repro_seed%d.sexp" sched.Chaos.Schedule.seed
-        in
-        Common_args.write_file path (Chaos.Schedule.to_string minimized);
-        Fmt.pr "  minimized to %d event(s) in %d runs:@."
-          (List.length minimized.Chaos.Schedule.events)
-          runs;
-        Fmt.pr "%a" Chaos.Schedule.pp minimized;
-        Fmt.pr "  repro written to %s (re-run with: conman chaos --replay %s%s)@." path path
-          (match weaken with Some `Oscillation -> " --weaken oscillation" | None -> "");
+        shrink_on_failure ~out ~prefix:"chaos" sched fails
+          ~failures:(fun s -> Chaos.Engine.failures (Chaos.Engine.run ~config s))
+          ~rerun:(fun path ->
+            "chaos --replay " ^ path
+            ^ match weaken with Some `Oscillation -> " --weaken oscillation" | None -> "");
         false
   in
   let ok =
     match replay with
-    | Some file -> run_one (Chaos.Schedule.of_string (Common_args.read_file file))
+    | Some file ->
+        let sched, r = replayed file (Chaos.Engine.run ~config) in
+        report sched r
     | None ->
         let seed_list = match seeds with Some ss -> ss | None -> [ seed ] in
         List.fold_left
           (fun acc s ->
             let sched = Chaos.Schedule.generate ~intensity ~seed:s ~ticks () in
-            run_one sched && acc)
+            report sched (Chaos.Engine.run ~config sched) && acc)
           true seed_list
   in
   if ok then Fmt.pr "all invariants held@." else exit 1
@@ -467,7 +488,7 @@ let ha seed quick =
       | None -> "-")
       h.Chaos.Engine.replayed h.Chaos.Engine.split_brain_count h.Chaos.Engine.lost_intents
       h.Chaos.Engine.final_epoch;
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Engine.pp_verdict v) fails;
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Harness.pp_verdict v) fails;
     fails = []
   in
   let ok = List.fold_left (fun acc sc -> run_one sc && acc) true scenarios in
@@ -503,31 +524,12 @@ let ov_quick_arg = Common_args.quick ()
 
 let overload seeds ticks intensity quick =
   let ticks = match ticks with Some t -> t | None -> if quick then 6 else 10 in
-  let force s =
-    let stormy =
-      List.exists
-        (fun (e : Chaos.Schedule.event) ->
-          match e.Chaos.Schedule.fault with Chaos.Schedule.Overload _ -> true | _ -> false)
-        s.Chaos.Schedule.events
-    in
-    if stormy then s
-    else
-      let ev =
-        { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Overload { intensity; ticks = 3 } }
-      in
-      {
-        s with
-        Chaos.Schedule.events =
-          List.stable_sort
-            (fun (a : Chaos.Schedule.event) b -> compare a.Chaos.Schedule.at b.Chaos.Schedule.at)
-            (ev :: s.Chaos.Schedule.events);
-      }
-  in
   Fmt.pr "overload soak (%d seeds, %d ticks, storm intensity %.2f):@." (List.length seeds)
     ticks intensity;
   Fmt.pr "  %-6s %-6s %s@." "seed" "result" "storm  p0-shed p1-shed p3-shed  converged";
   let run_one seed =
-    let r = Chaos.Engine.run (force (Chaos.Schedule.generate ~seed ~ticks ())) in
+    let sched = Chaos.Schedule.generate ~seed ~ticks () in
+    let r = Chaos.Engine.run (Chaos.Schedule.with_overload ~intensity sched) in
     let o = r.Chaos.Engine.overload in
     let fails = Chaos.Engine.failures r in
     Fmt.pr "  %-6d %-6s %5d %8d %7d %7d  %s@." seed
@@ -537,7 +539,7 @@ let overload seeds ticks intensity quick =
       (match r.Chaos.Engine.converged_tick with
       | Some t -> Printf.sprintf "tail+%d" t
       | None -> "NO");
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Engine.pp_verdict v) fails;
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Harness.pp_verdict v) fails;
     fails = []
   in
   let ok = List.fold_left (fun acc s -> run_one s && acc) true seeds in
@@ -583,8 +585,10 @@ let fed_out_arg =
 let federation seeds ticks intensity quick replay out =
   let ticks = match ticks with Some t -> t | None -> if quick then 6 else 10 in
   let seeds = if quick then List.filteri (fun i _ -> i < 5) seeds else seeds in
-  let run_one sched =
-    let r = Chaos.Fed_engine.run sched in
+  let header () =
+    Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged"
+  in
+  let report sched r =
     let fails = Chaos.Fed_engine.failures r in
     Fmt.pr "  %-6d %-6s %8d %8d %6d %7d %7d  %s@." sched.Chaos.Schedule.seed
       (if fails = [] then "ok" else "FAIL")
@@ -593,45 +597,29 @@ let federation seeds ticks intensity quick replay out =
       (match r.Chaos.Fed_engine.converged_tick with
       | Some t -> Printf.sprintf "tail+%d" t
       | None -> "NO");
-    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Fed_engine.pp_verdict v) fails;
+    List.iter (fun v -> Fmt.pr "      %a@." Chaos.Harness.pp_verdict v) fails;
     match fails with
     | [] -> true
     | fails ->
-        let names = List.map (fun (v : Chaos.Fed_engine.verdict) -> v.Chaos.Fed_engine.name) fails in
-        Fmt.pr "  shrinking the failure...@.";
-        let failing s =
-          let names' =
-            List.map
-              (fun (v : Chaos.Fed_engine.verdict) -> v.Chaos.Fed_engine.name)
-              (Chaos.Fed_engine.failures (Chaos.Fed_engine.run s))
-          in
-          List.exists (fun n -> List.mem n names') names
-        in
-        let { Chaos.Shrink.minimized; runs } = Chaos.Shrink.minimize ~failing sched in
-        let path =
-          match out with
-          | Some p -> p
-          | None -> Printf.sprintf "fed_repro_seed%d.sexp" sched.Chaos.Schedule.seed
-        in
-        Common_args.write_file path (Chaos.Schedule.to_string minimized);
-        Fmt.pr "  minimized to %d event(s) in %d runs:@."
-          (List.length minimized.Chaos.Schedule.events)
-          runs;
-        Fmt.pr "%a" Chaos.Schedule.pp minimized;
-        Fmt.pr "  repro written to %s (re-run with: conman federation --replay %s)@." path path;
+        shrink_on_failure ~out ~prefix:"fed" sched fails
+          ~failures:(fun s -> Chaos.Fed_engine.failures (Chaos.Fed_engine.run s))
+          ~rerun:(fun path -> "federation --replay " ^ path);
         false
   in
   let ok =
     match replay with
     | Some file ->
-        Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged";
-        run_one (Chaos.Schedule.of_string (Common_args.read_file file))
+        let sched, r = replayed file Chaos.Fed_engine.run in
+        header ();
+        report sched r
     | None ->
         Fmt.pr "federated two-domain soak (%d seeds, %d ticks, NM crash + partition forced):@."
           (List.length seeds) ticks;
-        Fmt.pr "  %-6s %-6s %s@." "seed" "result" "replans backouts relays half-cfg foreign  converged";
+        header ();
         List.fold_left
-          (fun acc s -> run_one (Chaos.Fed_engine.generate ~intensity ~seed:s ~ticks ()) && acc)
+          (fun acc s ->
+            let sched = Chaos.Fed_engine.generate ~intensity ~seed:s ~ticks () in
+            report sched (Chaos.Fed_engine.run sched) && acc)
           true seeds
   in
   if ok then Fmt.pr "verdict: all federation invariants held@."

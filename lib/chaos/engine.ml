@@ -2,15 +2,14 @@
    managed by an HA pair of NMs (primary + warm standby, see Ha) and
    checks global invariants.
 
-   The run has two phases. During the chaos phase each monitor tick first
-   fires due fault-reverts, then applies the schedule events due at that
-   tick, then gives both HA nodes their heartbeat/failure-detector tick,
-   then lets the acting leader's reconciliation loop take its tick (when
-   no node is acting — the primary crashed and the standby has not yet
-   promoted — virtual time still advances, so heartbeat gaps grow). After
-   the last chaos tick every outstanding fault is force-reverted and the
-   quiescence tail begins: up to [tail] clean ticks during which every
-   live intent must re-converge under whoever leads.
+   The run is a Harness deployment. One tick gives both HA nodes their
+   heartbeat/failure-detector tick, then lets the acting leader's
+   reconciliation loop take its tick (when no node is acting — the
+   primary crashed and the standby has not yet promoted — virtual time
+   still advances, so heartbeat gaps grow). At forced quiescence the core
+   links' residual faults are cleared too, and the deployment is healthy
+   once every live intent is Active and the testbed carries end-to-end
+   traffic.
 
    Invariants checked at quiescence:
      convergence          every live intent Active and the testbed carries
@@ -49,7 +48,7 @@ type config = {
 
 let default_config = { monitor = Monitor.default_config; oscillation_bound = None }
 
-type verdict = { name : string; ok : bool; detail : string }
+type verdict = Harness.verdict = { name : string; ok : bool; detail : string }
 
 type ha_stats = {
   failovers : int; (* promotions across both nodes *)
@@ -91,11 +90,8 @@ type report = {
 
 let failures r = List.filter (fun v -> not v.ok) r.verdicts
 
-let pp_verdict ppf v =
-  Fmt.pf ppf "%-20s %s  %s" v.name (if v.ok then "ok  " else "FAIL") v.detail
-
 let pp_report ppf r =
-  List.iter (fun v -> Fmt.pf ppf "  %a@." pp_verdict v) r.verdicts;
+  List.iter (fun v -> Fmt.pf ppf "  %a@." Harness.pp_verdict v) r.verdicts;
   Fmt.pf ppf "  converged=%s repairs=%d nm-crashes=%d %s@."
     (match r.converged_tick with Some t -> Printf.sprintf "tail+%d" t | None -> "never")
     r.total_repairs r.nm_crashes r.mgmt_counters;
@@ -115,24 +111,10 @@ let pp_report ppf r =
   if List.exists (fun v -> not v.ok) r.verdicts && r.goal_trace <> "" then
     Fmt.pf ppf "  goal trace:@.%s@." r.goal_trace
 
-(* Same notion of structural state as the monitor's drift check: show_actual
-   keys, qualified by module, minus transient pending[..] negotiation
-   entries and all values (which carry traffic counters). *)
-let structural_keys state =
-  List.concat_map
-    (fun ((m : Ids.t), kvs) ->
-      List.filter_map
-        (fun (k, _) ->
-          if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-          else Some (Ids.qualified m ^ "/" ^ k))
-        kvs)
-    state
-  |> List.sort_uniq compare
-
 let scope_keys nm scope =
   List.map
     (fun dev ->
-      (dev, match Nm.show_actual nm dev with Some st -> structural_keys st | None -> []))
+      (dev, match Nm.show_actual nm dev with Some st -> Monitor.structural_keys st | None -> []))
     scope
 
 let render_counters faults =
@@ -162,18 +144,17 @@ let run ?(config = default_config) (sched : Schedule.t) =
   let faults = d.Scenarios.dfaults in
   let adm = d.Scenarios.dadmission in
   let scope = d.Scenarios.dscope in
-  let seg name = Net.find_segment_exn net name in
-  let device id =
-    match Net.device_by_id net id with
-    | Some dev -> dev
-    | None -> failwith ("chaos: unknown device " ^ id)
+  let lacks what name = invalid_arg (Printf.sprintf "the diamond has no %s %s" what name) in
+  let segment name =
+    match Net.find_segment net name with Some sg -> sg | None -> lacks "segment" name
   in
   (* Segment PRNGs default to the global link-id counter, which advances
      across testbed builds in one process: reseed from the schedule seed so
      identical runs see identical loss patterns regardless of how many
      testbeds were built before. *)
   List.iteri
-    (fun i name -> Link.set_seed (seg name) (Int64.of_int ((sched.Schedule.seed * 1_000_003) + i)))
+    (fun i name ->
+      Link.set_seed (segment name) (Int64.of_int ((sched.Schedule.seed * 1_000_003) + i)))
     Schedule.core_segments;
   Mgmt.Faults.reset_counters faults;
   let baseline = scope_keys d.Scenarios.dnm scope in
@@ -302,126 +283,106 @@ let run ?(config = default_config) (sched : Schedule.t) =
                 (Wire.encode (Wire.Show_perf_req { req = !storm_req }))
             done)
   in
-  let reverts = ref [] in (* (due_tick, undo) *)
-  let fire_reverts tick =
-    let due, later = List.partition (fun (at, _) -> at <= tick) !reverts in
-    reverts := later;
-    List.iter (fun (_, undo) -> undo ()) due
-  in
-  let crash_node ~tick ~ticks h =
+  let crash_node ~until ~ticks h =
     let id = Nm.my_id (Ha.nm h) in
     Mgmt.Faults.crash faults id;
     Ha.set_alive h false;
-    reverts :=
-      ( tick + ticks,
-        fun () ->
-          Mgmt.Faults.restart faults id;
-          Ha.set_alive h true )
-      :: !reverts
+    until ticks (fun () ->
+        Mgmt.Faults.restart faults id;
+        Ha.set_alive h true)
   in
-  let apply tick (e : Schedule.event) =
-    let until ticks undo = reverts := (tick + ticks, undo) :: !reverts in
-    match e.Schedule.fault with
+  (* the acting leader crashes: heartbeats stop, the standby's failure
+     detector must notice and promote *)
+  let fail_over ~ticks ~until tick =
+    incr nm_crashes;
+    if !first_crash_tick = None then first_crash_tick := Some tick;
+    crash_node ~until ~ticks (match leader () with Some l -> l | None -> !acting)
+  in
+  let managed dev =
+    match (Net.device_by_id net dev, List.assoc_opt dev d.Scenarios.dagents) with
+    | Some device, Some agent -> (device, agent)
+    | _ -> lacks "managed device" dev
+  in
+  let apply (f : Schedule.fault) : Harness.action =
+    match f with
     | Schedule.Link_cut { seg = s; ticks } ->
-        let sg = seg s in
-        Link.cut sg;
-        until ticks (fun () -> Link.restore sg)
+        let sg = segment s in
+        fun ~until _ ->
+          Link.cut sg;
+          until ticks (fun () -> Link.restore sg)
     | Schedule.Link_loss { seg = s; p; ticks } ->
-        let sg = seg s in
-        Link.set_loss sg p;
-        until ticks (fun () -> Link.set_loss sg 0.0)
+        let sg = segment s in
+        fun ~until _ ->
+          Link.set_loss sg p;
+          until ticks (fun () -> Link.set_loss sg 0.0)
     | Schedule.Link_corrupt { seg = s; p; ticks } ->
-        let sg = seg s in
-        Link.set_corrupt sg p;
-        until ticks (fun () -> Link.set_corrupt sg 0.0)
+        let sg = segment s in
+        fun ~until _ ->
+          Link.set_corrupt sg p;
+          until ticks (fun () -> Link.set_corrupt sg 0.0)
     | Schedule.Link_flap { seg = s; cycles; down_ms; up_ms } ->
+        let sg = segment s in
         (* self-terminating: schedules its own cut/restore pairs *)
-        Link.flap ~cycles (seg s) ~first_down_ns:10_000_000L ~down_ns:(ms_ns down_ms)
-          ~up_ns:(ms_ns up_ms)
-    | Schedule.Mgmt_drop { p; ticks } ->
-        Mgmt.Faults.set_drop faults p;
-        until ticks (fun () -> Mgmt.Faults.set_drop faults 0.0)
-    | Schedule.Mgmt_duplicate { p; ticks } ->
-        Mgmt.Faults.set_duplicate faults p;
-        until ticks (fun () -> Mgmt.Faults.set_duplicate faults 0.0)
-    | Schedule.Mgmt_jitter { ms; ticks } ->
-        Mgmt.Faults.set_jitter faults (ms_ns ms);
-        until ticks (fun () -> Mgmt.Faults.set_jitter faults 0L)
+        fun ~until:_ _ ->
+          Link.flap ~cycles sg ~first_down_ns:10_000_000L ~down_ns:(ms_ns down_ms)
+            ~up_ns:(ms_ns up_ms)
+    | Schedule.Mgmt_drop _ | Schedule.Mgmt_duplicate _ | Schedule.Mgmt_jitter _ ->
+        Harness.channel_fault faults f
     | Schedule.Mgmt_partition { dev; ticks } ->
-        Mgmt.Faults.partition faults dev;
-        until ticks (fun () -> Mgmt.Faults.heal faults dev)
+        ignore (managed dev);
+        fun ~until _ ->
+          Mgmt.Faults.partition faults dev;
+          until ticks (fun () -> Mgmt.Faults.heal faults dev)
     | Schedule.Agent_crash { dev; ticks } ->
-        Device.crash (device dev);
-        Mgmt.Faults.crash faults dev;
-        until ticks (fun () ->
-            Device.restart (device dev);
-            Mgmt.Faults.restart faults dev;
-            (* the agent says Hello again; the NM flushes owed deletions
-               and re-applies active script slices *)
-            Agent.announce (List.assoc dev d.Scenarios.dagents) net;
-            Nm.run (Ha.nm !acting))
-    | Schedule.Nm_crash | Schedule.Nm_failover _ ->
-        (* the acting leader crashes: heartbeats stop, the standby's
-           failure detector must notice and promote. Nm_crash is the
-           legacy single-NM event, mapped to a 2-tick failover. *)
-        let ticks =
-          match e.Schedule.fault with Schedule.Nm_failover { ticks } -> ticks | _ -> 2
-        in
-        incr nm_crashes;
-        if !first_crash_tick = None then first_crash_tick := Some tick;
-        let victim = match leader () with Some l -> l | None -> !acting in
-        crash_node ~tick ~ticks victim
+        let device, agent = managed dev in
+        fun ~until _ ->
+          Device.crash device;
+          Mgmt.Faults.crash faults dev;
+          until ticks (fun () ->
+              Device.restart device;
+              Mgmt.Faults.restart faults dev;
+              (* the agent says Hello again; the NM flushes owed deletions
+                 and re-applies active script slices *)
+              Agent.announce agent net;
+              Nm.run (Ha.nm !acting))
+    | Schedule.Nm_crash -> fail_over ~ticks:2 (* the legacy single-NM event *)
+    | Schedule.Nm_failover { ticks } -> fail_over ~ticks
     | Schedule.Standby_crash { ticks } ->
-        let victim =
-          match leader () with Some l when l == ha_s -> ha_p | Some _ | None -> ha_s
-        in
-        crash_node ~tick ~ticks victim
+        fun ~until _ ->
+          crash_node ~until ~ticks
+            (match leader () with Some l when l == ha_s -> ha_p | Some _ | None -> ha_s)
     | Schedule.Ha_partition { ticks } ->
         (* isolate the NMs from each other while both keep reaching the
            agents: the standby will suspect the primary dead and promote,
            and only epoch fencing keeps the old primary from competing *)
-        let a = Scenarios.nm_station_id and b = Scenarios.standby_station_id in
-        Mgmt.Faults.set_drop faults ~src:a ~dst:b 1.0;
-        Mgmt.Faults.set_drop faults ~src:b ~dst:a 1.0;
-        until ticks (fun () ->
-            Mgmt.Faults.set_drop faults ~src:a ~dst:b 0.0;
-            Mgmt.Faults.set_drop faults ~src:b ~dst:a 0.0)
+        Harness.partition_stations faults Scenarios.nm_station_id Scenarios.standby_station_id
+          ~ticks
     | Schedule.Overload { intensity; ticks } ->
-        storm := Some intensity;
-        until ticks (fun () -> storm := None)
+        fun ~until _ ->
+          storm := Some intensity;
+          until ticks (fun () -> storm := None)
     | Schedule.Peer_nm_crash _ | Schedule.Inter_domain_partition _ ->
         (* federation-only events; Fed_engine applies them over the
            two-domain deployment *)
-        ()
+        Harness.skip
   in
   (* one engine tick: both HA nodes heartbeat/detect, then whoever leads
      reconciles. With no live leader the clock still advances a full
-     interval so the standby's heartbeat gap keeps growing. *)
+     interval so the standby's heartbeat gap keeps growing. A storm ends
+     by its revert, so the tail never injects one. *)
   let advance_interval () =
     ignore
       (Net.run_until net
          ~deadline:(Int64.add (Event_queue.now eq) config.monitor.Monitor.interval_ns))
   in
-  let ha_tick tick =
+  let tick tick =
+    inject_storm ();
     Observe.set_tick obs tick;
     Ha.tick ha_p ~tick;
     Ha.tick ha_s ~tick;
     observe_leadership ();
     match ensure_leader () with Some _ -> Monitor.tick !mon | None -> advance_interval ()
   in
-  (* --- chaos phase ----------------------------------------------------- *)
-  Mgmt.Admission.reset_counters adm;
-  for tick = 0 to sched.Schedule.ticks - 1 do
-    fire_reverts tick;
-    List.iter (fun e -> if e.Schedule.at = tick then apply tick e) sched.Schedule.events;
-    inject_storm ();
-    ha_tick tick
-  done;
-  (* --- force quiescence ------------------------------------------------ *)
-  fire_reverts max_int;
-  Mgmt.Faults.clear faults;
-  List.iter (fun n -> Link.clear_faults (seg n)) Schedule.core_segments;
-  (* --- quiescence tail -------------------------------------------------- *)
   let live () =
     List.filter
       (fun (i : Intent.t) -> i.Intent.status <> Intent.Retired)
@@ -433,13 +394,18 @@ let run ?(config = default_config) (sched : Schedule.t) =
     && List.for_all (fun (i : Intent.t) -> i.Intent.status = Intent.Active) l
     && Scenarios.diamond_reachable d
   in
-  let converged = ref None in
-  let tail_tick = ref 0 in
-  while !converged = None && !tail_tick < sched.Schedule.tail do
-    incr tail_tick;
-    ha_tick (sched.Schedule.ticks + !tail_tick - 1);
-    if healthy () then converged := Some !tail_tick
-  done;
+  Mgmt.Admission.reset_counters adm;
+  let converged =
+    Harness.drive sched
+      {
+        Harness.faults;
+        apply;
+        tick;
+        clear =
+          (fun () -> List.iter (fun n -> Link.clear_faults (segment n)) Schedule.core_segments);
+        healthy;
+      }
+  in
   (* --- verdicts --------------------------------------------------------- *)
   (* everything from here on interrogates the final acting leader *)
   let nm = Ha.nm !acting in
@@ -448,7 +414,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
   in
   let total_repairs = !dead_monitor_repairs + Monitor.repairs !mon in
   let v_convergence =
-    match !converged with
+    match converged with
     | Some t ->
         {
           name = "convergence";
@@ -491,7 +457,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
     let acct_ok =
       List.for_all
         (fun n ->
-          let sg = seg n in
+          let sg = segment n in
           Link.dropped sg
           = Link.drop_count sg "cut" + Link.drop_count sg "mtu" + Link.drop_count sg "loss"
             + Link.drop_count sg "corrupt")
@@ -507,7 +473,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         (Nm.intents nm)
     in
     match path with
-    | Some p when !converged <> None ->
+    | Some p when converged <> None ->
         (* a fresh store primed with healthy probe rounds must give the
            converged path a clean bill — leftover counter imbalances would
            mean the Diagnose model's conservation laws are violated *)
@@ -653,22 +619,6 @@ let run ?(config = default_config) (sched : Schedule.t) =
   let shed_of i =
     adm_counters.(i).Mgmt.Admission.shed + adm_counters.(i).Mgmt.Admission.expired
   in
-  let had_overload =
-    List.exists
-      (fun (e : Schedule.event) ->
-        match e.Schedule.fault with Schedule.Overload _ -> true | _ -> false)
-      sched.Schedule.events
-  in
-  let has_ha_fault =
-    List.exists
-      (fun (e : Schedule.event) ->
-        match e.Schedule.fault with
-        | Schedule.Nm_crash | Schedule.Nm_failover _ | Schedule.Ha_partition _
-        | Schedule.Standby_crash _ ->
-            true
-        | _ -> false)
-      sched.Schedule.events
-  in
   let v_no_p0p1_shed =
     let ok = shed_of 0 = 0 && shed_of 1 = 0 in
     {
@@ -682,11 +632,11 @@ let run ?(config = default_config) (sched : Schedule.t) =
     }
   in
   let v_overload =
-    if not had_overload then
+    if not (Schedule.has_overload sched) then
       { name = "overload-degradation"; ok = true; detail = "no overload event scheduled" }
     else
-      let spurious = (not has_ha_fault) && failovers > 0 in
-      let ok = !converged <> None && not spurious in
+      let spurious = (not (Schedule.has_ha_fault sched)) && failovers > 0 in
+      let ok = converged <> None && not spurious in
       {
         name = "overload-degradation";
         ok;
@@ -755,7 +705,7 @@ let run ?(config = default_config) (sched : Schedule.t) =
         v_convergence; v_oscillation; v_conservation; v_journal; v_single_primary; v_lost;
         v_no_p0p1_shed; v_overload; v_stale;
       ];
-    converged_tick = !converged;
+    converged_tick = converged;
     total_repairs;
     nm_crashes = !nm_crashes;
     mgmt_counters = render_counters faults;

@@ -1,6 +1,6 @@
 (** The chaos engine: runs a {!Schedule.t} against a live diamond
-    deployment managed by a primary/standby NM pair (see {!Conman.Ha}),
-    forcing quiescence after the chaos phase, and checks the global
+    deployment managed by a primary/standby NM pair (see {!Conman.Ha})
+    through the {!Harness} driver, and checks the global
     invariants (convergence, bounded oscillation, counter conservation,
     journal-replay equivalence, at most one acting primary per epoch, no
     committed intent lost across failover, no liveness/mutation frame ever
@@ -18,7 +18,7 @@ type config = {
 
 val default_config : config
 
-type verdict = { name : string; ok : bool; detail : string }
+type verdict = Harness.verdict = { name : string; ok : bool; detail : string }
 
 type ha_stats = {
   failovers : int;  (** promotions across both nodes *)
@@ -72,9 +72,11 @@ type report = {
 }
 
 val run : ?config:config -> Schedule.t -> report
+(** Raises [Invalid_argument] before the first tick if an event names a
+    segment or managed device the diamond lacks. Federation-only events
+    are skipped. *)
 
 val failures : report -> verdict list
 (** The verdicts that did not hold. *)
 
-val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

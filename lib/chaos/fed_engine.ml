@@ -17,6 +17,9 @@
         exactly the single-NM one (same deterministic generator, so any
         divergence is a protocol bug, not noise).
 
+   The run is a Harness deployment: one tick steps each NM that is up,
+   then advances the network one bounded interval, and the deployment is
+   healthy once the goal is achieved and the edges reach each other.
    Fully deterministic: same schedule, same report. *)
 
 open Conman
@@ -26,7 +29,7 @@ module Fs = Federation.Fed_scenarios
 let chain_n = 4
 let interval_ns = 500_000_000L
 
-type verdict = Engine.verdict = { name : string; ok : bool; detail : string }
+type verdict = Harness.verdict = { name : string; ok : bool; detail : string }
 
 type report = {
   verdicts : verdict list;
@@ -49,19 +52,6 @@ type report = {
 }
 
 let failures r = List.filter (fun v -> not v.ok) r.verdicts
-
-let pp_verdict ppf v =
-  Fmt.pf ppf "[%s] %s%s" (if v.ok then "ok" else "VIOLATED") v.name
-    (if v.detail = "" then "" else ": " ^ v.detail)
-
-let pp_report ppf r =
-  List.iter (fun v -> Fmt.pf ppf "%a@." pp_verdict v) r.verdicts;
-  Fmt.pf ppf "replans=%d backouts=%d relays=%d commits=%d aborts=%d@." r.replans r.backouts
-    r.relays r.commits_received r.aborts_received;
-  (* a violated invariant ships with the goal's causal trace: the span
-     tree is the first thing one reads when triaging a repro *)
-  if List.exists (fun v -> not v.ok) r.verdicts && r.goal_trace <> "" then
-    Fmt.pf ppf "goal trace:@.%s@." r.goal_trace
 
 (* --- schedule generation -------------------------------------------------- *)
 
@@ -115,22 +105,7 @@ let generate ?(intensity = 0.5) ~seed ~ticks () =
 
 (* --- invariant helpers ----------------------------------------------------- *)
 
-(* The structural part of a show_actual report: per-module state keys,
-   minus transient pending[..] negotiation state. *)
-let structural_keys nm dev =
-  match Nm.show_actual nm dev with
-  | None -> None
-  | Some state ->
-      Some
-        (List.concat_map
-           (fun ((m : Ids.t), kvs) ->
-             List.filter_map
-               (fun (k, _) ->
-                 if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-                 else Some (Ids.qualified m ^ "/" ^ k))
-               kvs)
-           state
-        |> List.sort_uniq compare)
+let structural_keys nm dev = Option.map Monitor.structural_keys (Nm.show_actual nm dev)
 
 (* Fault-free single-NM run over the same testbed: the oracle for both
    the all-or-nothing check and configuration parity. *)
@@ -159,70 +134,49 @@ let run (sched : Schedule.t) =
   let faults = t.Fs.ffaults in
   let net = Nm.net (Fed.nm t.Fs.fwest) in
   let eq = Netsim.Net.eq net in
-  let station_of = function "east" -> Fs.east_station | _ -> Fs.west_station in
-  let reverts = ref [] in
-  let fire_reverts tick =
-    let due, rest = List.partition (fun (at, _) -> at <= tick) !reverts in
-    reverts := rest;
-    List.iter (fun (_, undo) -> undo ()) due
-  in
-  let apply tick (e : Schedule.event) =
-    let until ticks undo = reverts := (tick + ticks, undo) :: !reverts in
-    match e.Schedule.fault with
-    | Schedule.Mgmt_drop { p; ticks } ->
-        Mgmt.Faults.set_drop faults p;
-        until ticks (fun () -> Mgmt.Faults.set_drop faults 0.0)
-    | Schedule.Mgmt_duplicate { p; ticks } ->
-        Mgmt.Faults.set_duplicate faults p;
-        until ticks (fun () -> Mgmt.Faults.set_duplicate faults 0.0)
-    | Schedule.Mgmt_jitter { ms; ticks } ->
-        Mgmt.Faults.set_jitter faults (Int64.mul (Int64.of_int ms) 1_000_000L);
-        until ticks (fun () -> Mgmt.Faults.set_jitter faults 0L)
+  let apply (f : Schedule.fault) : Harness.action =
+    match f with
+    | Schedule.Mgmt_drop _ | Schedule.Mgmt_duplicate _ | Schedule.Mgmt_jitter _ ->
+        Harness.channel_fault faults f
     | Schedule.Peer_nm_crash { domain; ticks } ->
-        let st = station_of domain in
-        if not (Mgmt.Faults.is_crashed faults st) then begin
-          Mgmt.Faults.crash faults st;
-          until ticks (fun () -> Mgmt.Faults.restart faults st)
-        end
+        let st =
+          match domain with
+          | "west" -> Fs.west_station
+          | "east" -> Fs.east_station
+          | _ -> invalid_arg ("the two-domain deployment has no domain " ^ domain)
+        in
+        fun ~until _ ->
+          if not (Mgmt.Faults.is_crashed faults st) then begin
+            Mgmt.Faults.crash faults st;
+            until ticks (fun () -> Mgmt.Faults.restart faults st)
+          end
     | Schedule.Inter_domain_partition { ticks } ->
-        let w = Fs.west_station and e = Fs.east_station in
-        Mgmt.Faults.set_drop faults ~src:w ~dst:e 1.0;
-        Mgmt.Faults.set_drop faults ~src:e ~dst:w 1.0;
-        until ticks (fun () ->
-            Mgmt.Faults.set_drop faults ~src:w ~dst:e 0.0;
-            Mgmt.Faults.set_drop faults ~src:e ~dst:w 0.0)
+        Harness.partition_stations faults Fs.west_station Fs.east_station ~ticks
     | _ ->
         (* diamond-only events have no meaning here; replaying a mixed
            repro file simply skips them *)
-        ()
+        Harness.skip
   in
   (* one engine tick: each NM that is up runs its protocol step, then the
      network advances one bounded interval. A crashed station's node is
      not ticked — the process is down; its state survives for restart. *)
-  let fed_tick tick =
+  let tick tick =
     Observe.set_tick obs tick;
     if not (Mgmt.Faults.is_crashed faults Fs.west_station) then Fed.tick t.Fs.fwest ~tick;
     if not (Mgmt.Faults.is_crashed faults Fs.east_station) then Fed.tick t.Fs.feast ~tick;
     ignore (Netsim.Net.run_until net ~deadline:(Int64.add (Netsim.Event_queue.now eq) interval_ns))
   in
   let gid = Fed.submit t.Fs.fwest t.Fs.fgoal in
-  (* --- chaos phase ---- *)
-  for tick = 0 to sched.Schedule.ticks - 1 do
-    fire_reverts tick;
-    List.iter (fun e -> if e.Schedule.at = tick then apply tick e) sched.Schedule.events;
-    fed_tick tick
-  done;
-  (* --- force quiescence ---- *)
-  fire_reverts max_int;
-  Mgmt.Faults.clear faults;
-  (* --- quiescence tail ---- *)
-  let converged = ref None in
-  let tail_tick = ref 0 in
-  while !converged = None && !tail_tick < sched.Schedule.tail do
-    incr tail_tick;
-    fed_tick (sched.Schedule.ticks + !tail_tick - 1);
-    if Fed.achieved t.Fs.fwest gid && Fs.two_domain_reachable t then converged := Some !tail_tick
-  done;
+  let converged =
+    Harness.drive sched
+      {
+        Harness.faults;
+        apply;
+        tick;
+        clear = ignore;
+        healthy = (fun () -> Fed.achieved t.Fs.fwest gid && Fs.two_domain_reachable t);
+      }
+  in
   (* --- verdicts ---- *)
   let owner_nm dev =
     if List.mem dev t.Fs.fwest_devices then Fed.nm t.Fs.fwest else Fed.nm t.Fs.feast
@@ -238,7 +192,7 @@ let run (sched : Schedule.t) =
   in
   let fw = Nm.foreign_writes (Fed.nm t.Fs.fwest) + Nm.foreign_writes (Fed.nm t.Fs.feast) in
   let v_convergence =
-    match !converged with
+    match converged with
     | Some tk ->
         {
           name = "convergence";
@@ -274,7 +228,7 @@ let run (sched : Schedule.t) =
     }
   in
   let v_parity =
-    match (!converged, mismatched) with
+    match (converged, mismatched) with
     | None, _ -> { name = "show-actual-parity"; ok = false; detail = "not converged" }
     | Some _, [] ->
         { name = "show-actual-parity"; ok = true; detail = "matches the single-NM run" }
@@ -313,7 +267,7 @@ let run (sched : Schedule.t) =
   in
   {
     verdicts = [ v_convergence; v_half; v_boundary; v_parity; v_trace ];
-    converged_tick = !converged;
+    converged_tick = converged;
     replans = Fed.replans t.Fs.fwest;
     backouts = Fed.backouts t.Fs.fwest;
     relays = Fed.relays t.Fs.fwest + Fed.relays t.Fs.feast;

@@ -7,7 +7,7 @@
     outside its own domain, and the converged configuration is exactly
     the single-NM one. Fully deterministic: same schedule, same report. *)
 
-type verdict = Engine.verdict = { name : string; ok : bool; detail : string }
+type verdict = Harness.verdict = { name : string; ok : bool; detail : string }
 
 type report = {
   verdicts : verdict list;
@@ -43,11 +43,11 @@ val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> Schedule.t
     attributable to the inter-NM protocol. *)
 
 val run : Schedule.t -> report
-(** Runs one schedule against a fresh two-domain chain deployment with
-    the cross-domain goal submitted at the west NM, then checks the four
-    federation invariants. Diamond-only events in a replayed schedule are
-    skipped. *)
+(** Runs one schedule through the {!Harness} driver against a fresh
+    two-domain chain deployment with the cross-domain goal submitted at
+    the west NM, then checks the federation invariants. Diamond-only
+    events in a replayed schedule are skipped; a [Peer_nm_crash] naming a
+    domain other than [west] or [east] raises [Invalid_argument] before
+    the first tick. *)
 
 val failures : report -> verdict list
-val pp_verdict : verdict Fmt.t
-val pp_report : report Fmt.t

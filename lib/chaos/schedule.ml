@@ -87,6 +87,25 @@ let pp ppf t =
     (List.length t.events);
   List.iter (fun e -> Fmt.pf ppf "  %a@." pp_event e) t.events
 
+(* --- predicates --------------------------------------------------------- *)
+
+let has_ha_fault t =
+  List.exists
+    (fun e ->
+      match e.fault with
+      | Nm_crash | Nm_failover _ | Ha_partition _ | Standby_crash _ -> true
+      | _ -> false)
+    t.events
+
+let has_overload t =
+  List.exists (fun e -> match e.fault with Overload _ -> true | _ -> false) t.events
+
+let with_overload ~intensity t =
+  if has_overload t then t
+  else
+    let storm = { at = 1; fault = Overload { intensity; ticks = 3 } } in
+    { t with events = List.stable_sort (fun a b -> compare a.at b.at) (storm :: t.events) }
+
 (* --- generation --------------------------------------------------------- *)
 
 (* Weighted fault-kind menu. [intensity] scales the event count (events per
@@ -172,17 +191,10 @@ let generate ?(intensity = 0.5) ~seed ~ticks () =
     List.init n_events (fun _ -> gen_one ())
     |> List.stable_sort (fun a b -> compare a.at b.at)
   in
-  let has_ha =
-    List.exists
-      (fun e ->
-        match e.fault with
-        | Nm_crash | Nm_failover _ | Ha_partition _ | Standby_crash _ -> true
-        | _ -> false)
-      events
-  in
+  let t = { seed; ticks; tail = 0; events } in
   (* failover + replay + reconvergence needs a longer clean tail than
      data-plane repair alone *)
-  { seed; ticks; tail = (if has_ha then max 12 (ticks / 2) else max 6 (ticks / 2)); events }
+  { t with tail = (if has_ha_fault t then max 12 (ticks / 2) else max 6 (ticks / 2)) }
 
 (* --- sexp codec --------------------------------------------------------- *)
 

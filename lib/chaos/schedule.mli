@@ -55,8 +55,14 @@ type t = {
 val core_segments : string list
 (** The diamond's core segments ([A--B1] ...), the generator's link targets. *)
 
-val transit_devices : string list
-val managed_devices : string list
+val has_ha_fault : t -> bool
+(** Whether the schedule crashes or partitions an NM of the HA pair. *)
+
+val has_overload : t -> bool
+
+val with_overload : intensity:float -> t -> t
+(** The schedule itself if it has an [Overload] event; otherwise the
+    schedule with a 3-tick storm of [intensity] added at tick 1. *)
 
 val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> t
 (** [generate ~seed ~ticks ()] derives a schedule deterministically from
@@ -66,7 +72,6 @@ val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> t
 
 (** {1 Rendering and codec} *)
 
-val pp_fault : fault Fmt.t
 val pp_event : event Fmt.t
 val pp : t Fmt.t
 val to_sexp : t -> Conman.Sexp.t

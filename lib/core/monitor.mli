@@ -64,6 +64,11 @@ val event_limit : t -> int
 val dropped_events : t -> int
 (** Events evicted from the ring since creation. *)
 
+val structural_keys : (Ids.t * (string * string) list) list -> string list
+(** The structural part of a [show_actual] report, as the drift check sees
+    it: ["<module>/<key>"] per state key, sorted and deduplicated. Values
+    (traffic counters) and transient [pending[..]] entries are left out. *)
+
 val pp_event : event Fmt.t
 val pp_health : t Fmt.t
 (** The per-intent health table plus loop counters. *)

@@ -823,27 +823,6 @@ let vlan_module_of t dev =
   |> List.find_map (fun ((m : Ids.t), (a : Abstraction.t)) ->
          if a.Abstraction.name = "VLAN" then Some m else None)
 
-(* Device-level chain between two switches via physical links (BFS). *)
-let device_chain t ~scope ~src_dev ~dst_dev =
-  let links dev =
-    match Topology.device t.topo dev with
-    | Some d -> List.filter_map (fun (_, peer, _) -> if List.mem peer scope then Some peer else None) d.Topology.di_links
-    | None -> []
-  in
-  let rec bfs frontier seen =
-    match frontier with
-    | [] -> None
-    | (dev, path) :: rest ->
-        if dev = dst_dev then Some (List.rev (dev :: path))
-        else
-          let nexts =
-            List.filter (fun p -> not (List.mem p seen)) (links dev)
-            |> List.map (fun p -> (p, dev :: path))
-          in
-          bfs (rest @ nexts) (List.map fst nexts @ seen)
-  in
-  bfs [ (src_dev, []) ] [ src_dev ]
-
 (* The physical pipe id an ETH module advertises towards a peer device. *)
 let phys_pipe_towards t (eth : Ids.t) peer_dev =
   let a = Topology.find_module_exn t.topo eth in
@@ -861,7 +840,11 @@ let customer_phys t (eth : Ids.t) ~scope =
     a.Abstraction.physical
 
 let achieve_l2_raw ?(configure = true) t ~scope ~from_eth ~to_eth =
-  match device_chain t ~scope ~src_dev:from_eth.Ids.dev ~dst_dev:to_eth.Ids.dev with
+  match
+    Topology.device_walk t.topo
+      ~within:(fun dev -> List.mem dev scope)
+      ~src:from_eth.Ids.dev ~dst:to_eth.Ids.dev
+  with
   | None -> Error "no layer-2 chain between the switches"
   | Some chain -> (
       let vlans = List.filter_map (vlan_module_of t) chain in
@@ -1234,7 +1217,6 @@ let apply_replicated_entry t entry =
 
 let inflight t = t.inflight
 let set_inflight t l = t.inflight <- l
-let bump_req t r = t.req <- max t.req r
 
 (* --- federation support (used by Fed) ------------------------------------------ *)
 

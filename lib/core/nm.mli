@@ -239,9 +239,6 @@ val set_inflight : t -> (int * string * Wire.t) list -> unit
 (** Replaces the in-flight set — promotion merges the replicated set in
     before {!take_over} replays it. *)
 
-val bump_req : t -> int -> unit
-(** Raises the request-id counter to at least the given value. *)
-
 (** {2 Federation support (used by {!Fed} in [lib/federation])} *)
 
 val set_fed_hook : t -> (src:string -> Wire.t -> unit) -> unit

@@ -273,33 +273,12 @@ let find ?prune_domains topo goal = (enumerate ?prune_domains topo goal).complet
    to the devices on that walk, so its cost no longer depends on the rest
    of the network. *)
 
-let device_path topo goal =
-  let neighbours dev =
-    match Topology.device topo dev with
-    | Some d ->
-        List.filter_map
-          (fun (_, peer, _) -> if List.mem peer goal.g_scope then Some peer else None)
-          d.Topology.di_links
-        |> List.sort_uniq compare
-    | None -> []
-  in
-  let src = goal.g_from.Ids.dev and dst = goal.g_to.Ids.dev in
-  let rec bfs frontier seen =
-    match frontier with
-    | [] -> None
-    | (dev, acc) :: rest ->
-        if dev = dst then Some (List.rev (dev :: acc))
-        else
-          let next =
-            List.filter (fun p -> not (List.mem p seen)) (neighbours dev)
-            |> List.map (fun p -> (p, dev :: acc))
-          in
-          bfs (rest @ next) (List.map fst next @ seen)
-  in
-  bfs [ (src, []) ] [ src ]
-
 let find_hierarchical ?prune_domains topo goal =
-  match device_path topo goal with
+  match
+    Topology.device_walk topo
+      ~within:(fun dev -> List.mem dev goal.g_scope)
+      ~src:goal.g_from.Ids.dev ~dst:goal.g_to.Ids.dev
+  with
   | None -> []
   | Some devices ->
       (* restrict the module-level search to the chosen device walk *)

@@ -71,9 +71,6 @@ val find_hierarchical : ?prune_domains:bool -> Topology.t -> goal -> path list
     first (BFS over physical links), then the module-level paths restricted
     to it. *)
 
-val device_path : Topology.t -> goal -> string list option
-(** The BFS device walk used by {!find_hierarchical}. *)
-
 val signature : path -> string
 (** The paper's rendering: ["a, g, l, h, b, c, i, d, e, j, n, k, f"]. *)
 
@@ -82,11 +79,9 @@ val pp : path Fmt.t
 val pipe_count : path -> int
 (** Up-down pipes the path would instantiate — the chooser's metric. *)
 
-val fast_modules : Topology.t -> path -> int
-(** How many modules along the path advertise fast forwarding. *)
-
 val choose : Topology.t -> path list -> path option
-(** Minimise {!pipe_count}, tie-break on {!fast_modules}; among equals the
+(** Minimise {!pipe_count}, tie-break on the number of modules along the
+    path that advertise fast forwarding; among equals the
     first in the list wins — the rule that makes the NM pick the MPLS
     path, as in the paper. *)
 

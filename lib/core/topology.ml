@@ -43,7 +43,6 @@ let set_domains t ~module_domains ~domain_prefixes =
   t.domain_prefixes <- domain_prefixes
 
 let domain_of t mref = List.assoc_opt mref t.module_domains
-let prefix_of_domain t d = List.assoc_opt d t.domain_prefixes
 
 let find_module t mref =
   Option.bind (device t mref.Ids.dev) (fun d ->
@@ -58,6 +57,31 @@ let find_module_exn t mref =
 
 let modules_of_device t dev =
   match device t dev with Some d -> d.di_modules | None -> []
+
+(* Fewest-hop walk over physical links (BFS), stepping only onto devices
+   [within] accepts; neighbours are tried in id order, so the first of
+   several equally short walks is the same on every run. *)
+let device_walk t ~within ~src ~dst =
+  let neighbours dev =
+    match device t dev with
+    | Some d ->
+        List.filter_map (fun (_, peer, _) -> if within peer then Some peer else None) d.di_links
+        |> List.sort_uniq compare
+    | None -> []
+  in
+  let rec bfs frontier seen =
+    match frontier with
+    | [] -> None
+    | (dev, acc) :: rest ->
+        if dev = dst then Some (List.rev (dev :: acc))
+        else
+          let next =
+            List.filter (fun p -> not (List.mem p seen)) (neighbours dev)
+            |> List.map (fun p -> (p, dev :: acc))
+          in
+          bfs (rest @ next) (List.map fst next @ seen)
+  in
+  bfs [ (src, []) ] [ src ]
 
 (* Renders the network map of figure 4(b)/Table IV. *)
 let pp_table4 ppf t =

@@ -38,10 +38,15 @@ val set_domains :
     belongs to, and each domain's prefix. *)
 
 val domain_of : t -> Ids.t -> string option
-val prefix_of_domain : t -> string -> string option
 val find_module : t -> Ids.t -> Abstraction.t option
 val find_module_exn : t -> Ids.t -> Abstraction.t
 val modules_of_device : t -> string -> (Ids.t * Abstraction.t) list
+
+val device_walk :
+  t -> within:(string -> bool) -> src:string -> dst:string -> string list option
+(** The fewest-hop device walk from [src] to [dst] over physical links
+    (BFS), both ends included, stepping only onto devices [within]
+    accepts. Neighbours are tried in id order. *)
 
 val pp_table4 : t Fmt.t
 (** Renders the network map the way the paper's Table IV does. *)

@@ -215,32 +215,6 @@ let announce t =
 
 (* --- participant: delegated planning ------------------------------------------- *)
 
-(* BFS restricted to our own devices: the goal's segment through this
-   domain, from the border device the coordinator enters at. *)
-let segment_walk t ~entry_dev ~target_dev =
-  let topo = Nm.topology t.nm in
-  let links dev =
-    match Topology.device topo dev with
-    | Some di ->
-        List.filter_map
-          (fun (_, peer, _) -> if owns t peer then Some peer else None)
-          di.Topology.di_links
-    | None -> []
-  in
-  let rec bfs frontier seen =
-    match frontier with
-    | [] -> None
-    | (dev, path) :: rest ->
-        if dev = target_dev then Some (List.rev (dev :: path))
-        else
-          let nexts =
-            List.filter (fun p -> not (List.mem p seen)) (links dev)
-            |> List.map (fun p -> (p, dev :: path))
-          in
-          bfs (rest @ nexts) (List.map fst nexts @ seen)
-  in
-  if owns t entry_dev then bfs [ (entry_dev, []) ] [ entry_dev ] else None
-
 let answer_plan t ~src ~req ~entry_dev ~(target : Ids.t) =
   (* our side of the plan expansion, parented on the coordinator's plan
      span (the request frame carried its context) *)
@@ -260,7 +234,14 @@ let answer_plan t ~src ~req ~entry_dev ~(target : Ids.t) =
       (traced ctx (Wire.Fed_plan_err { req; error = "target outside domain " ^ t.domain }))
   end
   else
-    match segment_walk t ~entry_dev ~target_dev:target.Ids.dev with
+    (* the goal's segment through this domain, from the border device the
+       coordinator enters at *)
+    let walk =
+      if owns t entry_dev then
+        Topology.device_walk topo ~within:(owns t) ~src:entry_dev ~dst:target.Ids.dev
+      else None
+    in
+    match walk with
     | None ->
         finish "failed: no segment";
         send t ~dst:src
@@ -756,7 +737,6 @@ let backouts t = List.fold_left (fun acc g -> acc + g.gr_backouts) 0 t.goals
 let relays t = t.stats.relays
 let commits_received t = t.stats.commits_in
 let aborts_received t = t.stats.aborts_in
-let plan_errors t = t.stats.plan_errs
 let delegated_aborted t = List.length (List.filter (fun d -> d.d_aborted) t.delegated)
 let nm t = t.nm
 let domain t = t.domain

@@ -77,7 +77,6 @@ val relays : t -> int
 
 val commits_received : t -> int
 val aborts_received : t -> int
-val plan_errors : t -> int
 
 val delegated_aborted : t -> int
 (** Delegated commits this node backed out (including tombstones for

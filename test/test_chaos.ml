@@ -1,7 +1,8 @@
 (* Chaos engine tests: schedule generation determinism, the sexp repro
-   codec, invariant checking on quiet and faulty schedules, the shrinker,
-   and the satellite fixes (Faults.reset_counters, the monitor's bounded
-   event ring). *)
+   codec, the shared driver (Harness) over a stub deployment, invariant
+   checking on quiet and faulty schedules for both deployments, replay
+   validation, the shrinker, and the satellite fixes
+   (Faults.reset_counters, the monitor's bounded event ring). *)
 
 open Conman
 
@@ -51,6 +52,106 @@ let test_schedule_codec_roundtrip () =
   check tstr "and re-encodes identically" (Chaos.Schedule.to_string sched)
     (Chaos.Schedule.to_string round)
 
+(* --- the driver ---------------------------------------------------------- *)
+
+(* A stub deployment over a bare fault layer that logs what the driver
+   does. [Agent_crash] crashes a station and registers its restart through
+   [until]; [Mgmt_partition] crashes one with no revert, so only the
+   channel clear lifts it. *)
+let stub_deployment ~healthy_after =
+  let eq = Netsim.Event_queue.create () in
+  let _, faults = Mgmt.Faults.wrap ~eq (Mgmt.Channel.Oob.create eq) in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+  let ticks = ref 0 in
+  let apply (f : Chaos.Schedule.fault) : Chaos.Harness.action =
+    match f with
+    | Chaos.Schedule.Agent_crash { dev; ticks } ->
+        fun ~until tick ->
+          say "apply %s@%d" dev tick;
+          Mgmt.Faults.crash faults dev;
+          until ticks (fun () ->
+              say "undo %s (stuck crashed=%b)" dev (Mgmt.Faults.is_crashed faults "stuck");
+              Mgmt.Faults.restart faults dev)
+    | Chaos.Schedule.Mgmt_partition { dev; _ } -> fun ~until:_ _ -> Mgmt.Faults.crash faults dev
+    | Chaos.Schedule.Link_cut { seg; _ } -> invalid_arg ("no segment " ^ seg)
+    | _ -> Chaos.Harness.skip
+  in
+  let d =
+    {
+      Chaos.Harness.faults;
+      apply;
+      tick =
+        (fun t ->
+          incr ticks;
+          say "tick %d" t);
+      clear = (fun () -> say "clear (stuck crashed=%b)" (Mgmt.Faults.is_crashed faults "stuck"));
+      healthy = (fun () -> !ticks >= healthy_after);
+    }
+  in
+  (d, (fun () -> List.rev !log), ticks)
+
+let crash at dev ticks = { Chaos.Schedule.at; fault = Chaos.Schedule.Agent_crash { dev; ticks } }
+
+let test_driver_revert_order () =
+  let d, log, _ = stub_deployment ~healthy_after:6 in
+  let sched =
+    {
+      Chaos.Schedule.seed = 0;
+      ticks = 4;
+      tail = 3;
+      events =
+        [
+          crash 0 "a" 2;
+          crash 2 "b" 1;
+          crash 3 "c" 5;
+          { at = 3; fault = Chaos.Schedule.Mgmt_partition { dev = "stuck"; ticks = 1 } };
+          crash 3 "e" 9;
+        ];
+    }
+  in
+  let converged = Chaos.Harness.drive sched d in
+  check (Alcotest.list tstr) "reverts at tick t+k before its events, then forced, then clears"
+    [
+      "apply a@0"; "tick 0"; "tick 1";
+      "undo a (stuck crashed=false)"; "apply b@2"; "tick 2";
+      "undo b (stuck crashed=false)"; "apply c@3"; "apply e@3"; "tick 3";
+      (* forced quiescence: pending reverts newest first, the channel
+         clear, then the deployment's own clear *)
+      "undo e (stuck crashed=true)"; "undo c (stuck crashed=true)";
+      "clear (stuck crashed=false)";
+      "tick 4"; "tick 5";
+    ]
+    (log ());
+  check (Alcotest.option tint) "the first healthy tail tick" (Some 2) converged
+
+let test_driver_tail_exhausted () =
+  let d, log, ticks = stub_deployment ~healthy_after:max_int in
+  let sched = { Chaos.Schedule.seed = 0; ticks = 2; tail = 3; events = [] } in
+  check (Alcotest.option tint) "never healthy" None (Chaos.Harness.drive sched d);
+  check tint "exactly [tail] tail ticks after the chaos phase" 5 !ticks;
+  check (Alcotest.list tstr) "tail ticks continue the numbering"
+    [ "tick 0"; "tick 1"; "clear (stuck crashed=false)"; "tick 2"; "tick 3"; "tick 4" ]
+    (log ())
+
+let test_driver_resolves_before_first_tick () =
+  let d, log, ticks = stub_deployment ~healthy_after:0 in
+  let sched =
+    {
+      Chaos.Schedule.seed = 0;
+      ticks = 6;
+      tail = 2;
+      events =
+        [ crash 0 "a" 1; { at = 4; fault = Chaos.Schedule.Link_cut { seg = "A--Z9"; ticks = 1 } } ];
+    }
+  in
+  (match Chaos.Harness.drive sched d with
+  | _ -> Alcotest.fail "an unresolvable event must be rejected"
+  | exception Invalid_argument msg ->
+      check tstr "the rejection names the segment" "no segment A--Z9" msg);
+  check tint "no tick ran" 0 !ticks;
+  check (Alcotest.list tstr) "no fault was applied" [] (log ())
+
 (* --- the engine --------------------------------------------------------- *)
 
 let test_quiet_schedule_all_invariants_hold () =
@@ -80,6 +181,81 @@ let test_composite_schedule_converges () =
   | [] -> ()
   | f :: _ ->
       Alcotest.failf "seed 5 violated %s: %s" f.Chaos.Engine.name f.Chaos.Engine.detail
+
+(* --- the federation deployment ------------------------------------------- *)
+
+let test_fed_quiet_schedule () =
+  let r = Chaos.Fed_engine.run { Chaos.Schedule.seed = 1; ticks = 6; tail = 24; events = [] } in
+  check tint "five invariants checked" 5 (List.length r.Chaos.Fed_engine.verdicts);
+  (match Chaos.Fed_engine.failures r with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "quiet run violated %s: %s" f.Chaos.Harness.name f.Chaos.Harness.detail);
+  check tbool "converged" true (r.Chaos.Fed_engine.converged_tick <> None)
+
+let test_fed_run_determinism () =
+  let sched = Chaos.Fed_engine.generate ~seed:3 ~ticks:6 () in
+  let a = Chaos.Fed_engine.run sched in
+  let b = Chaos.Fed_engine.run sched in
+  check tbool "verdicts identical" true (a.Chaos.Fed_engine.verdicts = b.Chaos.Fed_engine.verdicts);
+  check tstr "goal traces identical" a.Chaos.Fed_engine.goal_trace b.Chaos.Fed_engine.goal_trace;
+  check tstr "metrics identical" a.Chaos.Fed_engine.metrics_json b.Chaos.Fed_engine.metrics_json
+
+let diamond_only =
+  [
+    { Chaos.Schedule.at = 1; fault = Chaos.Schedule.Link_cut { seg = "A--B1"; ticks = 2 } };
+    { at = 2; fault = Chaos.Schedule.Agent_crash { dev = "id-B1"; ticks = 2 } };
+    { at = 3; fault = Chaos.Schedule.Mgmt_partition { dev = "id-A"; ticks = 1 } };
+  ]
+
+let with_events (s : Chaos.Schedule.t) extra =
+  {
+    s with
+    Chaos.Schedule.events =
+      List.stable_sort
+        (fun (a : Chaos.Schedule.event) b -> compare a.Chaos.Schedule.at b.Chaos.Schedule.at)
+        (s.Chaos.Schedule.events @ extra);
+  }
+
+let test_fed_skips_diamond_events () =
+  let sched = Chaos.Fed_engine.generate ~seed:3 ~ticks:6 () in
+  check tbool "the report is unchanged" true
+    (Chaos.Fed_engine.run sched = Chaos.Fed_engine.run (with_events sched diamond_only))
+
+(* --- replay validation ---------------------------------------------------- *)
+
+(* A repro file naming what the deployment lacks is rejected with
+   Invalid_argument naming it, before the run starts. *)
+let rejects ~name run text =
+  match run (Chaos.Schedule.of_string text) with
+  | _ -> Alcotest.failf "accepted %s" text
+  | exception Invalid_argument msg ->
+      let n = String.length name in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = name || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "rejection %S does not name %s" msg name
+
+let repro event = Printf.sprintf "(chaos (seed 1) (ticks 4) (tail 6) (events (1 %s)))" event
+
+let test_replay_rejects_unknown_names () =
+  let diamond s = Chaos.Engine.run s in
+  rejects ~name:"A--Z9" diamond (repro "(cut A--Z9 1)");
+  rejects ~name:"A--Z9" diamond (repro "(loss A--Z9 0.5 1)");
+  rejects ~name:"A--Z9" diamond (repro "(flap A--Z9 1 100 100)");
+  rejects ~name:"id-Q" diamond (repro "(agent-crash id-Q 1)");
+  rejects ~name:"id-Q" diamond (repro "(mgmt-partition id-Q 1)");
+  rejects ~name:"north" Chaos.Fed_engine.run (repro "(peer-nm-crash north 1)")
+
+let test_replay_mixed_schedule () =
+  let mixed =
+    Chaos.Schedule.of_string
+      "(chaos (seed 2) (ticks 6) (tail 24) (events (1 (cut A--B1 2)) (1 (peer-nm-crash west 2)) \
+       (2 (agent-crash id-B2 1)) (2 (inter-domain-partition 2)) (3 (mgmt-drop 0.2 1))))"
+  in
+  let names = List.map (fun (v : Chaos.Harness.verdict) -> v.Chaos.Harness.name) in
+  check (Alcotest.list tstr) "the diamond holds every invariant" []
+    (names (Chaos.Engine.failures (Chaos.Engine.run mixed)));
+  check (Alcotest.list tstr) "the federation holds every invariant" []
+    (names (Chaos.Fed_engine.failures (Chaos.Fed_engine.run mixed)))
 
 (* --- the shrinker ------------------------------------------------------- *)
 
@@ -175,6 +351,29 @@ let () =
           Alcotest.test_case "deterministic runs" `Quick test_run_determinism;
           Alcotest.test_case "composite schedule converges" `Quick
             test_composite_schedule_converges;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "reverts, forced quiescence and clears in order" `Quick
+            test_driver_revert_order;
+          Alcotest.test_case "tail gives up after exactly [tail] ticks" `Quick
+            test_driver_tail_exhausted;
+          Alcotest.test_case "events resolve before the first tick" `Quick
+            test_driver_resolves_before_first_tick;
+        ] );
+      ( "federation",
+        [
+          Alcotest.test_case "quiet schedule holds all invariants" `Quick test_fed_quiet_schedule;
+          Alcotest.test_case "deterministic runs" `Quick test_fed_run_determinism;
+          Alcotest.test_case "diamond-only events are skipped" `Quick
+            test_fed_skips_diamond_events;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "unknown names are rejected" `Quick
+            test_replay_rejects_unknown_names;
+          Alcotest.test_case "a mixed-deployment schedule replays" `Quick
+            test_replay_mixed_schedule;
         ] );
       ( "shrink",
         [

@@ -16,16 +16,7 @@ let tick_ns = 500_000_000L
 let structural_keys nm dev =
   match Nm.show_actual nm dev with
   | None -> Alcotest.failf "no showActual answer from %s" dev
-  | Some state ->
-      List.concat_map
-        (fun ((m : Ids.t), kvs) ->
-          List.filter_map
-            (fun (k, _) ->
-              if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-              else Some (Ids.qualified m ^ "/" ^ k))
-            kvs)
-        state
-      |> List.sort_uniq compare
+  | Some state -> Monitor.structural_keys state
 
 (* A diamond deployment managed by an HA pair: the testbed's NM as primary
    plus a warm standby on the same management channel. *)
