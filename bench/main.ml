@@ -164,6 +164,35 @@ let bench_wire_codec =
   Test.make ~name:"substrate: wire decode (convey)"
     (Staged.stage (fun () -> ignore (Wire.decode encoded)))
 
+(* The channel stack every scenario builds (Admission over Reliable over
+   Faults over Oob, no fault set) with no-op handlers. A run fans one
+   bundle-class frame out from the NM to each of 11 agents and drains the
+   queue: 33 events (frame, ack, retransmit timer), with up to 11 frames
+   in flight. Per frame is the run time / 11. *)
+let bench_mgmt_frames =
+  let eq = Netsim.Event_queue.create () in
+  let faulty, _ = Mgmt.Faults.wrap ~eq (Mgmt.Channel.Oob.create eq) in
+  let reliable, _ = Mgmt.Reliable.create ~eq faulty in
+  let chan, _ = Mgmt.Admission.wrap ~eq reliable in
+  let agents = List.init 11 (Printf.sprintf "id-%d") in
+  List.iter
+    (fun id -> Mgmt.Channel.subscribe chan ~device_id:id (fun ~src:_ _ -> ()))
+    ("id-NM" :: agents);
+  let bundle = Wire.encode (Wire.Bundle { req = 1; cmds = []; annex = Wire.empty_annex }) in
+  Test.make
+    ~name:"mgmt: 11 data frames through Admission→Reliable→Faults→Oob (acks and timers included)"
+    (Staged.stage (fun () ->
+         List.iter (fun dst -> Mgmt.Channel.send chan ~cls:1 ~src:"id-NM" ~dst bundle) agents;
+         ignore (Netsim.Event_queue.run eq)))
+
+(* An edge router's showActual reply on the configured MPLS VPN. *)
+let bench_sexp_parse =
+  let state = Option.get (Nm.show_actual configured_vpn.Scenarios.nm "id-A") in
+  let text = Bytes.to_string (Wire.encode (Wire.Show_actual_resp { req = 7; state })) in
+  Test.make
+    ~name:(Printf.sprintf "sexp: parse one %d-byte showActual reply" (String.length text))
+    (Staged.stage (fun () -> ignore (Sexp.of_string text)))
+
 let bench_ipv4_codec =
   let pkt =
     Packet.Ipv4.encode
@@ -233,6 +262,8 @@ let all_tests =
       bench_table6;
       bench_dataplane_ping;
       bench_wire_codec;
+      bench_mgmt_frames;
+      bench_sexp_parse;
       bench_ipv4_codec;
       bench_raw_channel;
       bench_lossy_configure;

@@ -9,99 +9,119 @@ exception Parse_error of string
 let atom s = Atom s
 let list l = List l
 
+let special c = c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\\'
+
 let needs_quoting s =
-  s = ""
-  || String.exists (fun c -> c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\\') s
+  let rec from i = i < String.length s && (special (String.unsafe_get s i) || from (i + 1)) in
+  s = "" || from 0
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\') as c ->
+        Buffer.add_char buf '\\';
+        Buffer.add_char buf c
+    | '\n' -> Buffer.add_string buf "\\n"
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
 
 let rec to_buf buf = function
-  | Atom s ->
-      if needs_quoting s then begin
-        Buffer.add_char buf '"';
-        String.iter
-          (fun c ->
-            match c with
-            | '"' | '\\' ->
-                Buffer.add_char buf '\\';
-                Buffer.add_char buf c
-            | '\n' -> Buffer.add_string buf "\\n"
-            | c -> Buffer.add_char buf c)
-          s;
-        Buffer.add_char buf '"'
-      end
-      else Buffer.add_string buf s
-  | List items ->
+  | Atom s -> if needs_quoting s then add_quoted buf s else Buffer.add_string buf s
+  | List [] -> Buffer.add_string buf "()"
+  | List (first :: rest) ->
       Buffer.add_char buf '(';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ' ';
-          to_buf buf item)
-        items;
+      to_buf buf first;
+      items_to_buf buf rest;
       Buffer.add_char buf ')'
+
+and items_to_buf buf = function
+  | [] -> ()
+  | item :: rest ->
+      Buffer.add_char buf ' ';
+      to_buf buf item;
+      items_to_buf buf rest
 
 let to_string t =
   let buf = Buffer.create 64 in
   to_buf buf t;
   Buffer.contents buf
 
+(* The parser indexes [s] directly; [!pos = n] stands for end of input.
+   Error messages and positions are part of the format: the replay CLI
+   prints them. *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t') do advance () done
+    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t') do incr pos done
+  in
+  (* A quoted atom's body, [!pos] just past the opening quote. Copies
+     through a buffer only once an escape shows up. *)
+  let quoted () =
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do incr pos done;
+    if !pos >= n then fail "unclosed string"
+    else if s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec loop () =
+        if !pos >= n then fail "unclosed string"
+        else
+          match s.[!pos] with
+          | '"' -> incr pos
+          | '\\' ->
+              incr pos;
+              if !pos >= n then fail "bad escape";
+              Buffer.add_char buf (if s.[!pos] = 'n' then '\n' else s.[!pos]);
+              incr pos;
+              loop ()
+          | c ->
+              Buffer.add_char buf c;
+              incr pos;
+              loop ()
+      in
+      loop ();
+      Buffer.contents buf
+    end
   in
   let rec parse () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end"
-    | Some '(' ->
-        advance ();
-        let items = ref [] in
-        let rec loop () =
-          skip_ws ();
-          match peek () with
-          | Some ')' -> advance ()
-          | None -> fail "unclosed list"
-          | Some _ ->
-              items := parse () :: !items;
-              loop ()
-        in
-        loop ();
-        List (List.rev !items)
-    | Some ')' -> fail "unexpected )"
-    | Some '"' ->
-        advance ();
-        let buf = Buffer.create 16 in
-        let rec loop () =
-          match peek () with
-          | None -> fail "unclosed string"
-          | Some '"' -> advance ()
-          | Some '\\' ->
-              advance ();
-              (match peek () with
-              | Some 'n' -> Buffer.add_char buf '\n'
-              | Some c -> Buffer.add_char buf c
-              | None -> fail "bad escape");
-              advance ();
-              loop ()
-          | Some c ->
-              Buffer.add_char buf c;
-              advance ();
-              loop ()
-        in
-        loop ();
-        Atom (Buffer.contents buf)
-    | Some _ ->
+    if !pos >= n then fail "unexpected end";
+    match s.[!pos] with
+    | '(' ->
+        incr pos;
+        List (items ())
+    | ')' -> fail "unexpected )"
+    | '"' ->
+        incr pos;
+        Atom (quoted ())
+    | _ ->
         let start = !pos in
         while
           !pos < n
           && not (s.[!pos] = ' ' || s.[!pos] = '(' || s.[!pos] = ')' || s.[!pos] = '\n')
         do
-          advance ()
+          incr pos
         done;
         Atom (String.sub s start (!pos - start))
+  (* The rest of a list, [!pos] just past its opening parenthesis. *)
+  and items () =
+    skip_ws ();
+    if !pos >= n then fail "unclosed list"
+    else if s.[!pos] = ')' then begin
+      incr pos;
+      []
+    end
+    else
+      let item = parse () in
+      item :: items ()
   in
   let t = parse () in
   skip_ws ();

@@ -430,11 +430,14 @@ let rec priority_of = function
      commit would wedge a cross-domain goal exactly when the plane is
      stressed *)
   | Fed_advert _ | Fed_plan_req _ | Fed_plan_resp _ | Fed_plan_err _ | Fed_commit _
-  | Fed_commit_ack _ | Fed_commit_err _ | Fed_abort _ | Fed_abort_ack _ | Fed_relay _ ->
+  | Fed_commit_ack _ | Fed_commit_err _ | Fed_abort _ | Fed_abort_ack _ | Fed_relay _
+  (* a module-to-module convey is part of a script, as its cross-domain
+     form [Fed_relay] is: the NM relays every one of them from its own
+     budget, and a shed label binding leaves an LSP half-built *)
+  | Convey _ ->
       1
   | Hello _ | Show_potential_req _ | Show_potential_resp _ | Show_actual_req _
-  | Show_actual_resp _ | Self_test_req _ | Self_test_resp _ | Completion _ | Trigger _
-  | Convey _ ->
+  | Show_actual_resp _ | Self_test_req _ | Self_test_resp _ | Completion _ | Trigger _ ->
       2
   | Show_perf_req _ | Show_perf_resp _ -> 3
 

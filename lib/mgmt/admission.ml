@@ -9,11 +9,14 @@
 
      P0  liveness: HA heartbeats and takeover announcements. Unsheddable
          and unthrottled — a starved failure detector fakes a dead primary.
-     P1  mutations: script bundles, back-out deletions, their acks, and
-         journal/in-flight replication. Unsheddable: shedding a back-out
-         leaks datapath state, shedding replication loses intents.
+     P1  mutations: script bundles, back-out deletions, their acks,
+         module-to-module conveys and journal/in-flight replication.
+         Unsheddable: shedding a back-out leaks datapath state, shedding a
+         convey leaves an LSP half-built, shedding replication loses
+         intents.
      P2  interrogation: Hello, showPotential/showActual, self-tests,
-         conveys. Sheddable under pressure, served before P3.
+         completions and triggers. Sheddable under pressure, served
+         before P3.
      P3  telemetry: showPerf scrapes and their responses. First to queue,
          first to shed, and stale scrapes expire — a perf counter snapshot
          nobody read for half a second answers a question nobody is still

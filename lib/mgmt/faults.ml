@@ -104,10 +104,21 @@ let clear t =
   Hashtbl.reset t.crashed;
   Hashtbl.reset t.partitioned
 
+(* Fault tables are empty in a healthy deployment, so each check below
+   skips its lookups (and the key it would hash) until a knob is set. *)
 let drop_prob t src dst =
-  match Hashtbl.find_opt t.link_drop (src, dst) with
-  | Some p -> p
-  | None -> t.default_drop
+  if Hashtbl.length t.link_drop = 0 then t.default_drop
+  else
+    match Hashtbl.find_opt t.link_drop (src, dst) with
+    | Some p -> p
+    | None -> t.default_drop
+
+let names tbl a b = Hashtbl.length tbl > 0 && (Hashtbl.mem tbl a || Hashtbl.mem tbl b)
+
+(* The send-side check: a broadcast [dst] is not a station. *)
+let blocks tbl ~src ~dst =
+  Hashtbl.length tbl > 0
+  && (Hashtbl.mem tbl src || (dst <> Frame.broadcast && Hashtbl.mem tbl dst))
 
 (* --- the wrapper -------------------------------------------------------- *)
 
@@ -127,12 +138,9 @@ let wrap ?(seed = 0) ~eq inner =
     }
   in
   let send ~cls ~src ~dst payload =
-    if Hashtbl.mem t.crashed src || (dst <> Frame.broadcast && Hashtbl.mem t.crashed dst)
-    then t.counters.crash_drops <- t.counters.crash_drops + 1
-    else if
-      Hashtbl.mem t.partitioned src
-      || (dst <> Frame.broadcast && Hashtbl.mem t.partitioned dst)
-    then t.counters.partition_drops <- t.counters.partition_drops + 1
+    if blocks t.crashed ~src ~dst then t.counters.crash_drops <- t.counters.crash_drops + 1
+    else if blocks t.partitioned ~src ~dst then
+      t.counters.partition_drops <- t.counters.partition_drops + 1
     else
       let p = drop_prob t src dst in
       if p > 0. && uniform t < p then t.counters.dropped <- t.counters.dropped + 1
@@ -157,9 +165,8 @@ let wrap ?(seed = 0) ~eq inner =
      already in flight when the fault strikes are lost too. *)
   let subscribe id h =
     Channel.subscribe inner ~device_id:id (fun ~src payload ->
-        if Hashtbl.mem t.crashed id || Hashtbl.mem t.crashed src then
-          t.counters.crash_drops <- t.counters.crash_drops + 1
-        else if Hashtbl.mem t.partitioned id || Hashtbl.mem t.partitioned src then
+        if names t.crashed id src then t.counters.crash_drops <- t.counters.crash_drops + 1
+        else if names t.partitioned id src then
           t.counters.partition_drops <- t.counters.partition_drops + 1
         else h ~src payload)
   in

@@ -60,21 +60,29 @@ type counters = {
 }
 
 type pending = {
-  p_dst : string;
   p_cls : int;  (* admission class the sender stated; retries keep it *)
   mutable p_bytes : bytes;  (* full envelope, ready to retransmit *)
   mutable p_retries : int;
 }
 
-(* Receiver-side ordering + duplicate suppression, per (receiver, sender).
-   [next] is the next seq due for delivery; anything below it already went
-   up (or was skipped — those seqs sit in [skipped] so a late arrival is
-   still delivered rather than mistaken for a duplicate). [held] buffers
-   arrivals ahead of a hole. *)
-type order = {
+module Seqs = Map.Make (Int)
+
+(* Everything kept about one directed link [src → dst]. The sender's side:
+   the last seq used and the unacked frames by seq, with their count (the
+   pending cap's input). The receiver's side, ordering and duplicate
+   suppression: [next] is the next seq due for delivery; anything below it
+   already went up (or was skipped — those seqs sit in [skipped] so a late
+   arrival is still delivered rather than mistaken for a duplicate).
+   [held] buffers arrivals ahead of a hole. *)
+type link = {
+  src : string;
+  dst : string;
+  mutable last_seq : int;
+  mutable frames : pending Seqs.t;
+  mutable count : int;
   mutable next : int;
-  held : (int, bytes) Hashtbl.t;
-  skipped : (int, unit) Hashtbl.t;
+  mutable held : bytes Seqs.t;
+  mutable skipped : unit Seqs.t;
   mutable flush_armed : bool;
 }
 
@@ -83,9 +91,7 @@ type t = {
   eq : Event_queue.t;
   config : config;
   counters : counters;
-  next_seq : (string * string, int) Hashtbl.t;  (* (src, dst) -> last seq *)
-  pending : (string * string * int, pending) Hashtbl.t;  (* (src, dst, seq) *)
-  order : (string * string, order) Hashtbl.t;  (* (receiver, sender) *)
+  links : (string * string, link) Hashtbl.t;  (* (src, dst) *)
   mutable give_up_listeners : (src:string -> dst:string -> unit) list;
   mutable observer : (bytes -> string -> unit) option;
       (* (payload, event) tap on per-frame fate — retried / gave-up /
@@ -96,6 +102,31 @@ type t = {
 
 let observe t payload event =
   match t.observer with None -> () | Some f -> ( try f payload event with _ -> ())
+
+let link t ~src ~dst =
+  let key = (src, dst) in
+  match Hashtbl.find_opt t.links key with
+  | Some l -> l
+  | None ->
+      let l =
+        {
+          src;
+          dst;
+          last_seq = 0;
+          frames = Seqs.empty;
+          count = 0;
+          next = 1;
+          held = Seqs.empty;
+          skipped = Seqs.empty;
+          flush_armed = false;
+        }
+      in
+      Hashtbl.add t.links key l;
+      l
+
+let forget l seq =
+  l.frames <- Seqs.remove seq l.frames;
+  l.count <- l.count - 1
 
 (* --- envelope codec ---------------------------------------------------- *)
 
@@ -110,13 +141,14 @@ let encode tag seq payload =
   Bytes.blit payload 0 b 5 n;
   b
 
+let payload_of b = Bytes.sub b 5 (Bytes.length b - 5)
+
 let decode b =
   if Bytes.length b < 5 then None
   else
     let byte i = Char.code (Bytes.get b i) in
     let seq = (byte 1 lsl 24) lor (byte 2 lsl 16) lor (byte 3 lsl 8) lor byte 4 in
-    let payload = Bytes.sub b 5 (Bytes.length b - 5) in
-    Some (Bytes.get b 0, seq, payload)
+    Some (Bytes.get b 0, seq, payload_of b)
 
 (* A voided send (see [cancel]) is a bare envelope header. *)
 let voided p = Bytes.length p.p_bytes = 5
@@ -124,58 +156,44 @@ let voided p = Bytes.length p.p_bytes = 5
 (* Taps a pending frame's fate. The envelope is unwrapped only when an
    observer is attached; a voided send has no payload to attribute. *)
 let observe_pending t p event =
-  if Option.is_some t.observer then
-    match decode p.p_bytes with
-    | Some (_, _, pl) when Bytes.length pl > 0 -> observe t pl event
-    | _ -> ()
+  if Option.is_some t.observer && not (voided p) then observe t (payload_of p.p_bytes) event
 
 (* --- in-order delivery + duplicate suppression ------------------------- *)
-
-let order_win t ~receiver ~sender =
-  let key = (receiver, sender) in
-  match Hashtbl.find_opt t.order key with
-  | Some w -> w
-  | None ->
-      let w =
-        { next = 1; held = Hashtbl.create 8; skipped = Hashtbl.create 4; flush_armed = false }
-      in
-      Hashtbl.add t.order key w;
-      w
 
 (* Voided sends (see [cancel]) travel as empty payloads: they keep the seq
    stream gapless but carry nothing for the layer above. *)
 let deliver h ~src payload = if Bytes.length payload > 0 then h ~src payload
 
-let rec drain w ~src h =
-  match Hashtbl.find_opt w.held w.next with
+let rec drain l h =
+  match Seqs.find_opt l.next l.held with
   | Some payload ->
-      Hashtbl.remove w.held w.next;
-      w.next <- w.next + 1;
-      deliver h ~src payload;
-      drain w ~src h
+      l.held <- Seqs.remove l.next l.held;
+      l.next <- l.next + 1;
+      deliver h ~src:l.src payload;
+      drain l h
   | None -> ()
 
 (* A hole ahead of buffered frames must not stall delivery forever — the
    missing frame may have been abandoned by its sender. After
    [gap_timeout_ns] of no progress, skip to the lowest held seq (recording
    the skipped seqs so stragglers are still delivered) and drain. *)
-let rec arm_flush t w ~src h =
-  if not w.flush_armed then begin
-    w.flush_armed <- true;
-    let expected = w.next in
+let rec arm_flush t l h =
+  if not l.flush_armed then begin
+    l.flush_armed <- true;
+    let expected = l.next in
     Event_queue.schedule t.eq ~delay_ns:t.config.gap_timeout_ns (fun () ->
-        w.flush_armed <- false;
-        if Hashtbl.length w.held > 0 then begin
-          if w.next = expected then begin
-            let lowest = Hashtbl.fold (fun s _ acc -> min s acc) w.held max_int in
-            for s = w.next to lowest - 1 do
-              Hashtbl.replace w.skipped s ()
+        l.flush_armed <- false;
+        if not (Seqs.is_empty l.held) then begin
+          if l.next = expected then begin
+            let lowest, _ = Seqs.min_binding l.held in
+            for s = l.next to lowest - 1 do
+              l.skipped <- Seqs.add s () l.skipped
             done;
-            w.next <- lowest;
+            l.next <- lowest;
             t.counters.gap_skips <- t.counters.gap_skips + 1;
-            drain w ~src h
+            drain l h
           end;
-          if Hashtbl.length w.held > 0 then arm_flush t w ~src h
+          if not (Seqs.is_empty l.held) then arm_flush t l h
         end)
   end
 
@@ -184,55 +202,42 @@ let rec arm_flush t w ~src h =
 let retry_delay t retries =
   Int64.of_float (Int64.to_float t.config.timeout_ns *. (t.config.backoff ** float_of_int retries))
 
-let rec arm_timer t key delay =
+(* The timer holds the seq, not the frame, so an acked envelope is garbage
+   at once rather than when its timer fires. *)
+let rec arm_timer t l seq delay =
   Event_queue.schedule t.eq ~delay_ns:delay (fun () ->
-      match Hashtbl.find_opt t.pending key with
+      match Seqs.find_opt seq l.frames with
       | None -> () (* acked in the meantime; timers are never cancelled *)
       | Some p ->
           if p.p_retries >= t.config.max_retries then begin
-            Hashtbl.remove t.pending key;
+            forget l seq;
             t.counters.gave_up <- t.counters.gave_up + 1;
             observe_pending t p "gave-up";
-            let src, dst, _ = key in
-            List.iter (fun f -> f ~src ~dst) t.give_up_listeners
+            List.iter (fun f -> f ~src:l.src ~dst:l.dst) t.give_up_listeners
           end
           else begin
             p.p_retries <- p.p_retries + 1;
             t.counters.retransmits <- t.counters.retransmits + 1;
             observe_pending t p "retried";
-            let src, _, _ = key in
-            Channel.send t.inner ~cls:p.p_cls ~src ~dst:p.p_dst p.p_bytes;
-            arm_timer t key (retry_delay t p.p_retries)
+            Channel.send t.inner ~cls:p.p_cls ~src:l.src ~dst:l.dst p.p_bytes;
+            arm_timer t l seq (retry_delay t p.p_retries)
           end)
 
 (* The pending set is otherwise unbounded under a partitioned peer: every
    send to it parks an envelope in the retry wheel for the full backoff
-   schedule. At [max_pending_per_dst] in-flight frames to one destination,
-   abandon the oldest telemetry payload (stated class 3) owed to it —
+   schedule. At [max_pending_per_dst] in-flight frames on one link,
+   abandon the oldest telemetry payload (stated class 3) owed on it —
    the receiver's gap-skip machinery already copes with abandoned senders,
    and by the time the peer heals a stale perf scrape answers nothing.
    Frames of any other class are never shed here; if only those remain the
    set is allowed to exceed the cap (at-least-once beats the bound). *)
-let enforce_pending_cap t ~src ~dst =
-  let per_dst =
-    Hashtbl.fold
-      (fun (s, d, _) _ acc -> if s = src && d = dst then acc + 1 else acc)
-      t.pending 0
-  in
-  if per_dst > t.counters.pending_high_water then t.counters.pending_high_water <- per_dst;
-  if per_dst > t.config.max_pending_per_dst then
-    let victim =
-      Hashtbl.fold
-        (fun (s, d, seq) (p : pending) acc ->
-          if s = src && d = dst && p.p_cls >= 3 && not (voided p) then
-            match acc with Some (s0, _) when s0 <= seq -> acc | _ -> Some (seq, p)
-          else acc)
-        t.pending None
-    in
-    match victim with
+let enforce_pending_cap t l =
+  if l.count > t.counters.pending_high_water then t.counters.pending_high_water <- l.count;
+  if l.count > t.config.max_pending_per_dst then
+    match Seqs.to_seq l.frames |> Seq.find (fun (_, p) -> p.p_cls >= 3 && not (voided p)) with
     | Some (seq, p) ->
         observe_pending t p "transport-shed";
-        Hashtbl.remove t.pending (src, dst, seq);
+        forget l seq;
         t.counters.pending_shed <- t.counters.pending_shed + 1
     | None -> ()
 
@@ -244,15 +249,17 @@ let send t ~cls ~src ~dst payload =
     Channel.send t.inner ~cls ~src ~dst (encode 'U' 0 payload)
   end
   else begin
-    let seq = 1 + (try Hashtbl.find t.next_seq (src, dst) with Not_found -> 0) in
-    Hashtbl.replace t.next_seq (src, dst) seq;
+    let l = link t ~src ~dst in
+    let seq = l.last_seq + 1 in
+    l.last_seq <- seq;
     let b = encode 'D' seq payload in
-    Hashtbl.replace t.pending (src, dst, seq)
-      { p_dst = dst; p_cls = cls; p_bytes = b; p_retries = 0 };
+    let p = { p_cls = cls; p_bytes = b; p_retries = 0 } in
+    l.frames <- Seqs.add seq p l.frames;
+    l.count <- l.count + 1;
     t.counters.data_sent <- t.counters.data_sent + 1;
-    enforce_pending_cap t ~src ~dst;
+    enforce_pending_cap t l;
     Channel.send t.inner ~cls ~src ~dst b;
-    arm_timer t (src, dst, seq) t.config.timeout_ns
+    arm_timer t l seq t.config.timeout_ns
   end
 
 (* --- receiver side ----------------------------------------------------- *)
@@ -262,31 +269,33 @@ let subscribe t id (h : Channel.handler) =
       match decode b with
       | None -> () (* not ours; garbage on the channel *)
       | Some ('U', _, payload) -> h ~src payload
-      | Some ('A', seq, _) ->
+      | Some ('A', seq, _) -> (
           t.counters.acks_received <- t.counters.acks_received + 1;
-          Hashtbl.remove t.pending (id, src, seq)
+          match Hashtbl.find_opt t.links (id, src) with
+          | Some l when Seqs.mem seq l.frames -> forget l seq
+          | _ -> ())
       | Some ('D', seq, payload) ->
           (* Always (re-)ack: the previous ack may have been lost. Acks
              state class 1, as acks do in the P0–P3 table; nothing below
              this layer reads it. *)
           t.counters.acks_sent <- t.counters.acks_sent + 1;
           Channel.send t.inner ~cls:1 ~src:id ~dst:src (encode 'A' seq Bytes.empty);
-          let w = order_win t ~receiver:id ~sender:src in
-          if Hashtbl.mem w.skipped seq then begin
+          let l = link t ~src ~dst:id in
+          if Seqs.mem seq l.skipped then begin
             (* A straggler we already skipped past: deliver it late rather
                than break at-least-once. Order was forfeited at the skip. *)
-            Hashtbl.remove w.skipped seq;
+            l.skipped <- Seqs.remove seq l.skipped;
             deliver h ~src payload
           end
-          else if seq < w.next || Hashtbl.mem w.held seq then begin
+          else if seq < l.next || Seqs.mem seq l.held then begin
             t.counters.duplicates <- t.counters.duplicates + 1;
             if Bytes.length payload > 0 then observe t payload "dedup"
           end
           else begin
-            if seq <> w.next then t.counters.held_back <- t.counters.held_back + 1;
-            Hashtbl.replace w.held seq payload;
-            drain w ~src h;
-            if Hashtbl.length w.held > 0 then arm_flush t w ~src h
+            if seq <> l.next then t.counters.held_back <- t.counters.held_back + 1;
+            l.held <- Seqs.add seq payload l.held;
+            drain l h;
+            if not (Seqs.is_empty l.held) then arm_flush t l h
           end
       | Some _ -> ())
 
@@ -312,9 +321,7 @@ let create ?(config = default_config) ~eq inner =
           pending_high_water = 0;
           pending_shed = 0;
         };
-      next_seq = Hashtbl.create 32;
-      pending = Hashtbl.create 32;
-      order = Hashtbl.create 32;
+      links = Hashtbl.create 32;
       give_up_listeners = [];
       observer = None;
     }
@@ -337,24 +344,39 @@ let create ?(config = default_config) ~eq inner =
    delivery of later frames to [dst] is not stalled behind a hole.
    Returns the number of sends recalled. *)
 let cancel t ~src ~dst payload =
-  let victims =
-    Hashtbl.fold
-      (fun (s, d, seq) (p : pending) acc ->
-        if s = src && d = dst then
-          match decode p.p_bytes with
-          | Some ('D', _, pl) when Bytes.length pl > 0 && Bytes.equal pl payload ->
-              (seq, p) :: acc
-          | _ -> acc
-        else acc)
-      t.pending []
+  let n = Bytes.length payload in
+  let carries p =
+    n > 0 && Bytes.length p.p_bytes = 5 + n && Bytes.equal (payload_of p.p_bytes) payload
   in
-  List.iter (fun (seq, p) -> p.p_bytes <- encode 'D' seq Bytes.empty) victims;
-  List.length victims
+  match Hashtbl.find_opt t.links (src, dst) with
+  | None -> 0
+  | Some l ->
+      Seqs.fold
+        (fun seq p recalled ->
+          if carries p then begin
+            p.p_bytes <- encode 'D' seq Bytes.empty;
+            recalled + 1
+          end
+          else recalled)
+        l.frames 0
 
 let on_give_up t f = t.give_up_listeners <- f :: t.give_up_listeners
 let set_observer t f = t.observer <- Some f
 let counters t = t.counters
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = Hashtbl.fold (fun _ l acc -> acc + l.count) t.links 0
+
+type frame_view = { seq : int; cls : int; payload : bytes }
+
+let links t =
+  Hashtbl.fold
+    (fun _ l acc ->
+      let frames =
+        List.map
+          (fun (seq, p) -> { seq; cls = p.p_cls; payload = payload_of p.p_bytes })
+          (Seqs.bindings l.frames)
+      in
+      (l.src, l.dst, l.count, frames) :: acc)
+    t.links []
 
 (* Registry-source form of the counters, named per the subsystem.name
    convention (see Obs.Registry in lib/obs). *)

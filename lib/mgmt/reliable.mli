@@ -95,6 +95,16 @@ val counters : t -> counters
 val in_flight : t -> int
 (** Number of unacked unicasts currently being retried. *)
 
+type frame_view = { seq : int; cls : int; payload : bytes }
+(** An unacked unicast: its sequence number, its stated class and its
+    payload (empty once {!cancel} voided it). *)
+
+val links : t -> (string * string * int * frame_view list) list
+(** [(src, dst, count, frames)] for every directed link the layer has
+    carried a unicast on: [count] is the in-flight depth the pending cap
+    reads, [frames] the link's unacked unicasts, oldest first. {!in_flight}
+    is the sum of the counts. Exposes the bookkeeping to tests. *)
+
 val obs_counters : t -> (string * int) list
 (** The counters in registry-source form (e.g. [("retransmits", n)]) for
     [Obs.Registry.register]. *)

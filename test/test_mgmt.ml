@@ -295,6 +295,95 @@ let test_reliable_gives_up_on_dead_destination () =
   check tbool "give-up listener told" true (List.mem ("a", "b") !abandoned);
   check tint "pending cleaned up" 0 (Reliable.in_flight rel)
 
+(* Reliable's bookkeeping under 30% loss, duplication, jitter, cancels and
+   give-ups, checked after every send, cancel and event: each link's count
+   equals its unacked frames and [in_flight] is their sum. Every send that
+   crosses the cap (4 per link here) must shed the frame a fold over all
+   pending frames picks: the lowest-seq class-3 frame on that link that no
+   cancel voided — the new frame itself when nothing older qualifies. *)
+let test_reliable_bookkeeping () =
+  let eq = Event_queue.create () in
+  let faulty, faults = Faults.wrap ~seed:11 ~eq (Channel.Oob.create eq) in
+  Faults.set_drop faults 0.3;
+  Faults.set_duplicate faults 0.2;
+  Faults.set_jitter faults 3_000L;
+  let cap = 4 in
+  let config =
+    { Reliable.default_config with Reliable.max_retries = 3; max_pending_per_dst = cap }
+  in
+  let chan, rel = Reliable.create ~config ~eq faulty in
+  let shed = ref [] in
+  Reliable.set_observer rel (fun payload event ->
+      if event = "transport-shed" then shed := Bytes.to_string payload :: !shed);
+  let live = [ "nm"; "a"; "b" ] in
+  List.iter (fun id -> Channel.subscribe chan ~device_id:id (fun ~src:_ _ -> ())) live;
+  (* "dead" never subscribes: nothing sent to it is ever acked *)
+  let stations = Array.of_list ("dead" :: live) in
+  let audit () =
+    let links = Reliable.links rel in
+    List.iter
+      (fun (src, dst, count, frames) ->
+        let where = Printf.sprintf "%s->%s" src dst in
+        check tint (where ^ " count") (List.length frames) count;
+        let seqs = List.map (fun f -> f.Reliable.seq) frames in
+        check (Alcotest.list tint) (where ^ " oldest first") (List.sort_uniq compare seqs) seqs)
+      links;
+    check tint "in_flight is the sum" (List.fold_left (fun acc (_, _, n, _) -> acc + n) 0 links)
+      (Reliable.in_flight rel)
+  in
+  let reference_victim ~src ~dst ~cls payload =
+    let all =
+      List.concat_map (fun (s, d, _, fs) -> List.map (fun f -> (s, d, f)) fs) (Reliable.links rel)
+    in
+    let on_link = List.filter (fun (s, d, _) -> s = src && d = dst) all in
+    let oldest =
+      List.fold_left
+        (fun acc (s, d, f) ->
+          if s = src && d = dst && f.Reliable.cls >= 3 && Bytes.length f.Reliable.payload > 0 then
+            match acc with Some g when g.Reliable.seq <= f.Reliable.seq -> acc | _ -> Some f
+          else acc)
+        None all
+    in
+    if List.length on_link + 1 <= cap then []
+    else
+      match oldest with
+      | Some f -> [ Bytes.to_string f.Reliable.payload ]
+      | None -> if cls >= 3 then [ payload ] else []
+  in
+  let rng = Random.State.make [| 5 |] in
+  let sent = ref [] and cancelled = ref 0 in
+  for i = 1 to 3000 do
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let src = stations.(1 + Random.State.int rng 3) in
+        let dst = stations.(Random.State.int rng 4) in
+        if src <> dst then begin
+          let cls = 1 + Random.State.int rng 3 and payload = Printf.sprintf "f%d" i in
+          let expected = reference_victim ~src ~dst ~cls payload in
+          shed := [];
+          Channel.send chan ~cls ~src ~dst (Bytes.of_string payload);
+          check (Alcotest.list Alcotest.string) "the cap's victim" expected !shed;
+          sent := (src, dst, payload) :: !sent
+        end
+    | 4 -> (
+        match !sent with
+        | [] -> ()
+        | l ->
+            let src, dst, payload = List.nth l (Random.State.int rng (min 8 (List.length l))) in
+            cancelled := !cancelled + Reliable.cancel rel ~src ~dst (Bytes.of_string payload))
+    | _ -> (
+        try ignore (Event_queue.run ~max_events:1 eq) with Event_queue.Budget_exhausted -> ()));
+    audit ()
+  done;
+  let _ = Event_queue.run eq in
+  audit ();
+  let c = Reliable.counters rel in
+  check tint "nothing left in flight" 0 (Reliable.in_flight rel);
+  check tbool "frames were shed at the cap" true (c.Reliable.pending_shed > 0);
+  check tbool "sends were given up" true (c.Reliable.gave_up > 0);
+  check tbool "duplicates were suppressed" true (c.Reliable.duplicates > 0);
+  check tbool "sends were cancelled" true (!cancelled > 0)
+
 let () =
   Alcotest.run "mgmt"
     [
@@ -327,5 +416,6 @@ let () =
           Alcotest.test_case "delivery over 30% loss" `Quick test_reliable_over_lossy_channel;
           Alcotest.test_case "gives up on dead destination" `Quick
             test_reliable_gives_up_on_dead_destination;
+          Alcotest.test_case "per-link bookkeeping" `Quick test_reliable_bookkeeping;
         ] );
     ]

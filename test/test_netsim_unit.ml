@@ -52,6 +52,176 @@ let test_eq_negative_delay_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The Map-keyed queue the binary heap replaced, kept as the reference
+   model: [prop_eq_matches_reference] runs random programs on both. *)
+module Ref_queue = struct
+  module M = Map.Make (struct
+    type t = int64 * int
+
+    let compare (t1, s1) (t2, s2) = match Int64.compare t1 t2 with 0 -> compare s1 s2 | c -> c
+  end)
+
+  type t = {
+    mutable now : int64;
+    mutable seq : int;
+    mutable events : (unit -> unit) M.t;
+    mutable processed : int;
+  }
+
+  exception Budget_exhausted
+
+  let create () = { now = 0L; seq = 0; events = M.empty; processed = 0 }
+  let now t = t.now
+  let pending t = M.cardinal t.events
+  let processed t = t.processed
+
+  let schedule t ~delay_ns f =
+    if delay_ns < 0L then invalid_arg "Ref_queue.schedule";
+    let key = (Int64.add t.now delay_ns, t.seq) in
+    t.seq <- t.seq + 1;
+    t.events <- M.add key f t.events
+
+  let run_while ~max_events t due =
+    let count = ref 0 in
+    let rec loop () =
+      match M.min_binding_opt t.events with
+      | Some (((time, _) as key), f) when due time ->
+          if !count >= max_events then raise Budget_exhausted;
+          incr count;
+          t.processed <- t.processed + 1;
+          t.events <- M.remove key t.events;
+          t.now <- time;
+          f ();
+          loop ()
+      | _ -> ()
+    in
+    loop ();
+    !count
+
+  let run ?(max_events = 10_000_000) t = run_while ~max_events t (fun _ -> true)
+
+  let run_until ?(max_events = 10_000_000) ?(advance = true) t ~deadline =
+    let count = run_while ~max_events t (fun time -> time <= deadline) in
+    if advance && deadline > t.now then t.now <- deadline;
+    count
+end
+
+module type QUEUE = sig
+  type t
+
+  exception Budget_exhausted
+
+  val create : unit -> t
+  val now : t -> int64
+  val pending : t -> int
+  val processed : t -> int
+  val schedule : t -> delay_ns:int64 -> (unit -> unit) -> unit
+  val run : ?max_events:int -> t -> int
+  val run_until : ?max_events:int -> ?advance:bool -> t -> deadline:int64 -> int
+end
+
+(* An event waits [delay] and, when it fires, schedules its children. *)
+type ev = Ev of int64 * ev list
+type deadline = Behind of int64 | Ahead of int64 | Forever
+
+type op =
+  | Schedule of ev
+  | Run of int option  (** max_events *)
+  | Run_until of deadline * bool * int option  (** deadline, advance, max_events *)
+
+(* Runs a program and returns, after each op, its outcome, the events fired
+   so far (numbered in scheduling order), [now], [pending] and
+   [processed]. A [Run]/[Run_until] outcome is its count, or -1 for
+   [Budget_exhausted]. Once a [Forever] deadline has advanced the clock
+   past 63 bits, later top-level schedules are skipped: the heap keeps
+   [int] times. *)
+module Drive (Q : QUEUE) = struct
+  let go prog =
+    let q = Q.create () in
+    let fired = ref [] and next_id = ref 0 in
+    let rec sched (Ev (delay_ns, kids)) =
+      let id = !next_id in
+      incr next_id;
+      Q.schedule q ~delay_ns (fun () ->
+          fired := id :: !fired;
+          List.iter sched kids)
+    in
+    let budgeted f = try f () with Q.Budget_exhausted -> -1 in
+    List.map
+      (fun op ->
+        let outcome =
+          match op with
+          | Schedule ev ->
+              if Q.now q < Int64.of_int max_int then sched ev;
+              0
+          | Run max_events -> budgeted (fun () -> Q.run ?max_events q)
+          | Run_until (d, advance, max_events) ->
+              let deadline =
+                match d with
+                | Behind k -> Int64.sub (Q.now q) k
+                | Ahead k -> Int64.add (Q.now q) k
+                | Forever -> Int64.max_int
+              in
+              budgeted (fun () -> Q.run_until ?max_events ~advance q ~deadline)
+        in
+        (outcome, List.rev !fired, Q.now q, Q.pending q, Q.processed q))
+      prog
+end
+
+module Heap_run = Drive (Event_queue)
+module Ref_run = Drive (Ref_queue)
+
+let rec pp_ev (Ev (d, kids)) =
+  Printf.sprintf "%Ld[%s]" d (String.concat " " (List.map pp_ev kids))
+
+let pp_op = function
+  | Schedule ev -> "schedule " ^ pp_ev ev
+  | Run m -> Printf.sprintf "run %s" (Option.fold ~none:"-" ~some:string_of_int m)
+  | Run_until (d, adv, m) ->
+      Printf.sprintf "run_until %s advance=%b max=%s"
+        (match d with
+        | Behind k -> Printf.sprintf "now-%Ld" k
+        | Ahead k -> Printf.sprintf "now+%Ld" k
+        | Forever -> "max_int")
+        adv
+        (Option.fold ~none:"-" ~some:string_of_int m)
+
+let prog_gen =
+  let open QCheck.Gen in
+  (* few distinct delays, so equal timestamps are common *)
+  let delay = oneofl [ 0L; 0L; 1L; 2L; 5L; 100L ] in
+  let ev =
+    fix
+      (fun self depth ->
+        let* d = delay in
+        let* kids = if depth = 0 then return [] else list_size (int_bound 2) (self (depth - 1)) in
+        return (Ev (d, kids)))
+      3
+  in
+  let budget = frequency [ (3, return None); (2, map Option.some (int_bound 6)) ] in
+  let deadline =
+    frequency
+      [
+        (2, map (fun k -> Behind (Int64.of_int k)) (int_bound 20));
+        (5, map (fun k -> Ahead (Int64.of_int k)) (int_bound 120));
+        (1, return Forever);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (5, map (fun e -> Schedule e) ev);
+        (1, map (fun m -> Run m) budget);
+        (3, map3 (fun d a m -> Run_until (d, a, m)) deadline bool budget);
+      ]
+  in
+  list_size (int_bound 40) op
+
+let prop_eq_matches_reference =
+  QCheck.Test.make ~name:"heap matches the Map reference" ~count:1000
+    (QCheck.make ~print:(fun p -> String.concat "; " (List.map pp_op p)) prog_gen)
+    (fun prog -> Heap_run.go prog = Ref_run.go prog)
+
 (* --- links ---------------------------------------------------------------------- *)
 
 let test_link_mtu_drop () =
@@ -531,6 +701,7 @@ let () =
           Alcotest.test_case "budget guard" `Quick test_eq_budget;
           Alcotest.test_case "negative delay" `Quick test_eq_negative_delay_rejected;
           Alcotest.test_case "run until deadline" `Quick test_eq_run_until;
+          QCheck_alcotest.to_alcotest prop_eq_matches_reference;
         ] );
       ( "links",
         [

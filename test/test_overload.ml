@@ -1,6 +1,7 @@
 (* Overload-protection tests: wire-priority classification, the admission
    layer's token bucket / bounded queues / lowest-priority-first shedding,
-   Reliable's per-destination pending cap, seeded mutational fuzzing of
+   Reliable's per-destination pending cap, conveys on long chains (never
+   throttled: they ride at P1), seeded mutational fuzzing of
    every channel codec (decode must never raise anything undeclared),
    HA failure detection under a telemetry storm, and the telemetry
    poller's shed-feedback backoff. *)
@@ -25,6 +26,14 @@ let test_wire_priorities () =
   check tint "journal ack is P1" 1 (p (Wire.Ha_journal_ack { epoch = 1; upto = 3 }));
   check tint "hello is P2" 2 (p (Wire.Hello { ports = [] }));
   check tint "showActual is P2" 2 (p (Wire.Show_actual_req { req = 4 }));
+  check tint "convey is P1" 1
+    (p
+       (Wire.Convey
+          {
+            src = Ids.v "MPLS" "p" "id-R1";
+            dst = Ids.v "MPLS" "q" "id-R2";
+            payload = Peer_msg.Mpls_label_bind { pipe = "P1"; label = 16; nexthop = "10.0.0.2" };
+          }));
   check tint "fenced probe is P2" 2
     (p (Wire.Fenced { epoch = 1; msg = Wire.Show_actual_req { req = 5 } }));
   check tint "showPerf req is P3" 3 (p (Wire.Show_perf_req { req = 6 }));
@@ -190,6 +199,42 @@ let test_reliable_pending_cap () =
   check tint "no probe was shed" 6 c.Mgmt.Reliable.pending_shed;
   check tint "probes all still pending" 14 (Mgmt.Reliable.in_flight rel);
   check tbool "cap overshoot recorded" true (c.Mgmt.Reliable.pending_high_water >= 10)
+
+(* --- conveys ride at P1 ----------------------------------------------------- *)
+
+(* The NM relays every module-to-module convey from its own per-peer
+   budget. At P2 a long MPLS chain drained that bucket within a few goals:
+   label bindings were deferred, and past the 128-frame backlog shed, while
+   [Nm.achieve] still returned [Ok] for an LSP that did not ping. *)
+
+let chain_goals c goals =
+  let eq = Netsim.Net.eq c.Scenarios.ctb.Netsim.Testbeds.chain_net in
+  List.init goals (fun _ ->
+      let t0 = Netsim.Event_queue.now eq in
+      match Nm.achieve c.Scenarios.cnm c.Scenarios.cgoal with
+      | Error e -> Alcotest.fail e
+      | Ok (_, _, script) ->
+          let pinged = Scenarios.chain_reachable c in
+          Nm.teardown c.Scenarios.cnm script;
+          (pinged, Int64.sub (Netsim.Event_queue.now eq) t0))
+
+let p2_deferred c = (Mgmt.Admission.counters c.Scenarios.cadmission).(2).Mgmt.Admission.deferred
+
+let test_long_chain_keeps_its_lsp () =
+  let c = Scenarios.build_chain 100 in
+  let pinged = List.map fst (chain_goals c 6) in
+  check (Alcotest.list tbool) "every goal pings" (List.init 6 (fun _ -> true)) pinged;
+  check tint "no P2 frame waited for tokens" 0 (p2_deferred c)
+
+(* Goal 1 pays one-off costs; from goal 2 on, every goal takes the same
+   virtual time. *)
+let test_chain_goal_time_flat () =
+  let c = Scenarios.build_chain ~fault_seed:7 11 in
+  let runs = List.tl (chain_goals c 100) in
+  check tbool "every goal pings" true (List.for_all fst runs);
+  let second = snd (List.hd runs) in
+  check tbool "flat virtual time per goal" true (List.for_all (fun (_, ns) -> ns = second) runs);
+  check tint "no P2 frame waited for tokens" 0 (p2_deferred c)
 
 (* --- codec fuzzing --------------------------------------------------------- *)
 
@@ -551,6 +596,13 @@ let () =
         ] );
       ( "reliable",
         [ Alcotest.test_case "pending buffers are bounded" `Quick test_reliable_pending_cap ] );
+      ( "convey",
+        [
+          Alcotest.test_case "a 100-router chain keeps its LSP" `Quick
+            test_long_chain_keeps_its_lsp;
+          Alcotest.test_case "100 chain goals, flat virtual time" `Quick
+            test_chain_goal_time_flat;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "Wire.decode never raises undeclared" `Quick test_fuzz_wire_decode;
