@@ -1057,13 +1057,24 @@ let trace_datapoints () =
 
 (* One VPN NM serves 1000 goals (achieve, ping, teardown). A long-lived NM
    must pay the same for its last goal as for an early one, and teardown
-   must leave each device as it found it. Counts only, never wall clock:
-   mean minor words allocated per goal over goals 51-100 and 951-1000, the
-   policy routing tables on each edge router after the first and the last
-   teardown, the intents the NM still lists, and its journal: the entries
-   it holds and the entries ever appended. CI gates on late <= 1.01 x
-   early, on unchanged table counts and on a bounded journal. *)
+   must leave each device as it found it. Then one diamond NM with
+   telemetry over its scope keeps one intent healthy for 600 fault-free
+   Monitor ticks (probe, drift check and showPerf scrape on each): a tick
+   must cost the same late as early. Counts only, never wall clock: mean
+   minor words allocated per goal over goals 51-100 and 951-1000 and per
+   tick over ticks 51-100 and 551-600, the policy routing tables on each
+   edge router after the first and the last teardown, the intents the NM
+   still lists, and its journal: the entries it holds and the entries ever
+   appended. CI gates on late <= 1.01 x early for goals and ticks, on
+   unchanged table counts and on a bounded journal. *)
 let history_datapoints () =
+  let mean words first last =
+    let sum = ref 0. in
+    for k = first - 1 to last - 1 do
+      sum := !sum +. words.(k)
+    done;
+    !sum /. float_of_int (last - first + 1)
+  in
   let goals = 1000 in
   let v = Scenarios.build_vpn () in
   let nm = v.Scenarios.nm in
@@ -1083,13 +1094,21 @@ let history_datapoints () =
     words.(k) <- Gc.minor_words () -. w0;
     if k = 0 then after_first := policy_tables ()
   done;
-  let mean first last =
-    let sum = ref 0. in
-    for k = first - 1 to last - 1 do
-      sum := !sum +. words.(k)
-    done;
-    !sum /. float_of_int (last - first + 1)
-  in
+  let ticks = 600 in
+  let d = Scenarios.build_diamond () in
+  (match Nm.achieve d.Scenarios.dnm d.Scenarios.dgoal with
+  | Ok _ -> ()
+  | Error e -> failwith ("history bench: diamond achieve: " ^ e));
+  let tel = Telemetry.create ~scope:d.Scenarios.dscope d.Scenarios.dnm in
+  let mon = Monitor.create ~telemetry:tel d.Scenarios.dnm in
+  let tick_words = Array.make ticks 0. in
+  for k = 0 to ticks - 1 do
+    let w0 = Gc.minor_words () in
+    Monitor.tick mon;
+    tick_words.(k) <- Gc.minor_words () -. w0
+  done;
+  if Monitor.repairs mon + Monitor.resyncs mon + Monitor.escalations mon > 0 then
+    failwith "history bench: the fault-free diamond was repaired";
   let tables_json l =
     String.concat ", " (List.map (fun (dev, n) -> Printf.sprintf "\"%s\": %d" dev n) l)
   in
@@ -1099,13 +1118,17 @@ let history_datapoints () =
       \  \"goals\": %d,\n\
       \  \"minor_words_per_goal_51_100\": %.1f,\n\
       \  \"minor_words_per_goal_951_1000\": %.1f,\n\
+      \  \"ticks\": %d,\n\
+      \  \"minor_words_per_tick_51_100\": %.1f,\n\
+      \  \"minor_words_per_tick_551_600\": %.1f,\n\
       \  \"policy_tables_after_first\": { %s },\n\
       \  \"policy_tables_after_last\": { %s },\n\
       \  \"intents\": %d,\n\
       \  \"journal_entries\": %d,\n\
       \  \"journal_length\": %d\n\
        }\n"
-      goals (mean 51 100) (mean 951 1000) (tables_json !after_first)
+      goals (mean words 51 100) (mean words 951 1000) ticks (mean tick_words 51 100)
+      (mean tick_words 551 600) (tables_json !after_first)
       (tables_json (policy_tables ()))
       (List.length (Nm.intents nm))
       (List.length (Intent.entries (Nm.journal nm)))

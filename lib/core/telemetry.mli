@@ -38,8 +38,5 @@ val maybe_scrape : t -> unit
 
 val anomalies : t -> Diagnose.anomaly list
 
-val hops_of_path : Path_finder.path -> Diagnose.hop list
-val segs_of_path : t -> Path_finder.path -> Diagnose.seg list
-
 val diagnose_path : t -> Path_finder.path -> Diagnose.diagnosis list
 (** Ranked root-cause diagnosis for one configured path. *)

@@ -19,30 +19,81 @@ type series = {
   (* previous absolute snapshot; None until the first observation, which
      only sets the baseline (a counter's whole history is not a delta) *)
   mutable s_last : (string * int) list option;
-  mutable s_samples : sample list; (* newest first, bounded by window *)
-  mutable s_dropped : int; (* samples evicted from the ring *)
-  mutable s_total : (string * int) list; (* cumulative deltas since baseline *)
+  (* the newest [s_count] samples; slot [s_next] is overwritten next *)
+  s_ring : sample array;
+  mutable s_next : int;
+  mutable s_count : int;
+  mutable s_dropped : int; (* samples overwritten in the ring *)
+  mutable s_total : (string * int ref) list; (* cumulative deltas since baseline *)
 }
+
+module Index = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    String.equal a.pipe b.pipe && String.equal a.module_id b.module_id
+    && String.equal a.device b.device
+
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   window : int;
-  series : (string, series) Hashtbl.t; (* flattened key -> series *)
+  (* flattened key -> series: [anomalies] walks this table, so its order is
+     the order the anomalies are reported in *)
+  series : (string, series) Hashtbl.t;
+  index : series Index.t; (* the same series, found without building a string *)
   (* consecutive scrape rounds a device failed to answer showPerf *)
   silent : (string, int) Hashtbl.t;
 }
 
 let create ?(window = 32) () =
-  { window = max 1 window; series = Hashtbl.create 64; silent = Hashtbl.create 8 }
-
-let window t = t.window
+  {
+    window = max 1 window;
+    series = Hashtbl.create 64;
+    index = Index.create 64;
+    silent = Hashtbl.create 8;
+  }
 
 let flat k = k.device ^ "|" ^ k.module_id ^ "|" ^ k.pipe
 
-let find_series t k = Hashtbl.find_opt t.series (flat k)
+let find_series t k = Index.find_opt t.index k
+let no_sample = { at_ns = 0L; deltas = [] }
 
-let keys t =
-  Hashtbl.fold (fun _ s acc -> s.s_key :: acc) t.series []
-  |> List.sort (fun a b -> compare (flat a) (flat b))
+(* [l] from its element named [name] on ([] if none). Agents report their
+   counters in a fixed order, so a cursor walked in step with the new
+   snapshot finds each name at its head; [all] is searched only when the
+   names stop lining up. Names are unique within a snapshot. *)
+let rec find_from name = function
+  | [] -> []
+  | (n, _) :: _ as l when String.equal n name -> l
+  | _ :: rest -> find_from name rest
+
+let at name cursor all =
+  match cursor with
+  | (n, _) :: _ when String.equal n name -> cursor
+  | _ -> find_from name all
+
+let tail = function _ :: l -> l | [] -> []
+
+(* The deltas of [counters] against the previous snapshot [before], in the
+   new snapshot's order, added to the series' totals on the way. A counter
+   absent from [before] counts from 0, one that went backwards (a reset)
+   clamps to 0. *)
+let deltas s ~before counters =
+  let rec go b_cur t_cur = function
+    | [] -> []
+    | (name, v) :: rest ->
+        let b = at name b_cur before in
+        let was = match b with (_, w) :: _ -> w | [] -> 0 in
+        let d = if v >= was then v - was else 0 in
+        let tot = at name t_cur s.s_total in
+        (match tot with
+        | (_, sum) :: _ -> sum := !sum + d
+        | [] -> s.s_total <- s.s_total @ [ (name, ref d) ]);
+        (name, d) :: go (tail b) (tail tot) rest
+  in
+  go before s.s_total counters
 
 let observe t ~at_ns ~device ~module_id ~pipe counters =
   let k = { device; module_id; pipe } in
@@ -50,40 +101,41 @@ let observe t ~at_ns ~device ~module_id ~pipe counters =
     match find_series t k with
     | Some s -> s
     | None ->
-        let s = { s_key = k; s_last = None; s_samples = []; s_dropped = 0; s_total = [] } in
+        let s =
+          {
+            s_key = k;
+            s_last = None;
+            s_ring = Array.make t.window no_sample;
+            s_next = 0;
+            s_count = 0;
+            s_dropped = 0;
+            s_total = [];
+          }
+        in
         Hashtbl.replace t.series (flat k) s;
+        Index.replace t.index k s;
         s
   in
   (match s.s_last with
   | None -> () (* baseline only *)
   | Some before ->
-      let deltas =
-        List.map
-          (fun (name, v) ->
-            let was = match List.assoc_opt name before with Some w -> w | None -> 0 in
-            (name, if v >= was then v - was else 0))
-          counters
-      in
-      s.s_samples <- { at_ns; deltas } :: s.s_samples;
-      (let rec drop_excess n = function
-         | [] -> []
-         | _ :: rest when n <= 0 ->
-             s.s_dropped <- s.s_dropped + 1;
-             drop_excess 0 rest
-         | x :: rest -> x :: drop_excess (n - 1) rest
-       in
-       s.s_samples <- drop_excess t.window s.s_samples);
-      s.s_total <-
-        List.map
-          (fun (name, d) ->
-            let so_far = match List.assoc_opt name s.s_total with Some x -> x | None -> 0 in
-            (name, so_far + d))
-          deltas
-        @ List.filter (fun (name, _) -> not (List.mem_assoc name deltas)) s.s_total);
+      s.s_ring.(s.s_next) <- { at_ns; deltas = deltas s ~before counters };
+      s.s_next <- (s.s_next + 1) mod t.window;
+      if s.s_count = t.window then s.s_dropped <- s.s_dropped + 1
+      else s.s_count <- s.s_count + 1);
   s.s_last <- Some counters
 
+(* The [i]-th newest sample (0 = newest), for [i < s_count]. *)
+let nth_newest s i =
+  let w = Array.length s.s_ring in
+  s.s_ring.((s.s_next - 1 - i + w) mod w)
+
 let dropped t k = match find_series t k with Some s -> s.s_dropped | None -> 0
-let samples t k = match find_series t k with Some s -> List.rev s.s_samples | None -> []
+
+let samples t k =
+  match find_series t k with
+  | Some s -> List.init s.s_count (fun i -> nth_newest s (s.s_count - 1 - i))
+  | None -> []
 
 let note_unreachable t device =
   let n = match Hashtbl.find_opt t.silent device with Some n -> n | None -> 0 in
@@ -98,22 +150,22 @@ let silent_rounds t device = match Hashtbl.find_opt t.silent device with Some n 
 let counter_of sample name =
   match List.assoc_opt name sample.deltas with Some v -> v | None -> 0
 
+(* Sum of a series' last [n] deltas of [name]. *)
+let series_recent s n name =
+  let acc = ref 0 in
+  for i = 0 to min n s.s_count - 1 do
+    acc := !acc + counter_of (nth_newest s i) name
+  done;
+  !acc
+
+let series_total s name = match List.assoc_opt name s.s_total with Some v -> !v | None -> 0
+
 (* Sum of the last [n] deltas of [name] (0 when the series is unknown). *)
 let recent ?(n = 3) t k name =
-  match find_series t k with
-  | None -> 0
-  | Some s ->
-      List.filteri (fun i _ -> i < n) s.s_samples
-      |> List.fold_left (fun acc sm -> acc + counter_of sm name) 0
+  match find_series t k with None -> 0 | Some s -> series_recent s n name
 
 let last_delta t k name = recent ~n:1 t k name
-
-let total t k name =
-  match find_series t k with
-  | None -> 0
-  | Some s -> ( match List.assoc_opt name s.s_total with Some v -> v | None -> 0)
-
-let ever_active t k name = total t k name > 0
+let total t k name = match find_series t k with None -> 0 | Some s -> series_total s name
 
 (* --- anomaly flags ---------------------------------------------------- *)
 
@@ -129,30 +181,28 @@ let pp_anomaly ppf = function
   | Rising_drops (k, c, n) -> Fmt.pf ppf "drops %a %s +%d" pp_key k c n
   | Silent (d, n) -> Fmt.pf ppf "silent %s (%d rounds)" d n
 
+let is_drop name = String.starts_with ~prefix:"drop:" name
+
 let anomalies t =
   let out = ref [] in
   Hashtbl.iter (fun d n -> if n > 0 then out := Silent (d, n) :: !out) t.silent;
   Hashtbl.iter
     (fun _ s ->
       let k = s.s_key in
-      if s.s_samples <> [] then begin
+      if s.s_count > 0 then begin
+        let ever_active c = series_total s c > 0 in
         List.iter
           (fun c ->
-            if ever_active t k c && recent ~n:2 t k c = 0 then out := Stalled (k, c) :: !out)
+            if ever_active c && series_recent s 2 c = 0 then out := Stalled (k, c) :: !out)
           [ "up_frames"; "down_frames" ];
-        (let up = recent t k "up_frames" and down = recent t k "down_frames" in
+        (let up = series_recent s 3 "up_frames" and down = series_recent s 3 "down_frames" in
          if
-           (up > 0 && down = 0 && ever_active t k "down_frames")
-           || (down > 0 && up = 0 && ever_active t k "up_frames")
+           (up > 0 && down = 0 && ever_active "down_frames")
+           || (down > 0 && up = 0 && ever_active "up_frames")
          then out := Asymmetric k :: !out);
-        match s.s_samples with
-        | latest :: _ ->
-            List.iter
-              (fun (name, d) ->
-                if d > 0 && String.length name >= 5 && String.sub name 0 5 = "drop:" then
-                  out := Rising_drops (k, name, d) :: !out)
-              latest.deltas
-        | [] -> ()
+        List.iter
+          (fun (name, d) -> if d > 0 && is_drop name then out := Rising_drops (k, name, d) :: !out)
+          (nth_newest s 0).deltas
       end)
     t.series;
   List.rev !out
@@ -243,29 +293,20 @@ let localize t ~hops ~segs =
             let rx_in = last_delta t rxk "up_frames" in
             let tx_out = last_delta t txk "down_frames" in
             if rx_in > 0 && tx_out = 0 then begin
+              (* strongest: a drop cause rising on one of the module's pipes,
+                 which are read in pipe order *)
               let module_anomaly m =
-                (* strongest: a drop cause rising on one of its pipes *)
-                let drops =
-                  List.filter_map
-                    (fun k ->
-                      if k.device = h.h_dev && k.module_id = m then
-                        match samples t k with
-                        | [] -> None
-                        | sms -> (
-                            let latest = List.nth sms (List.length sms - 1) in
-                            match
-                              List.find_opt
-                                (fun (name, d) ->
-                                  d > 0 && String.length name >= 5
-                                  && String.sub name 0 5 = "drop:")
-                                latest.deltas
-                            with
-                            | Some (name, d) -> Some (Fmt.str "%s %s +%d" k.pipe name d)
-                            | None -> None)
-                      else None)
-                    (keys t)
-                in
-                drops
+                Hashtbl.fold
+                  (fun _ s acc ->
+                    if s.s_key.device = h.h_dev && s.s_key.module_id = m && s.s_count > 0 then
+                      s :: acc
+                    else acc)
+                  t.series []
+                |> List.sort (fun a b -> String.compare a.s_key.pipe b.s_key.pipe)
+                |> List.filter_map (fun s ->
+                       let latest = nth_newest s 0 in
+                       List.find_opt (fun (name, d) -> d > 0 && is_drop name) latest.deltas
+                       |> Option.map (fun (name, d) -> Fmt.str "%s %s +%d" s.s_key.pipe name d))
               in
               (* the ETH modules carrying the adjacent segments are healthy
                  by construction here (traffic reached the device); blame

@@ -6,13 +6,16 @@
     and emits a ranked diagnosis. Protocol-agnostic: it only understands
     the standardized counter names every module reports per pipe —
     [up_frames]/[up_bytes] (traffic delivered upwards), [down_frames]/
-    [down_bytes] (traffic pushed downwards) and [drop:<cause>]. *)
+    [down_bytes] (traffic pushed downwards) and [drop:<cause>].
+
+    Each series is a fixed ring of [window] samples with its cumulative
+    totals kept beside it, so an observation costs O(counters): one pass
+    over the new snapshot in step with the previous one, one ring slot
+    overwritten, the totals updated in place. *)
 
 type t
 
 type key = { device : string; module_id : string; pipe : string }
-
-val pp_key : key Fmt.t
 
 type sample = { at_ns : int64; deltas : (string * int) list }
 
@@ -20,36 +23,32 @@ val create : ?window:int -> unit -> t
 (** [window] bounds the per-series delta ring (default 32); older samples
     are evicted and counted in {!dropped}. *)
 
-val window : t -> int
-
 val observe :
   t -> at_ns:int64 -> device:string -> module_id:string -> pipe:string -> (string * int) list -> unit
 (** Feeds one absolute (monotonic) counter snapshot. The first observation
     of a series only sets its baseline; subsequent ones push the
-    scrape-to-scrape delta into the ring. *)
+    scrape-to-scrape delta into the ring, in the snapshot's order: a
+    counter absent from the previous snapshot counts from 0, one that went
+    backwards (a reset) reports 0. Counter names are unique within a
+    snapshot. *)
 
 val note_unreachable : t -> string -> unit
 (** The device failed to answer a showPerf round. *)
 
 val note_reachable : t -> string -> unit
 val is_silent : t -> string -> bool
-val silent_rounds : t -> string -> int
 
-val keys : t -> key list
 val samples : t -> key -> sample list
 (** Oldest first. *)
 
 val dropped : t -> key -> int
 (** Samples evicted from the series' ring. *)
 
-val last_delta : t -> key -> string -> int
 val recent : ?n:int -> t -> key -> string -> int
 (** Sum of the last [n] (default 3) deltas of a counter. *)
 
 val total : t -> key -> string -> int
 (** Cumulative delta since the series' baseline. *)
-
-val ever_active : t -> key -> string -> bool
 
 (** {1 Anomaly flags} *)
 

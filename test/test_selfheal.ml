@@ -211,25 +211,37 @@ let test_monitor_resyncs_drift () =
   let mon = Monitor.create nm in
   Monitor.run mon ~ticks:2 (* healthy ticks: baseline the drift check *);
   check tint "no resync while healthy" 0 (Monitor.resyncs mon);
-  (* an operator deletes a pipe of the transit device directly on the box *)
-  let owner, pid =
-    match
-      List.find_map
-        (function
-          | Primitive.Create_pipe spec when spec.Primitive.top.Ids.dev = "id-B" ->
-              Some (spec.Primitive.top, spec.Primitive.pipe_id)
-          | _ -> None)
-        script.Script_gen.prims
-    with
-    | Some x -> x
-    | None -> Alcotest.fail "no pipe on the transit device in the script"
-  in
-  let agent_b = List.assoc "B" v.Scenarios.agents in
-  (match Agent.find_module agent_b owner with
-  | Some m -> m.Module_impl.delete_pipe pid
-  | None -> Alcotest.failf "module %s not found on B" (Ids.qualified owner));
+  (* an operator deletes a pipe on the transit device and one on the far
+     edge, directly on the boxes *)
+  List.iter
+    (fun (dev, agent) ->
+      let owner, pid =
+        match
+          List.find_map
+            (function
+              | Primitive.Create_pipe spec when spec.Primitive.top.Ids.dev = dev ->
+                  Some (spec.Primitive.top, spec.Primitive.pipe_id)
+              | _ -> None)
+            script.Script_gen.prims
+        with
+        | Some x -> x
+        | None -> Alcotest.failf "no pipe on %s in the script" dev
+      in
+      match Agent.find_module (List.assoc agent v.Scenarios.agents) owner with
+      | Some m -> m.Module_impl.delete_pipe pid
+      | None -> Alcotest.failf "module %s not found on %s" (Ids.qualified owner) agent)
+    [ ("id-B", "B"); ("id-C", "C") ];
   Monitor.run mon ~ticks:4;
   check tbool "drift was detected and resynced" true (Monitor.resyncs mon >= 1);
+  (match
+     List.filter (fun e -> contains_sub e.Monitor.ev_what "drift") (Monitor.events mon)
+   with
+  | first :: _ as drifts ->
+      check Alcotest.string "the resync names both devices, in baseline order"
+        "drift on id-B, id-C: resynced" first.Monitor.ev_what;
+      check tbool "the untouched edge is never named" false
+        (List.exists (fun e -> contains_sub e.Monitor.ev_what "id-A") drifts)
+  | [] -> Alcotest.fail "no drift was logged");
   check tbool "VPN reachable again" true (Scenarios.vpn_reachable v);
   (match Nm.intents nm with
   | [ i ] -> check tbool "intent healthy after resync" true (i.Intent.status = Intent.Active)
