@@ -47,7 +47,8 @@ let bench_fig5 =
   Test.make ~name:"fig5: potential graph (device A)"
     (Staged.stage (fun () ->
          List.iter
-           (fun (m, _) -> ignore (Potential_graph.below (Nm.topology v_shared.Scenarios.nm) m))
+           (fun (m, _) ->
+             ignore (Potential_graph.below (Topology.graph (Nm.topology v_shared.Scenarios.nm)) m))
            (Topology.modules_of_device (Nm.topology v_shared.Scenarios.nm) "id-A")))
 
 let bench_paths9 =
@@ -65,6 +66,43 @@ let bench_plan_best =
     (Staged.stage (fun () ->
          let c = Lazy.force chain11_shared in
          ignore (Path_finder.best (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal)))
+
+(* The same search after a change that drops the topology's potential
+   graph: the rebuild plus the search. Re-installing the same domain list
+   drops the index without changing the data. *)
+let bench_plan_best_cold =
+  Test.make ~name:"plan: best-first, index rebuilt first (chain n=11)"
+    (Staged.stage (fun () ->
+         let c = Lazy.force chain11_shared in
+         let topo = Nm.topology c.Scenarios.cnm in
+         Topology.set_domains topo ~module_domains:topo.Topology.module_domains
+           ~domain_prefixes:topo.Topology.domain_prefixes;
+         ignore (Path_finder.best topo c.Scenarios.cgoal)))
+
+(* Script generation for the planner's path on chains n = 11 and 160
+   (both planned before timing). *)
+let planned chain =
+  lazy
+    (let c = Lazy.force chain in
+     let topo = Nm.topology c.Scenarios.cnm in
+     match fst (Path_finder.best topo c.Scenarios.cgoal) with
+     | Some p -> (topo, c.Scenarios.cgoal, p)
+     | None -> failwith "bench: no path on the chain")
+
+let chain11_planned = planned chain11_shared
+let chain160_planned = planned (lazy (Scenarios.build_chain 160))
+
+let bench_generate name planned =
+  Test.make ~name
+    (Staged.stage (fun () ->
+         let topo, goal, p = Lazy.force planned in
+         ignore (Script_gen.generate topo goal p)))
+
+let bench_generate_n11 =
+  bench_generate "script_gen: the planner's path (chain n=11)" chain11_planned
+
+let bench_generate_n160 =
+  bench_generate "script_gen: the planner's path (chain n=160)" chain160_planned
 
 let gre_path =
   List.find Scenarios.pure_gre (Nm.find_paths v_shared.Scenarios.nm v_shared.Scenarios.goal)
@@ -251,6 +289,9 @@ let all_tests =
       bench_fig5;
       bench_paths9;
       bench_plan_best;
+      bench_plan_best_cold;
+      bench_generate_n11;
+      bench_generate_n160;
       bench_fig2;
       bench_fig3;
       bench_fig7_today;
@@ -277,7 +318,8 @@ let run_benchmarks () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false () in
-  ignore (Lazy.force chain11_shared);
+  ignore (Lazy.force chain11_planned);
+  ignore (Lazy.force chain160_planned);
   let raw = Benchmark.all cfg [ instance ] all_tests in
   let results = Analyze.all ols instance raw in
   let rows =
@@ -326,18 +368,32 @@ let contains s sub =
    the reference. Per testbed: the enumerator's candidates and expanded
    search states, the planner's expanded states, completed candidates and
    minor-heap words allocated, and whether both land on the same plan
-   (signature and script body). [size_curve] runs the planner alone on
-   chains too long to enumerate. Counts only, so the file is
+   (signature and script body). Every row measures the same two costs
+   the same way: [index_minor_words] builds the topology's potential
+   graph on the freshly discovered topology, and [best_minor_words] is one
+   search on that built index, run before the enumerator. [size_curve]
+   runs the planner alone on chains too long to enumerate; at n = 160 it
+   also counts the two bounded searches that replaced enumeration in the
+   NM: a failed goal naming its blocker (the middle router marked
+   unreachable: the failing search plus the rerun) and following a
+   journalled signature back to its path. Counts only, so the file is
    deterministic. *)
 let plan_datapoints () =
-  let planned topo goal =
+  let measured f =
     let w0 = Gc.minor_words () in
-    let chosen, search = Path_finder.best topo goal in
-    (chosen, search, Gc.minor_words () -. w0)
+    let r = f () in
+    (r, Gc.minor_words () -. w0)
+  in
+  (* index words, then the search on the built index *)
+  let planned topo goal =
+    if topo.Topology.graph_builds <> 0 then failwith "bench: the topology's index is already built";
+    let _, index_words = measured (fun () -> Topology.graph topo) in
+    let (chosen, search), best_words = measured (fun () -> Path_finder.best topo goal) in
+    (chosen, search, index_words, best_words)
   in
   let row name topo goal =
+    let chosen, search, index_words, best_words = planned topo goal in
     let full = Path_finder.enumerate topo goal in
-    let chosen, search, best_words = planned topo goal in
     let body p =
       let s = Script_gen.generate topo goal p in
       (s.Script_gen.prims, s.Script_gen.per_device, s.Script_gen.reporter)
@@ -351,12 +407,12 @@ let plan_datapoints () =
     Printf.sprintf
       "    { \"testbed\": \"%s\", \"enum_candidates\": %d, \"enum_expanded\": %d, \
        \"best_expanded\": %d, \"best_completed\": %d, \"same_choice\": %b, \
-       \"best_minor_words\": %.0f }"
+       \"index_minor_words\": %.0f, \"best_minor_words\": %.0f }"
       name
       (List.length full.Path_finder.completed)
       full.Path_finder.expanded search.Path_finder.expanded
       (List.length search.Path_finder.completed)
-      same_choice best_words
+      same_choice index_words best_words
   in
   let d = Scenarios.build_diamond () in
   let rows =
@@ -367,17 +423,37 @@ let plan_datapoints () =
            row (Printf.sprintf "chain_n%d" n) (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal)
          [ 8; 11; 14 ]
   in
+  (* the failed goal and the journalled path, as the NM runs them *)
+  let bounded_searches topo goal (chosen : Path_finder.path option) n =
+    let recover =
+      match chosen with
+      | Some p ->
+          let _, followed = Path_finder.follow topo goal (Path_finder.signature p) in
+          followed.Path_finder.expanded
+      | None -> 0
+    in
+    let mid = Printf.sprintf "id-R%d" (n / 2) in
+    Topology.set_reachable topo mid false;
+    let _, failed = Path_finder.best ~usable:(Topology.is_reachable topo) topo goal in
+    let _, rerun = Path_finder.blockers ~down:(Topology.unreachable topo) topo goal in
+    Topology.set_reachable topo mid true;
+    Printf.sprintf ", \"failed_expanded\": %d, \"recover_expanded\": %d"
+      (failed.Path_finder.expanded + rerun.Path_finder.expanded)
+      recover
+  in
   let curve =
     List.map
       (fun n ->
         let c = Scenarios.build_chain n in
-        let _, search, words = planned (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal in
+        let topo = Nm.topology c.Scenarios.cnm and goal = c.Scenarios.cgoal in
+        let chosen, search, index_words, best_words = planned topo goal in
         Printf.sprintf
-          "    { \"testbed\": \"chain_n%d\", \"best_expanded\": %d, \"best_completed\": %d, \
-           \"best_minor_words\": %.0f }"
+          "    { \"testbed\": \"chain_n%d\", \"best_expanded\": %d, \"best_completed\": %d%s, \
+           \"index_minor_words\": %.0f, \"best_minor_words\": %.0f }"
           n search.Path_finder.expanded
           (List.length search.Path_finder.completed)
-          words)
+          (if n = 160 then bounded_searches topo goal chosen n else "")
+          index_words best_words)
       [ 32; 64; 128; 160 ]
   in
   let json =

@@ -631,15 +631,16 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
     match Path_finder.best ~exclude ~usable t.topo goal with
     | None, _ -> (
         (* Name the unreachable devices only when they are what stands
-           between the NM and a path: only this branch enumerates. *)
-        let paths = find_paths t goal in
-        match
-          List.filter
-            (fun d -> List.exists (fun p -> List.mem d (devices_of_path p)) paths)
-            (Topology.unreachable t.topo)
-        with
+           between the NM and a path: a second bounded search counts them
+           as usable and names those on the path it finds. *)
+        match Topology.unreachable t.topo with
         | [] -> Error "no path satisfies the goal"
-        | down -> Error ("device unreachable: " ^ String.concat ", " down))
+        | down -> (
+            let usable d = not (List.mem d avoid) in
+            match fst (Path_finder.blockers ~exclude ~usable ~down t.topo goal) with
+            | Some (_ :: _ as blocking) ->
+                Error ("device unreachable: " ^ String.concat ", " blocking)
+            | Some [] | None -> Error "no path satisfies the goal"))
     | Some path, { Path_finder.completed; _ } ->
         if not configure then Ok (completed, path, Script_gen.generate t.topo goal path)
         else begin
@@ -690,12 +691,7 @@ let achieve ?(configure = true) ?max_attempts t goal =
    (Ha replaces this one-shot copy with continuous journal-shipping; this
    remains the bootstrap and the §V manual-failover path.) *)
 let replicate_to t ~(standby : t) =
-  standby.topo.Topology.devices <-
-    List.map
-      (fun (d : Topology.device_info) -> { d with Topology.di_id = d.Topology.di_id })
-      t.topo.Topology.devices;
-  standby.topo.Topology.module_domains <- t.topo.Topology.module_domains;
-  standby.topo.Topology.domain_prefixes <- t.topo.Topology.domain_prefixes;
+  Topology.assign standby.topo ~from:t.topo;
   standby.active_scripts <- t.active_scripts;
   standby.auto_repair <- t.auto_repair;
   (* ship the journal entries the standby lacks, numbered as on the primary,
@@ -1050,11 +1046,7 @@ let reconfigure ?(exclude = []) ?(avoid = []) t (intent : Intent.t) =
     match intent.Intent.journal_sig with
     | None -> ()
     | Some sg -> (
-        match
-          List.find_opt
-            (fun p -> Path_finder.signature p = sg)
-            (find_paths t goal)
-        with
+        match fst (Path_finder.follow t.topo goal sg) with
         | Some path ->
             send_deletion_reachable t (Script_gen.generate t.topo goal path);
             run t

@@ -71,8 +71,12 @@ val net : t -> Netsim.Net.t
 
 val find_paths : t -> Path_finder.goal -> Path_finder.path list
 (** Every protocol-sane path ({!Path_finder.find}): the paper's
-    enumeration, e.g. the nine figure-4 paths. {!achieve} does not
-    enumerate. *)
+    enumeration, e.g. the nine figure-4 paths. Reference only: it serves
+    [Report], the CLI's paper commands, the benchmarks and the tests. No
+    NM, Monitor or federation code path calls it; goals plan with
+    {!Path_finder.best}, a failed goal names its blockers with
+    {!Path_finder.blockers} and recovery finds a journalled path with
+    {!Path_finder.follow}, all bounded searches. *)
 
 val configure_path :
   ?batched:bool -> t -> Path_finder.goal -> Path_finder.path -> Script_gen.script
@@ -96,9 +100,12 @@ val achieve :
     Degraded mode: paths through devices currently marked unreachable are
     skipped, and if a path device stops answering mid-script the partial
     configuration is backed out of the devices that still respond and the
-    next-best path is tried (up to [max_attempts], default 4). When the
-    only candidates run through dead devices the result is
-    [Error "device unreachable: <ids>"]. *)
+    next-best path is tried (up to [max_attempts], default 4). When no
+    path avoids the dead devices, a second bounded search counts them as
+    usable: if it finds a path, the result is
+    [Error "device unreachable: <ids>"] naming the dead devices on it (in
+    {!Topology.unreachable} order), otherwise
+    [Error "no path satisfies the goal"]. *)
 
 val achieve_l2 :
   ?configure:bool ->

@@ -40,84 +40,43 @@ type entry = From_phy | From_above | From_below
 (* a pushed header on the logical stack *)
 type hdr = { h_chain : int; h_proto : string; h_domain : string option }
 
-(* --- the search table --------------------------------------------------------------
+(* --- the search's view of the index ---------------------------------------------------
 
-   Each search numbers the modules it may visit once, up front: [g_from]
-   as entry 0, then every module of the usable in-scope devices in
-   [g_scope] order. An entry holds what the traversal reads of its module
-   and its potential-graph neighbours as entry numbers, in the graph's
-   order, so a search state costs array reads. Neighbours outside the
-   table are dropped: the search may not step onto them. The table lives
-   for one search; nothing is cached across goals. *)
+   The topology's potential graph numbers every module once
+   ([Potential_graph]); a search adds only its own arrays over it. [free]
+   is the search's mask: an entry is free while it belongs to a usable
+   in-scope device and is not on the partial path being extended. The
+   traversal steps only onto free entries, so the graph's neighbour arrays
+   serve every scope in their own order. [g_from] is the root whatever its
+   device, and stays on the path throughout. *)
 
-type node = {
-  id : Ids.t;
-  abs : Abstraction.t;
-  domain : string option; (* the module's address domain, if the NM knows one *)
-  above : int array;
-  below : int array;
-  phys : int array;
-  mutable bound : int; (* fewest pipes to the target, [unreached] if none *)
-  mutable on_path : bool; (* on the partial path being extended *)
-}
-
-type table = {
-  nodes : node array;
-  index : (Ids.t, int) Hashtbl.t; (* the in-scope entries; [g_from] only if in scope *)
+type view = {
+  graph : Potential_graph.t;
+  free : Bytes.t;
+  from : int;
   target : int; (* [g_to]'s entry, or -1 when it is out of scope *)
 }
 
 let unreached = max_int
+let is_free (v : view) e = Bytes.unsafe_get v.free e = '\001'
 
-let table ?(usable = fun _ -> true) topo goal =
-  (* one pass each over the devices and the domain list; the first match
-     wins, as in [Topology.device] and [Topology.domain_of] *)
-  let devices = Hashtbl.create 64 and domains = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Topology.device_info) ->
-      if not (Hashtbl.mem devices d.Topology.di_id) then
-        Hashtbl.add devices d.Topology.di_id d.Topology.di_modules)
-    topo.Topology.devices;
-  List.iter
-    (fun (m, dom) -> if not (Hashtbl.mem domains m) then Hashtbl.add domains m dom)
-    topo.Topology.module_domains;
-  let modules_of dev = Option.value ~default:[] (Hashtbl.find_opt devices dev) in
-  let index = Hashtbl.create 64 in
-  let numbered = ref [ (goal.g_from, Topology.find_module_exn topo goal.g_from) ] in
-  let count = ref 1 in
+let view ?(usable = fun _ -> true) topo goal =
+  let graph = Topology.graph topo in
+  let from = Potential_graph.entry_exn graph goal.g_from in
+  let free = Bytes.make (Potential_graph.size graph) '\000' in
   List.iter
     (fun dev ->
       if usable dev then
-        List.iter
-          (fun (m, a) ->
-            if Ids.equal m goal.g_from then Hashtbl.replace index m 0
-            else if not (Hashtbl.mem index m) then begin
-              Hashtbl.add index m !count;
-              numbered := (m, a) :: !numbered;
-              incr count
-            end)
-          (modules_of dev))
+        Array.iter
+          (fun e -> Bytes.unsafe_set free e '\001')
+          (Potential_graph.device_entries graph dev))
     goal.g_scope;
-  let entries ms = Array.of_list (List.filter_map (Hashtbl.find_opt index) ms) in
-  let node (m, a) =
-    let mods = modules_of m.Ids.dev in
-    {
-      id = m;
-      abs = a;
-      domain = Hashtbl.find_opt domains m;
-      above = entries (Potential_graph.above_in mods m a);
-      below = entries (Potential_graph.below_in mods m a);
-      phys =
-        entries (List.map (fun (_, remote, _) -> remote) (Potential_graph.phys_in ~modules_of m a));
-      bound = unreached;
-      on_path = false;
-    }
+  let target =
+    match Potential_graph.entry graph goal.g_to with
+    | Some e when Bytes.get free e = '\001' -> e
+    | _ -> -1
   in
-  {
-    nodes = Array.of_list (List.rev_map node !numbered);
-    index;
-    target = Option.value ~default:(-1) (Hashtbl.find_opt index goal.g_to);
-  }
+  { graph; free; from; target }
 
 (* --- the traversal -------------------------------------------------------------------- *)
 
@@ -125,15 +84,16 @@ let table ?(usable = fun _ -> true) topo goal =
    entry and keeps every completed path; the best-first search also
    bounds what it admits and keeps only an incumbent. *)
 type dfs_state = {
-  nodes : node array;
+  graph : Potential_graph.t;
+  free : Bytes.t; (* the view's mask, cleared along the partial path *)
   target : int;
   customer_ip : hdr; (* the customer's packet, outermost once its frame is popped *)
   prune_domains : bool;
   mutable next_chain : int;
   mutable expanded : int;
-  admit : int -> pipes:int -> bool;
-      (* may the traversal step onto this entry, [pipes] pipes into the
-         path? *)
+  admit : int -> depth:int -> pipes:int -> bool;
+      (* may the traversal step onto this entry as the path's [depth]-th
+         visit (the root is the 0th), [pipes] pipes into the path? *)
   complete : visit list -> pipes:int -> fast:int -> unit;
       (* a sane path reached the goal: its visits, pipe count and number
          of fast-forwarding modules *)
@@ -145,7 +105,7 @@ let customer_eth = { h_chain = base_eth; h_proto = "ETH"; h_domain = None }
 let logical_top st stack ~eth_missing =
   match stack with h :: _ -> h | [] -> if eth_missing then st.customer_ip else customer_eth
 
-let domain_compatible st node hdr =
+let domain_compatible st (node : Potential_graph.node) hdr =
   if (not st.prune_domains) || hdr.h_proto <> "IP" then true
   else
     match (hdr.h_domain, node.domain) with
@@ -156,9 +116,9 @@ let domain_compatible st node hdr =
 let pipes_after kind pipes =
   match kind with Abstraction.Up_phy | Abstraction.Phy_phy -> pipes | _ -> pipes + 1
 
-let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~pipes ~fast =
+let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast =
   st.expanded <- st.expanded + 1;
-  let node = st.nodes.(pos) in
+  let node : Potential_graph.node = Potential_graph.node st.graph pos in
   let abs = node.abs in
   let fast = if abs.Abstraction.fast_forwarding then fast + 1 else fast in
   let visit kind action chain =
@@ -166,10 +126,11 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~pipes ~fast =
   in
   (* take [kind] here, then try each of [mods], entered as [entry] *)
   let next kind action chain ~entry ~stack ~eth_missing mods =
-    go st ~entry ~stack ~eth_missing ~acc:(visit kind action chain) ~pipes:(pipes_after kind pipes)
-      ~fast mods
+    go st ~entry ~stack ~eth_missing ~acc:(visit kind action chain) ~depth:(depth + 1)
+      ~pipes:(pipes_after kind pipes) ~fast mods
   in
-  node.on_path <- true;
+  let was_free = Bytes.unsafe_get st.free pos in
+  Bytes.unsafe_set st.free pos '\000';
   (* goal completion: at the target ETH module, entered from above, with all
      transit encapsulations undone — push the customer frame back out. *)
   if
@@ -220,22 +181,24 @@ let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~pipes ~fast =
             _ ) ->
             ())
       abs.Abstraction.switch;
-  node.on_path <- false
+  Bytes.unsafe_set st.free pos was_free
 
-and go st ~entry ~stack ~eth_missing ~acc ~pipes ~fast mods =
+and go st ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast mods =
   for i = 0 to Array.length mods - 1 do
     let m = mods.(i) in
-    if (not st.nodes.(m).on_path) && st.admit m ~pipes then
-      step st ~pos:m ~entry ~stack ~eth_missing ~acc ~pipes ~fast
+    if Bytes.unsafe_get st.free m = '\001' && st.admit m ~depth ~pipes then
+      step st ~pos:m ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast
   done
 
-(* Runs from [g_from], entry 0; the root stays on the path throughout, so
-   the search never steps back onto it. *)
-let traverse ?(prune_domains = true) (t : table) goal ~admit ~complete =
+(* Runs from [g_from]; the root stays on the path throughout, so the
+   search never steps back onto it. The traversal leaves the view's mask
+   as it found it. *)
+let traverse ?(prune_domains = true) (v : view) goal ~admit ~complete =
   let st =
     {
-      nodes = t.nodes;
-      target = t.target;
+      graph = v.graph;
+      free = v.free;
+      target = v.target;
       customer_ip = { h_chain = base_ip; h_proto = "IP"; h_domain = Some goal.g_customer };
       prune_domains;
       next_chain = base_ip;
@@ -244,7 +207,8 @@ let traverse ?(prune_domains = true) (t : table) goal ~admit ~complete =
       complete;
     }
   in
-  step st ~pos:0 ~entry:From_phy ~stack:[] ~eth_missing:false ~acc:[] ~pipes:0 ~fast:0;
+  step st ~pos:v.from ~entry:From_phy ~stack:[] ~eth_missing:false ~acc:[] ~depth:0 ~pipes:0
+    ~fast:0;
   st.expanded
 
 type search = { completed : path list; expanded : int }
@@ -255,8 +219,8 @@ type search = { completed : path list; expanded : int }
 let enumerate ?prune_domains topo goal =
   let found = ref [] in
   let expanded =
-    traverse ?prune_domains (table topo goal) goal
-      ~admit:(fun _ ~pipes:_ -> true)
+    traverse ?prune_domains (view topo goal) goal
+      ~admit:(fun _ ~depth:_ ~pipes:_ -> true)
       ~complete:(fun visits ~pipes:_ ~fast:_ -> found := { visits } :: !found)
   in
   { completed = List.rev !found; expanded }
@@ -344,25 +308,16 @@ let choose topo paths =
    flags only remove steps from a real path, so no path from a module
    costs fewer pipes than its bound. *)
 
-(* Fills every entry's [bound]: a 0/1 BFS backwards from the target over
-   predecessor lists, settling each distance's free closure before the
-   next distance. An entry stays [unreached] if it cannot reach the
-   target within the table. *)
-let lower_bounds (t : table) =
-  let n = Array.length t.nodes in
-  let free = Array.make n [] and paid = Array.make n [] in
-  Array.iteri
-    (fun m node ->
-      let can kinds = List.exists (Abstraction.can_switch node.abs) kinds in
-      let pred preds u = preds.(u) <- m :: preds.(u) in
-      if can Abstraction.[ Phy_up; Down_up ] then Array.iter (pred paid) node.above;
-      if can Abstraction.[ Down_down; Up_down ] then Array.iter (pred paid) node.below;
-      if can Abstraction.[ Up_phy; Phy_phy ] then Array.iter (pred free) node.phys)
-    t.nodes;
+(* Every entry's bound for one view: a 0/1 BFS backwards from the target
+   over the index's predecessor lists, restricted to the view's mask and
+   settling each distance's free closure before the next distance. An
+   entry stays [unreached] if it cannot reach the target within the mask;
+   the root is reached but never passed through when out of scope. *)
+let lower_bounds (v : view) =
+  let bound = Array.make (Potential_graph.size v.graph) unreached in
   let settle d queue m =
-    let node = t.nodes.(m) in
-    if node.bound > d then begin
-      node.bound <- d;
+    if (m = v.from || is_free v m) && bound.(m) > d then begin
+      bound.(m) <- d;
       m :: queue
     end
     else queue
@@ -371,38 +326,40 @@ let lower_bounds (t : table) =
      an entry lowered since it was queued is skipped *)
   let rec drain d now later =
     match now with
-    | u :: rest when t.nodes.(u).bound = d ->
-        let later = List.fold_left (settle (d + 1)) later paid.(u) in
-        drain d (List.fold_left (settle d) rest free.(u)) later
+    | u :: rest when bound.(u) = d && is_free v u ->
+        let node : Potential_graph.node = Potential_graph.node v.graph u in
+        let later = Array.fold_left (settle (d + 1)) later node.paid_preds in
+        drain d (Array.fold_left (settle d) rest node.free_preds) later
     | _ :: rest -> drain d rest later
     | [] -> if later <> [] then drain (d + 1) later []
   in
-  if t.target >= 0 then begin
-    t.nodes.(t.target).bound <- 0;
-    drain 0 [ t.target ] []
-  end
+  if v.target >= 0 then begin
+    bound.(v.target) <- 0;
+    drain 0 [ v.target ] []
+  end;
+  bound
 
 let bounds ?usable topo goal =
-  let t = table ?usable topo goal in
-  lower_bounds t;
+  let v = view ?usable topo goal in
+  let bound = lower_bounds v in
   fun m ->
-    match Hashtbl.find_opt t.index m with
-    | Some i when t.nodes.(i).bound <> unreached -> Some t.nodes.(i).bound
+    match Potential_graph.entry v.graph m with
+    | Some i when is_free v i && bound.(i) <> unreached -> Some bound.(i)
     | _ -> None
 
 let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
   (* the endpoints' usability is checked before the search starts; the
-     table holds only the modules of usable in-scope devices *)
+     view admits only the modules of usable in-scope devices *)
   if not (usable goal.g_from.Ids.dev && usable goal.g_to.Ids.dev) then
     (None, { completed = []; expanded = 0 })
   else begin
-    let t = table ~usable topo goal in
-    lower_bounds t;
+    let v = view ~usable topo goal in
+    let bound = lower_bounds v in
     let incumbent = ref None and completed = ref [] in
     let limit () = match !incumbent with Some (_, (pipes, _)) -> pipes | None -> max_int in
     (* only entries that can still reach the target have a bound *)
-    let admit m ~pipes =
-      let lb = t.nodes.(m).bound in
+    let admit m ~depth:_ ~pipes =
+      let lb = bound.(m) in
       lb <> unreached && pipes + lb <= limit ()
     in
     let complete visits ~pipes ~fast =
@@ -414,6 +371,49 @@ let best ?(exclude = []) ?(usable = fun _ -> true) topo goal =
         | _ -> incumbent := Some (path, (pipes, fast))
       end
     in
-    let expanded = traverse t goal ~admit ~complete in
+    let expanded = traverse v goal ~admit ~complete in
     (Option.map fst !incumbent, { completed = List.rev !completed; expanded })
+  end
+
+(* --- bounded searches for a failed goal and a journalled path ----------------------- *)
+
+let blockers ?exclude ?usable ~down topo goal =
+  match best ?exclude ?usable topo goal with
+  | None, search -> (None, search)
+  | Some path, search ->
+      let on_path d = List.exists (fun v -> v.v_mod.Ids.dev = d) path.visits in
+      (Some (List.filter on_path down), search)
+
+(* The labels of a signature, in path order. *)
+let labels_of signature =
+  let n = String.length signature in
+  let rec split start i acc =
+    if i >= n then List.rev (String.sub signature start (n - start) :: acc)
+    else if i + 1 < n && signature.[i] = ',' && signature.[i + 1] = ' ' then
+      split (i + 2) (i + 2) (String.sub signature start (i - start) :: acc)
+    else split start (i + 1) acc
+  in
+  Array.of_list (split 0 0 [])
+
+(* The enumerator's traversal, admitting at each depth only the modules
+   the signature names there: a subtree of the same DFS in the same
+   order, so its first completed path of full length is the enumerator's
+   first path with that signature. It stops admitting once found. *)
+let follow topo goal signature =
+  let labels = labels_of signature in
+  if labels.(0) <> Ids.short goal.g_from then (None, { completed = []; expanded = 0 })
+  else begin
+    let v = view topo goal in
+    let found = ref None in
+    let admit m ~depth ~pipes:_ =
+      Option.is_none !found
+      && depth < Array.length labels
+      && (Potential_graph.node v.graph m).Potential_graph.id.Ids.mid = labels.(depth)
+    in
+    let complete visits ~pipes:_ ~fast:_ =
+      if Option.is_none !found && List.length visits = Array.length labels then
+        found := Some { visits }
+    in
+    let expanded = traverse v goal ~admit ~complete in
+    (!found, { completed = Option.to_list !found; expanded })
   end

@@ -7,14 +7,16 @@
     enumerates exactly the paper's nine paths.
 
     Every search ({!enumerate}, {!find}, {!find_hierarchical}, {!best},
-    {!bounds}) first numbers the modules it may visit into one table:
-    [g_from], then every module of the (usable) in-scope devices. Each
-    entry holds the module's abstraction, its address domain, its pipe
-    bound and its potential-graph neighbours ({!Potential_graph.above_in},
-    {!Potential_graph.below_in}, {!Potential_graph.phys_in}) as entry
-    numbers, built in one pass over the topology. A search state then costs
-    O(1) array reads: an on-path flag per entry stands for the visited set.
-    The table lives for one search; nothing is cached across goals. *)
+    {!bounds}, {!blockers}, {!follow}) runs over the topology's potential
+    graph ({!Topology.graph}): one numbered index of every module, with
+    its abstraction, its address domain, its potential-graph neighbours as
+    entry numbers and the predecessor lists of the pipe bound
+    ({!Potential_graph.node}). The topology builds it once per change to its
+    module lists or domain list, not once per goal. A search puts only its
+    own arrays over it: the mask of usable in-scope modules (cleared along
+    the partial path, so it doubles as the visited set) and, for {!best}
+    and {!bounds}, the target's bounds. A search state costs O(1) array
+    reads, and a search that raises leaves nothing behind for the next. *)
 
 (** What a module does to the traffic at its step of the path. *)
 type action = Push | Pop | Inspect
@@ -94,7 +96,7 @@ val best :
     traversal instead of by enumeration. Branches are pruned once their
     pipes plus the module-level lower bound of {!bounds} exceed the best
     path found so far, so only a few candidates are ever completed. The
-    search's table holds only the modules of usable in-scope devices and
+    search's mask admits only the modules of usable in-scope devices and
     serves both the bound and the traversal. The returned path's
     [v_chain] numbers may differ
     from the enumerator's (they are traversal-global), but its signature
@@ -106,6 +108,30 @@ val bounds : ?usable:(string -> bool) -> Topology.t -> goal -> Ids.t -> int opti
     still instantiate — a 0/1 shortest path over the potential graph where
     a step to a module above or below costs the one pipe {!pipe_count}
     charges for it (if the module can switch that way) and a physical hop
-    costs none; computed by a 0/1 BFS over the table's predecessor lists.
-    [None] for a module outside the table or that cannot reach [g_to] that
-    way; the search never steps onto such a module. *)
+    costs none; computed by a 0/1 BFS over the index's predecessor lists,
+    restricted to the search's mask. [None] for a module outside the mask
+    or that cannot reach [g_to] that way; the search never steps onto such
+    a module. *)
+
+val blockers :
+  ?exclude:string list ->
+  ?usable:(string -> bool) ->
+  down:string list ->
+  Topology.t ->
+  goal ->
+  string list option * search
+(** Why {!best} found no path: reruns it with [exclude] and [usable],
+    where [usable] counts the devices of [down] (those marked unreachable)
+    as usable, and returns the devices of [down], in [down]'s order, that
+    lie on the path it finds; [None] if no path exists even so. One more
+    bounded search, never an enumeration. *)
+
+val follow : Topology.t -> goal -> string -> path option * search
+(** [follow topo goal signature]: the first path {!find} would list with
+    this {!signature}, found without enumerating. It is the enumerator's
+    traversal admitting at each depth only the modules the signature names
+    there, a subtree of the same search in the same order, so its cost is
+    linear in the path's length when module ids are unique on each
+    device. The path's [v_chain] numbers may differ from the enumerator's
+    (they are traversal-global); its modules, switch kinds, actions,
+    chain grouping and generated script are the same. *)

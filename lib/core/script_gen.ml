@@ -12,59 +12,40 @@ type script = {
 
 (* --- chains ----------------------------------------------------------------
 
-   For every header chain, the ordered list of (visit index, module).
-   Terminals are the pusher and popper; the base chains have only
-   inspectors/endpoint modules. *)
+   Every visit acts on one header chain. [chains] gives each visit its
+   chain's members (visit indices, in path order) and its position among
+   them; the terminals are a chain's first and last members (its pusher
+   and popper), and the base chains have only inspectors and endpoint
+   modules. *)
 
-let chains (path : Path_finder.path) =
-  let tbl = Hashtbl.create 8 in
-  List.iteri
-    (fun i (v : Path_finder.visit) ->
-      let cur = try Hashtbl.find tbl v.Path_finder.v_chain with Not_found -> [] in
-      Hashtbl.replace tbl v.Path_finder.v_chain ((i, v.Path_finder.v_mod) :: cur))
-    path.Path_finder.visits;
-  Hashtbl.fold (fun c members acc -> (c, List.rev members) :: acc) tbl []
-
-(* Chain neighbours of the module at visit [i] in chain [c]. *)
-let chain_prev all c i =
-  match List.assoc_opt c all with
-  | None -> None
-  | Some members ->
-      List.fold_left (fun acc (j, m) -> if j < i then Some m else acc) None members
-
-let chain_next all c i =
-  match List.assoc_opt c all with
-  | None -> None
-  | Some members -> List.find_map (fun (j, m) -> if j > i then Some m else None) members
-
-let chain_first all c =
-  Option.map (fun ms -> snd (List.hd ms)) (List.assoc_opt c all)
-
-let chain_last all c =
-  Option.map (fun ms -> snd (List.hd (List.rev ms))) (List.assoc_opt c all)
-
-(* The other terminal of [m]'s own chain: the peer a module sees on its up
-   pipe (its header travels to that terminal). *)
-let other_terminal all c (m : Ids.t) =
-  match (chain_first all c, chain_last all c) with
-  | Some f, Some l -> if Ids.equal f m then (if Ids.equal l m then None else Some l) else Some f
-  | _ -> None
+let chains visits =
+  let n = Array.length visits in
+  let tbl = Hashtbl.create 16 in
+  for i = n - 1 downto 0 do
+    let c = visits.(i).Path_finder.v_chain in
+    match Hashtbl.find_opt tbl c with Some is -> is := i :: !is | None -> Hashtbl.add tbl c (ref [ i ])
+  done;
+  let members = Array.make n [||] and pos = Array.make n 0 in
+  Hashtbl.iter
+    (fun _ is ->
+      let a = Array.of_list !is in
+      Array.iteri
+        (fun k i ->
+          members.(i) <- a;
+          pos.(i) <- k)
+        a)
+    tbl;
+  (members, pos)
 
 (* --- pipes ------------------------------------------------------------------ *)
 
-type pipe_info = {
-  pi_id : string;
-  pi_phys : bool;
-  pi_top : Ids.t; (* for phys pipes: the two ETH endpoints *)
-  pi_bottom : Ids.t;
-  pi_spec : Primitive.pipe_spec option; (* None for phys *)
-}
+type pipe_info = { pi_id : string; pi_spec : Primitive.pipe_spec option (* None for phys *) }
 
 (* Dependencies the bottom module declares for its up pipes, resolved to
    same-device modules advertising that they provide them (§II-F): e.g. an
    ESP module's "esp-keys" dependency resolves to the local IKE module. *)
-let resolve_deps topo (bottom : Ids.t) =
-  match Topology.find_module topo bottom with
+let resolve_deps graph (bottom : Ids.t) =
+  match Potential_graph.find graph bottom with
   | None -> []
   | Some a -> (
       match a.Abstraction.up with
@@ -72,15 +53,32 @@ let resolve_deps topo (bottom : Ids.t) =
       | Some side ->
           List.filter_map
             (fun dep ->
-              Topology.modules_of_device topo bottom.Ids.dev
+              Potential_graph.modules_of graph bottom.Ids.dev
               |> List.find_map (fun (m, ab) ->
                      if List.mem dep ab.Abstraction.provides then Some (dep, m) else None))
             side.Abstraction.dependencies)
 
+(* Groups [prims] by target device, in the order of [devs]; each group
+   keeps the script's order. *)
+let group_by_device devs prims =
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      let d = Primitive.target p in
+      match Hashtbl.find_opt groups d with
+      | Some group -> group := p :: !group
+      | None -> Hashtbl.add groups d (ref [ p ]))
+    prims;
+  List.map
+    (fun d -> (d, match Hashtbl.find_opt groups d with Some group -> List.rev !group | None -> []))
+    devs
+
 let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
+  let graph = Topology.graph topo in
   let visits = Array.of_list path.Path_finder.visits in
   let n = Array.length visits in
-  let all = chains path in
+  let members, pos = chains visits in
+  let mod_at i = visits.(i).Path_finder.v_mod in
   let endpoint i = i = 0 || i = n - 1 in
   (* peer of the module at visit [i] on a pipe:
      - as pipe bottom (its up pipe): the other terminal of its own chain;
@@ -90,147 +88,122 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
   let peer_as_bottom i =
     if endpoint i then None
     else
-      let v = visits.(i) in
-      other_terminal all v.Path_finder.v_chain v.Path_finder.v_mod
+      let chain = members.(i) and m = mod_at i in
+      let first = mod_at chain.(0) and last = mod_at chain.(Array.length chain - 1) in
+      if Ids.equal first m then if Ids.equal last m then None else Some last else Some first
   in
   let peer_as_top i ~towards_end =
     if endpoint i then None
     else
-      let v = visits.(i) in
-      if towards_end then chain_next all v.Path_finder.v_chain i
-      else chain_prev all v.Path_finder.v_chain i
+      let chain = members.(i) in
+      let k = if towards_end then pos.(i) + 1 else pos.(i) - 1 in
+      if k < 0 || k >= Array.length chain then None else Some (mod_at chain.(k))
   in
   (* one pipe per transition *)
-  let counter = ref (-1) in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "P%d" !counter
-  in
   let pipes =
-    List.init (n - 1) (fun i ->
+    Array.init (n - 1) (fun i ->
         let v = visits.(i) and w = visits.(i + 1) in
-        let id = fresh () in
+        let id = "P" ^ string_of_int i in
+        let spec ~top ~bottom ~peer_top ~peer_bottom ~tradeoffs =
+          Some
+            {
+              Primitive.pipe_id = id;
+              top;
+              bottom;
+              peer_top;
+              peer_bottom;
+              tradeoffs;
+              deps = resolve_deps graph bottom;
+            }
+        in
         match v.Path_finder.v_kind with
         | Abstraction.Up_phy | Abstraction.Phy_phy ->
             (* physical pipe; referenced, never created *)
-            ( i,
-              {
-                pi_id = id;
-                pi_phys = true;
-                pi_top = v.Path_finder.v_mod;
-                pi_bottom = w.Path_finder.v_mod;
-                pi_spec = None;
-              } )
+            { pi_id = id; pi_spec = None }
         | Abstraction.Phy_up | Abstraction.Down_up ->
             (* next module sits on top *)
-            let top = w.Path_finder.v_mod and bottom = v.Path_finder.v_mod in
-            let spec =
-              {
-                Primitive.pipe_id = id;
-                top;
-                bottom;
-                peer_top = peer_as_top (i + 1) ~towards_end:false;
-                peer_bottom = peer_as_bottom i;
-                tradeoffs = [];
-                deps = resolve_deps topo bottom;
-              }
-            in
-            (i, { pi_id = id; pi_phys = false; pi_top = top; pi_bottom = bottom; pi_spec = Some spec })
+            {
+              pi_id = id;
+              pi_spec =
+                spec ~top:w.Path_finder.v_mod ~bottom:v.Path_finder.v_mod
+                  ~peer_top:(peer_as_top (i + 1) ~towards_end:false)
+                  ~peer_bottom:(peer_as_bottom i) ~tradeoffs:[];
+            }
         | Abstraction.Down_down | Abstraction.Up_down ->
-            let top = v.Path_finder.v_mod and bottom = w.Path_finder.v_mod in
-            let tradeoffs =
-              if bottom.Ids.name = "GRE" then goal.Path_finder.g_tradeoffs else []
-            in
-            let spec =
-              {
-                Primitive.pipe_id = id;
-                top;
-                bottom;
-                peer_top = peer_as_top i ~towards_end:true;
-                peer_bottom = peer_as_bottom (i + 1);
-                tradeoffs;
-                deps = resolve_deps topo bottom;
-              }
-            in
-            (i, { pi_id = id; pi_phys = false; pi_top = top; pi_bottom = bottom; pi_spec = Some spec })
+            let bottom = w.Path_finder.v_mod in
+            {
+              pi_id = id;
+              pi_spec =
+                spec ~top:v.Path_finder.v_mod ~bottom
+                  ~peer_top:(peer_as_top i ~towards_end:true)
+                  ~peer_bottom:(peer_as_bottom (i + 1))
+                  ~tradeoffs:(if bottom.Ids.name = "GRE" then goal.Path_finder.g_tradeoffs else []);
+            }
         | Abstraction.Up_up -> assert false)
   in
-  let pipe_after i = List.assoc i pipes in
-  (* switch rules, one per mid-path visit *)
-  let rules =
-    List.concat
-      (List.init n (fun i ->
-           if endpoint i then [] (* customer-facing ETH modules pass through *)
-           else
-             let v = visits.(i) in
-             let entry_pipe = (pipe_after (i - 1)).pi_id in
-             let exit_pipe = (pipe_after i).pi_id in
-             if
-               v.Path_finder.v_action = Path_finder.Inspect
-               && v.Path_finder.v_chain = Path_finder.base_ip
-             then
-               (* a customer-edge IP module: route the customer prefixes *)
-               let first_inspector =
-                 match chain_first all Path_finder.base_ip with
-                 | Some m -> Ids.equal m v.Path_finder.v_mod
-                 | None -> false
-               in
-               (* the source-side edge module enters from the customer and
-                  exits into the path; the far edge is the other way round *)
-               let customer_pipe, path_pipe, dst_domain, gateway =
-                 if first_inspector then
-                   ( entry_pipe,
-                     exit_pipe,
-                     goal.Path_finder.g_dst_domain,
-                     goal.Path_finder.g_src_site ^ "-gateway" )
-                 else
-                   ( exit_pipe,
-                     entry_pipe,
-                     goal.Path_finder.g_src_domain,
-                     goal.Path_finder.g_dst_site ^ "-gateway" )
-               in
-               [
-                 Primitive.Create_switch
-                   {
-                     owner = v.Path_finder.v_mod;
-                     rule =
-                       Primitive.Directed
-                         {
-                           from_pipe = customer_pipe;
-                           to_pipe = path_pipe;
-                           sel = Primitive.Dst_domain dst_domain;
-                         };
-                   };
-                 Primitive.Create_switch
-                   {
-                     owner = v.Path_finder.v_mod;
-                     rule =
-                       Primitive.Directed
-                         {
-                           from_pipe = path_pipe;
-                           to_pipe = customer_pipe;
-                           sel = Primitive.To_gateway gateway;
-                         };
-                   };
-               ]
-             else
-               [
-                 Primitive.Create_switch
-                   {
-                     owner = v.Path_finder.v_mod;
-                     rule = Primitive.Bidi (entry_pipe, exit_pipe);
-                   };
-               ]))
+  (* the switch rules of the mid-path visit [i] *)
+  let rules_at i =
+    let v = visits.(i) in
+    let owner = v.Path_finder.v_mod in
+    let entry_pipe = pipes.(i - 1).pi_id and exit_pipe = pipes.(i).pi_id in
+    if v.Path_finder.v_action = Path_finder.Inspect && v.Path_finder.v_chain = Path_finder.base_ip
+    then begin
+      (* a customer-edge IP module: route the customer prefixes; the
+         source-side edge module (the chain's first inspector) enters from
+         the customer and exits into the path, the far edge the other way
+         round *)
+      let first_inspector = Ids.equal (mod_at members.(i).(0)) owner in
+      let customer_pipe, path_pipe, dst_domain, gateway =
+        if first_inspector then
+          ( entry_pipe,
+            exit_pipe,
+            goal.Path_finder.g_dst_domain,
+            goal.Path_finder.g_src_site ^ "-gateway" )
+        else
+          ( exit_pipe,
+            entry_pipe,
+            goal.Path_finder.g_src_domain,
+            goal.Path_finder.g_dst_site ^ "-gateway" )
+      in
+      [
+        Primitive.Create_switch
+          {
+            owner;
+            rule =
+              Primitive.Directed
+                {
+                  from_pipe = customer_pipe;
+                  to_pipe = path_pipe;
+                  sel = Primitive.Dst_domain dst_domain;
+                };
+          };
+        Primitive.Create_switch
+          {
+            owner;
+            rule =
+              Primitive.Directed
+                {
+                  from_pipe = path_pipe;
+                  to_pipe = customer_pipe;
+                  sel = Primitive.To_gateway gateway;
+                };
+          };
+      ]
+    end
+    else [ Primitive.Create_switch { owner; rule = Primitive.Bidi (entry_pipe, exit_pipe) } ]
   in
+  (* switch rules, one per mid-path visit; the customer-facing ETH
+     modules pass through *)
+  let rules = List.concat (List.init n (fun i -> if endpoint i then [] else rules_at i)) in
   let creates =
-    List.filter_map (fun (_, p) -> Option.map (fun s -> Primitive.Create_pipe s) p.pi_spec) pipes
+    Array.fold_right
+      (fun p acc -> match p.pi_spec with Some s -> Primitive.Create_pipe s :: acc | None -> acc)
+      pipes []
   in
   let prims = creates @ rules in
   let per_device =
-    let devs =
-      List.sort_uniq compare (List.map (fun v -> v.Path_finder.v_mod.Ids.dev) path.Path_finder.visits)
-    in
-    List.map (fun d -> (d, List.filter (fun p -> Primitive.target p = d) prims)) devs
+    let devs = List.map (fun v -> v.Path_finder.v_mod.Ids.dev) path.Path_finder.visits in
+    group_by_device (List.sort_uniq compare devs) prims
   in
   let reporter =
     List.fold_left
@@ -261,9 +234,7 @@ let deletion_script (s : script) =
   let inverted = List.rev (List.filter_map invert s.prims) in
   let switches, pipes = List.partition (fun p -> not (is_pipe_delete p)) inverted in
   let prims = switches @ pipes in
-  let per_device =
-    List.map (fun (d, _) -> (d, List.filter (fun p -> Primitive.target p = d) prims)) s.per_device
-  in
+  let per_device = group_by_device (List.map fst s.per_device) prims in
   { prims; per_device; reporter = None; path = s.path }
 
 (* Renders a per-device script like the bottom half of figure 7(b). *)

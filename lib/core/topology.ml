@@ -11,13 +11,34 @@ type device_info = {
          a fresh Hello *)
 }
 
+(* The potential graph is built from the devices' module lists and the
+   domain list, on first use after a change; every change to either drops
+   it. Links and reachability are not part of it, and a new device arrives
+   with no modules, so adding one changes nothing the graph holds until
+   its showPotential drops it. *)
 type t = {
   mutable devices : device_info list;
   mutable module_domains : (Ids.t * string) list; (* IP module -> address domain *)
   mutable domain_prefixes : (string * string) list; (* domain -> prefix *)
+  mutable graph : Potential_graph.t option;
+  mutable graph_builds : int;
 }
 
-let create () = { devices = []; module_domains = []; domain_prefixes = [] }
+let create () =
+  { devices = []; module_domains = []; domain_prefixes = []; graph = None; graph_builds = 0 }
+
+let graph t =
+  match t.graph with
+  | Some g -> g
+  | None ->
+      let g =
+        Potential_graph.build
+          ~devices:(List.map (fun d -> (d.di_id, d.di_modules)) t.devices)
+          ~module_domains:t.module_domains
+      in
+      t.graph <- Some g;
+      t.graph_builds <- t.graph_builds + 1;
+      g
 
 let device t id = List.find_opt (fun d -> d.di_id = id) t.devices
 
@@ -36,11 +57,22 @@ let is_reachable t id = match device t id with Some d -> d.di_reachable | None -
 let set_reachable t id v = (device_or_add t id).di_reachable <- v
 let unreachable t = List.filter_map (fun d -> if d.di_reachable then None else Some d.di_id) t.devices
 
-let record_potential t ~src modules = (device_or_add t src).di_modules <- modules
+let record_potential t ~src modules =
+  (device_or_add t src).di_modules <- modules;
+  t.graph <- None
 
 let set_domains t ~module_domains ~domain_prefixes =
   t.module_domains <- module_domains;
-  t.domain_prefixes <- domain_prefixes
+  t.domain_prefixes <- domain_prefixes;
+  t.graph <- None
+
+(* Device records are copied, so later changes to either side stay apart;
+   the graph is immutable and describes the same data, so it is shared. *)
+let assign t ~from =
+  t.devices <- List.map (fun d -> { d with di_id = d.di_id }) from.devices;
+  t.module_domains <- from.module_domains;
+  t.domain_prefixes <- from.domain_prefixes;
+  t.graph <- from.graph
 
 let domain_of t mref = List.assoc_opt mref t.module_domains
 

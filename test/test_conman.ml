@@ -288,7 +288,7 @@ let test_discovery_table4 () =
 
 let test_potential_graph () =
   let v = Scenarios.build_vpn () in
-  let topo = Nm.topology v.Scenarios.nm in
+  let topo = Topology.graph (Nm.topology v.Scenarios.nm) in
   let below = Potential_graph.below topo (Ids.v "IP" "g" "id-A") in
   let names = List.map Ids.short below |> List.sort compare in
   (* g can sit above ETH a, ETH b, IP h, GRE l and MPLS o *)

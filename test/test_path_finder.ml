@@ -2,8 +2,10 @@
    (up to a 160-router chain configured and pinged), the domain-pruning
    ablation, encapsulation-balance invariants, goal error cases, the
    best-first planner against the chooser over the enumeration, the
-   traversal order and both searches' exact work, and a property test that
-   configures randomly chosen paths end to end. *)
+   traversal order and both searches' exact work, a property test that
+   configures randomly chosen paths end to end, the bounded searches
+   behind failed goals and recovery, and the topology's potential-graph
+   index against topologies rebuilt from scratch. *)
 
 open Conman
 
@@ -433,6 +435,291 @@ let prop_any_path_configures =
       let _ = Nm.configure_path c.Scenarios.cnm c.Scenarios.cgoal path in
       Nm.errors c.Scenarios.cnm = [] && Scenarios.chain_reachable c)
 
+(* --- bounded searches behind failed goals and recovery ---------------------------- *)
+
+(* A failed goal names its blockers with a second bounded search, never an
+   enumeration: on chain n = 18 with the middle router down, the failing
+   [best] plus the rerun expand at most twice what [best] expands on the
+   intact chain, where the enumerator would walk all 2^18 + 1 sane paths.
+   Chain routers are id-R1 .. id-Rn. *)
+let test_failed_goal_bounded () =
+  let n = 18 in
+  let c = Scenarios.build_chain n in
+  let topo = Nm.topology c.Scenarios.cnm and goal = c.Scenarios.cgoal in
+  let _, intact = Path_finder.best topo goal in
+  let mid = Printf.sprintf "id-R%d" (n / 2) in
+  Topology.set_reachable topo mid false;
+  let none, failed = Path_finder.best ~usable:(Topology.is_reachable topo) topo goal in
+  check tbool "no usable path" true (none = None);
+  let blocking, rerun = Path_finder.blockers ~down:(Topology.unreachable topo) topo goal in
+  check (Alcotest.option (Alcotest.list tstr)) "the middle router blocks" (Some [ mid ]) blocking;
+  let states = failed.Path_finder.expanded + rerun.Path_finder.expanded in
+  check tbool
+    (Printf.sprintf "%d states, at most 2 x %d" states intact.Path_finder.expanded)
+    true
+    (states <= 2 * intact.Path_finder.expanded);
+  (match Nm.achieve c.Scenarios.cnm goal with
+  | Ok _ -> Alcotest.fail "achieve must fail"
+  | Error e -> check tstr "the NM names it" ("device unreachable: " ^ mid) e);
+  (* with the endpoints' link cut off by scope, nothing down is to blame *)
+  let blocked = { goal with Path_finder.g_scope = [ goal.Path_finder.g_from.Ids.dev; mid ] } in
+  check tbool "no path even with the router" true
+    (fst (Path_finder.blockers ~down:[ mid ] topo blocked) = None)
+
+(* Chain numbers renumbered by first appearance: both searches number
+   pushed headers from a traversal-global counter. *)
+let canonical (p : Path_finder.path) =
+  let seen = Hashtbl.create 8 in
+  List.map
+    (fun (v : Path_finder.visit) ->
+      let c = v.Path_finder.v_chain in
+      if c <= Path_finder.base_ip then v
+      else
+        let k =
+          match Hashtbl.find_opt seen c with
+          | Some k -> k
+          | None ->
+              let k = 2 + Hashtbl.length seen in
+              Hashtbl.add seen c k;
+              k
+        in
+        { v with Path_finder.v_chain = k })
+    p.Path_finder.visits
+
+(* For every enumerated path, following its signature returns the
+   enumerator's first path with that signature: same visits up to chain
+   numbering, same script. *)
+let check_follow name topo goal =
+  let all = Path_finder.find topo goal in
+  List.iter
+    (fun p ->
+      let sg = Path_finder.signature p in
+      let first = List.find (fun q -> Path_finder.signature q = sg) all in
+      match Path_finder.follow topo goal sg with
+      | None, _ -> Alcotest.failf "%s: %s not followed" name sg
+      | Some f, s ->
+          check tbool (Printf.sprintf "%s: %s visits" name sg) true (canonical f = canonical first);
+          check tbool (Printf.sprintf "%s: %s script" name sg) true
+            (script_body topo goal f = script_body topo goal first);
+          check tbool (Printf.sprintf "%s: %s completed" name sg) true
+            (s.Path_finder.completed = [ f ]))
+    all;
+  List.iter
+    (fun sg ->
+      check tbool (Printf.sprintf "%s: no path signed %S" name sg) true
+        (fst (Path_finder.follow topo goal sg) = None))
+    [ ""; "a, z"; String.concat ", " [ Ids.short goal.Path_finder.g_from; "z" ] ]
+
+let test_follow_matches_find () =
+  let v = Scenarios.build_vpn () in
+  check_follow "vpn" (Nm.topology v.Scenarios.nm) v.Scenarios.goal;
+  let s = Scenarios.build_vpn ~secure:true () in
+  check_follow "secure vpn" (Nm.topology s.Scenarios.nm) s.Scenarios.goal;
+  let d = Scenarios.build_diamond () in
+  check_follow "diamond" (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal;
+  for n = 2 to 8 do
+    let c = Scenarios.build_chain n in
+    check_follow (Printf.sprintf "chain n=%d" n) (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal
+  done
+
+let test_follow_linear () =
+  (* following the planner's path on chain n = 64 walks about the path's
+     length, not the planner's search *)
+  let c = Scenarios.build_chain 64 in
+  let topo = Nm.topology c.Scenarios.cnm in
+  match Path_finder.best topo c.Scenarios.cgoal with
+  | None, _ -> Alcotest.fail "no path"
+  | Some p, planned ->
+      let f, s = Path_finder.follow topo c.Scenarios.cgoal (Path_finder.signature p) in
+      check tbool "found" true (Option.map canonical f = Some (canonical p));
+      let visits = List.length p.Path_finder.visits in
+      check tbool
+        (Printf.sprintf "%d states for %d visits (best: %d)" s.Path_finder.expanded visits
+           planned.Path_finder.expanded)
+        true
+        (s.Path_finder.expanded <= 2 * visits)
+
+(* --- the topology's potential graph ("index") ---------------------------------------- *)
+
+(* The data a scenario's discovery left in its NM's topology. *)
+type base = {
+  b_devices : (string * (string * string * string) list * (Ids.t * Abstraction.t) list) list;
+  b_domains : (Ids.t * string) list;
+  b_prefixes : (string * string) list;
+  b_goal : Path_finder.goal;
+  b_modules : Ids.t list;
+}
+
+let base_of topo goal =
+  let b_devices =
+    List.map
+      (fun (d : Topology.device_info) ->
+        (d.Topology.di_id, d.Topology.di_links, d.Topology.di_modules))
+      topo.Topology.devices
+  in
+  {
+    b_devices;
+    b_domains = topo.Topology.module_domains;
+    b_prefixes = topo.Topology.domain_prefixes;
+    b_goal = goal;
+    b_modules = List.concat_map (fun (_, _, ms) -> List.map fst ms) b_devices;
+  }
+
+(* The same data recorded into a fresh topology, in the same device order. *)
+let rebuilt topo =
+  let fresh = Topology.create () in
+  List.iter
+    (fun (d : Topology.device_info) ->
+      Topology.record_hello fresh ~src:d.Topology.di_id d.Topology.di_links;
+      Topology.record_potential fresh ~src:d.Topology.di_id d.Topology.di_modules;
+      Topology.set_reachable fresh d.Topology.di_id d.Topology.di_reachable)
+    topo.Topology.devices;
+  Topology.set_domains fresh ~module_domains:topo.Topology.module_domains
+    ~domain_prefixes:topo.Topology.domain_prefixes;
+  fresh
+
+(* What the searches answer on [topo]: [best] with the NM's usable filter
+   (path, states, completed), the enumeration, and every module's bound.
+   A missing root raises; both sides must raise alike. *)
+let observe b topo ~avoid =
+  let attempt f = match f () with x -> Ok x | exception Failure e -> Error e in
+  let usable d = Topology.is_reachable topo d && not (List.mem d avoid) in
+  ( attempt (fun () -> Path_finder.best ~usable topo b.b_goal),
+    attempt (fun () -> Path_finder.enumerate topo b.b_goal),
+    attempt (fun () -> List.map (Path_finder.bounds ~usable topo b.b_goal) b.b_modules) )
+
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
+let chance rng p = Random.State.float rng 1.0 < p
+
+let shuffle rng l =
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* A module list with modules dropped, reordered or given changed
+   abstractions; dropped modules come back with the next full list. *)
+let mutated_modules rng mods =
+  if chance rng 0.3 then mods
+  else
+    let mods = List.filter (fun _ -> not (chance rng 0.2)) mods in
+    let mods = if chance rng 0.4 then shuffle rng mods else mods in
+    List.map
+      (fun (m, (a : Abstraction.t)) ->
+        if not (chance rng 0.2) then (m, a)
+        else
+          match Random.State.int rng 3 with
+          | 0 -> (m, { a with Abstraction.fast_forwarding = not a.Abstraction.fast_forwarding })
+          | 1 ->
+              let switch = List.filter (fun _ -> chance rng 0.6) a.Abstraction.switch in
+              (m, { a with Abstraction.switch })
+          | _ -> (m, { a with Abstraction.physical = [] }))
+      mods
+
+(* A domain list with entries dropped, reordered, or shadowed by an
+   earlier entry naming another module's domain. *)
+let mutated_domains rng doms =
+  if chance rng 0.3 || doms = [] then doms
+  else
+    let doms = List.filter (fun _ -> not (chance rng 0.15)) doms in
+    let doms = if chance rng 0.4 then shuffle rng doms else doms in
+    if chance rng 0.5 && doms <> [] then (fst (pick rng doms), snd (pick rng doms)) :: doms
+    else doms
+
+let step rng b topo =
+  let devs = List.map (fun (d, _, _) -> d) b.b_devices @ [ "id-X1"; "id-X2" ] in
+  match Random.State.int rng 4 with
+  | 0 ->
+      let d, _, mods = pick rng b.b_devices in
+      Topology.record_potential topo ~src:d (mutated_modules rng mods)
+  | 1 ->
+      Topology.set_domains topo ~module_domains:(mutated_domains rng b.b_domains)
+        ~domain_prefixes:b.b_prefixes
+  | 2 ->
+      let d = pick rng devs in
+      let links =
+        match List.find_opt (fun (d', _, _) -> d' = d) b.b_devices with
+        | Some (_, links, _) -> if chance rng 0.5 then List.rev links else links
+        | None -> []
+      in
+      Topology.record_hello topo ~src:d links
+  | _ -> Topology.set_reachable topo (pick rng devs) (chance rng 0.5)
+
+(* Seeds a topology with a prefix of the base's devices in a random order. *)
+let seed_topology rng b topo =
+  List.iter
+    (fun (d, links, mods) ->
+      if chance rng 0.85 then begin
+        Topology.record_hello topo ~src:d links;
+        Topology.record_potential topo ~src:d (mutated_modules rng mods)
+      end)
+    (if chance rng 0.5 then b.b_devices else shuffle rng b.b_devices);
+  Topology.set_domains topo ~module_domains:(mutated_domains rng b.b_domains)
+    ~domain_prefixes:b.b_prefixes
+
+(* Random programs on two long-lived NM topologies (a primary and a
+   standby): after every step — a showPotential, new domains, a Hello from
+   a known or a new device, a reachability change, or [Nm.replicate_to] —
+   every search on either must answer exactly as on a topology rebuilt
+   from scratch with the same data. Each program also runs its searches
+   before it mutates, so a stale index would be in use. *)
+let test_index_invalidation () =
+  let v = Scenarios.build_vpn () in
+  let bases =
+    let s = Scenarios.build_vpn ~secure:true () and d = Scenarios.build_diamond () in
+    let c = Scenarios.build_chain 3 in
+    [
+      base_of (Nm.topology v.Scenarios.nm) v.Scenarios.goal;
+      base_of (Nm.topology s.Scenarios.nm) s.Scenarios.goal;
+      base_of (Nm.topology d.Scenarios.dnm) d.Scenarios.dgoal;
+      base_of (Nm.topology c.Scenarios.cnm) c.Scenarios.cgoal;
+    ]
+  in
+  let nm id =
+    Nm.create ~chan:v.Scenarios.chan ~net:v.Scenarios.tb.Netsim.Testbeds.vpn_net ~my_id:id ()
+  in
+  for seed = 1 to 500 do
+    let rng = Random.State.make [| seed |] in
+    let b = pick rng bases in
+    let primary = nm "id-NMa" and standby = nm "id-NMb" in
+    let topos = [| Nm.topology primary; Nm.topology standby |] in
+    seed_topology rng b topos.(0);
+    if chance rng 0.5 then seed_topology rng b topos.(1);
+    let devs = List.map (fun (d, _, _) -> d) b.b_devices in
+    for k = 0 to 5 do
+      if k > 0 then
+        if chance rng 0.15 then Nm.replicate_to primary ~standby
+        else step rng b topos.(Random.State.int rng 2);
+      Array.iteri
+        (fun i topo ->
+          let avoid = if chance rng 0.3 then [ pick rng devs ] else [] in
+          if observe b topo ~avoid <> observe b (rebuilt topo) ~avoid then
+            Alcotest.failf "seed %d, step %d, topology %d: differs from a rebuilt topology" seed k
+              i)
+        topos
+    done
+  done
+
+(* One NM serving 1 000 VPN goals builds its index once; reachability
+   changes and avoid lists reuse it, and a showPotential drops it. *)
+let test_index_built_once () =
+  let v = Scenarios.build_vpn () in
+  let nm = v.Scenarios.nm and goal = v.Scenarios.goal in
+  let topo = Nm.topology nm in
+  for _ = 1 to 1000 do
+    match Nm.achieve nm goal with
+    | Ok (_, _, script) -> Nm.teardown nm script
+    | Error e -> Alcotest.fail e
+  done;
+  check tint "1000 goals, one build" 1 topo.Topology.graph_builds;
+  Topology.set_reachable topo "id-B" false;
+  ignore (Path_finder.best ~usable:(Topology.is_reachable topo) topo goal);
+  Topology.set_reachable topo "id-B" true;
+  ignore (Path_finder.best ~usable:(fun d -> d <> "id-B") topo goal);
+  ignore (Path_finder.follow topo goal "a, g, o, b, c, p, d, e, q, k, f");
+  check tint "reachability and avoid lists reuse it" 1 topo.Topology.graph_builds;
+  Topology.record_potential topo ~src:"id-B" (Topology.modules_of_device topo "id-B");
+  ignore (Path_finder.best topo goal);
+  ignore (Path_finder.best topo goal);
+  check tint "a showPotential drops it once" 2 topo.Topology.graph_builds
+
 let () =
   Alcotest.run "path_finder"
     [
@@ -478,5 +765,16 @@ let () =
         [
           Alcotest.test_case "every path configures (n=2..4)" `Quick test_every_path_configures;
           QCheck_alcotest.to_alcotest prop_any_path_configures;
+        ] );
+      ( "bounded",
+        [
+          Alcotest.test_case "a failed goal names its blocker" `Quick test_failed_goal_bounded;
+          Alcotest.test_case "follow = first enumerated match" `Quick test_follow_matches_find;
+          Alcotest.test_case "follow is linear on a chain" `Quick test_follow_linear;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "invalidation (500 programs)" `Quick test_index_invalidation;
+          Alcotest.test_case "one build for 1000 goals" `Quick test_index_built_once;
         ] );
     ]
