@@ -42,11 +42,14 @@ let try_rule st rule =
                           down.spec.Primitive.pipe_id
                       in
                       if Netsim.Device.find_iface st.env.device name <> None then
-                        run_cmdf st.env.device "ip tunnel del %s" name;
-                      run_cmd st.env.device "insmod /lib/modules/2.6.14-2/esp4.ko";
-                      run_cmdf st.env.device
-                        "ip tunnel add name %s mode esp remote %s local %s ikey %s okey %s ienc %s oenc %s"
-                        name remote local spi_in spi_out key_in key_out;
+                        run st.env.device [ "ip"; "tunnel"; "del"; name ];
+                      run st.env.device [ "insmod"; "/lib/modules/2.6.14-2/esp4.ko" ];
+                      run st.env.device
+                        [
+                          "ip"; "tunnel"; "add"; "name"; name; "mode"; "esp"; "remote"; remote;
+                          "local"; local; "ikey"; spi_in; "okey"; spi_out; "ienc"; key_in;
+                          "oenc"; key_out;
+                        ];
                       st.tunnels <-
                         (up.spec.Primitive.pipe_id, name)
                         :: (down.spec.Primitive.pipe_id, name)
@@ -98,7 +101,7 @@ let make ~env ~mref () =
       (fun pid ->
         (match List.assoc_opt pid st.tunnels with
         | Some name when Netsim.Device.find_iface st.env.device name <> None ->
-            run_cmdf st.env.device "ip tunnel del %s" name
+            run st.env.device [ "ip"; "tunnel"; "del"; name ]
         | _ -> ());
         st.tunnels <- List.remove_assoc pid st.tunnels;
         st.pipes <- List.filter (fun p -> p.spec.Primitive.pipe_id <> pid) st.pipes);

@@ -1,8 +1,8 @@
 (* The GRE protocol module (§III-B, Table III). Wraps the kernel GRE
    implementation: the NM only creates pipes and a switch rule; the module
    negotiates keys, sequencing and checksums with its peer GRE module over
-   the management channel and then emits the same `ip tunnel add` command a
-   human would have written. *)
+   the management channel and then issues the same `ip tunnel add` command a
+   human would have written, word for word, as an argument vector. *)
 
 open Module_impl
 
@@ -91,15 +91,16 @@ let try_rule st rule =
                     down.spec.Primitive.pipe_id
                 in
                 let p = up.params in
+                let key word = function Some k -> [ word; Int32.to_string k ] | None -> [] in
                 if Netsim.Device.find_iface st.env.device name <> None then
-                  run_cmdf st.env.device "ip tunnel del %s" name;
-                run_cmd st.env.device "insmod /lib/modules/2.6.14-2/ip_gre.ko";
-                run_cmdf st.env.device "ip tunnel add name %s mode gre remote %s local %s%s%s%s%s"
-                  name remote local
-                  (match p.ikey with Some k -> Printf.sprintf " ikey %ld" k | None -> "")
-                  (match p.okey with Some k -> Printf.sprintf " okey %ld" k | None -> "")
-                  (if p.use_csum then " icsum ocsum" else "")
-                  (if p.use_seq then " iseq oseq" else "");
+                  run st.env.device [ "ip"; "tunnel"; "del"; name ];
+                run st.env.device [ "insmod"; "/lib/modules/2.6.14-2/ip_gre.ko" ];
+                run st.env.device
+                  ([ "ip"; "tunnel"; "add"; "name"; name; "mode"; "gre" ]
+                  @ [ "remote"; remote; "local"; local ]
+                  @ key "ikey" p.ikey @ key "okey" p.okey
+                  @ (if p.use_csum then [ "icsum"; "ocsum" ] else [])
+                  @ if p.use_seq then [ "iseq"; "oseq" ] else []);
                 st.tunnels <-
                   (up.spec.Primitive.pipe_id, name)
                   :: (down.spec.Primitive.pipe_id, name)
@@ -192,7 +193,7 @@ let make ~env ~mref () =
       (fun pid ->
         (match List.assoc_opt pid st.tunnels with
         | Some name when Netsim.Device.find_iface st.env.device name <> None ->
-            run_cmdf st.env.device "ip tunnel del %s" name
+            run st.env.device [ "ip"; "tunnel"; "del"; name ]
         | _ -> ());
         st.tunnels <- List.remove_assoc pid st.tunnels;
         st.pipes <- List.filter (fun p -> p.spec.Primitive.pipe_id <> pid) st.pipes);

@@ -25,4 +25,4 @@ let pp ppf t = Fmt.string ppf (to_string t)
 
 (* A short label like "g" or "A.g" for rendering paths. *)
 let short t = t.mid
-let qualified t = Printf.sprintf "%s.%s" t.dev t.mid
+let qualified t = t.dev ^ "." ^ t.mid

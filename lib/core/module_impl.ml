@@ -81,9 +81,11 @@ let no_op_module mref abstraction =
 let initiates (me : Ids.t) (peer : Ids.t) =
   compare (me.Ids.dev, me.Ids.mid) (peer.Ids.dev, peer.Ids.mid) < 0
 
-(* Runs a device-level command line through the Linux CLI wrapper, the same
-   interpreter the "today" scripts use. *)
-let run_cmd device line =
-  ignore (Devconf.Linux_cli.exec device (String.split_on_char ' ' line |> List.filter (( <> ) "")))
+(* Runs one device-level command through the Linux CLI wrapper, the same
+   interpreter the "today" scripts use. The command is an argument vector,
+   as a module that wraps the real tool would hand it to execve. *)
+let run device argv = ignore (Devconf.Linux_cli.exec device argv)
 
-let run_cmdf device fmt = Fmt.kstr (run_cmd device) fmt
+(* A command line, split on spaces: the IP module's form, whose lines are
+   also its showActual record and its undo log. *)
+let run_cmd device line = run device (String.split_on_char ' ' line |> List.filter (( <> ) ""))

@@ -61,8 +61,16 @@ val initiates : Ids.t -> Ids.t -> bool
 (** Deterministic initiator election between two peers (the lower
     (device, module) id starts negotiations/exchanges). *)
 
-val run_cmd : Netsim.Device.t -> string -> unit
-(** Runs one device-level command line through the Linux CLI wrapper — the
-    same interpreter the "today" scripts use. *)
+val run : Netsim.Device.t -> string list -> unit
+(** [run device argv] runs one device-level command through the Linux CLI
+    wrapper ({!Devconf.Linux_cli.exec}), the same interpreter the "today"
+    scripts use. [argv] holds the command's words, in the order a person
+    would type them (["mpls"; "ilm"; "add"; "label"; "gen"; "2001"; ...]):
+    what a module wrapping the real tool would hand to [execve]. Nothing is
+    printed to be split again. Raises {!Devconf.Linux_cli.Error} as [exec]
+    does. *)
 
-val run_cmdf : Netsim.Device.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+val run_cmd : Netsim.Device.t -> string -> unit
+(** [run_cmd device line] is {!run} on [line] split at spaces. Only the IP
+    module uses it: its route and rule lines are also its showActual record
+    and its undo log, so they are printed either way. *)

@@ -90,10 +90,11 @@ let probe t (intent : Intent.t) =
 let structural_keys state =
   List.concat_map
     (fun ((m : Ids.t), kvs) ->
+      let owner = Ids.qualified m ^ "/" in
       List.filter_map
         (fun (k, _) ->
           if String.length k >= 8 && String.sub k 0 8 = "pending[" then None
-          else Some (Ids.qualified m ^ "/" ^ k))
+          else Some (owner ^ k))
         kvs)
     state
   |> List.sort_uniq compare

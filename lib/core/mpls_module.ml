@@ -42,31 +42,32 @@ let find_adj_by_peer st peer = List.find_opt (fun a -> Ids.equal a.a_peer peer) 
 let find_adj_by_pipe st pid =
   List.find_opt (fun a -> a.a_spec.Primitive.pipe_id = pid) st.adjacencies
 
-(* Runs `mpls nhlfe add`, extracting the allocated key from the command
-   output like the paper's scripts do with grep/cut. *)
-let nhlfe_add st ~push ~dev ~via =
-  let instr =
-    match push with
-    | Some label -> Printf.sprintf "push gen %d nexthop %s ipv4 %s" label dev via
-    | None -> Printf.sprintf "nexthop %s ipv4 %s" dev via
-  in
-  let out =
-    Devconf.Linux_cli.exec st.env.device
-      (String.split_on_char ' ' ("mpls nhlfe add key 0 mtu 1500 instructions " ^ instr)
-      |> List.filter (( <> ) ""))
-  in
-  Scanf.sscanf out "NHLFE entry key 0x%lx" (fun k -> Int32.to_int k)
+(* Runs `mpls nhlfe add`, reading the allocated key from the line it
+   prints, as the paper's scripts do with grep/cut. *)
+let nhlfe_add st instructions =
+  Devconf.Linux_cli.nhlfe_key
+    (Devconf.Linux_cli.exec st.env.device
+       ("mpls" :: "nhlfe" :: "add" :: "key" :: "0" :: "mtu" :: "1500" :: "instructions"
+      :: instructions))
 
-let nhlfe_deliver st =
-  let out =
-    Devconf.Linux_cli.exec st.env.device
-      (String.split_on_char ' ' "mpls nhlfe add key 0 mtu 1500 instructions deliver")
-  in
-  Scanf.sscanf out "NHLFE entry key 0x%lx" (fun k -> Int32.to_int k)
+let nhlfe_push st ~label ~dev ~via =
+  nhlfe_add st [ "push"; "gen"; string_of_int label; "nexthop"; dev; "ipv4"; via ]
+
+let nhlfe_deliver st = nhlfe_add st [ "deliver" ]
 
 let xc st ~in_label ~key =
-  run_cmdf st.env.device "mpls xc add ilm label gen %d ilm labelspace 0 nhlfe key %d" in_label key;
+  run st.env.device
+    [
+      "mpls"; "xc"; "add"; "ilm"; "label"; "gen"; string_of_int in_label;
+      "ilm"; "labelspace"; "0"; "nhlfe"; "key"; string_of_int key;
+    ];
   st.xconnects <- (in_label, key) :: st.xconnects
+
+let ilm st verb label =
+  run st.env.device
+    [ "mpls"; "ilm"; verb; "label"; "gen"; string_of_int label; "labelspace"; "0" ]
+
+let nhlfe_del st key = run st.env.device [ "mpls"; "nhlfe"; "del"; "key"; key ]
 
 let announce_label st adj =
   let iface = iface_of_adj st adj in
@@ -91,7 +92,7 @@ let try_rule st rule =
               let dev = iface_of_adj st adj in
               let deliver_key = nhlfe_deliver st in
               xc st ~in_label:adj.a_in_label ~key:deliver_key;
-              let push_key = nhlfe_add st ~push:(Some out_label) ~dev ~via:nexthop in
+              let push_key = nhlfe_push st ~label:out_label ~dev ~via:nexthop in
               st.ftn <- (up.Primitive.pipe_id, (string_of_int push_key, nexthop)) :: st.ftn;
               true
           | _ -> false)
@@ -101,9 +102,9 @@ let try_rule st rule =
               (* transit [down=>down]: swap in both directions *)
               match (a.a_out_label, a.a_out_nexthop, b.a_out_label, b.a_out_nexthop) with
               | Some la, Some na, Some lb, Some nb ->
-                  let key_ab = nhlfe_add st ~push:(Some lb) ~dev:(iface_of_adj st b) ~via:nb in
+                  let key_ab = nhlfe_push st ~label:lb ~dev:(iface_of_adj st b) ~via:nb in
                   xc st ~in_label:a.a_in_label ~key:key_ab;
-                  let key_ba = nhlfe_add st ~push:(Some la) ~dev:(iface_of_adj st a) ~via:na in
+                  let key_ba = nhlfe_push st ~label:la ~dev:(iface_of_adj st a) ~via:na in
                   xc st ~in_label:b.a_in_label ~key:key_ba;
                   true
               | _ -> false)
@@ -196,8 +197,8 @@ let make ~env ~mref () =
                 replay_early ();
                 poll st ()
             | Some peer ->
-                run_cmd st.env.device "modprobe mpls";
-                run_cmd st.env.device "modprobe mpls4";
+                run st.env.device [ "modprobe"; "mpls" ];
+                run st.env.device [ "modprobe"; "mpls4" ];
                 let label = st.next_label in
                 st.next_label <- st.next_label + 1;
                 let adj =
@@ -215,8 +216,8 @@ let make ~env ~mref () =
                        (fun a -> a.a_spec.Primitive.pipe_id <> spec.Primitive.pipe_id)
                        st.adjacencies;
                 let iface = iface_of_adj st adj in
-                run_cmdf st.env.device "mpls labelspace set dev %s labelspace 0" iface;
-                run_cmdf st.env.device "mpls ilm add label gen %d labelspace 0" label;
+                run st.env.device [ "mpls"; "labelspace"; "set"; "dev"; iface; "labelspace"; "0" ];
+                ilm st "add" label;
                 announce_label st adj;
                 replay_early ();
                 poll st ()));
@@ -224,11 +225,11 @@ let make ~env ~mref () =
       (fun pid ->
         (match find_adj_by_pipe st pid with
         | Some adj ->
-            run_cmdf st.env.device "mpls ilm del label gen %d labelspace 0" adj.a_in_label;
+            ilm st "del" adj.a_in_label;
             (* the cross-connects (and their nhlfe entries) hanging off this
                adjacency's label die with it *)
             List.iter
-              (fun (l, k) -> if l = adj.a_in_label then run_cmdf st.env.device "mpls nhlfe del key %d" k)
+              (fun (l, k) -> if l = adj.a_in_label then nhlfe_del st (string_of_int k))
               st.xconnects;
             st.xconnects <- List.filter (fun (l, _) -> l <> adj.a_in_label) st.xconnects
         | None -> ());
@@ -236,7 +237,7 @@ let make ~env ~mref () =
            script's ftn-key query with a key pointing at the old adjacency:
            pipe ids are reused across scripts *)
         (match List.assoc_opt pid st.ftn with
-        | Some (key, _) -> run_cmdf st.env.device "mpls nhlfe del key %s" key
+        | Some (key, _) -> nhlfe_del st key
         | None -> ());
         st.ftn <- List.filter (fun (up, _) -> up <> pid) st.ftn;
         (* reclaim the label if it was the most recent allocation, so a

@@ -78,10 +78,10 @@ let scrape t =
           Diagnose.note_reachable t.store dev;
           List.iter
             (fun (m, pipes) ->
+              let module_id = Ids.qualified m in
               List.iter
                 (fun (pipe, counters) ->
-                  Diagnose.observe t.store ~at_ns ~device:dev ~module_id:(Ids.qualified m) ~pipe
-                    counters)
+                  Diagnose.observe t.store ~at_ns ~device:dev ~module_id ~pipe counters)
                 pipes)
             reports)
     t.scope

@@ -229,6 +229,27 @@ let rec parse_instructions = function
       (pushes, Some ("local", Ipv4_addr.any))
   | tok :: _ -> fail "mpls instructions: unsupported token %s" tok
 
+(* The key of the line `mpls nhlfe add` prints (below): the hex digits
+   after "NHLFE entry key 0x", up to a space or the end. *)
+let nhlfe_key_prefix = "NHLFE entry key 0x"
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+let nhlfe_key out =
+  let n = String.length out and p = String.length nhlfe_key_prefix in
+  let rec digits i key =
+    let d = if i < n then hex_value out.[i] else -1 in
+    if d >= 0 && key <= max_int lsr 4 then digits (i + 1) ((key lsl 4) lor d)
+    else if i > p && (i = n || out.[i] = ' ') then key
+    else fail "not an NHLFE key line: %S" out
+  in
+  if String.starts_with ~prefix:nhlfe_key_prefix out then digits p 0
+  else fail "not an NHLFE key line: %S" out
+
 let mpls dev = function
   | [ "labelspace"; "set"; "dev"; iface; "labelspace"; n ] ->
       require_mpls dev;
@@ -260,7 +281,7 @@ let mpls dev = function
       in
       let n = Device.mpls_add_nhlfe dev ~mtu ~push ~dev_out ~via () in
       (* Output formatted so that the paper's `grep key | cut -c 17-26`
-         extracts the hexadecimal key. *)
+         extracts the hexadecimal key; [nhlfe_key] reads it back. *)
       Printf.sprintf "NHLFE entry key 0x%08x mtu %d propagate_ttl\n" n.Device.nh_key mtu
   | [ "nhlfe"; "del"; "key"; k ] ->
       Device.mpls_del_nhlfe dev (int_of_string k);

@@ -109,6 +109,40 @@ let test_cli_nhlfe_key_output () =
   let k = Option.get (Shell.get_var sh "K") in
   check tbool "parses as int" true (int_of_string k > 0)
 
+let test_cli_nhlfe_key_parser () =
+  (* [nhlfe_key] returns the key [mpls nhlfe add] printed *)
+  let _, d = fresh_router () in
+  ignore (Linux_cli.exec d [ "modprobe"; "mpls" ]);
+  List.iter
+    (fun key ->
+      d.Device.mpls.Device.next_nhlfe_key <- key;
+      let out =
+        Linux_cli.exec d
+          [ "mpls"; "nhlfe"; "add"; "key"; "0"; "mtu"; "1500"; "instructions"; "deliver" ]
+      in
+      check tint
+        (Printf.sprintf "key 0x%x read back from %S" key out)
+        key (Linux_cli.nhlfe_key out))
+    [ 1; 0xff; 0x10000; 0x7fffffff ];
+  List.iter
+    (fun text ->
+      check tbool
+        (Printf.sprintf "%S is rejected" text)
+        true
+        (match Linux_cli.nhlfe_key text with exception Linux_cli.Error _ -> true | _ -> false))
+    [
+      "";
+      "NHLFE entry key 0x";
+      "NHLFE entry key 0x mtu 1500";
+      "NHLFE entry key 0xzz mtu 1500";
+      "NHLFE entry key 0x0000002g mtu 1500";
+      "NHLFE entry key 00000002 mtu 1500";
+      "nhlfe entry key 0x00000002 mtu 1500";
+      " NHLFE entry key 0x00000002 mtu 1500";
+      "NHLFE entry key 0x" ^ String.make 16 'f';
+      "ILM entry label 2001";
+    ]
+
 (* --- paper scripts against the testbeds ----------------------------------- *)
 
 let test_fig7a_gre_script_end_to_end () =
@@ -306,6 +340,7 @@ let () =
           Alcotest.test_case "unknown command" `Quick test_cli_unknown_command;
           Alcotest.test_case "mpls requires modprobe" `Quick test_cli_mpls_requires_modprobe;
           Alcotest.test_case "nhlfe key output" `Quick test_cli_nhlfe_key_output;
+          Alcotest.test_case "nhlfe key parser" `Quick test_cli_nhlfe_key_parser;
         ] );
       ( "paper-scripts",
         [

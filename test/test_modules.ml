@@ -130,6 +130,131 @@ let test_vlan_vid_allocation () =
       check tbool (name ^ " vid = 22") true (vlan.Module_impl.fields "vid" = Some "22"))
     v.Scenarios.vagents
 
+(* --- golden device state --------------------------------------------------------- *)
+
+(* Everything the modules' commands write into a device, one sorted line
+   per item: interfaces with their tunnel parameters and policers, routes
+   per table, rules, filters, table names, loaded kernel modules, and the
+   MPLS labelspaces, ILM entries with their cross-connects, NHLFE entries
+   and key allocator. Counters and the ARP and FDB caches are traffic's. *)
+let device_fingerprint (d : Netsim.Device.t) =
+  let module D = Netsim.Device in
+  let ip = Packet.Ipv4_addr.to_string and pfx = Packet.Prefix.to_string in
+  let opt f = function Some x -> f x | None -> "-" in
+  let key = opt Int32.to_string in
+  let kind = function
+    | D.Phys i -> "phys " ^ string_of_int i
+    | D.Loopback -> "loopback"
+    | D.Tun t ->
+        Printf.sprintf
+          "%s local %s remote %s ikey %s okey %s csum %b/%b seq %b/%b ttl %d tos %d enc %s/%s"
+          (match t.D.t_mode with D.Gre_mode -> "gre" | D.Ipip_mode -> "ipip" | D.Esp_mode -> "esp")
+          (ip t.D.t_local) (ip t.D.t_remote) (key t.D.t_ikey) (key t.D.t_okey) t.D.t_icsum
+          t.D.t_ocsum t.D.t_iseq t.D.t_oseq t.D.t_ttl t.D.t_tos (key t.D.t_enc_in)
+          (key t.D.t_enc_out)
+  in
+  let iface (i : D.iface) =
+    Printf.sprintf "if %s %s [%s] %s police %s" i.D.if_name (kind i.D.if_kind)
+      (String.concat " " (List.map (fun (a, p) -> ip a ^ " in " ^ pfx p) i.D.if_addrs))
+      (if i.D.if_up then "up" else "down")
+      (opt (fun p -> Printf.sprintf "%d/%d" p.D.pol_rate_bps p.D.pol_burst) i.D.if_policer)
+  in
+  let route table (r : D.route) =
+    Printf.sprintf "route %s %s via %s dev %s mpls %s" table (pfx r.D.rt_dst) (opt ip r.D.rt_via)
+      (opt Fun.id r.D.rt_dev) (opt string_of_int r.D.rt_mpls)
+  in
+  let rule (r : D.rule) =
+    Printf.sprintf "rule %s table %s prio %d"
+      (match r.D.rl_sel with
+      | D.To_prefix p -> "to " ^ pfx p
+      | D.From_iface i -> "iif " ^ i
+      | D.Match_all -> "all")
+      r.D.rl_table r.D.rl_prio
+  in
+  let m = d.D.mpls in
+  let fold f tbl = Hashtbl.fold (fun k v acc -> f k v :: acc) tbl [] in
+  let items =
+    List.map iface d.D.ifaces
+    @ List.concat_map (fun (t, rs) -> List.map (route t) !rs) d.D.tables
+    @ List.map rule d.D.rules
+    @ List.map (fun (s, t) -> Printf.sprintf "drop %s -> %s" (pfx s) (pfx t)) d.D.ip_drops
+    @ fold (fun i s -> Printf.sprintf "labelspace %s %d" i s) m.D.labelspace_of_iface
+    @ fold
+        (fun _ (l : D.ilm) ->
+          Printf.sprintf "ilm %d/%d xc %s" l.D.ilm_label l.D.ilm_space
+            (opt string_of_int l.D.ilm_xc))
+        m.D.ilm_table
+    @ fold
+        (fun _ (n : D.nhlfe) ->
+          Printf.sprintf "nhlfe %d mtu %d push [%s] dev %s via %s" n.D.nh_key n.D.nh_mtu
+            (String.concat " " (List.map string_of_int n.D.nh_push))
+            n.D.nh_dev (ip n.D.nh_via))
+        m.D.nhlfe_table
+  in
+  String.concat "\n"
+    ((d.D.dev_id ^ ":")
+    :: Printf.sprintf "  forward %b mpls %b next-nhlfe %d" d.D.ip_forward m.D.mpls_enabled
+         m.D.next_nhlfe_key
+    :: ("  tables " ^ String.concat " " (List.sort compare d.D.rt_table_names))
+    :: ("  modules " ^ String.concat " " (List.sort compare d.D.loaded_modules))
+    :: List.map (( ^ ) "  ") (List.sort compare items))
+
+let net_fingerprint net =
+  Netsim.Net.devices net
+  |> List.sort (fun a b -> compare a.Netsim.Device.dev_id b.Netsim.Device.dev_id)
+  |> List.map device_fingerprint |> String.concat "\n"
+
+(* Every device's fingerprint once the NM configured a path, and again
+   after it tore the path down. *)
+let configure_and_tear_down nm net goal configure =
+  let script = configure nm goal in
+  let configured = net_fingerprint net in
+  Nm.teardown nm script;
+  (configured, net_fingerprint net)
+
+let vpn_path ?secure ?tradeoffs pick () =
+  let v = Scenarios.build_vpn ?secure ?tradeoffs () in
+  configure_and_tear_down v.Scenarios.nm v.Scenarios.tb.Netsim.Testbeds.vpn_net v.Scenarios.goal
+    (fun nm goal -> Nm.configure_path nm goal (List.find pick (Nm.find_paths nm goal)))
+
+let chain n () =
+  let c = Scenarios.build_chain n in
+  configure_and_tear_down c.Scenarios.cnm c.Scenarios.ctb.Netsim.Testbeds.chain_net
+    c.Scenarios.cgoal (fun nm goal ->
+      match Nm.achieve nm goal with Ok (_, _, script) -> script | Error e -> Alcotest.fail e)
+
+(* The golden values are MD5 digests of the fingerprints (configured, torn
+   down), taken from a build whose modules printed every command as a line
+   for the interpreter to split: they pin that the argument vectors
+   configure the same state. A mismatch prints the state that differs. *)
+let test_golden_device_state (run, golden) () =
+  let configured, torn_down = run () in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let digests = (md5 configured, md5 torn_down) in
+  if digests <> golden then
+    Alcotest.failf "digests (configured, torn down) = (%S, %S), golden (%S, %S); state:\n%s"
+      (fst digests) (snd digests) (fst golden) (snd golden)
+      (if fst digests <> fst golden then configured else torn_down)
+
+let golden_device_states =
+  [
+    ( "VPN pure MPLS",
+      vpn_path Scenarios.pure_mpls,
+      ("d40aa20dc2e8cf746d48ab4b7a61a5ab", "e2e4924cdf0ccca88aa8f75eec984cc3") );
+    ( "VPN pure GRE, both trade-offs",
+      vpn_path ~tradeoffs:[ "in-order-delivery"; "low-error-rate" ] Scenarios.pure_gre,
+      ("afc17a2e198dc187134e7c78e55aa151", "e8ad47ae6759ff6214089a38fb306be0") );
+    ( "VPN pure IP-IP",
+      vpn_path Scenarios.pure_ipip,
+      ("2c0581ef0920555c98eccbd55c6f9ab5", "d81214e22c3b7a759f2a8592b6047815") );
+    ( "secure VPN ESP",
+      vpn_path ~secure:true Scenarios.secure,
+      ("6651ad5b1618e648b0824a099a008658", "22d98640118ff3bd1a066e0d797d0c25") );
+    ( "chain n=5",
+      chain 5,
+      ("424254033c5a87abc791cc4535169e3c", "a0f229ecf240e95aa4865b2c811b816e") );
+  ]
+
 (* --- the agent ------------------------------------------------------------------ *)
 
 let test_agent_unknown_module_bundle_err () =
@@ -200,6 +325,11 @@ let () =
           Alcotest.test_case "MPLS FTN exposure" `Quick test_mpls_ftn_exposed;
           Alcotest.test_case "VLAN vid agreement" `Quick test_vlan_vid_allocation;
         ] );
+      ( "device state",
+        List.map
+          (fun (name, run, golden) ->
+            Alcotest.test_case name `Quick (test_golden_device_state (run, golden)))
+          golden_device_states );
       ( "agent",
         [
           Alcotest.test_case "unknown module -> Bundle_err" `Quick test_agent_unknown_module_bundle_err;
