@@ -1141,8 +1141,10 @@ let trace_datapoints () =
    tick over ticks 51-100 and 551-600, the policy routing tables on each
    edge router after the first and the last teardown, the intents the NM
    still lists, and its journal: the entries it holds and the entries ever
-   appended. CI gates on late <= 1.01 x early for goals and ticks, on
-   unchanged table counts and on a bounded journal. *)
+   appended. A third NM configures the VPN once and pings over it 100
+   times: the mean words of pings 51-100 (one bidirectional ping each) are
+   the datapath's cost per goal. CI gates on late <= 1.01 x early for
+   goals and ticks, on unchanged table counts and on a bounded journal. *)
 let history_datapoints () =
   let mean words first last =
     let sum = ref 0. in
@@ -1170,6 +1172,17 @@ let history_datapoints () =
     words.(k) <- Gc.minor_words () -. w0;
     if k = 0 then after_first := policy_tables ()
   done;
+  let pings = 100 in
+  let pv = Scenarios.build_vpn () in
+  (match Nm.achieve pv.Scenarios.nm pv.Scenarios.goal with
+  | Ok _ -> ()
+  | Error e -> failwith ("history bench: ping achieve: " ^ e));
+  let ping_words = Array.make pings 0. in
+  for k = 0 to pings - 1 do
+    let w0 = Gc.minor_words () in
+    if not (Scenarios.vpn_reachable pv) then failwith "history bench: ping failed";
+    ping_words.(k) <- Gc.minor_words () -. w0
+  done;
   let ticks = 600 in
   let d = Scenarios.build_diamond () in
   (match Nm.achieve d.Scenarios.dnm d.Scenarios.dgoal with
@@ -1194,6 +1207,7 @@ let history_datapoints () =
       \  \"goals\": %d,\n\
       \  \"minor_words_per_goal_51_100\": %.1f,\n\
       \  \"minor_words_per_goal_951_1000\": %.1f,\n\
+      \  \"minor_words_per_ping\": %.1f,\n\
       \  \"ticks\": %d,\n\
       \  \"minor_words_per_tick_51_100\": %.1f,\n\
       \  \"minor_words_per_tick_551_600\": %.1f,\n\
@@ -1203,7 +1217,8 @@ let history_datapoints () =
       \  \"journal_entries\": %d,\n\
       \  \"journal_length\": %d\n\
        }\n"
-      goals (mean words 51 100) (mean words 951 1000) ticks (mean tick_words 51 100)
+      goals (mean words 51 100) (mean words 951 1000) (mean ping_words 51 100) ticks
+      (mean tick_words 51 100)
       (mean tick_words 551 600) (tables_json !after_first)
       (tables_json (policy_tables ()))
       (List.length (Nm.intents nm))

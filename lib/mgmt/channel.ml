@@ -121,21 +121,14 @@ module Raw = struct
         let n = Hashtbl.length w.recent in
         if n > st.raw_stats.seen_high_water then st.raw_stats.seen_high_water <- n
 
-  let flood agent ?(except = -1) frame_bytes =
-    let eth_src i = (Device.port agent.device i).Device.port_mac in
+  (* Sends the [len] bytes at [off] of [buf] out of every port but [except]. *)
+  let flood agent ?(except = -1) buf off len =
     Array.iter
       (fun (p : Device.port) ->
         if p.Device.port_index <> except then
-          let frame =
-            Packet.Ethernet.encode
-              {
-                Packet.Ethernet.dst = Packet.Mac_addr.broadcast;
-                src = eth_src p.Device.port_index;
-                ethertype = Packet.Ethertype.Mgmt;
-              }
-              frame_bytes
-          in
-          Datapath.transmit agent.device p.Device.port_index frame)
+          Datapath.transmit agent.device p.Device.port_index
+            (Packet.Ethernet.frame ~dst:Packet.Mac_addr.broadcast ~src:p.Device.port_mac
+               Packet.Ethertype.Mgmt buf off len))
       agent.device.Device.ports
 
   let create ?(window = default_window) () =
@@ -167,7 +160,9 @@ module Raw = struct
           (* Local loopback when a device messages itself (e.g. the NM's own
              modules). Broadcasts are never self-delivered. *)
           if dst = src then deliver agent f
-          else flood agent (Frame.encode f)
+          else
+            let b = Frame.encode f in
+            flood agent b 0 (Bytes.length b)
     in
     let subscribe id h =
       match find_agent id with
@@ -182,8 +177,9 @@ module Raw = struct
       st.agents <- agent :: st.agents;
       device.Device.mgmt_hook <-
         Some
-          (fun ~in_port ~src:_ payload ->
-            match Frame.decode payload with
+          (fun ~in_port frame ->
+            let off = Packet.Ethernet.header_size in
+            match Frame.decode frame off with
             | exception Frame.Bad_frame _ -> ()
             | f ->
                 if not (seen_before agent f.Frame.src_device f.Frame.seq) then begin
@@ -193,7 +189,7 @@ module Raw = struct
                   if mine || bcast then deliver agent f;
                   (* Forward everything that is not exclusively ours: the
                      4D-style dissemination. *)
-                  if not mine then flood agent ~except:in_port payload
+                  if not mine then flood agent ~except:in_port frame off (Bytes.length frame - off)
                 end)
     in
     (chan, attach)

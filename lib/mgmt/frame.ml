@@ -2,8 +2,6 @@
    dedicated ethertype (CONMan §III-A: "management frames encapsulated in
    Ethernet frames ... no pre-configuration is needed"). *)
 
-open Packet
-
 type t = {
   src_device : string;
   dst_device : string; (* "" = flood to every management agent *)
@@ -15,39 +13,39 @@ exception Bad_frame of string
 
 let broadcast = ""
 
-let write_string w s =
-  if String.length s > 0xffff then invalid_arg "Frame.write_string";
-  Cursor.w16 w (String.length s);
-  Cursor.wbytes w (Bytes.of_string s)
-
-let read_string r =
-  let n = Cursor.u16 r in
-  Bytes.to_string (Cursor.take r n)
-
 let encode t =
-  let w = Cursor.writer () in
-  write_string w t.src_device;
-  write_string w t.dst_device;
-  Cursor.w32 w (Int32.of_int t.seq);
-  Cursor.w16 w (Bytes.length t.payload);
-  Cursor.wbytes w t.payload;
-  Cursor.contents w
+  let src = t.src_device and dst = t.dst_device and n = Bytes.length t.payload in
+  if String.length src > 0xffff || String.length dst > 0xffff then invalid_arg "Frame.encode";
+  let b = Bytes.create (2 + String.length src + 2 + String.length dst + 4 + 2 + n) in
+  let put_string off s =
+    Bytes.set_uint16_be b off (String.length s);
+    Bytes.blit_string s 0 b (off + 2) (String.length s);
+    off + 2 + String.length s
+  in
+  let off = put_string (put_string 0 src) dst in
+  Bytes.set_int32_be b off (Int32.of_int t.seq);
+  Bytes.set_uint16_be b (off + 4) n;
+  Bytes.blit t.payload 0 b (off + 6) n;
+  b
 
-let decode buf =
-  try
-    let r = Cursor.reader buf in
-    let src_device = read_string r in
-    let dst_device = read_string r in
-    let seq = Int32.to_int (Cursor.u32 r) in
-    let len = Cursor.u16 r in
-    let payload = Cursor.take r len in
-    { src_device; dst_device; seq; payload }
-  with
-  | Cursor.Truncated -> raise (Bad_frame "truncated")
-  (* decode is total up to Bad_frame: fuzzed or corrupted buffers must
-     never leak any other exception to the channel layer *)
-  | Bad_frame _ as e -> raise e
-  | _ -> raise (Bad_frame "malformed")
+(* Every read is bounds-checked against the buffer, so a short buffer
+   raises [Bad_frame "truncated"]. *)
+let decode buf off =
+  let limit = Bytes.length buf in
+  let need pos n = if pos < 0 || pos + n > limit then raise (Bad_frame "truncated") in
+  let get_string pos =
+    need pos 2;
+    let n = Bytes.get_uint16_be buf pos in
+    need (pos + 2) n;
+    (Bytes.sub_string buf (pos + 2) n, pos + 2 + n)
+  in
+  let src_device, pos = get_string off in
+  let dst_device, pos = get_string pos in
+  need pos 6;
+  let seq = Int32.to_int (Bytes.get_int32_be buf pos) in
+  let len = Bytes.get_uint16_be buf (pos + 4) in
+  need (pos + 6) len;
+  { src_device; dst_device; seq; payload = Bytes.sub buf (pos + 6) len }
 
 let equal a b =
   a.src_device = b.src_device && a.dst_device = b.dst_device && a.seq = b.seq

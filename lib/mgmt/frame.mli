@@ -12,6 +12,10 @@ exception Bad_frame of string
 
 val broadcast : string
 val encode : t -> bytes
-val decode : bytes -> t
+
+val decode : bytes -> int -> t
+(** [decode buf off] decodes the frame starting at [off]; raises
+    {!Bad_frame} on any malformed input. *)
+
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -1,22 +1,52 @@
 (* Named monotonic counters, used for the performance-reporting part of the
-   module abstraction and for debugging. *)
+   module abstraction and for debugging. Names are interned once into keys
+   (small ints shared by every counter set), so an increment is an array
+   store: no string is hashed on the datapath. *)
 
-type t = (string, int ref) Hashtbl.t
+type key = int
 
-let create () : t = Hashtbl.create 8
+let keys : (string, key) Hashtbl.t = Hashtbl.create 64
+let names = ref [||]
 
-let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t name (ref by)
+let key name =
+  match Hashtbl.find_opt keys name with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.length keys in
+      Hashtbl.add keys name k;
+      names := Array.append !names [| name |];
+      k
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+(* A counter never incremented holds [absent]: it reads 0 but is not
+   listed, as a name never seen was not before interning. *)
+let absent = min_int
+
+type t = { mutable values : int array }
+
+let create () = { values = [||] }
+
+let add t k n =
+  if k >= Array.length t.values then begin
+    let values = Array.make (Hashtbl.length keys) absent in
+    Array.blit t.values 0 values 0 (Array.length t.values);
+    t.values <- values
+  end;
+  let v = Array.unsafe_get t.values k in
+  Array.unsafe_set t.values k (if v = absent then n else v + n)
+
+let incr t k = add t k 1
+
+let get t name =
+  match Hashtbl.find_opt keys name with
+  | Some k when k < Array.length t.values && t.values.(k) <> absent -> t.values.(k)
+  | Some _ | None -> 0
 
 let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let acc = ref [] in
+  Array.iteri (fun k v -> if v <> absent then acc := (!names.(k), v) :: !acc) t.values;
+  List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
-let reset t = Hashtbl.reset t
+let reset t = Array.fill t.values 0 (Array.length t.values) absent
 
 let snapshot = to_list
 
@@ -30,7 +60,3 @@ let delta ~before ~after =
       let v_before = match List.assoc_opt name before with Some v -> v | None -> 0 in
       if v_after >= v_before then Some (name, v_after - v_before) else Some (name, 0))
     after
-
-let pp ppf t =
-  Fmt.pf ppf "%a" (Fmt.list ~sep:Fmt.comma (Fmt.pair ~sep:(Fmt.any "=") Fmt.string Fmt.int))
-    (to_list t)

@@ -3,13 +3,22 @@
 
 type t
 
+type key
+(** A counter name, interned: every counter set shares the same keys. *)
+
+val key : string -> key
+(** The key of a name; the same name always gives the same key. *)
+
 val create : unit -> t
-val incr : ?by:int -> t -> string -> unit
+
+val incr : t -> key -> unit
+val add : t -> key -> int -> unit
+
 val get : t -> string -> int
 (** 0 for counters never incremented. *)
 
 val to_list : t -> (string * int) list
-(** Sorted by name. *)
+(** The counters ever incremented, sorted by name. *)
 
 val reset : t -> unit
 
@@ -20,5 +29,3 @@ val delta : before:(string * int) list -> after:(string * int) list -> (string *
 (** Scrape-to-scrape difference of two monotonic snapshots. Names absent
     from [before] count from zero; a name whose value went backwards (a
     reset counter) reports 0 instead of a negative delta. *)
-
-val pp : t Fmt.t

@@ -90,7 +90,7 @@ type vlan_def = { mutable vd_name : string; mutable vd_mtu : int }
 
 type switch_state = {
   mutable switching : bool;
-  fdb : (int * Mac_addr.t, int) Hashtbl.t; (* (vlan, mac) -> port *)
+  fdb : (int, int) Hashtbl.t; (* (vlan lsl 48) lor mac -> port *)
   vlans : (int, vlan_def) Hashtbl.t;
   mutable tag_native : bool;
 }
@@ -122,7 +122,9 @@ type t = {
   arp : arp_state;
   udp_socks : (int, udp_handler) Hashtbl.t;
   mutable icmp_hook : (Ipv4.t -> Icmp.t -> unit) option;
-  mutable mgmt_hook : (in_port:int -> src:Mac_addr.t -> bytes -> unit) option;
+  mutable mgmt_hook : (in_port:int -> bytes -> unit) option;
+      (* receives the whole frame; the management payload follows the
+         Ethernet header *)
   dev_counters : Counters.t;
   mutable rx_dispatch : int -> bytes -> unit; (* set by Datapath.activate *)
 }
@@ -206,12 +208,19 @@ let attach_port dev i endpoint =
 
 (* Interfaces -------------------------------------------------------- *)
 
-let find_iface dev name = List.find_opt (fun i -> i.if_name = name) dev.ifaces
+let rec iface_named name = function
+  | [] -> raise Not_found
+  | i :: rest -> if String.equal i.if_name name then i else iface_named name rest
+
+(* The interface called [name]; raises [Not_found]. Allocates nothing. *)
+let iface dev name = iface_named name dev.ifaces
+
+let find_iface dev name = match iface dev name with i -> Some i | exception Not_found -> None
 
 let find_iface_exn dev name =
-  match find_iface dev name with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "%s: no such interface %s" dev.dev_name name)
+  match iface dev name with
+  | i -> i
+  | exception Not_found -> failwith (Printf.sprintf "%s: no such interface %s" dev.dev_name name)
 
 let add_tunnel dev ~name ~mode ~local ~remote () =
   if find_iface dev name <> None then failwith (name ^ ": interface exists");
@@ -242,17 +251,19 @@ let add_tunnel dev ~name ~mode ~local ~remote () =
 
 let remove_iface dev name = dev.ifaces <- List.filter (fun i -> i.if_name <> name) dev.ifaces
 
-let del_addr dev ~iface ~addr =
-  let i = find_iface_exn dev iface in
-  i.if_addrs <- List.filter (fun (a, _) -> not (Ipv4_addr.equal a addr)) i.if_addrs
-
 let local_addrs dev =
   List.concat_map (fun i -> if i.if_up then List.map fst i.if_addrs else []) dev.ifaces
 
-let is_local_addr dev a = List.exists (Ipv4_addr.equal a) (local_addrs dev)
+let rec has_addr a = function
+  | [] -> false
+  | (x, _) :: rest -> Ipv4_addr.equal x a || has_addr a rest
 
-let iface_of_addr dev a =
-  List.find_opt (fun i -> i.if_up && List.exists (fun (x, _) -> Ipv4_addr.equal x a) i.if_addrs) dev.ifaces
+let rec local_in a = function
+  | [] -> false
+  | i :: rest -> (i.if_up && has_addr a i.if_addrs) || local_in a rest
+
+(* Allocates nothing. *)
+let is_local_addr dev a = local_in a dev.ifaces
 
 let primary_addr iface = match iface.if_addrs with (a, _) :: _ -> Some a | [] -> None
 
@@ -311,35 +322,43 @@ let del_rule dev pred =
   dev.rules <- kept;
   List.iter (fun r -> reclaim_table dev r.rl_table) gone
 
-let lpm routes dst =
-  List.fold_left
-    (fun best r ->
-      if Prefix.mem dst r.rt_dst then
-        match best with
-        | Some b when Prefix.len b.rt_dst >= Prefix.len r.rt_dst -> best
-        | _ -> Some r
-      else best)
-    None routes
+(* The longest matching prefix; the earliest route wins a tie. *)
+let rec longest dst best best_len = function
+  | [] -> if best_len < 0 then raise Not_found else best
+  | r :: rest ->
+      let l = Prefix.len r.rt_dst in
+      if l > best_len && Prefix.mem dst r.rt_dst then longest dst r l rest
+      else longest dst best best_len rest
+
+let no_route = { rt_dst = Prefix.of_string "0.0.0.0/0"; rt_via = None; rt_dev = None; rt_mpls = None }
+
+(* Raises [Not_found] when no route matches. Allocates nothing. *)
+let lpm routes dst = longest dst no_route (-1) routes
+
+let rec routes_of name = function
+  | [] -> []
+  | (n, t) :: rest -> if String.equal n name then !t else routes_of name rest
+
+let rec first_rule dev in_iface dst = function
+  | [] -> lpm (routes_of "main" dev.tables) dst
+  | r :: rest ->
+      let matches =
+        match r.rl_sel with
+        | Match_all -> true
+        | To_prefix p -> Prefix.mem dst p
+        | From_iface i -> String.equal in_iface i
+      in
+      if matches then
+        match lpm (routes_of r.rl_table dev.tables) dst with
+        | route -> route
+        | exception Not_found -> first_rule dev in_iface dst rest
+      else first_rule dev in_iface dst rest
 
 (* Route lookup honouring policy rules: first matching rule whose table
-   contains a route wins; the main table is the fallback. *)
-let lookup_route dev ?in_iface dst =
-  let rule_matches r =
-    match r.rl_sel with
-    | Match_all -> true
-    | To_prefix p -> Prefix.mem dst p
-    | From_iface i -> ( match in_iface with Some n -> n = i | None -> false)
-  in
-  let rec try_rules = function
-    | [] -> lpm !(table_exn dev "main") dst
-    | r :: rest ->
-        if rule_matches r then
-          match List.assoc_opt r.rl_table dev.tables with
-          | Some routes -> ( match lpm !routes dst with Some x -> Some x | None -> try_rules rest)
-          | None -> try_rules rest
-        else try_rules rest
-  in
-  try_rules dev.rules
+   contains a route wins; the main table is the fallback. [in_iface] is
+   the interface the packet arrived on, [""] for one sent by the device
+   itself. Raises [Not_found] when no route matches. Allocates nothing. *)
+let lookup_route dev ~in_iface dst = first_rule dev in_iface dst dev.rules
 
 (* MPLS -------------------------------------------------------------- *)
 
@@ -347,7 +366,7 @@ let mpls_set_labelspace dev ~iface ~space =
   Hashtbl.replace dev.mpls.labelspace_of_iface iface space
 
 let mpls_labelspace dev iface =
-  match Hashtbl.find_opt dev.mpls.labelspace_of_iface iface with Some s -> s | None -> -1
+  match Hashtbl.find dev.mpls.labelspace_of_iface iface with s -> s | exception Not_found -> -1
 
 let mpls_add_ilm dev ~label ~space =
   let ilm = { ilm_label = label; ilm_space = space; ilm_xc = None } in
@@ -390,6 +409,8 @@ let set_policer dev ~iface ~rate_bps ~burst =
 
 let clear_policer dev ~iface = (find_iface_exn dev iface).if_policer <- None
 
+let policer_drops = Counters.key "policer_drops"
+
 (* Token-bucket admission: true if [bytes] may pass now. *)
 let policer_admit dev (i : iface) bytes =
   match i.if_policer with
@@ -406,7 +427,7 @@ let policer_admit dev (i : iface) bytes =
         true
       end
       else begin
-        Counters.incr i.if_counters "policer_drops";
+        Counters.incr i.if_counters policer_drops;
         false
       end
 
@@ -429,7 +450,6 @@ let crash dev =
   Hashtbl.reset dev.sw.fdb
 
 let restart dev = dev.dev_up <- true
-let is_up dev = dev.dev_up
 
 (* Misc ---------------------------------------------------------------- *)
 
@@ -437,12 +457,3 @@ let load_module dev name =
   if not (List.mem name dev.loaded_modules) then dev.loaded_modules <- name :: dev.loaded_modules
 
 let module_loaded dev name = List.mem name dev.loaded_modules
-
-let pp_route ppf r =
-  Fmt.pf ppf "%a%a%a%a" Prefix.pp r.rt_dst
-    (Fmt.option (fun ppf v -> Fmt.pf ppf " via %a" Ipv4_addr.pp v))
-    r.rt_via
-    (Fmt.option (fun ppf d -> Fmt.pf ppf " dev %s" d))
-    r.rt_dev
-    (Fmt.option (fun ppf k -> Fmt.pf ppf " mpls %d" k))
-    r.rt_mpls

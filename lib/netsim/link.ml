@@ -23,7 +23,6 @@ and segment = {
   mutable endpoints : endpoint list;
   mutable next_ep : int;
   mutable cut : bool;
-  mutable delivered : int;
   mutable loss : float; (* per-delivery probability a frame is lost *)
   mutable corrupt : float; (* per-delivery probability the CRC check fails *)
   mutable rng : int64;
@@ -43,7 +42,6 @@ let create_segment ?(latency_ns = 1_000L) ?(mtu = 1518) eq =
     endpoints = [];
     next_ep = 0;
     cut = false;
-    delivered = 0;
     loss = 0.0;
     corrupt = 0.0;
     rng = Int64.of_int !next_id;
@@ -81,30 +79,43 @@ let set_seed seg seed = seg.rng <- seed
 let set_loss seg p = seg.loss <- p
 let set_corrupt seg p = seg.corrupt <- p
 
-let drop seg ~cause frame =
-  Counters.incr seg.stats ("drop_" ^ cause);
-  Trace.emit ~device:(Printf.sprintf "link%d" seg.link_id) ~what:"drop" ~port:cause frame
+(* Drop causes: the name a trace shows and the interned [drop_<cause>]
+   counter. *)
+type cause = { name : string; key : Counters.key }
+
+let cause name = { name; key = Counters.key ("drop_" ^ name) }
+let cut_drop = cause "cut"
+let mtu_drop = cause "mtu"
+let loss_drop = cause "loss"
+let corrupt_drop = cause "corrupt"
+
+let drop seg cause frame =
+  Counters.incr seg.stats cause.key;
+  if !Trace.enabled then
+    Trace.emit ~device:(Printf.sprintf "link%d" seg.link_id) ~what:"drop" ~port:cause.name frame
+
+(* One event per delivery. Every endpoint receives the same buffer, so no
+   receiver may write into it. *)
+let deliver seg other frame () =
+  if seg.cut then drop seg cut_drop frame
+  else if seg.loss > 0.0 && uniform seg < seg.loss then drop seg loss_drop frame
+  else if seg.corrupt > 0.0 && uniform seg < seg.corrupt then
+    (* modelled as the receiving NIC failing the CRC check *)
+    drop seg corrupt_drop frame
+  else other.rx frame
+
+let rec schedule_deliveries seg ep frame = function
+  | [] -> ()
+  | other :: rest ->
+      if other.ep_id <> ep.ep_id then
+        Event_queue.schedule seg.eq ~delay_ns:seg.latency_ns (deliver seg other frame);
+      schedule_deliveries seg ep frame rest
 
 let send ep frame =
   let seg = ep.segment in
-  if seg.cut then drop seg ~cause:"cut" frame
-  else if Bytes.length frame > seg.mtu then drop seg ~cause:"mtu" frame
-  else
-    List.iter
-      (fun other ->
-        if other.ep_id <> ep.ep_id then
-          Event_queue.schedule seg.eq ~delay_ns:seg.latency_ns (fun () ->
-              if seg.cut then drop seg ~cause:"cut" frame
-              else if seg.loss > 0.0 && uniform seg < seg.loss then
-                drop seg ~cause:"loss" frame
-              else if seg.corrupt > 0.0 && uniform seg < seg.corrupt then
-                (* modelled as the receiving NIC failing the CRC check *)
-                drop seg ~cause:"corrupt" frame
-              else begin
-                seg.delivered <- seg.delivered + 1;
-                other.rx frame
-              end))
-      seg.endpoints
+  if seg.cut then drop seg cut_drop frame
+  else if Bytes.length frame > seg.mtu then drop seg mtu_drop frame
+  else schedule_deliveries seg ep frame seg.endpoints
 
 let cut segment =
   if not segment.cut then begin
@@ -134,8 +145,6 @@ let clear_faults segment =
   segment.corrupt <- 0.0
 
 let is_cut segment = segment.cut
-let id segment = segment.link_id
-let delivered segment = segment.delivered
 let drop_count segment cause = Counters.get segment.stats ("drop_" ^ cause)
 
 let dropped segment =
@@ -143,4 +152,3 @@ let dropped segment =
 
 let drop_stats segment = segment.stats
 let flaps segment = segment.flaps
-let mtu segment = segment.mtu

@@ -50,9 +50,6 @@ val clear_faults : segment -> unit
 
 (** {1 Statistics} *)
 
-val id : segment -> int
-val delivered : segment -> int
-
 val dropped : segment -> int
 (** Total drops, all causes. *)
 
@@ -64,5 +61,3 @@ val drop_stats : segment -> Counters.t
 
 val flaps : segment -> int
 (** Number of up->down transitions this segment has seen. *)
-
-val mtu : segment -> int

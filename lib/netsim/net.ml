@@ -25,8 +25,6 @@ let add_device ?(switching = false) t ~id ~name =
 
 let devices t = t.devices
 
-let find_device t name = List.find_opt (fun d -> d.Device.dev_name = name) t.devices
-
 let device_by_id t id = List.find_opt (fun d -> d.Device.dev_id = id) t.devices
 
 (* A broadcast segment with the given attachments; a two-element list is a

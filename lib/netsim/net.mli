@@ -17,7 +17,6 @@ val add_device : ?switching:bool -> t -> id:string -> name:string -> Device.t
     makes it a layer-2 switch. *)
 
 val devices : t -> Device.t list
-val find_device : t -> string -> Device.t option
 val device_by_id : t -> string -> Device.t option
 
 val lan :

@@ -1,18 +1,6 @@
 (** ICMP-echo reachability testing — the ground truth every configuration
     experiment is verified against. *)
 
-type result = { replied : bool; events : int }
-
-val run :
-  ?payload:bytes ->
-  Net.t ->
-  from:Device.t ->
-  src:Packet.Ipv4_addr.t ->
-  dst:Packet.Ipv4_addr.t ->
-  unit ->
-  result
-(** Sends one echo request from [from] and runs the network to quiescence. *)
-
 val reachable :
   ?payload:bytes ->
   Net.t ->
@@ -21,3 +9,5 @@ val reachable :
   dst:Packet.Ipv4_addr.t ->
   unit ->
   bool
+(** Sends one echo request from [from], runs the network to quiescence
+    and reports whether the matching reply came back. *)

@@ -89,9 +89,8 @@ let vpn () =
      proxy ARP, as the verbatim figure-7(a) script relies on. *)
   rd.Device.proxy_arp <- true;
   re.Device.proxy_arp <- true;
-  (* The ISP core knows both edge prefixes (static, stands in for the IGP). *)
-  Device.add_route rb
-    { Device.rt_dst = pfx "204.9.168.0/30"; rt_via = None; rt_dev = Some "eth1"; rt_mpls = None };
+  (* The ISP core needs no static routes: both edge-facing subnets are
+     connected routes on B, installed with its addresses. *)
   { vpn_net = net; ra; rb; rc; rd; re; host1; host2 }
 
 let vpn_reachable t =

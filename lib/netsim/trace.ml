@@ -42,7 +42,3 @@ let with_trace f =
   Fun.protect ~finally:(fun () -> enabled := was) f
 
 let get () = List.of_seq (Queue.to_seq events)
-
-let pp_event ppf e = Fmt.pf ppf "[%04d] %-8s %-10s %-6s %s" e.seq e.device e.what e.port e.detail
-
-let dump ppf () = Fmt.pf ppf "%a" (Fmt.list ~sep:Fmt.cut pp_event) (get ())

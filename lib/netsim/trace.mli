@@ -21,5 +21,3 @@ val with_trace : (unit -> 'a) -> 'a
 (** Runs the thunk with tracing on (cleared first), restoring the flag. *)
 
 val get : unit -> event list
-val pp_event : event Fmt.t
-val dump : unit Fmt.t

@@ -1,4 +1,5 @@
-(* ARP for IPv4 over Ethernet (RFC 826). *)
+(* ARP for IPv4 over Ethernet (RFC 826), read and written at an offset in
+   a buffer. *)
 
 type op = Request | Reply
 
@@ -14,39 +15,43 @@ exception Bad_header of string
 
 let size = 28
 
-let encode t =
-  let w = Cursor.writer () in
-  Cursor.w16 w 1 (* htype ethernet *);
-  Cursor.w16 w (Ethertype.to_int Ethertype.Ipv4);
-  Cursor.w8 w 6;
-  Cursor.w8 w 4;
-  Cursor.w16 w (match t.op with Request -> 1 | Reply -> 2);
-  Mac_addr.write w t.sender_mac;
-  Ipv4_addr.write w t.sender_ip;
-  Mac_addr.write w t.target_mac;
-  Ipv4_addr.write w t.target_ip;
-  Cursor.contents w
+let set buf off t =
+  Bytes.set_uint16_be buf off 1 (* htype ethernet *);
+  Bytes.set_uint16_be buf (off + 2) (Ethertype.to_int Ethertype.Ipv4);
+  Bytes.set_uint8 buf (off + 4) 6;
+  Bytes.set_uint8 buf (off + 5) 4;
+  Bytes.set_uint16_be buf (off + 6) (match t.op with Request -> 1 | Reply -> 2);
+  Mac_addr.set buf (off + 8) t.sender_mac;
+  Ipv4_addr.set buf (off + 14) t.sender_ip;
+  Mac_addr.set buf (off + 18) t.target_mac;
+  Ipv4_addr.set buf (off + 24) t.target_ip
 
-let decode buf =
-  let r = Cursor.reader buf in
-  if Cursor.remaining r < size then raise (Bad_header "truncated");
-  let htype = Cursor.u16 r in
-  let ptype = Cursor.u16 r in
-  let hlen = Cursor.u8 r in
-  let plen = Cursor.u8 r in
-  if htype <> 1 || ptype <> Ethertype.to_int Ethertype.Ipv4 || hlen <> 6 || plen <> 4 then
-    raise (Bad_header "unsupported ARP format");
+let encode t =
+  let b = Bytes.create size in
+  set b 0 t;
+  b
+
+let get buf off =
+  if Bytes.length buf - off < size then raise (Bad_header "truncated");
+  if
+    Bytes.get_uint16_be buf off <> 1
+    || Bytes.get_uint16_be buf (off + 2) <> Ethertype.to_int Ethertype.Ipv4
+    || Bytes.get_uint8 buf (off + 4) <> 6
+    || Bytes.get_uint8 buf (off + 5) <> 4
+  then raise (Bad_header "unsupported ARP format");
   let op =
-    match Cursor.u16 r with
+    match Bytes.get_uint16_be buf (off + 6) with
     | 1 -> Request
     | 2 -> Reply
     | _ -> raise (Bad_header "unknown op")
   in
-  let sender_mac = Mac_addr.read r in
-  let sender_ip = Ipv4_addr.read r in
-  let target_mac = Mac_addr.read r in
-  let target_ip = Ipv4_addr.read r in
-  { op; sender_mac; sender_ip; target_mac; target_ip }
+  {
+    op;
+    sender_mac = Mac_addr.get buf (off + 8);
+    sender_ip = Ipv4_addr.get buf (off + 14);
+    target_mac = Mac_addr.get buf (off + 18);
+    target_ip = Ipv4_addr.get buf (off + 24);
+  }
 
 let equal a b =
   a.op = b.op

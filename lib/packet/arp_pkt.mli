@@ -13,7 +13,13 @@ type t = {
 exception Bad_header of string
 
 val size : int
+
+val set : bytes -> int -> t -> unit
+(** Writes the {!size}-byte packet at an offset. *)
+
+val get : bytes -> int -> t
+(** The packet at an offset; raises {!Bad_header} on malformed input. *)
+
 val encode : t -> bytes
-val decode : bytes -> t
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -17,12 +17,12 @@ type header =
 let rec decode_ethertype et (buf : bytes) : header list =
   match et with
   | Ethertype.Ipv4 -> decode_ip buf
-  | Ethertype.Arp -> ( try [ Arp (Arp_pkt.decode buf) ] with _ -> [ Opaque ("arp?", buf) ])
+  | Ethertype.Arp -> ( try [ Arp (Arp_pkt.get buf 0) ] with _ -> [ Opaque ("arp?", buf) ])
   | Ethertype.Vlan | Ethertype.Qinq -> (
       try
-        let r = Cursor.reader buf in
-        let tag = Vlan.read r in
-        Vlan_tag tag :: decode_ethertype tag.Vlan.inner (Cursor.rest r)
+        let tag = Vlan.get buf 0 in
+        Vlan_tag tag
+        :: decode_ethertype tag.Vlan.inner (Bytes.sub buf Vlan.size (Bytes.length buf - Vlan.size))
       with _ -> [ Opaque ("vlan?", buf) ])
   | Ethertype.Mpls_unicast -> (
       try
@@ -47,7 +47,9 @@ and decode_ip buf : header list =
           with _ -> [ Opaque ("gre?", payload) ])
       | Ip_proto.Udp -> (
           try
-            let u, rest = Udp.decode ~src:hdr.Ipv4.src ~dst:hdr.Ipv4.dst payload in
+            let u, rest =
+              Udp.decode ~src:hdr.Ipv4.src ~dst:hdr.Ipv4.dst payload 0 (Bytes.length payload)
+            in
             [ Udp_hdr u; Payload rest ]
           with _ -> [ Opaque ("udp?", payload) ])
       | Ip_proto.Icmp -> (
@@ -65,11 +67,11 @@ and decode_ip buf : header list =
 
 let decode buf : header list =
   try
-    let r = Cursor.reader buf in
-    let eth = Ethernet.read r in
-    Eth eth :: decode_ethertype eth.Ethernet.ethertype (Cursor.rest r)
+    let eth = Ethernet.get buf in
+    Eth eth
+    :: decode_ethertype eth.Ethernet.ethertype
+         (Bytes.sub buf Ethernet.header_size (Bytes.length buf - Ethernet.header_size))
   with _ -> [ Opaque ("eth?", buf) ]
-
 let pp_header ppf = function
   | Eth e -> Ethernet.pp ppf e
   | Vlan_tag v -> Vlan.pp ppf v

@@ -11,6 +11,15 @@ exception Bad_header of string
 
 val make : ?key:int32 -> ?seq:int32 -> ?with_csum:bool -> Ethertype.t -> t
 val header_size : t -> int
+
+val set : bytes -> int -> t -> payload_len:int -> unit
+(** Writes the header at an offset. With a checksum, the [payload_len]
+    bytes of payload must already follow it: the checksum covers them. *)
+
+val get : bytes -> int -> int -> t
+(** [get buf off len] verifies and parses the header of the [len]-byte
+    packet at [off]; raises {!Bad_header} on malformed input. *)
+
 val encode : t -> bytes -> bytes
 val decode : bytes -> t * bytes
 val equal : t -> t -> bool

@@ -1,4 +1,5 @@
-(* ICMP echo request/reply and the error messages the simulator emits. *)
+(* ICMP echo request/reply and the error messages the simulator emits.
+   Messages are read and written at an offset in a buffer. *)
 
 type t =
   | Echo_request of { id : int; seq : int }
@@ -8,8 +9,9 @@ type t =
 
 exception Bad_header of string
 
-let encode t payload =
-  let w = Cursor.writer () in
+let header_size = 8
+
+let set buf off t data doff len =
   let ty, code, a, b =
     match t with
     | Echo_request { id; seq } -> (8, 0, id, seq)
@@ -17,35 +19,36 @@ let encode t payload =
     | Dest_unreachable { code } -> (3, code, 0, 0)
     | Time_exceeded -> (11, 0, 0, 0)
   in
-  Cursor.w8 w ty;
-  Cursor.w8 w code;
-  Cursor.w16 w 0;
-  Cursor.w16 w a;
-  Cursor.w16 w b;
-  Cursor.wbytes w payload;
-  let buf = Cursor.contents w in
-  Cursor.patch_u16 w 2 (Inet_csum.checksum buf 0 (Bytes.length buf));
-  Cursor.contents w
+  Bytes.set_uint8 buf off ty;
+  Bytes.set_uint8 buf (off + 1) code;
+  Bytes.set_uint16_be buf (off + 2) 0;
+  Bytes.set_uint16_be buf (off + 4) a;
+  Bytes.set_uint16_be buf (off + 6) b;
+  Bytes.blit data doff buf (off + header_size) len;
+  Bytes.set_uint16_be buf (off + 2) (Inet_csum.checksum buf off (header_size + len))
+
+let encode t payload =
+  let n = Bytes.length payload in
+  let b = Bytes.create (header_size + n) in
+  set b 0 t payload 0 n;
+  b
+
+let get buf off len =
+  if len < header_size then raise (Bad_header "truncated");
+  if not (Inet_csum.valid buf off len) then raise (Bad_header "bad checksum");
+  let a = Bytes.get_uint16_be buf (off + 4) in
+  let b = Bytes.get_uint16_be buf (off + 6) in
+  match Bytes.get_uint8 buf off with
+  | 8 -> Echo_request { id = a; seq = b }
+  | 0 -> Echo_reply { id = a; seq = b }
+  | 3 -> Dest_unreachable { code = Bytes.get_uint8 buf (off + 1) }
+  | 11 -> Time_exceeded
+  | _ -> raise (Bad_header "unknown type")
 
 let decode buf =
-  let r = Cursor.reader buf in
-  if Cursor.remaining r < 8 then raise (Bad_header "truncated");
-  if not (Inet_csum.valid buf 0 (Bytes.length buf)) then raise (Bad_header "bad checksum");
-  let ty = Cursor.u8 r in
-  let code = Cursor.u8 r in
-  let _csum = Cursor.u16 r in
-  let a = Cursor.u16 r in
-  let b = Cursor.u16 r in
-  let payload = Cursor.rest r in
-  let t =
-    match ty with
-    | 8 -> Echo_request { id = a; seq = b }
-    | 0 -> Echo_reply { id = a; seq = b }
-    | 3 -> Dest_unreachable { code }
-    | 11 -> Time_exceeded
-    | _ -> raise (Bad_header "unknown type")
-  in
-  (t, payload)
+  let n = Bytes.length buf in
+  let t = get buf 0 n in
+  (t, Bytes.sub buf header_size (n - header_size))
 
 let equal a b =
   match (a, b) with

@@ -1,5 +1,6 @@
-(* IPv4 headers (no options). Encoding fills total length and checksum;
-   decoding verifies the checksum and rejects truncated packets. *)
+(* IPv4 headers (no options). Headers are read and written at an offset in
+   a buffer; writing fills total length and checksum, checking verifies
+   the checksum and rejects truncated packets. *)
 
 type t = {
   tos : int;
@@ -18,45 +19,66 @@ let header_size = 20
 let make ?(tos = 0) ?(id = 0) ?(dont_fragment = true) ?(ttl = 64) ~proto ~src ~dst () =
   { tos; id; dont_fragment; ttl; proto; src; dst }
 
+let ttl buf off = Bytes.get_uint8 buf (off + 8)
+let proto buf off = Ip_proto.of_int (Bytes.get_uint8 buf (off + 9))
+let src buf off = Ipv4_addr.get buf (off + 12)
+let dst buf off = Ipv4_addr.get buf (off + 16)
+let total_length buf off = Bytes.get_uint16_be buf (off + 2)
+
+let set_checksum buf off =
+  Bytes.set_uint16_be buf (off + 10) 0;
+  Bytes.set_uint16_be buf (off + 10) (Inet_csum.checksum buf off header_size)
+
+let set buf off t ~payload_len =
+  Bytes.set_uint8 buf off 0x45;
+  Bytes.set_uint8 buf (off + 1) t.tos;
+  Bytes.set_uint16_be buf (off + 2) (header_size + payload_len);
+  Bytes.set_uint16_be buf (off + 4) t.id;
+  Bytes.set_uint16_be buf (off + 6) (if t.dont_fragment then 0x4000 else 0);
+  Bytes.set_uint8 buf (off + 8) t.ttl;
+  Bytes.set_uint8 buf (off + 9) (Ip_proto.to_int t.proto);
+  Ipv4_addr.set buf (off + 12) t.src;
+  Ipv4_addr.set buf (off + 16) t.dst;
+  set_checksum buf off
+
+let set_ttl buf off ttl =
+  Bytes.set_uint8 buf (off + 8) ttl;
+  set_checksum buf off
+
 let encode t payload =
-  let w = Cursor.writer () in
-  Cursor.w8 w 0x45;
-  Cursor.w8 w t.tos;
-  Cursor.w16 w (header_size + Bytes.length payload);
-  Cursor.w16 w t.id;
-  Cursor.w16 w (if t.dont_fragment then 0x4000 else 0);
-  Cursor.w8 w t.ttl;
-  Cursor.w8 w (Ip_proto.to_int t.proto);
-  Cursor.w16 w 0 (* checksum placeholder *);
-  Ipv4_addr.write w t.src;
-  Ipv4_addr.write w t.dst;
-  let hdr = Cursor.contents w in
-  Cursor.patch_u16 w 10 (Inet_csum.checksum hdr 0 header_size);
-  Cursor.wbytes w payload;
-  Cursor.contents w
+  let n = Bytes.length payload in
+  let b = Bytes.create (header_size + n) in
+  set b 0 t ~payload_len:n;
+  Bytes.blit payload 0 b header_size n;
+  b
+
+let check buf off limit =
+  if limit - off < header_size then raise (Bad_header "truncated");
+  let vihl = Bytes.get_uint8 buf off in
+  if vihl lsr 4 <> 4 then raise (Bad_header "not IPv4");
+  if (vihl land 0xf) * 4 <> header_size then raise (Bad_header "options unsupported");
+  let total_len = total_length buf off in
+  if total_len < header_size || total_len > limit - off then
+    raise (Bad_header "bad total length");
+  if Bytes.get_uint16_be buf (off + 6) land 0x3fff <> 0 then
+    raise (Bad_header "fragments unsupported");
+  if not (Inet_csum.valid buf off header_size) then raise (Bad_header "bad checksum");
+  total_len
+
+let get buf off =
+  {
+    tos = Bytes.get_uint8 buf (off + 1);
+    id = Bytes.get_uint16_be buf (off + 4);
+    dont_fragment = Bytes.get_uint16_be buf (off + 6) land 0x4000 <> 0;
+    ttl = ttl buf off;
+    proto = proto buf off;
+    src = src buf off;
+    dst = dst buf off;
+  }
 
 let decode buf =
-  let r = Cursor.reader buf in
-  if Cursor.remaining r < header_size then raise (Bad_header "truncated");
-  let vihl = Cursor.u8 r in
-  if vihl lsr 4 <> 4 then raise (Bad_header "not IPv4");
-  let ihl = (vihl land 0xf) * 4 in
-  if ihl <> header_size then raise (Bad_header "options unsupported");
-  let tos = Cursor.u8 r in
-  let total_len = Cursor.u16 r in
-  if total_len < header_size || total_len > Bytes.length buf then
-    raise (Bad_header "bad total length");
-  let id = Cursor.u16 r in
-  let flags_frag = Cursor.u16 r in
-  if flags_frag land 0x3fff <> 0 then raise (Bad_header "fragments unsupported");
-  let ttl = Cursor.u8 r in
-  let proto = Ip_proto.of_int (Cursor.u8 r) in
-  let _csum = Cursor.u16 r in
-  if not (Inet_csum.valid buf 0 header_size) then raise (Bad_header "bad checksum");
-  let src = Ipv4_addr.read r in
-  let dst = Ipv4_addr.read r in
-  let payload = Bytes.sub buf header_size (total_len - header_size) in
-  ({ tos; id; dont_fragment = flags_frag land 0x4000 <> 0; ttl; proto; src; dst }, payload)
+  let total_len = check buf 0 (Bytes.length buf) in
+  (get buf 0, Bytes.sub buf header_size (total_len - header_size))
 
 let equal a b =
   a.tos = b.tos && a.id = b.id && a.dont_fragment = b.dont_fragment && a.ttl = b.ttl

@@ -27,15 +27,10 @@ let of_string s =
   | _ -> invalid_arg ("Ipv4_addr.of_string: " ^ s)
 
 let any = 0l
-let broadcast = 0xffffffffl
 let localhost = of_octets 127 0 0 1
 
 let equal (a : t) (b : t) = Int32.equal a b
-let compare (a : t) (b : t) = Int32.unsigned_compare a b
-let hash (t : t) = Hashtbl.hash t
 let pp ppf t = Fmt.string ppf (to_string t)
 
-let write w t = Cursor.w32 w t
-let read r = Cursor.u32 r
-
-let succ t = Int32.add t 1l
+let set buf off t = Bytes.set_int32_be buf off t
+let get buf off = Bytes.get_int32_be buf off

@@ -4,17 +4,16 @@ type t
 
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
-val of_octets : int -> int -> int -> int -> t
 val octet : t -> int -> int
 val of_string : string -> t
 val to_string : t -> string
 val any : t
-val broadcast : t
 val localhost : t
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : t Fmt.t
-val write : Cursor.w -> t -> unit
-val read : Cursor.r -> t
-val succ : t -> t
+
+val set : bytes -> int -> t -> unit
+(** [set buf off t] writes the four bytes of [t] at [off]. *)
+
+val get : bytes -> int -> t
+(** The address in the four bytes at [off]. *)

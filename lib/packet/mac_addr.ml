@@ -17,8 +17,6 @@ let is_broadcast t = t = broadcast
 let is_multicast t = t land 0x010000000000 <> 0
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = compare a b
-let hash (t : t) = Hashtbl.hash t
 
 let to_string t =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
@@ -34,11 +32,12 @@ let of_string s =
 
 let pp ppf t = Fmt.string ppf (to_string t)
 
-let write w t =
-  Cursor.w16 w ((t lsr 32) land 0xffff);
-  Cursor.w32 w (Int32.of_int (t land 0xffffffff))
+let set buf off t =
+  Bytes.set_uint16_be buf off (t lsr 32);
+  Bytes.set_uint16_be buf (off + 2) (t lsr 16);
+  Bytes.set_uint16_be buf (off + 4) t
 
-let read r =
-  let hi = Cursor.u16 r in
-  let lo = Cursor.u32 r in
-  (hi lsl 32) lor (Int32.to_int lo land 0xffffffff)
+let get buf off =
+  (Bytes.get_uint16_be buf off lsl 32)
+  lor (Bytes.get_uint16_be buf (off + 2) lsl 16)
+  lor Bytes.get_uint16_be buf (off + 4)

@@ -12,10 +12,12 @@ val make : device:int -> port:int -> t
 val is_broadcast : t -> bool
 val is_multicast : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val to_string : t -> string
 val of_string : string -> t
 val pp : t Fmt.t
-val write : Cursor.w -> t -> unit
-val read : Cursor.r -> t
+
+val set : bytes -> int -> t -> unit
+(** [set buf off t] writes the six bytes of [t] at [off]. *)
+
+val get : bytes -> int -> t
+(** The address in the six bytes at [off]. *)

@@ -1,18 +1,17 @@
-(* IPv4 prefixes in CIDR notation. *)
+(* IPv4 prefixes in CIDR notation. Each prefix keeps its mask, so a
+   membership test is one AND and one compare. *)
 
-type t = { network : Ipv4_addr.t; len : int }
+type t = { network : Ipv4_addr.t; len : int; mask : int32 }
 
 let mask_of_len len =
   if len < 0 || len > 32 then invalid_arg "Prefix.mask_of_len";
   if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
 
 let make addr len =
-  let m = mask_of_len len in
-  { network = Ipv4_addr.of_int32 (Int32.logand (Ipv4_addr.to_int32 addr) m); len }
+  let mask = mask_of_len len in
+  { network = Ipv4_addr.of_int32 (Int32.logand (Ipv4_addr.to_int32 addr) mask); len; mask }
 
-let network t = t.network
 let len t = t.len
-let mask t = mask_of_len t.len
 
 let of_string s =
   match String.index_opt s '/' with
@@ -25,16 +24,11 @@ let of_string s =
 let to_string t = Printf.sprintf "%s/%d" (Ipv4_addr.to_string t.network) t.len
 
 let mem addr t =
-  Int32.equal
-    (Int32.logand (Ipv4_addr.to_int32 addr) (mask_of_len t.len))
-    (Ipv4_addr.to_int32 t.network)
+  Int32.equal (Int32.logand (Ipv4_addr.to_int32 addr) t.mask) (Ipv4_addr.to_int32 t.network)
 
 let subset ~sub ~super = sub.len >= super.len && mem sub.network super
 
 let equal a b = Ipv4_addr.equal a.network b.network && a.len = b.len
-
-let compare a b =
-  match Ipv4_addr.compare a.network b.network with 0 -> compare a.len b.len | c -> c
 
 let pp ppf t = Fmt.string ppf (to_string t)
 

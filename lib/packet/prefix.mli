@@ -5,16 +5,12 @@ type t
 val make : Ipv4_addr.t -> int -> t
 (** [make addr len] normalises [addr] to its network address. *)
 
-val network : t -> Ipv4_addr.t
 val len : t -> int
-val mask : t -> int32
-val mask_of_len : int -> int32
 val of_string : string -> t
 val to_string : t -> string
 val mem : Ipv4_addr.t -> t -> bool
 val subset : sub:t -> super:t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : t Fmt.t
 
 val nth_host : t -> int -> Ipv4_addr.t

@@ -8,42 +8,33 @@ exception Bad_header of string
 let header_size = 8
 
 let pseudo_sum ~src ~dst len =
-  let w = Cursor.writer () in
-  Ipv4_addr.write w src;
-  Ipv4_addr.write w dst;
-  Cursor.w8 w 0;
-  Cursor.w8 w (Ip_proto.to_int Ip_proto.Udp);
-  Cursor.w16 w len;
-  let b = Cursor.contents w in
-  Inet_csum.sum_bytes 0 b 0 (Bytes.length b)
+  let half a =
+    let v = Int32.to_int (Ipv4_addr.to_int32 a) land 0xffffffff in
+    (v lsr 16) + (v land 0xffff)
+  in
+  half src + half dst + Ip_proto.to_int Ip_proto.Udp + (len land 0xffff)
 
 let encode ~src ~dst t payload =
   let len = header_size + Bytes.length payload in
-  let w = Cursor.writer () in
-  Cursor.w16 w t.src_port;
-  Cursor.w16 w t.dst_port;
-  Cursor.w16 w len;
-  Cursor.w16 w 0;
-  Cursor.wbytes w payload;
-  let buf = Cursor.contents w in
-  let csum = Inet_csum.checksum ~init:(pseudo_sum ~src ~dst len) buf 0 len in
-  let csum = if csum = 0 then 0xffff else csum in
-  Cursor.patch_u16 w 6 csum;
-  Cursor.contents w
+  let b = Bytes.create len in
+  Bytes.set_uint16_be b 0 t.src_port;
+  Bytes.set_uint16_be b 2 t.dst_port;
+  Bytes.set_uint16_be b 4 len;
+  Bytes.set_uint16_be b 6 0;
+  Bytes.blit payload 0 b header_size (Bytes.length payload);
+  let csum = Inet_csum.checksum ~init:(pseudo_sum ~src ~dst len) b 0 len in
+  Bytes.set_uint16_be b 6 (if csum = 0 then 0xffff else csum);
+  b
 
-let decode ~src ~dst buf =
-  let r = Cursor.reader buf in
-  if Cursor.remaining r < header_size then raise (Bad_header "truncated");
-  let src_port = Cursor.u16 r in
-  let dst_port = Cursor.u16 r in
-  let len = Cursor.u16 r in
-  if len < header_size || len > Bytes.length buf then raise (Bad_header "bad length");
-  let csum = Cursor.u16 r in
-  if csum <> 0 then begin
-    let sum = Inet_csum.sum_bytes (pseudo_sum ~src ~dst len) buf 0 len in
+let decode ~src ~dst buf off n =
+  if n < header_size then raise (Bad_header "truncated");
+  let len = Bytes.get_uint16_be buf (off + 4) in
+  if len < header_size || len > n then raise (Bad_header "bad length");
+  if Bytes.get_uint16_be buf (off + 6) <> 0 then begin
+    let sum = Inet_csum.sum_bytes (pseudo_sum ~src ~dst len) buf off len in
     if Inet_csum.fold sum <> 0xffff then raise (Bad_header "bad checksum")
   end;
-  ({ src_port; dst_port }, Bytes.sub buf header_size (len - header_size))
+  ( { src_port = Bytes.get_uint16_be buf off; dst_port = Bytes.get_uint16_be buf (off + 2) },
+    Bytes.sub buf (off + header_size) (len - header_size) )
 
-let equal a b = a.src_port = b.src_port && a.dst_port = b.dst_port
 let pp ppf t = Fmt.pf ppf "udp %d -> %d" t.src_port t.dst_port

@@ -10,14 +10,15 @@ let make ?(pcp = 0) ?(dei = false) ~vid inner =
 
 let size = 4
 
-let write w { pcp; dei; vid; inner } =
-  let tci = (pcp lsl 13) lor (if dei then 1 lsl 12 else 0) lor (vid land 0xfff) in
-  Cursor.w16 w tci;
-  Cursor.w16 w (Ethertype.to_int inner)
+let set buf off { pcp; dei; vid; inner } =
+  Bytes.set_uint16_be buf off ((pcp lsl 13) lor (if dei then 1 lsl 12 else 0) lor (vid land 0xfff));
+  Bytes.set_uint16_be buf (off + 2) (Ethertype.to_int inner)
 
-let read r =
-  let tci = Cursor.u16 r in
-  let inner = Ethertype.of_int (Cursor.u16 r) in
+let vid buf off = Bytes.get_uint16_be buf off land 0xfff
+
+let get buf off =
+  let tci = Bytes.get_uint16_be buf off in
+  let inner = Ethertype.of_int (Bytes.get_uint16_be buf (off + 2)) in
   { pcp = tci lsr 13; dei = tci land 0x1000 <> 0; vid = tci land 0xfff; inner }
 
 let equal a b = a.pcp = b.pcp && a.dei = b.dei && a.vid = b.vid && Ethertype.equal a.inner b.inner

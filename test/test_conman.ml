@@ -603,7 +603,9 @@ let test_teardown () =
   check tbool "tunnel device removed" true (Netsim.Device.find_iface ra "gre-P1-P2" = None);
   check tint "policy rules removed" 0 (List.length ra.Netsim.Device.rules);
   check tbool "customer route removed" true
-    (Netsim.Device.lookup_route ra (Packet.Ipv4_addr.of_string "10.0.2.2") = None)
+    (match Netsim.Device.lookup_route ra ~in_iface:"" (Packet.Ipv4_addr.of_string "10.0.2.2") with
+    | _ -> false
+    | exception Not_found -> true)
 
 let test_reconfigure_after_teardown () =
   (* tear the GRE path down, then bring the MPLS path up on the same devices *)

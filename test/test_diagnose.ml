@@ -18,18 +18,19 @@ let contains_sub s sub =
 
 let test_counters_delta () =
   let c = Netsim.Counters.create () in
-  Netsim.Counters.incr c "rx";
-  Netsim.Counters.incr ~by:4 c "tx";
+  let k = Netsim.Counters.key in
+  Netsim.Counters.incr c (k "rx");
+  Netsim.Counters.add c (k "tx") 4;
   let before = Netsim.Counters.snapshot c in
-  Netsim.Counters.incr ~by:2 c "rx";
-  Netsim.Counters.incr c "drop:mtu";
+  Netsim.Counters.add c (k "rx") 2;
+  Netsim.Counters.incr c (k "drop:mtu");
   let after = Netsim.Counters.snapshot c in
   let d = Netsim.Counters.delta ~before ~after in
   check tint "changed counter reports its difference" 2 (List.assoc "rx" d);
   check tint "flat counter reports zero" 0 (List.assoc "tx" d);
   check tint "counter absent from the baseline counts from zero" 1 (List.assoc "drop:mtu" d);
   Netsim.Counters.reset c;
-  Netsim.Counters.incr c "rx";
+  Netsim.Counters.incr c (k "rx");
   let d2 = Netsim.Counters.delta ~before:after ~after:(Netsim.Counters.snapshot c) in
   check tint "a reset counter clamps to zero, not negative" 0 (List.assoc "rx" d2)
 

@@ -226,7 +226,10 @@ let chain n () =
 (* The golden values are MD5 digests of the fingerprints (configured, torn
    down), taken from a build whose modules printed every command as a line
    for the interpreter to split: they pin that the argument vectors
-   configure the same state. A mismatch prints the state that differs. *)
+   configure the same state. The VPN's were taken again once the testbed
+   stopped giving core router B a static route that duplicated its
+   connected 204.9.168.0/30 route: each of their states is the earlier one
+   less that second line. A mismatch prints the state that differs. *)
 let test_golden_device_state (run, golden) () =
   let configured, torn_down = run () in
   let md5 s = Digest.to_hex (Digest.string s) in
@@ -240,16 +243,16 @@ let golden_device_states =
   [
     ( "VPN pure MPLS",
       vpn_path Scenarios.pure_mpls,
-      ("d40aa20dc2e8cf746d48ab4b7a61a5ab", "e2e4924cdf0ccca88aa8f75eec984cc3") );
+      ("dd00c912cd0b19dcf8a5da23869c4026", "1addc54120b5bfb1ea4735615c10c55c") );
     ( "VPN pure GRE, both trade-offs",
       vpn_path ~tradeoffs:[ "in-order-delivery"; "low-error-rate" ] Scenarios.pure_gre,
-      ("afc17a2e198dc187134e7c78e55aa151", "e8ad47ae6759ff6214089a38fb306be0") );
+      ("c1388c4407f864943e18764d95965bd1", "ceff7047d2c871f2c11932cd9d15f9a0") );
     ( "VPN pure IP-IP",
       vpn_path Scenarios.pure_ipip,
-      ("2c0581ef0920555c98eccbd55c6f9ab5", "d81214e22c3b7a759f2a8592b6047815") );
+      ("85a2ea0535cc7c95bd6cfbf9c42baad0", "d604896b7cde98d6350dc2db46e6a019") );
     ( "secure VPN ESP",
       vpn_path ~secure:true Scenarios.secure,
-      ("6651ad5b1618e648b0824a099a008658", "22d98640118ff3bd1a066e0d797d0c25") );
+      ("b76642a942e4075dee65b535e64f1f02", "5d76c500f99762b1d12e4c2387645571") );
     ( "chain n=5",
       chain 5,
       ("424254033c5a87abc791cc4535169e3c", "a0f229ecf240e95aa4865b2c811b816e") );

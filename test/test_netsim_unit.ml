@@ -381,9 +381,9 @@ let test_link_endpoint_ids_monotonic () =
 
 let test_counters () =
   let c = Counters.create () in
-  Counters.incr c "x";
-  Counters.incr ~by:4 c "x";
-  Counters.incr c "y";
+  Counters.incr c (Counters.key "x");
+  Counters.add c (Counters.key "x") 4;
+  Counters.incr c (Counters.key "y");
   check tint "x" 5 (Counters.get c "x");
   check tint "missing" 0 (Counters.get c "z");
   check tint "two entries" 2 (List.length (Counters.to_list c));
@@ -423,12 +423,11 @@ let test_frame_signatures_layered () =
   in
   check tstr "mpls signature" "eth.mpls.ip.udp" (Frame.signature frame);
   let tagged =
-    let w = Cursor.writer () in
-    Ethernet.write w
-      { Ethernet.dst = Mac_addr.broadcast; src = Mac_addr.make ~device:1 ~port:0; ethertype = Ethertype.Vlan };
-    Vlan.write w (Vlan.make ~vid:22 Ethertype.Ipv4);
-    Cursor.wbytes w inner;
-    Cursor.contents w
+    let tag = Bytes.create Vlan.size in
+    Vlan.set tag 0 (Vlan.make ~vid:22 Ethertype.Ipv4);
+    Ethernet.encode
+      { Ethernet.dst = Mac_addr.broadcast; src = Mac_addr.make ~device:1 ~port:0; ethertype = Ethertype.Vlan }
+      (Bytes.cat tag inner)
   in
   check tstr "vlan signature" "eth.vlan.ip.udp" (Frame.signature tagged)
 
@@ -525,11 +524,11 @@ let test_lpm_longest_prefix_wins () =
     ]
   in
   (match Device.lpm routes (ip "10.0.2.7") with
-  | Some r -> check tbool "most specific" true (r.Device.rt_via = Some (ip "2.2.2.2"))
-  | None -> Alcotest.fail "no route");
+  | r -> check tbool "most specific" true (r.Device.rt_via = Some (ip "2.2.2.2"))
+  | exception Not_found -> Alcotest.fail "no route");
   match Device.lpm routes (ip "192.168.0.1") with
-  | Some r -> check tbool "default" true (r.Device.rt_via = Some (ip "3.3.3.3"))
-  | None -> Alcotest.fail "no default"
+  | r -> check tbool "default" true (r.Device.rt_via = Some (ip "3.3.3.3"))
+  | exception Not_found -> Alcotest.fail "no default"
 
 let test_rule_priority_order () =
   let eq = Event_queue.create () in
@@ -543,9 +542,9 @@ let test_rule_priority_order () =
     { Device.rt_dst = pfx "0.0.0.0/0"; rt_via = None; rt_dev = Some "lo"; rt_mpls = None };
   Device.add_rule d { Device.rl_sel = Device.Match_all; rl_table = "lo"; rl_prio = 200 };
   Device.add_rule d { Device.rl_sel = Device.Match_all; rl_table = "hi"; rl_prio = 50 };
-  match Device.lookup_route d (ip "9.9.9.9") with
-  | Some r -> check tbool "low prio number wins" true (r.Device.rt_dev = Some "eth0")
-  | None -> Alcotest.fail "no route"
+  match Device.lookup_route d ~in_iface:"" (ip "9.9.9.9") with
+  | r -> check tbool "low prio number wins" true (r.Device.rt_dev = Some "eth0")
+  | exception Not_found -> Alcotest.fail "no route"
 
 let test_register_table_idempotent () =
   let eq = Event_queue.create () in
@@ -615,12 +614,16 @@ let test_reclaimed_table_recreated () =
   check tbool "recreated" true (known d "t" = (true, true));
   Device.add_rule d
     { Device.rl_sel = Device.To_prefix (pfx "10.0.2.0/24"); rl_table = "t"; rl_prio = 100 };
-  match Device.lookup_route d (ip "10.0.2.7") with
-  | Some r -> check tbool "routes through it" true (r.Device.rt_via = Some (ip "3.3.3.3"))
-  | None -> Alcotest.fail "no route"
+  match Device.lookup_route d ~in_iface:"" (ip "10.0.2.7") with
+  | r -> check tbool "routes through it" true (r.Device.rt_via = Some (ip "3.3.3.3"))
+  | exception Not_found -> Alcotest.fail "no route"
 
 let test_lookup_unchanged_by_reclaim () =
-  let via d = Option.map (fun r -> r.Device.rt_via) (Device.lookup_route d (ip "10.0.2.7")) in
+  let via d =
+    match Device.lookup_route d ~in_iface:"" (ip "10.0.2.7") with
+    | r -> Some r.Device.rt_via
+    | exception Not_found -> None
+  in
   let d = policy_device () in
   check tbool "policy route first" true (via d = Some (Some (ip "2.2.2.2")));
   del_routes_t d;
@@ -691,6 +694,55 @@ let test_gre_inner_addresses_ping () =
   check tbool "inner ping over the tunnel" true
     (Ping.reachable net ~from:r1 ~src:(ip "192.168.3.1") ~dst:(ip "192.168.3.2") ())
 
+(* --- malformed frames stay inside the datapath ---------------------------------------------- *)
+
+(* A GRE header whose flags announce a key the packet is too short to hold
+   is dropped and counted; nothing escapes the event loop. *)
+let test_gre_header_shorter_than_its_flags () =
+  let net = Net.create () in
+  let mk name addr =
+    let d = Net.add_device net ~id:("id-" ^ name) ~name in
+    ignore (Device.add_port d);
+    Device.add_addr d ~iface:"eth0" ~addr:(ip addr) ~prefix:(pfx "192.168.0.0/30");
+    d
+  in
+  let r1 = mk "r1" "192.168.0.1" and r2 = mk "r2" "192.168.0.2" in
+  let _ = Net.connect net (r1, 0) (r2, 0) in
+  let t =
+    Device.add_tunnel r2 ~name:"g" ~mode:Device.Gre_mode ~local:(ip "192.168.0.2")
+      ~remote:(ip "192.168.0.1") ()
+  in
+  t.Device.if_up <- true;
+  let gre = Bytes.create 4 in
+  Bytes.set_uint16_be gre 0 0x2000 (* key present *);
+  Bytes.set_uint16_be gre 2 (Ethertype.to_int Ethertype.Ipv4);
+  Datapath.ip_send r1
+    (Ipv4.make ~proto:Ip_proto.Gre ~src:(ip "192.168.0.1") ~dst:(ip "192.168.0.2") ())
+    gre;
+  ignore (Net.run net);
+  check tint "dropped as bad" 1 (Counters.get r2.Device.dev_counters "gre_bad_drop");
+  check tint "tunnel rx error" 1 (Counters.get t.Device.if_counters "rx_errors")
+
+(* A frame whose 802.1Q ethertype promises a tag it is too short to hold
+   is dropped at the switch's trunk port and not forwarded. *)
+let test_tagged_frame_shorter_than_its_tag () =
+  let net = Net.create () in
+  let sw = Net.add_device net ~switching:true ~id:"id-sw" ~name:"sw" in
+  ignore (Device.add_port sw);
+  ignore (Device.add_port sw);
+  List.iter
+    (fun i -> (Device.port sw i).Device.port_mode <- Device.Trunk { allowed = []; native = None })
+    [ 0; 1 ];
+  let h = Net.add_device net ~id:"id-h" ~name:"h" in
+  ignore (Device.add_port h);
+  let _ = Net.connect net (h, 0) (sw, 0) in
+  let frame = Bytes.make (Ethernet.header_size + 2) '\000' in
+  Ethernet.set frame ~dst:Mac_addr.broadcast ~src:(Device.port h 0).Device.port_mac Ethertype.Vlan;
+  Datapath.transmit h 0 frame;
+  ignore (Net.run net);
+  check tint "dropped" 1 (Counters.get (Device.port sw 0).Device.port_counters "rx_vlan_drop");
+  check tint "not forwarded" 0 (Counters.get (Device.port sw 1).Device.port_counters "tx_frames")
+
 let () =
   Alcotest.run "netsim_unit"
     [
@@ -744,5 +796,12 @@ let () =
         [
           Alcotest.test_case "gre checksum required" `Quick test_gre_checksum_required;
           Alcotest.test_case "gre inner addresses" `Quick test_gre_inner_addresses_ping;
+        ] );
+      ( "malformed",
+        [
+          Alcotest.test_case "gre header shorter than its flags" `Quick
+            test_gre_header_shorter_than_its_flags;
+          Alcotest.test_case "tagged frame shorter than its tag" `Quick
+            test_tagged_frame_shorter_than_its_tag;
         ] );
     ]

@@ -318,7 +318,7 @@ let test_fuzz_frame_decode () =
   in
   for _ = 1 to 2000 do
     let m = mutate prng pool in
-    match Mgmt.Frame.decode m with
+    match Mgmt.Frame.decode m 0 with
     | _ -> ()
     | exception Mgmt.Frame.Bad_frame _ -> ()
     | exception e -> Alcotest.failf "Frame.decode raised %s" (Printexc.to_string e)

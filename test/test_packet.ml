@@ -51,16 +51,16 @@ let test_eth_roundtrip () =
       ethertype = Ethertype.Ipv4 }
   in
   let buf = Ethernet.encode h (Bytes.of_string "hello") in
-  let r = Cursor.reader buf in
-  let h' = Ethernet.read r in
+  let h' = Ethernet.get buf in
   check tbool "eth" true (Ethernet.equal h h');
-  check tstr "payload" "hello" (Bytes.to_string (Cursor.rest r))
+  check tstr "payload" "hello"
+    (Bytes.sub_string buf Ethernet.header_size (Bytes.length buf - Ethernet.header_size))
 
 let test_vlan_roundtrip () =
   let t = Vlan.make ~pcp:5 ~vid:22 Ethertype.Ipv4 in
-  let w = Cursor.writer () in
-  Vlan.write w t;
-  let t' = Vlan.read (Cursor.reader (Cursor.contents w)) in
+  let buf = Bytes.create Vlan.size in
+  Vlan.set buf 0 t;
+  let t' = Vlan.get buf 0 in
   check tbool "vlan" true (Vlan.equal t t')
 
 let test_ipv4_roundtrip () =
@@ -86,7 +86,7 @@ let test_ipv4_checksum_detects_corruption () =
 let test_udp_roundtrip () =
   let src = Ipv4_addr.of_string "10.0.0.1" and dst = Ipv4_addr.of_string "10.0.0.2" in
   let buf = Udp.encode ~src ~dst { Udp.src_port = 1234; dst_port = 53 } (Bytes.of_string "q") in
-  let u, p = Udp.decode ~src ~dst buf in
+  let u, p = Udp.decode ~src ~dst buf 0 (Bytes.length buf) in
   check tint "sport" 1234 u.Udp.src_port;
   check tint "dport" 53 u.Udp.dst_port;
   check tstr "payload" "q" (Bytes.to_string p)
@@ -96,7 +96,7 @@ let test_udp_pseudo_header () =
   let buf = Udp.encode ~src ~dst { Udp.src_port = 1; dst_port = 2 } (Bytes.of_string "x") in
   (* Decoding with a different address must fail the checksum. *)
   check tbool "pseudo" true
-    (match Udp.decode ~src:(Ipv4_addr.of_string "10.0.0.9") ~dst buf with
+    (match Udp.decode ~src:(Ipv4_addr.of_string "10.0.0.9") ~dst buf 0 (Bytes.length buf) with
     | exception Udp.Bad_header _ -> true
     | _ -> false)
 
@@ -124,7 +124,7 @@ let test_mpls_roundtrip () =
 let test_esp_roundtrip () =
   let key = 7001l in
   let buf = Esp.encode ~key { Esp.spi = 0x100l; seq = 9l } (Bytes.of_string "secret payload") in
-  let hdr, plain = Esp.decode ~key buf in
+  let hdr, plain = Esp.decode ~key buf 0 (Bytes.length buf) in
   check tbool "hdr" true (Esp.equal hdr { Esp.spi = 0x100l; seq = 9l });
   check tstr "payload" "secret payload" (Bytes.to_string plain);
   check tbool "ciphertext differs from plaintext" true
@@ -137,7 +137,7 @@ let test_esp_roundtrip () =
 let test_esp_wrong_key_rejected () =
   let buf = Esp.encode ~key:7001l { Esp.spi = 1l; seq = 1l } (Bytes.of_string "x") in
   check tbool "auth fails" true
-    (match Esp.decode ~key:7002l buf with exception Esp.Bad_packet _ -> true | _ -> false)
+    (match Esp.decode ~key:7002l buf 0 (Bytes.length buf) with exception Esp.Bad_packet _ -> true | _ -> false)
 
 let prop_esp_roundtrip =
   QCheck.Test.make ~name:"esp encode/decode roundtrip" ~count:300
@@ -148,7 +148,8 @@ let prop_esp_roundtrip =
          and* body = map Bytes.of_string (string_size (int_bound 64)) in
          return (key, spi, body)))
     (fun (key, spi, body) ->
-      let hdr, plain = Esp.decode ~key (Esp.encode ~key { Esp.spi; seq = 1l } body) in
+      let buf = Esp.encode ~key { Esp.spi; seq = 1l } body in
+      let hdr, plain = Esp.decode ~key buf 0 (Bytes.length buf) in
       Int32.equal hdr.Esp.spi spi && Bytes.equal plain body)
 
 let test_icmp_roundtrip () =
@@ -166,7 +167,7 @@ let test_arp_roundtrip () =
       target_mac = Mac_addr.of_int 0;
       target_ip = Ipv4_addr.of_string "10.0.0.2" }
   in
-  check tbool "arp" true (Arp_pkt.equal a (Arp_pkt.decode (Arp_pkt.encode a)))
+  check tbool "arp" true (Arp_pkt.equal a (Arp_pkt.get (Arp_pkt.encode a) 0))
 
 let test_frame_signature () =
   let inner =
@@ -233,9 +234,9 @@ let prop_mpls_roundtrip =
 
 let prop_mac_roundtrip =
   QCheck.Test.make ~name:"mac wire roundtrip" ~count:500 (QCheck.make mac_gen) (fun m ->
-      let w = Cursor.writer () in
-      Mac_addr.write w m;
-      Mac_addr.equal m (Mac_addr.read (Cursor.reader (Cursor.contents w))))
+      let buf = Bytes.create 6 in
+      Mac_addr.set buf 0 m;
+      Mac_addr.equal m (Mac_addr.get buf 0))
 
 let prop_checksum_zero =
   QCheck.Test.make ~name:"filled checksum validates" ~count:500 (QCheck.make bytes_gen)
