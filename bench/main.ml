@@ -1138,7 +1138,10 @@ let trace_datapoints () =
    Monitor ticks (probe, drift check and showPerf scrape on each): a tick
    must cost the same late as early. Counts only, never wall clock: mean
    minor words allocated per goal over goals 51-100 and 951-1000 and per
-   tick over ticks 51-100 and 551-600, the policy routing tables on each
+   tick over ticks 51-100 and 551-600, the management frames per tick over
+   ticks 51-100 and their bytes over ticks 51-100 and 551-600 (a drift read
+   of an unchanged device is answered by one short frame, so the bytes
+   show whether the reads stay conditional), the policy routing tables on each
    edge router after the first and the last teardown, the intents the NM
    still lists, and its journal: the entries it holds and the entries ever
    appended. A third NM configures the VPN once and pings over it 100
@@ -1191,10 +1194,15 @@ let history_datapoints () =
   let tel = Telemetry.create ~scope:d.Scenarios.dscope d.Scenarios.dnm in
   let mon = Monitor.create ~telemetry:tel d.Scenarios.dnm in
   let tick_words = Array.make ticks 0. in
+  let chan = Mgmt.Channel.stats d.Scenarios.dchan in
+  let tick_frames = Array.make ticks 0. and tick_bytes = Array.make ticks 0. in
   for k = 0 to ticks - 1 do
+    let f0 = chan.Mgmt.Channel.frames_sent and b0 = chan.Mgmt.Channel.bytes_sent in
     let w0 = Gc.minor_words () in
     Monitor.tick mon;
-    tick_words.(k) <- Gc.minor_words () -. w0
+    tick_words.(k) <- Gc.minor_words () -. w0;
+    tick_frames.(k) <- float_of_int (chan.Mgmt.Channel.frames_sent - f0);
+    tick_bytes.(k) <- float_of_int (chan.Mgmt.Channel.bytes_sent - b0)
   done;
   if Monitor.repairs mon + Monitor.resyncs mon + Monitor.escalations mon > 0 then
     failwith "history bench: the fault-free diamond was repaired";
@@ -1211,6 +1219,9 @@ let history_datapoints () =
       \  \"ticks\": %d,\n\
       \  \"minor_words_per_tick_51_100\": %.1f,\n\
       \  \"minor_words_per_tick_551_600\": %.1f,\n\
+      \  \"mgmt_frames_per_tick_51_100\": %.1f,\n\
+      \  \"mgmt_bytes_per_tick_51_100\": %.1f,\n\
+      \  \"mgmt_bytes_per_tick_551_600\": %.1f,\n\
       \  \"policy_tables_after_first\": { %s },\n\
       \  \"policy_tables_after_last\": { %s },\n\
       \  \"intents\": %d,\n\
@@ -1219,7 +1230,8 @@ let history_datapoints () =
        }\n"
       goals (mean words 51 100) (mean words 951 1000) (mean ping_words 51 100) ticks
       (mean tick_words 51 100)
-      (mean tick_words 551 600) (tables_json !after_first)
+      (mean tick_words 551 600) (mean tick_frames 51 100) (mean tick_bytes 51 100)
+      (mean tick_bytes 551 600) (tables_json !after_first)
       (tables_json (policy_tables ()))
       (List.length (Nm.intents nm))
       (List.length (Intent.entries (Nm.journal nm)))

@@ -32,8 +32,6 @@ type switch_origin = Local | External
    for a given pipe, without exposing the option that implements them. *)
 type tradeoff = { gives : string list; costs : string list }
 
-let tradeoff_name t = String.concat "+" t.gives
-
 type pipe_side = {
   connectable : string list; (* module names this side can connect to *)
   dependencies : string list; (* must be satisfied before pipe creation *)
@@ -88,10 +86,6 @@ let default =
   }
 
 let can_switch t k = List.mem k t.switch
-
-(* Does the module encapsulate (push its own header) / decapsulate? *)
-let encapsulating_kind = function Up_down | Up_phy -> true | _ -> false
-let decapsulating_kind = function Down_up | Phy_up -> true | _ -> false
 
 (* --- sexp conversions ---------------------------------------------------- *)
 

@@ -147,6 +147,17 @@ let attempt ~req ~ok f =
     ok
   with Failure e | Devconf.Linux_cli.Error e -> Wire.Bundle_err { req; error = e }
 
+(* showActual: every module's state report, rendered on each request. A
+   read with a [tag] that still matches the state gets the one-line
+   [Show_actual_unchanged] instead. Reads stay out of [done_reqs]: a retry
+   simply renders again. *)
+let show_actual t ~req tag =
+  let state = List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) t.modules in
+  send t
+    (match tag with
+    | Some tag when String.equal (Wire.state_tag state) tag -> Wire.Show_actual_unchanged { req }
+    | _ -> Wire.Show_actual_resp { req; state })
+
 let rec handle_msg t ~src ~epoch msg =
   match msg with
   | Wire.Fenced { epoch; msg } -> handle_msg t ~src ~epoch msg
@@ -180,9 +191,8 @@ and dispatch t ~src msg =
         List.map (fun m -> (m.Module_impl.mref, m.Module_impl.abstraction ())) t.modules
       in
       send t (Wire.Show_potential_resp { req; modules })
-  | Wire.Show_actual_req { req } ->
-      let state = List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) t.modules in
-      send t (Wire.Show_actual_resp { req; state })
+  | Wire.Show_actual_req { req } -> show_actual t ~req None
+  | Wire.Show_actual_unless { req; tag } -> show_actual t ~req (Some tag)
   | Wire.Show_perf_req { req } ->
       (* read-only like showActual: never cached in done_reqs, a retry
          simply re-scrapes the (monotonic) counters *)
@@ -283,7 +293,8 @@ and dispatch t ~src msg =
       end
       else if epoch < t.nm_epoch || nm <> t.nm_device then
         t.takeover_rejects <- t.takeover_rejects + 1
-  | Wire.Hello _ | Wire.Show_potential_resp _ | Wire.Show_actual_resp _ | Wire.Show_perf_resp _
+  | Wire.Hello _ | Wire.Show_potential_resp _ | Wire.Show_actual_resp _
+  | Wire.Show_actual_unchanged _ | Wire.Show_perf_resp _
   | Wire.Bundle_ack _ | Wire.Ack _ | Wire.Bundle_err _ | Wire.Self_test_resp _ | Wire.Completion _
   | Wire.Trigger _ | Wire.Ha_heartbeat _ | Wire.Ha_journal _ | Wire.Ha_journal_ack _
   | Wire.Ha_inflight _ | Wire.Ha_confirm _ | Wire.Fed_advert _ | Wire.Fed_plan_req _

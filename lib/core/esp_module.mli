@@ -5,5 +5,4 @@
     the keys and then emits the device-level tunnel command. Advertises
     confidentiality/integrity, which the NM uses to satisfy secure goals. *)
 
-val abstraction : unit -> Abstraction.t
 val make : env:Module_impl.env -> mref:Ids.t -> unit -> Module_impl.t

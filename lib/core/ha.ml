@@ -28,10 +28,6 @@
 
 type role = Primary | Standby
 
-let pp_role ppf = function
-  | Primary -> Fmt.string ppf "primary"
-  | Standby -> Fmt.string ppf "standby"
-
 type config = {
   heartbeat_period_ns : int64;
       (* nominal heartbeat spacing in simulated time — the driver is
@@ -353,12 +349,8 @@ let is_alive t = t.alive
 let nm t = t.nm
 let promotions t = t.stats.promotions
 let demotions t = t.stats.demotions
-let heartbeats_sent t = t.stats.heartbeats_sent
 let heartbeats_seen t = t.stats.heartbeats_seen
-let stale_rejects t = t.stats.stale_rejects
-let entries_shipped t = t.stats.entries_shipped
 let entries_applied t = t.stats.entries_applied
-let inflight_seen t = t.stats.inflight_seen
 let replayed t = t.stats.replayed
 let promotion_ticks t = List.rev t.stats.promotion_ticks
 let replica_inflight_count t = List.length t.replica_inflight

@@ -31,8 +31,6 @@
 
 type role = Primary | Standby
 
-val pp_role : role Fmt.t
-
 type config = {
   heartbeat_period_ns : int64;
       (** nominal heartbeat spacing in simulated time: the driver should
@@ -71,9 +69,6 @@ val tick : t -> tick:int -> unit
     promotes past the threshold. [tick] is recorded on promotion for
     detection-latency accounting. *)
 
-val suspicion : t -> float
-(** The standby's current accrued suspicion that the primary is dead. *)
-
 val set_alive : t -> bool -> unit
 (** Fault-injection switch: a dead node neither ticks nor reacts to HA
     traffic. Revival grants a fresh detection grace period. *)
@@ -89,17 +84,9 @@ val nm : t -> Nm.t
 
 val promotions : t -> int
 val demotions : t -> int
-val heartbeats_sent : t -> int
 val heartbeats_seen : t -> int
 
-val stale_rejects : t -> int
-(** HA frames dropped for carrying a lower epoch than this node knows. *)
-
-val entries_shipped : t -> int
 val entries_applied : t -> int
-
-val inflight_seen : t -> int
-(** In-flight deltas applied to the standby's replica. *)
 
 val replayed : t -> int
 (** Requests replayed across all of this node's promotions. *)

@@ -8,8 +8,6 @@ type t = { name : string; mid : string; dev : string }
 let v name mid dev = { name; mid; dev }
 
 let equal a b = a.name = b.name && a.mid = b.mid && a.dev = b.dev
-let compare = compare
-let hash = Hashtbl.hash
 
 let to_string t = Printf.sprintf "<%s,%s,%s>" t.name t.dev t.mid
 

@@ -12,8 +12,6 @@ val v : string -> string -> string -> t
 (** [v name mid dev] builds a reference. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val to_string : t -> string
 (** Rendered the paper's way: [<GRE,id-A,l>]. *)

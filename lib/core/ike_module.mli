@@ -5,10 +5,5 @@
     exchange completes only once the underlying IP path works, and the NM
     never sees a key. *)
 
-val ike_port : int
-
-val abstraction : unit -> Abstraction.t
-(** Advertises [provides = ["esp-keys"]] and an up pipe to UDP (figure 1). *)
-
 val make : env:Module_impl.env -> mref:Ids.t -> unit -> Module_impl.t
-(** Also binds UDP port {!ike_port} on the device. *)
+(** Also binds the IKE UDP port (500) on the device. *)

@@ -28,6 +28,9 @@ type t = {
   mutable expected : (string * string list) list;
       (* per-device structural state keys snapshotted when last healthy —
          the baseline the monitor's drift check compares show_actual to *)
+  mutable tags : (string * string) list;
+      (* per device, the Wire.state_tag of the last show_actual the drift
+         check found free of drift: its reads are conditional on it *)
   mutable tried : string list; (* path signatures tried since last healthy *)
   mutable journal_sig : string option;
       (* last path signature journalled by a Bind entry. After a crash the
@@ -47,6 +50,7 @@ let make ~id spec =
     status = Pending;
     script = None;
     expected = [];
+    tags = [];
     tried = [];
     journal_sig = None;
     repairs = 0;
@@ -54,6 +58,10 @@ let make ~id spec =
     probe_failures = 0;
     last_error = None;
   }
+
+let clear_baseline t =
+  t.expected <- [];
+  t.tags <- []
 
 let note_error t e = t.last_error <- Some e
 let spec_equal (a : spec) (b : spec) = a = b
@@ -71,12 +79,6 @@ let status_to_string = function
   | Degraded -> "degraded"
   | Failed -> "failed"
   | Retired -> "retired"
-
-let pp ppf t =
-  Fmt.pf ppf "intent-%d %-10s %-8s repairs=%d%a" t.id (kind t) (status_to_string t.status)
-    t.repairs
-    Fmt.(option (fun ppf e -> pf ppf " last-error=%S" e))
-    t.last_error
 
 (* --- sexp codec --------------------------------------------------------------- *)
 

@@ -29,6 +29,10 @@ type t = {
   mutable expected : (string * string list) list;
       (** per-device structural state keys snapshotted when last healthy —
           the baseline for the monitor's drift check *)
+  mutable tags : (string * string) list;
+      (** per device, the {!Wire.state_tag} of the last show_actual state
+          the drift check found free of drift; its reads of that device
+          are conditional on it *)
   mutable tried : string list;
       (** path signatures tried and failed since last healthy *)
   mutable journal_sig : string option;
@@ -42,11 +46,13 @@ type t = {
 }
 
 val make : id:int -> spec -> t
+val clear_baseline : t -> unit
+(** Forgets the drift check's baseline: [expected] and [tags]. *)
+
 val note_error : t -> string -> unit
 val spec_equal : spec -> spec -> bool
 val kind : t -> string
 val status_to_string : status -> string
-val pp : t Fmt.t
 
 (** {1 Sexp codec} *)
 

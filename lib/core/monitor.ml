@@ -100,32 +100,49 @@ let structural_keys state =
   |> List.sort_uniq compare
 
 (* Re-baselines the drift check: records, per device the script touches,
-   the structural keys present now. Called when the intent (re)converges. *)
+   the structural keys present now and the state's tag. Called when the
+   intent (re)converges. *)
 let snapshot t (intent : Intent.t) =
+  Intent.clear_baseline intent;
   match intent.Intent.script with
-  | None -> intent.Intent.expected <- []
+  | None -> ()
   | Some s ->
-      intent.Intent.expected <-
+      let read =
         List.filter_map
           (fun (dev, prims) ->
             if prims = [] then None
             else
               match Nm.show_actual t.nm dev with
-              | Some state -> Some (dev, structural_keys state)
+              | Some state -> Some (dev, structural_keys state, Wire.state_tag state)
               | None -> None)
           s.Script_gen.per_device
+      in
+      intent.Intent.expected <- List.map (fun (dev, keys, _) -> (dev, keys)) read;
+      intent.Intent.tags <- List.map (fun (dev, _, tag) -> (dev, tag)) read
 
 (* Devices whose show_actual lost structural keys the baseline had. Extra
-   keys are fine (other intents add state); missing ones are drift. *)
+   keys are fine (other intents add state); missing ones are drift. Each
+   read is conditional on the device's tag: "unchanged" means the device
+   still has the keys of a state already found free of drift. A full reply
+   is checked against the keys, and if it shows no drift its tag becomes
+   the device's. *)
 let drift t (intent : Intent.t) =
   List.filter_map
     (fun (dev, keys) ->
-      match Nm.show_actual t.nm dev with
+      (* no tag: "" matches no state, so the device answers in full *)
+      let tag = Option.value ~default:"" (List.assoc_opt dev intent.Intent.tags) in
+      match Nm.show_actual_unless t.nm dev ~tag with
       | None -> None (* no answer is unreachability, not drift *)
-      | Some state ->
+      | Some None -> None (* the keys of a state already found free of drift *)
+      | Some (Some state) ->
           let present = structural_keys state in
           let missing = List.filter (fun k -> not (List.mem k present)) keys in
-          if missing = [] then None else Some (dev, missing))
+          if missing = [] then begin
+            intent.Intent.tags <-
+              (dev, Wire.state_tag state) :: List.remove_assoc dev intent.Intent.tags;
+            None
+          end
+          else Some (dev, missing))
     intent.Intent.expected
 
 (* --- repair ------------------------------------------------------------------- *)
@@ -192,7 +209,6 @@ let attempt_repair t (intent : Intent.t) detail =
           intent.Intent.repairs <- intent.Intent.repairs + 1;
           t.repairs <- t.repairs + 1;
           mark_healthy t intent;
-          intent.Intent.expected <- [];
           snapshot t intent;
           log t intent
             (Printf.sprintf "repaired over alternate path [%s]"
@@ -276,7 +292,6 @@ let reconcile t (intent : Intent.t) =
               Nm.resync_intent t.nm intent;
               (* resync may legitimately change negotiated state (labels,
                  vlan tags): re-baseline the drift check *)
-              intent.Intent.expected <- [];
               snapshot t intent;
               log t intent
                 (Printf.sprintf "drift on %s: resynced"
@@ -296,7 +311,7 @@ let reconcile t (intent : Intent.t) =
               log t intent (Fmt.str "diagnosed %a: resyncing %s" Diagnose.pp_verdict v dev);
               t.resyncs <- t.resyncs + 1;
               Nm.resync_intent t.nm intent;
-              intent.Intent.expected <- [];
+              Intent.clear_baseline intent;
               let ok2, detail2 = probe t intent in
               if ok2 then begin
                 snapshot t intent;
@@ -310,7 +325,7 @@ let reconcile t (intent : Intent.t) =
                   (* state went missing on a live path: resync before rerouting *)
                   t.resyncs <- t.resyncs + 1;
                   Nm.resync_intent t.nm intent;
-                  intent.Intent.expected <- [];
+                  Intent.clear_baseline intent;
                   log t intent
                     (Printf.sprintf "drift on %s: resynced"
                        (String.concat ", " (List.map fst drifted)));
@@ -348,7 +363,6 @@ let run t ~ticks =
 
 (* --- observation -------------------------------------------------------------- *)
 
-let ticks t = t.ticks
 let repairs t = t.repairs
 let resyncs t = t.resyncs
 let escalations t = t.escalations

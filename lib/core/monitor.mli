@@ -43,7 +43,6 @@ val run : t -> ticks:int -> unit
 
 (** {1 Observation} *)
 
-val ticks : t -> int
 val repairs : t -> int
 (** Successful re-achievements over an alternate path. *)
 
@@ -63,6 +62,12 @@ val event_limit : t -> int
 
 val dropped_events : t -> int
 (** Events evicted from the ring since creation. *)
+
+val drift : t -> Intent.t -> (string * string list) list
+(** The drift check: one showActual read of each device in the intent's
+    baseline, conditional on the device's tag, and per device whose state
+    lost structural keys the baseline has, those keys. A full reply that
+    shows no drift becomes the device's tag; a drifted one never does. *)
 
 val structural_keys : (Ids.t * (string * string) list) list -> string list
 (** The structural part of a [show_actual] report, as the drift check sees

@@ -44,7 +44,8 @@ type t = {
       (* state-changing requests (bundles, address assignments) sent but
          not yet confirmed — replayed by a standby after take_over *)
   mutable outstanding : int list; (* unanswered request ids *)
-  mutable actuals : (int * (Ids.t * (string * string) list) list) list;
+  mutable actuals : (int * (Ids.t * (string * string) list) list option) list;
+      (* [None]: the agent answered a conditional read "unchanged" *)
   mutable perfs : (int * (Ids.t * (string * (string * int) list) list) list) list;
   mutable self_tests : (int * (Ids.t * bool * string)) list;
       (* replies to read requests, held only until their reader takes them *)
@@ -369,7 +370,9 @@ and handle_msg t ~src msg =
           Topology.record_potential t.topo ~src modules;
           t.outstanding <- List.filter (( <> ) req) t.outstanding
       | Wire.Show_actual_resp { req; state } ->
-          if answered t req then t.actuals <- (req, state) :: t.actuals
+          if answered t req then t.actuals <- (req, Some state) :: t.actuals
+      | Wire.Show_actual_unchanged { req } ->
+          if answered t req then t.actuals <- (req, None) :: t.actuals
       | Wire.Show_perf_resp { req; perf } -> if answered t req then t.perfs <- (req, perf) :: t.perfs
       | Wire.Convey { src = msrc; dst; payload } -> (
           (* the NM relays module-to-module messages (conveyMessage); a
@@ -393,7 +396,8 @@ and handle_msg t ~src msg =
              NM re-resolves the dependent state by re-issuing the affected
              scripts, whose execution is idempotent. *)
           if t.auto_repair then List.iter (send_script t) t.active_scripts
-      | Wire.Show_potential_req _ | Wire.Show_actual_req _ | Wire.Show_perf_req _ | Wire.Bundle _
+      | Wire.Show_potential_req _ | Wire.Show_actual_req _ | Wire.Show_actual_unless _
+      | Wire.Show_perf_req _ | Wire.Bundle _
       | Wire.Self_test_req _ | Wire.Set_address _
       (* consumed by the outer match; listed for exhaustiveness *)
       | Wire.Nm_takeover _ | Wire.Fenced _ | Wire.Traced _ | Wire.Ha_heartbeat _ | Wire.Ha_journal _
@@ -498,7 +502,7 @@ let commit_intent t (i : Intent.t) =
 
 let bind_intent t (i : Intent.t) script =
   i.Intent.script <- Some script;
-  i.Intent.expected <- [];
+  Intent.clear_baseline i;
   (* Journal which path the intent is bound to, so an NM that crashes and
      restarts can regenerate this incarnation's script (the generator is
      deterministic per goal+path) and back its state out before achieving
@@ -534,13 +538,21 @@ let harvest_potentials t devices =
   List.iter (fun dev -> send t ~dst:dev (Wire.Show_potential_req { req = fresh_req t })) devices;
   run t
 
-let show_actual t dev =
+(* showActual at one device, plain or conditional on [tag]: [None] when
+   the agent did not answer, [Some None] when it answered "unchanged". *)
+let read_actual t dev tag =
   let req = fresh_req t in
-  send t ~dst:dev (Wire.Show_actual_req { req });
+  send t ~dst:dev
+    (match tag with
+    | None -> Wire.Show_actual_req { req }
+    | Some tag -> Wire.Show_actual_unless { req; tag });
   run t;
   let reply, rest = take t req t.actuals in
   t.actuals <- rest;
   reply
+
+let show_actual t dev = Option.join (read_actual t dev None)
+let show_actual_unless t dev ~tag = read_actual t dev (Some tag)
 
 (* showPerf at one device: per-module, per-pipe counter snapshots. [None]
    means the agent never answered (within the horizon). *)
@@ -1185,12 +1197,10 @@ let stats_sent t = t.stats.sent
 let stats_received t = t.stats.received
 let stats_acks t = t.stats.acks
 let inflight_count t = List.length t.inflight
-let transport t = t.transport
 
 (* --- high-availability support (used by Ha) ----------------------------------- *)
 
 let my_id t = t.my_id
-let epoch t = t.epoch
 let set_epoch t e = t.epoch <- max t.epoch e
 let send_msg t ~dst msg = send t ~dst msg
 let set_ha_hook t f = t.ha_hook <- Some f

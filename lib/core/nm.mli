@@ -53,6 +53,14 @@ val show_actual : t -> string -> (Ids.t * (string * string) list) list option
     reply once it is returned, and ignores an answer that arrives after
     its reader gave up. *)
 
+val show_actual_unless :
+  t -> string -> tag:string -> (Ids.t * (string * string) list) list option option
+(** showActual at one device unless its state still has [tag]
+    ({!Wire.state_tag}): [Some None] when the agent answered unchanged,
+    [Some (Some state)] with its full report, [None] when it did not
+    answer within the horizon. One request and one reply, as
+    {!show_actual}. *)
+
 val show_perf : t -> string -> (Ids.t * (string * (string * int) list) list) list option
 (** showPerf at one device: per-module, per-pipe monotonic counter
     snapshots (the abstraction's performance aspect). [None] when the
@@ -215,9 +223,6 @@ val take_over : ?epoch:int -> t -> unit
 
 val my_id : t -> string
 
-val epoch : t -> int
-(** Current leadership epoch; 0 = unfenced single-NM legacy mode. *)
-
 val set_epoch : t -> int -> unit
 (** Raises the epoch (never lowers it); subsequent frames are fenced. *)
 
@@ -328,8 +333,6 @@ val stats_acks : t -> int
 
 val inflight_count : t -> int
 (** State-changing requests sent but not yet confirmed by an agent. *)
-
-val transport : t -> Mgmt.Reliable.t option
 
 val log_capacity : int
 (** Entries kept by each per-goal log ({!conveys}, {!completions}, the

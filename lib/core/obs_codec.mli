@@ -5,8 +5,6 @@
 
 val ctx_to_sexp : Obs.Trace.ctx -> Sexp.t
 val ctx_of_sexp : Sexp.t -> Obs.Trace.ctx
-val span_to_sexp : Obs.Trace.span -> Sexp.t
-val span_of_sexp : Sexp.t -> Obs.Trace.span
 val span_to_string : Obs.Trace.span -> string
 
 val span_of_string : string -> Obs.Trace.span

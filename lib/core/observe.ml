@@ -16,7 +16,6 @@ let create () = { registry = Obs.Registry.create (); collectors = []; nms = []; 
 let registry t = t.registry
 let collectors t = t.collectors
 let set_tick t n = t.tick <- n
-let tick t = t.tick
 
 (* The mgmt layers are payload-agnostic: they hand us raw bytes. Decode,
    fish the trace context out (however deep under Fenced/Traced), and land
@@ -85,16 +84,6 @@ let attach_net ?prefix t net =
         (List.map
            (fun e -> Netsim.Counters.to_list (Netsim.Link.drop_stats e.Netsim.Net.segment))
            (Netsim.Net.edges net)))
-
-let attach_monitor ?prefix t mon =
-  Obs.Registry.register t.registry (pfx prefix "monitor") (fun () ->
-      [
-        ("ticks", Monitor.ticks mon);
-        ("repairs", Monitor.repairs mon);
-        ("resyncs", Monitor.resyncs mon);
-        ("escalations", Monitor.escalations mon);
-        ("ring_dropped", Monitor.dropped_events mon);
-      ])
 
 (* Ring-buffer loss accounting: everything the deployment silently drops
    when bounded buffers overflow, one gauge per ring (the packet-trace

@@ -20,13 +20,6 @@ val set_tick : t -> int -> unit
 (** Advance the shared logical clock every attached collector stamps
     spans and events with. *)
 
-val tick : t -> int
-
-val route : t -> bytes -> string -> unit
-(** [route t payload what] decodes [payload], extracts its trace context
-    (if any) and lands [what] as an event on the owning span. Safe on
-    arbitrary bytes. *)
-
 val attach_nm :
   ?prefix:string ->
   ?agents:(string * Agent.t) list ->
@@ -49,10 +42,6 @@ val attach_ha : ?prefix:string -> t -> Ha.t -> unit
 
 val attach_net : ?prefix:string -> t -> Netsim.Net.t -> unit
 (** Registers the summed per-cause link-drop counters under [netsim]. *)
-
-val attach_monitor : ?prefix:string -> t -> Monitor.t -> unit
-(** Registers monitor health (and its event-ring drop count) under
-    [monitor]. *)
 
 val ring_dropped : t -> (string * int) list
 (** Every bounded ring's silent-drop count: the global packet-trace ring,

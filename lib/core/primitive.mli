@@ -12,9 +12,6 @@ type selector =
   | To_gateway of string (** e.g. "S1-gateway": hand off to the site gateway *)
   | Tagged (** the customer traffic class of the VLAN scenario *)
 
-val selector_to_string : selector -> string
-val selector_of_string : string -> selector
-
 type switch_rule =
   | Bidi of string * string (** create (switch, m, P1, P2) *)
   | Directed of { from_pipe : string; to_pipe : string; sel : selector }
@@ -61,11 +58,5 @@ val of_sexp : Sexp.t -> t
 val equal : t -> t -> bool
 
 (** {1 Table V accounting} *)
-
-val table5_tokens :
-  t -> (string * Devconf.Classify.klass) * (string * Devconf.Classify.klass) list
-(** Command form and state-variable tokens of one primitive (commands are
-    always generic — that is the architecture's point; only traffic
-    selectors are protocol-specific). *)
 
 val table5_counts : t list -> Devconf.Metrics.counts

@@ -23,11 +23,6 @@ type table5_row = {
   t5_conman : Devconf.Metrics.counts;
 }
 
-val table5_rows : unit -> table5_row list
-val table5_paper : string -> (int * int * int * int) * (int * int * int * int)
-(** The paper's published values per scenario, (T, C) as
-    (generic cmds, specific cmds, generic vars, specific vars). *)
-
 val table5 : Format.formatter -> unit -> unit
 
 (** {1 Table VI} *)
@@ -35,8 +30,6 @@ val table5 : Format.formatter -> unit -> unit
 type table6_row = { t6_n : int; t6_scenario : string; t6_sent : int; t6_received : int }
 
 val table6_row_gre : int -> table6_row
-val table6_row_mpls : int -> table6_row
-val table6_row_vlan : int -> table6_row
 val table6 : ?ns:int list -> Format.formatter -> unit -> unit
 
 (** {1 Extensions and ablations} *)

@@ -137,7 +137,6 @@ val diamond_adopt : diamond -> Nm.t -> unit
 
 (** {1 Path classification helpers} *)
 
-val path_uses : string -> Path_finder.path -> bool
 val pure_gre : Path_finder.path -> bool
 val pure_mpls : Path_finder.path -> bool
 val pure_ipip : Path_finder.path -> bool

@@ -74,8 +74,6 @@ let assign t ~from =
   t.domain_prefixes <- from.domain_prefixes;
   t.graph <- from.graph
 
-let domain_of t mref = List.assoc_opt mref t.module_domains
-
 let find_module t mref =
   Option.bind (device t mref.Ids.dev) (fun d ->
       List.find_map

@@ -58,7 +58,6 @@ val set_domains :
 (** Installs the NM's address knowledge: which domain each IP module
     belongs to, and each domain's prefix. *)
 
-val domain_of : t -> Ids.t -> string option
 val find_module : t -> Ids.t -> Abstraction.t option
 val find_module_exn : t -> Ids.t -> Abstraction.t
 val modules_of_device : t -> string -> (Ids.t * Abstraction.t) list

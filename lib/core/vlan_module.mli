@@ -8,11 +8,4 @@
     figure 9(a) writes by hand. Teardown parks customer ports in an
     isolated holding VLAN. *)
 
-val first_vid : int
-(** Where vid allocation starts (22, the paper's example). *)
-
-val tunnel_mtu : int
-(** The VLAN MTU programmed on trunks (1504: room for the QinQ tag). *)
-
-val abstraction : unit -> Abstraction.t
 val make : env:Module_impl.env -> mref:Ids.t -> unit -> Module_impl.t

@@ -18,6 +18,9 @@ type t =
   (* NM -> device *)
   | Show_potential_req of { req : int }
   | Show_actual_req of { req : int }
+  (* showActual unless the device's state still carries [tag] (see
+     [state_tag]): the drift check's read of a device it checked before *)
+  | Show_actual_unless of { req : int; tag : string }
   (* showPerf: the generic query over the abstraction's performance aspect —
      per-pipe counter snapshots from every module (§II-B's perf reporting) *)
   | Show_perf_req of { req : int }
@@ -48,6 +51,8 @@ type t =
   (* device -> NM *)
   | Show_potential_resp of { req : int; modules : (Ids.t * Abstraction.t) list }
   | Show_actual_resp of { req : int; state : (Ids.t * (string * string) list) list }
+  (* the answer to [Show_actual_unless] when the tags match *)
+  | Show_actual_unchanged of { req : int }
   (* per module: pipe id -> monotonic counter snapshot *)
   | Show_perf_resp of { req : int; perf : (Ids.t * (string * (string * int) list) list) list }
   | Bundle_ack of { req : int } (* explicit success: the bundle was applied *)
@@ -129,6 +134,7 @@ let rec to_sexp msg =
         ]
   | Show_potential_req { req } -> Sexp.List [ a "show-potential"; Sexp.of_int req ]
   | Show_actual_req { req } -> Sexp.List [ a "show-actual"; Sexp.of_int req ]
+  | Show_actual_unless { req; tag } -> Sexp.List [ a "show-actual-unless"; Sexp.of_int req; a tag ]
   | Show_perf_req { req } -> Sexp.List [ a "show-perf"; Sexp.of_int req ]
   | Bundle { req; cmds; annex } ->
       Sexp.List
@@ -190,6 +196,7 @@ let rec to_sexp msg =
                    ])
                perf);
         ]
+  | Show_actual_unchanged { req } -> Sexp.List [ a "actual-unchanged"; Sexp.of_int req ]
   | Bundle_ack { req } -> Sexp.List [ a "bundle-ack"; Sexp.of_int req ]
   | Ack { req } -> Sexp.List [ a "ack"; Sexp.of_int req ]
   | Bundle_err { req; error } -> Sexp.List [ a "bundle-err"; Sexp.of_int req; a error ]
@@ -265,6 +272,8 @@ let rec of_sexp sexp =
         }
   | Sexp.List [ Sexp.Atom "show-potential"; req ] -> Show_potential_req { req = Sexp.to_int req }
   | Sexp.List [ Sexp.Atom "show-actual"; req ] -> Show_actual_req { req = Sexp.to_int req }
+  | Sexp.List [ Sexp.Atom "show-actual-unless"; req; tag ] ->
+      Show_actual_unless { req = Sexp.to_int req; tag = s tag }
   | Sexp.List [ Sexp.Atom "show-perf"; req ] -> Show_perf_req { req = Sexp.to_int req }
   | Sexp.List [ Sexp.Atom "bundle"; req; Sexp.List cmds; annex ] ->
       Bundle
@@ -334,6 +343,8 @@ let rec of_sexp sexp =
                 | _ -> raise (Sexp.Parse_error "perf module"))
               mods;
         }
+  | Sexp.List [ Sexp.Atom "actual-unchanged"; req ] ->
+      Show_actual_unchanged { req = Sexp.to_int req }
   | Sexp.List [ Sexp.Atom "bundle-ack"; req ] -> Bundle_ack { req = Sexp.to_int req }
   | Sexp.List [ Sexp.Atom "ack"; req ] -> Ack { req = Sexp.to_int req }
   | Sexp.List [ Sexp.Atom "bundle-err"; req; e ] ->
@@ -437,9 +448,30 @@ let rec priority_of = function
   | Convey _ ->
       1
   | Hello _ | Show_potential_req _ | Show_potential_resp _ | Show_actual_req _
-  | Show_actual_resp _ | Self_test_req _ | Self_test_resp _ | Completion _ | Trigger _ ->
+  | Show_actual_unless _ | Show_actual_resp _ | Show_actual_unchanged _ | Self_test_req _
+  | Self_test_resp _ | Completion _ | Trigger _ ->
       2
   | Show_perf_req _ | Show_perf_resp _ -> 3
+
+(* The digest of a showActual state's module ids and keys, leaving out
+   the values (traffic counters and other readings that move without a
+   configuration change). Each string goes in behind its length, so two
+   states share a tag exactly when their (module, keys) lists are equal. *)
+let state_tag state =
+  let b = Buffer.create 512 in
+  let add s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  List.iter
+    (fun ((m : Ids.t), kvs) ->
+      add m.Ids.name;
+      add m.Ids.mid;
+      add m.Ids.dev;
+      Buffer.add_int32_le b (Int32.of_int (List.length kvs));
+      List.iter (fun (k, _) -> add k) kvs)
+    state;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The trace context a frame carries, looking through fences. *)
 let rec trace_of = function

@@ -18,6 +18,11 @@ type t =
       (** device -> NM: physical connectivity (port, peer device, peer port) *)
   | Show_potential_req of { req : int }
   | Show_actual_req of { req : int }
+  | Show_actual_unless of { req : int; tag : string }
+      (** showActual unless the device's state still has [tag]
+          ({!state_tag}): the drift check's read of a device whose state it
+          checked before. Answered by {!Show_actual_unchanged} when the tags
+          match, by a full {!Show_actual_resp} otherwise. *)
   | Show_perf_req of { req : int }
       (** showPerf: scrape the performance aspect — per-pipe counters from
           every module on the device (read-only, like showActual) *)
@@ -49,6 +54,9 @@ type t =
   | Self_test_req of { req : int; target : Ids.t; against : Ids.t option }
   | Show_potential_resp of { req : int; modules : (Ids.t * Abstraction.t) list }
   | Show_actual_resp of { req : int; state : (Ids.t * (string * string) list) list }
+  | Show_actual_unchanged of { req : int }
+      (** device -> NM: the state still has the tag {!Show_actual_unless}
+          named *)
   | Show_perf_resp of { req : int; perf : (Ids.t * (string * (string * int) list) list) list }
       (** per module: pipe id -> monotonic counter snapshot *)
   | Bundle_ack of { req : int }
@@ -108,6 +116,12 @@ val decode : bytes -> t
 (** Raises only {!Sexp.Parse_error} on malformed input — any exception a
     nested codec throws at a fuzzed payload is converted, so callers need
     a single handler. *)
+
+val state_tag : (Ids.t * (string * string) list) list -> string
+(** The MD5 digest (hex) of a showActual state's module ids and keys, but
+    not its values: two states get the same tag exactly when their
+    (module, keys) lists are equal. The NM and the agents both compute it,
+    so neither keeps a counter that a change could forget to bump. *)
 
 val priority_of : t -> int
 (** Admission-control class: 0 = heartbeats/takeovers (never shed),

@@ -216,11 +216,18 @@ let echo dev args =
 let require_mpls dev =
   if not dev.Device.mpls.Device.mpls_enabled then fail "mpls: kernel modules not loaded"
 
+(* An MPLS label is a 20-bit field: anything else would reach the datapath
+   and lose its high bits in the label stack entry. *)
+let parse_label s =
+  match int_of_string s with
+  | l when l >= 0 && l <= 0xfffff -> l
+  | _ | (exception Failure _) -> fail "bad MPLS label %s (0-1048575)" s
+
 let rec parse_instructions = function
   | [] -> ([], None)
   | "push" :: "gen" :: l :: rest ->
       let pushes, nh = parse_instructions rest in
-      (int_of_string l :: pushes, nh)
+      (parse_label l :: pushes, nh)
   | "nexthop" :: iface :: "ipv4" :: addr :: rest ->
       let pushes, _ = parse_instructions rest in
       (pushes, Some (iface, parse_addr addr))
@@ -257,10 +264,10 @@ let mpls dev = function
       ""
   | [ "ilm"; "add"; "label"; "gen"; l; "labelspace"; n ] ->
       require_mpls dev;
-      let _ = Device.mpls_add_ilm dev ~label:(int_of_string l) ~space:(int_of_string n) in
+      let _ = Device.mpls_add_ilm dev ~label:(parse_label l) ~space:(int_of_string n) in
       ""
   | [ "ilm"; "del"; "label"; "gen"; l; "labelspace"; n ] ->
-      Device.mpls_del_ilm dev ~label:(int_of_string l) ~space:(int_of_string n);
+      Device.mpls_del_ilm dev ~label:(parse_label l) ~space:(int_of_string n);
       ""
   | "nhlfe" :: "add" :: rest ->
       require_mpls dev;
@@ -288,7 +295,7 @@ let mpls dev = function
       ""
   | [ "xc"; "add"; "ilm"; "label"; "gen"; l; "ilm"; "labelspace"; n; "nhlfe"; "key"; k ] ->
       require_mpls dev;
-      Device.mpls_xc dev ~label:(int_of_string l) ~space:(int_of_string n)
+      Device.mpls_xc dev ~label:(parse_label l) ~space:(int_of_string n)
         ~nhlfe_key:(int_of_string k);
       ""
   | args -> fail "mpls: unsupported %s" (String.concat " " args)

@@ -15,13 +15,18 @@ type handler = src:string -> bytes -> unit
 
 type stats = {
   mutable frames_sent : int;
+  mutable bytes_sent : int;
   mutable frames_delivered : int;
   mutable frames_dropped : int;
   mutable seen_high_water : int;
 }
 
 let fresh_stats () =
-  { frames_sent = 0; frames_delivered = 0; frames_dropped = 0; seen_high_water = 0 }
+  { frames_sent = 0; bytes_sent = 0; frames_delivered = 0; frames_dropped = 0; seen_high_water = 0 }
+
+let count_sent stats payload =
+  stats.frames_sent <- stats.frames_sent + 1;
+  stats.bytes_sent <- stats.bytes_sent + Bytes.length payload
 
 type t = {
   send : cls:int -> src:string -> dst:string -> bytes -> unit;
@@ -49,7 +54,7 @@ module Oob = struct
       | None -> ()
     in
     let send ~cls:_ ~src ~dst payload =
-      stats.frames_sent <- stats.frames_sent + 1;
+      count_sent stats payload;
       Event_queue.schedule eq ~delay_ns:latency_ns (fun () ->
           if dst = Frame.broadcast then
             Hashtbl.iter
@@ -150,7 +155,7 @@ module Raw = struct
              event loop: drop and count instead of raising. *)
           st.raw_stats.frames_dropped <- st.raw_stats.frames_dropped + 1
       | Some agent ->
-          st.raw_stats.frames_sent <- st.raw_stats.frames_sent + 1;
+          count_sent st.raw_stats payload;
           agent.next_seq <- agent.next_seq + 1;
           let f =
             { Frame.src_device = src; dst_device = dst; seq = agent.next_seq; payload }

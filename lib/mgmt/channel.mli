@@ -14,6 +14,9 @@ type handler = src:string -> bytes -> unit
 
 type stats = {
   mutable frames_sent : int;
+  mutable bytes_sent : int;
+      (** the payload bytes of every frame sent: what a management link
+          carries above the channel's own framing *)
   mutable frames_delivered : int;
   mutable frames_dropped : int;
       (** frames discarded at the channel itself, e.g. a {!Raw} send from a

@@ -65,6 +65,20 @@ let test_wire_roundtrip () =
           annex = { Wire.domains = [ ("C1-S2", "10.0.2.0/24") ]; reporter = None };
         };
       Wire.Show_actual_req { req = 4 };
+      Wire.Show_actual_unless { req = 4; tag = Wire.state_tag [] };
+      Wire.Fenced { epoch = 2; msg = Wire.Show_actual_unless { req = 12; tag = "0f" } };
+      Wire.Traced
+        {
+          ctx = { Obs.Trace.goal = 3; span = 7; parent = 1 };
+          msg = Wire.Show_actual_unless { req = 13; tag = "00" };
+        };
+      Wire.Show_actual_unchanged { req = 4 };
+      Wire.Fenced { epoch = 2; msg = Wire.Show_actual_unchanged { req = 12 } };
+      Wire.Traced
+        {
+          ctx = { Obs.Trace.goal = 3; span = 7; parent = 1 };
+          msg = Wire.Show_actual_unchanged { req = 13 };
+        };
       Wire.Show_perf_req { req = 5 };
       Wire.Nm_takeover { nm = "id-NM2"; epoch = 2 };
       Wire.Fenced { epoch = 2; msg = Wire.Ha_heartbeat { epoch = 2; seq = 1 } };
@@ -254,6 +268,48 @@ let prop_primitive_roundtrip =
   QCheck.Test.make ~name:"primitive sexp roundtrip" ~count:300
     (QCheck.make ~print:(Fmt.to_to_string Primitive.pp) prim_gen)
     (fun p -> Primitive.equal p (Primitive.of_sexp (Primitive.to_sexp p)))
+
+(* Wire.state_tag covers module ids and keys, never values: two states
+   share a tag exactly when their (module, keys) lists are equal. The
+   second state is the first with new values, or with one structural
+   edit, including ones that keep the concatenated text the same. *)
+let prop_state_tag_keys_only =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(char_range 'a' 'c') (int_bound 3) in
+  let mref = map (fun (n, m) -> Ids.v n m "id-A") (pair (oneofl [ "IP"; "ETH"; "MPLS" ]) str) in
+  let state = list_size (int_bound 4) (pair mref (list_size (int_bound 4) (pair str str))) in
+  let keys st = List.map (fun (m, kvs) -> (m, List.map fst kvs)) st in
+  let revalue st = map (fun v -> List.map (fun (m, kvs) -> (m, List.map (fun (k, _) -> (k, v)) kvs)) st) str in
+  let split_first_key = function
+    | (m, (k, v) :: kvs) :: rest when String.length k >= 2 ->
+        (m, (String.sub k 0 1, v) :: (String.sub k 1 (String.length k - 1), v) :: kvs) :: rest
+    | st -> st
+  in
+  let move_key_back = function
+    | (m1, kvs1) :: (m2, kv :: kvs2) :: rest -> (m1, kvs1 @ [ kv ]) :: (m2, kvs2) :: rest
+    | st -> st
+  in
+  let edit st =
+    oneof
+      [
+        revalue st;
+        return (List.rev st);
+        return (split_first_key st);
+        return (move_key_back st);
+        map (fun (m, k) -> (m, [ (k, "") ]) :: st) (pair mref str);
+        return (List.map (fun (m, kvs) -> (m, List.rev kvs)) st);
+        return (match st with _ :: rest -> rest | [] -> []);
+      ]
+  in
+  QCheck.Test.make ~name:"state tag: equal exactly when the keys are" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Fmt.str "%a / %a" Wire.pp (Wire.Show_actual_resp { req = 0; state = a }) Wire.pp
+           (Wire.Show_actual_resp { req = 0; state = b }))
+       (let* a = state in
+        let* b = edit a in
+        return (a, b)))
+    (fun (a, b) -> String.equal (Wire.state_tag a) (Wire.state_tag b) = (keys a = keys b))
 
 let test_abstraction_roundtrip () =
   let abs =
@@ -1016,6 +1072,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_peer_msg_roundtrip;
           QCheck_alcotest.to_alcotest prop_sexp_roundtrip;
           QCheck_alcotest.to_alcotest prop_primitive_roundtrip;
+          QCheck_alcotest.to_alcotest prop_state_tag_keys_only;
         ] );
       ( "discovery",
         [

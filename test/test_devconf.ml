@@ -144,6 +144,47 @@ let test_cli_nhlfe_key_parser () =
       "ILM entry label 2001";
     ]
 
+(* An MPLS label is 20 bits: [push gen], [ilm add|del] and [xc add] accept
+   0-1048575 and reject anything else with [Linux_cli.Error]. *)
+let test_cli_mpls_label_range () =
+  let mpls_router () =
+    let _, d = fresh_router () in
+    ignore (Linux_cli.exec d [ "modprobe"; "mpls" ]);
+    d
+  in
+  let push l =
+    [ "mpls"; "nhlfe"; "add"; "key"; "0"; "mtu"; "1500"; "instructions"; "push"; "gen"; l;
+      "nexthop"; "eth2"; "ipv4"; "10.0.0.1" ]
+  in
+  let ilm op l = [ "mpls"; "ilm"; op; "label"; "gen"; l; "labelspace"; "0" ] in
+  let xc l key =
+    [ "mpls"; "xc"; "add"; "ilm"; "label"; "gen"; l; "ilm"; "labelspace"; "0"; "nhlfe"; "key"; key ]
+  in
+  let d = mpls_router () in
+  let mpls = d.Device.mpls in
+  let key = Linux_cli.nhlfe_key (Linux_cli.exec d (push "1048575")) in
+  check (Alcotest.list tint) "push gen 1048575 is accepted" [ 1048575 ]
+    (Hashtbl.find mpls.Device.nhlfe_table key).Device.nh_push;
+  ignore (Linux_cli.exec d (ilm "add" "1048575"));
+  ignore (Linux_cli.exec d (xc "1048575" (string_of_int key)));
+  check tbool "ilm add and xc add 1048575 are accepted" true
+    (Hashtbl.mem mpls.Device.ilm_table (1048575, 0));
+  ignore (Linux_cli.exec d (ilm "del" "1048575"));
+  check tbool "ilm del 1048575 is accepted" false (Hashtbl.mem mpls.Device.ilm_table (1048575, 0));
+  List.iter
+    (fun l ->
+      let rejected what argv =
+        check tbool (Printf.sprintf "%s %s is rejected" what l) true
+          (match Linux_cli.exec (mpls_router ()) argv with
+          | exception Linux_cli.Error _ -> true
+          | _ -> false)
+      in
+      rejected "push gen" (push l);
+      rejected "ilm add" (ilm "add" l);
+      rejected "ilm del" (ilm "del" l);
+      rejected "xc add" (xc l "1"))
+    [ "1048576"; "-1"; "x" ]
+
 (* --- paper scripts against the testbeds ----------------------------------- *)
 
 let test_fig7a_gre_script_end_to_end () =
@@ -344,6 +385,7 @@ let () =
           Alcotest.test_case "mpls requires modprobe" `Quick test_cli_mpls_requires_modprobe;
           Alcotest.test_case "nhlfe key output" `Quick test_cli_nhlfe_key_output;
           Alcotest.test_case "nhlfe key parser" `Quick test_cli_nhlfe_key_parser;
+          Alcotest.test_case "mpls label range" `Quick test_cli_mpls_label_range;
         ] );
       ( "paper-scripts",
         [

@@ -26,6 +26,9 @@ let test_wire_priorities () =
   check tint "journal ack is P1" 1 (p (Wire.Ha_journal_ack { epoch = 1; upto = 3 }));
   check tint "hello is P2" 2 (p (Wire.Hello { ports = [] }));
   check tint "showActual is P2" 2 (p (Wire.Show_actual_req { req = 4 }));
+  check tint "conditional showActual is P2" 2
+    (p (Wire.Show_actual_unless { req = 4; tag = Wire.state_tag [] }));
+  check tint "showActual unchanged is P2" 2 (p (Wire.Show_actual_unchanged { req = 4 }));
   check tint "convey is P1" 1
     (p
        (Wire.Convey
@@ -45,7 +48,13 @@ let test_wire_priorities () =
 let recording () =
   let sent = ref [] in
   let stats =
-    { Mgmt.Channel.frames_sent = 0; frames_delivered = 0; frames_dropped = 0; seen_high_water = 0 }
+    {
+      Mgmt.Channel.frames_sent = 0;
+      bytes_sent = 0;
+      frames_delivered = 0;
+      frames_dropped = 0;
+      seen_high_water = 0;
+    }
   in
   let chan =
     Mgmt.Channel.make
@@ -243,6 +252,8 @@ let wire_corpus =
     Wire.Hello { ports = [ ("eth1", "id-B", "eth2"); ("eth2", "id-C", "eth1") ] };
     Wire.Show_potential_req { req = 1 };
     Wire.Show_actual_req { req = 2 };
+    Wire.Show_actual_unless { req = 2; tag = Wire.state_tag [] };
+    Wire.Show_actual_unchanged { req = 2 };
     Wire.Show_perf_req { req = 3 };
     Wire.Show_perf_resp
       { req = 3; perf = [ (Ids.v "ETH" "a" "id-A", [ ("pipe0", [ ("rx", 12) ]) ]) ] };

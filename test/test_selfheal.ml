@@ -251,6 +251,134 @@ let test_monitor_resyncs_drift () =
   Monitor.run mon ~ticks:3;
   check tint "no further resyncs once converged" r (Monitor.resyncs mon)
 
+(* --- drift reads are conditional on the last checked state's tag --------------- *)
+
+let rec unwrap = function Wire.Fenced { msg; _ } | Wire.Traced { msg; _ } -> unwrap msg | m -> m
+
+(* Taps every agent of the diamond: each showActual request it receives is
+   logged with the agent's reply, read back from the Reliable link towards
+   the NM before the NM has acked it. *)
+let tap_reads (d : Scenarios.diamond) =
+  let log = ref [] in
+  let reply_to dev req =
+    List.find_map
+      (fun (src, dst, _, frames) ->
+        if src <> dev || dst <> Scenarios.nm_station_id then None
+        else
+          List.find_map
+            (fun (f : Mgmt.Reliable.frame_view) ->
+              match unwrap (Wire.decode f.Mgmt.Reliable.payload) with
+              | (Wire.Show_actual_resp { req = r; _ } | Wire.Show_actual_unchanged { req = r }) as m
+                when r = req ->
+                  Some m
+              | _ -> None
+              | exception Sexp.Parse_error _ -> None)
+            frames)
+      (Mgmt.Reliable.links d.Scenarios.dtransport)
+  in
+  List.iter
+    (fun (dev, agent) ->
+      Mgmt.Channel.subscribe d.Scenarios.dchan ~device_id:dev (fun ~src payload ->
+          Agent.handle agent ~src payload;
+          match unwrap (Wire.decode payload) with
+          | (Wire.Show_actual_req { req } | Wire.Show_actual_unless { req; _ }) as m ->
+              log := (dev, m, reply_to dev req) :: !log
+          | _ -> ()
+          | exception Sexp.Parse_error _ -> ()))
+    d.Scenarios.dagents;
+  log
+
+let test_monitor_tagged_drift_reads () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  let script =
+    match Nm.achieve nm d.Scenarios.dgoal with
+    | Ok (_, _, s) -> s
+    | Error e -> Alcotest.failf "diamond achieve: %s" e
+  in
+  let tel = Telemetry.create ~scope:d.Scenarios.dscope nm in
+  let mon = Monitor.create ~telemetry:tel nm in
+  let log = tap_reads d in
+  Monitor.tick mon (* the first healthy tick baselines the drift check *);
+  let intent = match Nm.intents nm with [ i ] -> i | _ -> Alcotest.fail "unexpected intent set" in
+  let devices = List.map fst intent.Intent.expected in
+  check tbool "the baseline read every scripted device in full" true
+    (devices <> []
+    && List.for_all
+         (fun (_, m, reply) ->
+           match (m, reply) with
+           | Wire.Show_actual_req _, Some (Wire.Show_actual_resp _) -> true
+           | _ -> false)
+         !log);
+  let rendered dev =
+    let agent = List.assoc dev d.Scenarios.dagents in
+    List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) (Agent.modules agent)
+  in
+  let before = List.map rendered devices in
+  log := [];
+  for _ = 1 to 20 do
+    check tbool "ping" true (Scenarios.diamond_reachable d);
+    Monitor.tick mon
+  done;
+  let after = List.map rendered devices in
+  check tbool "the pings moved state values" true (before <> after);
+  check tbool "but no device's keys" true
+    (List.map Wire.state_tag before = List.map Wire.state_tag after);
+  check tint "one read per scripted device per tick" (20 * List.length devices) (List.length !log);
+  List.iter
+    (fun (dev, m, reply) ->
+      match (m, reply) with
+      | Wire.Show_actual_unless _, Some (Wire.Show_actual_unchanged _) -> ()
+      | _ ->
+          Alcotest.failf "%s: %a answered by %a" dev Wire.pp m
+            Fmt.(option ~none:(any "nothing") Wire.pp)
+            reply)
+    !log;
+  (* delete a pipe on id-B1 through its module, behind the NM's back *)
+  let owner, pid =
+    match
+      List.find_map
+        (function
+          | Primitive.Create_pipe spec when spec.Primitive.bottom.Ids.dev = "id-B1" ->
+              Some (spec.Primitive.bottom, spec.Primitive.pipe_id)
+          | _ -> None)
+        script.Script_gen.prims
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "the path does not cross id-B1"
+  in
+  (match Agent.find_module (List.assoc "id-B1" d.Scenarios.dagents) owner with
+  | Some m -> m.Module_impl.delete_pipe pid
+  | None -> Alcotest.failf "module %s not found" (Ids.qualified owner));
+  (* a drifted state never becomes the device's tag: until the intent is
+     re-baselined, every check finds the same drift *)
+  let drifted = Monitor.drift mon intent in
+  check (Alcotest.list Alcotest.string) "id-B1 drifted" [ "id-B1" ] (List.map fst drifted);
+  check tbool "and drifts again on the next check" true (Monitor.drift mon intent = drifted);
+  log := [];
+  Monitor.tick mon;
+  check tbool "id-B1's tagged read was answered in full" true
+    (List.exists
+       (fun (dev, m, reply) ->
+         match (m, reply) with
+         | Wire.Show_actual_unless _, Some (Wire.Show_actual_resp _) -> dev = "id-B1"
+         | _ -> false)
+       !log);
+  check tint "one resync" 1 (Monitor.resyncs mon);
+  check tbool "the drift was logged" true
+    (List.exists (fun e -> e.Monitor.ev_what = "drift on id-B1: resynced") (Monitor.events mon));
+  log := [];
+  Monitor.tick mon;
+  check tint "after the resync, one read per device" (List.length devices) (List.length !log);
+  check tbool "each answered unchanged" true
+    (List.for_all
+       (fun (_, m, reply) ->
+         match (m, reply) with
+         | Wire.Show_actual_unless _, Some (Wire.Show_actual_unchanged _) -> true
+         | _ -> false)
+       !log);
+  check tint "no repair" 0 (Monitor.repairs mon + Monitor.escalations mon)
+
 (* --- escalation: unrepairable faults are bounded and surfaced ------------------ *)
 
 let test_monitor_escalates_then_revives () =
@@ -385,6 +513,7 @@ let () =
         [
           Alcotest.test_case "flapping core self-heals" `Quick test_diamond_selfheal_on_flap;
           Alcotest.test_case "drift resync" `Quick test_monitor_resyncs_drift;
+          Alcotest.test_case "tagged drift reads" `Quick test_monitor_tagged_drift_reads;
           Alcotest.test_case "escalate then revive" `Quick test_monitor_escalates_then_revives;
         ] );
       ( "restart",
