@@ -72,10 +72,7 @@ val generate : ?intensity:float -> seed:int -> ticks:int -> unit -> t
 
 (** {1 Rendering and codec} *)
 
-val pp_event : event Fmt.t
 val pp : t Fmt.t
-val to_sexp : t -> Conman.Sexp.t
-val of_sexp : Conman.Sexp.t -> t
 val to_string : t -> string
 
 val of_string : string -> t

@@ -209,21 +209,23 @@ let confirm t req =
       t.inflight <- keep;
       (match t.on_confirm with Some f -> f req | None -> ())
 
-let annex_of t reporter =
-  { Wire.domains = t.topo.Topology.domain_prefixes; reporter }
+(* Ships [cmds] to [dst] as one bundle under a fresh request id, with the
+   NM's annex knowledge (customer prefixes, the script's reporter). *)
+let send_bundle ?reporter t ~dst cmds =
+  t.req <- t.req + 1;
+  send_req t ~dst ~req:t.req
+    (Wire.Bundle
+       { req = t.req; cmds; annex = { Wire.domains = t.topo.Topology.domain_prefixes; reporter } })
 
 (* [batched:false] ships every primitive as its own message instead of one
    bundle per device — an ablation of the paper's accounting assumption
    that the NM sends "commands to each router" as one unit. *)
 let send_script ?(batched = true) t (script : Script_gen.script) =
+  let reporter = script.Script_gen.reporter in
   List.iter
-    (fun (dev, prims) ->
-      let ship cmds =
-        t.req <- t.req + 1;
-        send_req t ~dst:dev ~req:t.req
-          (Wire.Bundle { req = t.req; cmds; annex = annex_of t script.Script_gen.reporter })
-      in
-      if batched then ship prims else List.iter (fun p -> ship [ p ]) prims)
+    (fun (dst, prims) ->
+      if batched then send_bundle ?reporter t ~dst prims
+      else List.iter (fun p -> send_bundle ?reporter t ~dst [ p ]) prims)
     script.Script_gen.per_device
 
 (* Ships only the slices of [script]'s deletion script that target devices
@@ -235,11 +237,7 @@ let send_deletion_reachable t (script : Script_gen.script) =
   List.iter
     (fun (dev, prims) ->
       if prims <> [] then
-        if Topology.is_reachable t.topo dev then begin
-          t.req <- t.req + 1;
-          send_req t ~dst:dev ~req:t.req
-            (Wire.Bundle { req = t.req; cmds = prims; annex = annex_of t None })
-        end
+        if Topology.is_reachable t.topo dev then send_bundle t ~dst:dev prims
         else
           let owed = Option.value ~default:[] (Hashtbl.find_opt t.pending_deletes dev) in
           Hashtbl.replace t.pending_deletes dev (owed @ prims))
@@ -266,9 +264,7 @@ let settle_debts t src =
   match Hashtbl.find_opt t.pending_deletes src with
   | Some prims when prims <> [] ->
       Hashtbl.remove t.pending_deletes src;
-      t.req <- t.req + 1;
-      send_req t ~dst:src ~req:t.req
-        (Wire.Bundle { req = t.req; cmds = prims; annex = annex_of t None })
+      send_bundle t ~dst:src prims
   | _ -> Hashtbl.remove t.pending_deletes src
 
 (* A read reply is kept for its reader only while the request is still
@@ -357,12 +353,8 @@ and handle_msg t ~src msg =
               (fun (script : Script_gen.script) ->
                 List.iter
                   (fun (dev, prims) ->
-                    if dev = src && prims <> [] then begin
-                      t.req <- t.req + 1;
-                      send_req t ~dst:dev ~req:t.req
-                        (Wire.Bundle
-                           { req = t.req; cmds = prims; annex = annex_of t script.Script_gen.reporter })
-                    end)
+                    if dev = src && prims <> [] then
+                      send_bundle ?reporter:script.Script_gen.reporter t ~dst:dev prims)
                   script.Script_gen.per_device)
               t.active_scripts
           end
@@ -636,8 +628,9 @@ let abort_script t (script : Script_gen.script) =
    plans with the best-first search, which skips devices currently marked
    unreachable; [exclude] skips candidate paths by signature (the
    monitor's "next-best path" lever) and [avoid] skips paths visiting the
-   listed devices (diagnosed as faulty). *)
-let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid = []) t goal =
+   listed devices (diagnosed as faulty). A path device dying mid-script
+   costs one of four attempts. *)
+let achieve_raw ?(configure = true) ?(exclude = []) ?(avoid = []) t goal =
   let usable d = Topology.is_reachable t.topo d && not (List.mem d avoid) in
   let rec go attempts =
     match Path_finder.best ~exclude ~usable t.topo goal with
@@ -674,15 +667,15 @@ let achieve_raw ?(configure = true) ?(max_attempts = 4) ?(exclude = []) ?(avoid 
           end
         end
   in
-  go max_attempts
+  go 4
 
-let achieve ?(configure = true) ?max_attempts t goal =
-  if not configure then achieve_raw ~configure:false ?max_attempts t goal
+let achieve ?(configure = true) t goal =
+  if not configure then achieve_raw ~configure:false t goal
   else begin
     (* write-ahead: the intent is journalled before any device is touched *)
     let g = open_goal t "achieve" in
     let intent = record_intent t (Intent.Connect goal) in
-    match achieve_raw ~configure:true ?max_attempts t goal with
+    match achieve_raw ~configure:true t goal with
     | Ok (_, _, script) as ok ->
         bind_intent t intent script;
         close_goal t g ~status:"ok";
@@ -774,14 +767,7 @@ let assign_address t ~target ~addr ~plen =
 (* Installs performance-enforcement state (§II-D.1(c)): rate-limit the
    traffic a module sends into a pipe. *)
 let send_rate t ~owner ~pipe_id ~rate_kbps =
-  t.req <- t.req + 1;
-  send_req t ~dst:owner.Ids.dev ~req:t.req
-    (Wire.Bundle
-       {
-         req = t.req;
-         cmds = [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ];
-         annex = annex_of t None;
-       });
+  send_bundle t ~dst:owner.Ids.dev [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ];
   run t
 
 let enforce_rate t ~owner ~pipe_id ~rate_kbps =
@@ -790,14 +776,7 @@ let enforce_rate t ~owner ~pipe_id ~rate_kbps =
   commit_intent t intent
 
 let remove_rate t ~owner ~pipe_id =
-  t.req <- t.req + 1;
-  send_req t ~dst:owner.Ids.dev ~req:t.req
-    (Wire.Bundle
-       {
-         req = t.req;
-         cmds = [ Primitive.Delete_perf { owner; pipe_id } ];
-         annex = annex_of t None;
-       });
+  send_bundle t ~dst:owner.Ids.dev [ Primitive.Delete_perf { owner; pipe_id } ];
   retire_intents t (fun (i : Intent.t) ->
       match i.Intent.spec with
       | Intent.Rate { owner = o; pipe_id = p; rate_kbps = _ } -> Ids.equal o owner && p = pipe_id

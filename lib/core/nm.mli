@@ -94,7 +94,6 @@ val configure_path :
 
 val achieve :
   ?configure:bool ->
-  ?max_attempts:int ->
   t ->
   Path_finder.goal ->
   (Path_finder.path list * Path_finder.path * Script_gen.script, string) result
@@ -108,7 +107,7 @@ val achieve :
     Degraded mode: paths through devices currently marked unreachable are
     skipped, and if a path device stops answering mid-script the partial
     configuration is backed out of the devices that still respond and the
-    next-best path is tried (up to [max_attempts], default 4). When no
+    next-best path is tried, up to 4 attempts in all. When no
     path avoids the dead devices, a second bounded search counts them as
     usable: if it finds a path, the result is
     [Error "device unreachable: <ids>"] naming the dead devices on it (in

@@ -1,7 +1,9 @@
 (* Ready-made CONMan deployments of the paper's experimental set-ups:
    the figure-4 VPN testbed and the figure-9 switch chain, with management
    agents, protocol modules and an NM wired to either management channel
-   (§III-A: pre-configured out-of-band, or raw in-band flooding). *)
+   (§III-A: pre-configured out-of-band, or raw in-band flooding). Each is a
+   layout, the modules every managed device runs and the NM station its
+   agent reports to, put up by [deploy] and learnt by [discover]. *)
 
 open Netsim
 
@@ -12,18 +14,77 @@ let standby_station_id = "id-NM2"
 
 type channel_kind = [ `Oob | `Raw ]
 
+(* --- deploying a layout ---------------------------------------------------------- *)
+
+type spec =
+  | Eth of string * int
+  | Switch of string
+  | Ip of string * string list * string
+  | Gre of string
+  | Esp of string
+  | Ike of string
+  | Mpls of string
+  | Vlan of string
+
+type node = { device : Device.t; station : string; modules : spec list }
+
+type deployment = {
+  chan : Mgmt.Channel.t;
+  faults : Mgmt.Faults.t;
+  transport : Mgmt.Reliable.t;
+  admission : Mgmt.Admission.t;
+  agents : (Device.t * Agent.t) list; (* in layout order *)
+  ip_handles : (string * Ip_module.handle) list; (* module id -> handle, newest first *)
+}
+
+(* The NM-side knowledge every deployment shares: where customer C1's two
+   sites live. *)
+let customer_prefixes = [ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+
+(* Creates a device's agent, homed to [station], and registers its modules
+   in order; returns the agent and its IP modules' handles, newest first. *)
+let start_agent chan net { device = dev; station; modules } =
+  let agent = Agent.create ~chan ~nm_device:station dev in
+  let env = Agent.env agent in
+  let mref name mid = Ids.v name mid dev.Device.dev_id in
+  let eth mid ports ~switching =
+    let neighbours i =
+      Net.neighbours net dev i
+      |> List.map (fun (d, pi) -> (d.Device.dev_id, (Device.port d pi).Device.port_name))
+    in
+    Eth_module.make ~env ~mref:(mref "ETH" mid) ~ports ~switching ~neighbours ()
+  in
+  let handles = ref [] in
+  List.iter
+    (fun spec ->
+      Agent.register agent
+        (match spec with
+        | Eth (mid, port) -> eth mid [ port ] ~switching:false
+        | Switch mid -> eth mid (List.init (Array.length dev.Device.ports) Fun.id) ~switching:true
+        | Ip (mid, ifaces, domain) ->
+            let impl, handle = Ip_module.make ~env ~mref:(mref "IP" mid) ~ifaces ~domain () in
+            handles := (mid, handle) :: !handles;
+            impl
+        | Gre mid -> Gre_module.make ~env ~mref:(mref "GRE" mid) ()
+        | Esp mid -> Esp_module.make ~env ~mref:(mref "ESP" mid) ()
+        | Ike mid -> Ike_module.make ~env ~mref:(mref "IKE" mid) ()
+        | Mpls mid -> Mpls_module.make ~env ~mref:(mref "MPLS" mid) ()
+        | Vlan mid -> Vlan_module.make ~env ~mref:(mref "VLAN" mid) ()))
+    modules;
+  (agent, !handles)
+
 (* Builds the channel stack: base channel (Oob or Raw), fault-injection
-   layer, reliable delivery, overload admission on top. With default knobs
-   the fault layer is a no-op and the admission layer passes everything,
-   so fault-free runs behave as before — but every scenario can be made
-   lossy ([fault_seed] keeps it deterministic), squeezed ([admission]
-   tightens the overload budget) and the NM always has a transport to
-   learn give-ups from. For the raw in-band channel a management station
-   device is created and wired to [attach_to]. *)
-let make_channel ?(fault_seed = 42) ?reliability ?admission kind net ~devices ~attach_to =
-  let base, nms =
+   layer, reliable delivery, overload admission on top. The fault layer is
+   a no-op and the admission layer passes everything until a knob is
+   turned, so every deployment can be made lossy ([fault_seed] keeps it
+   deterministic) and the NM always has a transport to learn give-ups
+   from. For the raw in-band channel a management station device is
+   created and wired to [attach_to]. Then starts the layout's agents, in
+   order. *)
+let deploy ?(fault_seed = 42) kind net ~attach_to layout =
+  let base =
     match kind with
-    | `Oob -> (Mgmt.Channel.Oob.create (Net.eq net), None)
+    | `Oob -> Mgmt.Channel.Oob.create (Net.eq net)
     | `Raw ->
         let chan, attach = Mgmt.Channel.Raw.create () in
         let nms = Net.add_device net ~id:nm_station_id ~name:"NMS" in
@@ -32,18 +93,46 @@ let make_channel ?(fault_seed = 42) ?reliability ?admission kind net ~devices ~a
         let _ =
           Net.connect net ~name:"NMS-uplink" (nms, 0) (attach_to, host_port.Device.port_index)
         in
-        List.iter attach (nms :: devices);
-        (chan, Some nms)
+        List.iter attach (nms :: List.map (fun n -> n.device) layout);
+        chan
   in
   let faulty, faults = Mgmt.Faults.wrap ~seed:fault_seed ~eq:(Net.eq net) base in
-  let reliable, transport = Mgmt.Reliable.create ?config:reliability ~eq:(Net.eq net) faulty in
-  let chan, adm = Mgmt.Admission.wrap ?config:admission ~eq:(Net.eq net) reliable in
-  (chan, faults, transport, adm, nms)
+  let reliable, transport = Mgmt.Reliable.create ~eq:(Net.eq net) faulty in
+  let chan, admission = Mgmt.Admission.wrap ~eq:(Net.eq net) reliable in
+  let started = List.map (start_agent chan net) layout in
+  {
+    chan;
+    faults;
+    transport;
+    admission;
+    agents = List.map2 (fun n (agent, _) -> (n.device, agent)) layout started;
+    ip_handles = List.concat_map snd (List.rev started);
+  }
 
-let eth_neighbours net dev i =
-  Net.neighbours net dev i
-  |> List.map (fun (d, pi) ->
-         (d.Device.dev_id, (Device.port d pi).Device.port_name))
+(* One NM's bring-up: the agents in [announce] say Hello, the NM harvests
+   the showPotential of the layout's devices homed to its station, in
+   layout order, and is told which address domain each of their IP modules
+   serves (newest registration first). An NM that learns no IP module
+   learns no customer prefixes either. *)
+let discover nm ~announce net layout =
+  List.iter (fun a -> Agent.announce a net) announce;
+  Nm.run nm;
+  let mine = List.filter (fun n -> n.station = Nm.my_id nm) layout in
+  Nm.harvest_potentials nm (List.map (fun n -> n.device.Device.dev_id) mine);
+  let ip n = function
+    | Ip (mid, _, domain) -> Some (Ids.v "IP" mid n.device.Device.dev_id, domain)
+    | _ -> None
+  in
+  match List.rev (List.concat_map (fun n -> List.filter_map (ip n) n.modules) mine) with
+  | [] -> ()
+  | module_domains ->
+      Topology.set_domains (Nm.topology nm) ~module_domains ~domain_prefixes:customer_prefixes
+
+(* A device managed by the single NM of the deployments below. *)
+let node device modules = { device; station = nm_station_id; modules }
+
+let scope_of layout = List.map (fun n -> n.device.Device.dev_id) layout
+let announce_all d = List.map snd d.agents
 
 (* --- figure 4: the VPN testbed --------------------------------------------- *)
 
@@ -60,8 +149,7 @@ type vpn = {
   ip_handles : (string * Ip_module.handle) list; (* module id -> handle *)
 }
 
-let mref name mid dev = Ids.v name mid dev.Device.dev_id
-
+(* Customer C1's goal: connect its sites S1 and S2. *)
 let vpn_goal ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) () =
   {
     Path_finder.g_from = Ids.v "ETH" "a" "id-A";
@@ -75,117 +163,63 @@ let vpn_goal ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) () =
     g_scope = [ "id-A"; "id-B"; "id-C" ];
   }
 
-(* The NM-side configuration knowledge of figure 4: which IP module serves
-   which address domain. Shared between the initial build and [vpn_adopt]
-   (a replacement NM re-learning the deployment after a restart). *)
-let vpn_domain_knowledge nm =
-  Topology.set_domains (Nm.topology nm)
-    ~module_domains:
-      [
-        (Ids.v "IP" "g" "id-A", "C1");
-        (Ids.v "IP" "h" "id-A", "ISP");
-        (Ids.v "IP" "i" "id-B", "ISP");
-        (Ids.v "IP" "j" "id-C", "ISP");
-        (Ids.v "IP" "k" "id-C", "C1");
-      ]
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+(* Module layout of figure 4(b); [secure] adds the figure-1 IPsec pair (an
+   ESP data module depending on an IKE control module) at the edges. *)
+let vpn_layout ~secure (tb : Testbeds.vpn) =
+  let ipsec esp ike = if secure then [ Esp esp; Ike ike ] else [] in
+  [
+    node tb.Testbeds.ra
+      ([
+         Eth ("a", 0); (* eth1, customer-facing *)
+         Eth ("b", 1); (* eth2, core-facing *)
+         Ip ("g", [ "eth1" ], "C1");
+         Ip ("h", [ "eth2" ], "ISP");
+         Gre "l";
+         Mpls "o";
+       ]
+      @ ipsec "s" "m");
+    node tb.Testbeds.rb
+      [ Eth ("c", 0); Eth ("d", 1); Ip ("i", [ "eth1"; "eth2" ], "ISP"); Mpls "p" ];
+    node tb.Testbeds.rc
+      ([
+         Eth ("e", 1); (* eth2, core-facing *)
+         Eth ("f", 0); (* eth1, customer-facing *)
+         Ip ("j", [ "eth2" ], "ISP");
+         Ip ("k", [ "eth1" ], "C1");
+         Gre "n";
+         Mpls "q";
+       ]
+      @ ipsec "t" "w");
+  ]
 
-let build_vpn ?(channel = `Oob) ?(secure = false) ?tradeoffs ?fault_seed ?reliability ?admission
-    ?journal () =
+let build_vpn ?(channel = `Oob) ?(secure = false) ?tradeoffs ?fault_seed ?journal () =
   let tb = Testbeds.vpn () in
   let net = tb.Testbeds.vpn_net in
-  let managed = [ tb.Testbeds.ra; tb.Testbeds.rb; tb.Testbeds.rc ] in
-  let chan, faults, transport, admission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:managed
-      ~attach_to:tb.Testbeds.rb
-  in
-  let ip_handles = ref [] in
-  let setup_device dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            let impl, handle =
-              Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain ()
-            in
-            ip_handles := (mid, handle) :: !ip_handles;
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Esp mid -> Agent.register agent (Esp_module.make ~env ~mref:(mref "ESP" mid dev) ())
-        | `Ike mid -> Agent.register agent (Ike_module.make ~env ~mref:(mref "IKE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  (* module layout of figure 4(b); [secure] adds the figure-1 IPsec pair
-     (an ESP data module depending on an IKE control module) at the edges *)
-  let sec_a = if secure then [ `Esp "s"; `Ike "m" ] else [] in
-  let sec_c = if secure then [ `Esp "t"; `Ike "w" ] else [] in
-  let agent_a =
-    setup_device tb.Testbeds.ra
-      ([
-         `Eth ("a", 0); (* eth1, customer-facing *)
-         `Eth ("b", 1); (* eth2, core-facing *)
-         `Ip ("g", [ "eth1" ], "C1");
-         `Ip ("h", [ "eth2" ], "ISP");
-         `Gre "l";
-         `Mpls "o";
-       ]
-      @ sec_a)
-  in
-  let agent_b =
-    setup_device tb.Testbeds.rb
-      [ `Eth ("c", 0); `Eth ("d", 1); `Ip ("i", [ "eth1"; "eth2" ], "ISP"); `Mpls "p" ]
-  in
-  let agent_c =
-    setup_device tb.Testbeds.rc
-      ([
-         `Eth ("e", 1); (* eth2, core-facing *)
-         `Eth ("f", 0); (* eth1, customer-facing *)
-         `Ip ("j", [ "eth2" ], "ISP");
-         `Ip ("k", [ "eth1" ], "C1");
-         `Gre "n";
-         `Mpls "q";
-       ]
-      @ sec_c)
-  in
+  let layout = vpn_layout ~secure tb in
+  let d = deploy ?fault_seed channel net ~attach_to:tb.Testbeds.rb layout in
   (* The customer hosts also run management agents with a single IP module
      each, so module-level filter rules can be resolved against them
-     (section II-E's example). Only reachable over the out-of-band channel;
-     the customer routers run no agents to flood through. *)
-  (if channel = `Oob then begin
-     let host_agent dev mid =
-       let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-       let env = Agent.env agent in
-       let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces:[ "eth0" ] ~domain:"C1" () in
-       Agent.register agent impl
-     in
-     host_agent tb.Testbeds.host1 "x";
-     host_agent tb.Testbeds.host2 "y"
-   end);
-  let nm = Nm.create ~transport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) [ agent_a; agent_b; agent_c ];
-  Nm.run nm;
-  let scope = [ "id-A"; "id-B"; "id-C" ] in
-  Nm.harvest_potentials nm scope;
-  vpn_domain_knowledge nm;
+     (section II-E's example). Only reachable over the out-of-band channel
+     (the customer routers run no agents to flood through), and never
+     announced: the NM does not manage them. *)
+  if channel = `Oob then
+    List.iter
+      (fun (device, mid) ->
+        ignore (start_agent d.chan net (node device [ Ip (mid, [ "eth0" ], "C1") ])))
+      [ (tb.Testbeds.host1, "x"); (tb.Testbeds.host2, "y") ];
+  let nm = Nm.create ~transport:d.transport ?journal ~chan:d.chan ~net ~my_id:nm_station_id () in
+  discover nm ~announce:(announce_all d) net layout;
   {
     tb;
-    chan;
-    faults;
-    transport;
-    admission;
+    chan = d.chan;
+    faults = d.faults;
+    transport = d.transport;
+    admission = d.admission;
     nm;
     goal = vpn_goal ?tradeoffs ();
-    scope;
-    agents = [ ("A", agent_a); ("B", agent_b); ("C", agent_c) ];
-    ip_handles = !ip_handles;
+    scope = scope_of layout;
+    agents = List.map (fun (dev, a) -> (dev.Device.dev_name, a)) d.agents;
+    ip_handles = d.ip_handles;
   }
 
 let vpn_reachable v = Testbeds.vpn_reachable v.tb
@@ -194,12 +228,11 @@ let vpn_reachable v = Testbeds.vpn_reachable v.tb
    re-announce (their Hellos now reach the new NM, which subscribed under
    the same station id), potentials are harvested and the operator's
    domain knowledge re-entered. The second half of an NM restart; pair it
-   with [Nm.recover] to re-converge the journalled intents. *)
+   with [Nm.recover] to re-converge the journalled intents. The IPsec pair
+   adds no IP module, so the plain layout names the same domains. *)
 let vpn_adopt v nm =
-  List.iter (fun (_, a) -> Agent.announce a v.tb.Testbeds.vpn_net) v.agents;
-  Nm.run nm;
-  Nm.harvest_potentials nm v.scope;
-  vpn_domain_knowledge nm
+  discover nm ~announce:(List.map snd v.agents) v.tb.Testbeds.vpn_net
+    (vpn_layout ~secure:false v.tb)
 
 (* --- generalised n-router chain (Table VI sweep) ------------------------------ *)
 
@@ -214,90 +247,66 @@ type chain = {
   cscope : string list;
 }
 
-let build_chain ?(channel = `Oob) ?(addressed = true)
-    ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) ?fault_seed ?reliability ?admission
-    ?journal n =
+(* Figure 4(b)'s layout stretched over n routers: A's modules on the first,
+   C's on the last and B's on each one between. *)
+let chain_layout station (tb : Testbeds.chain) =
+  let n = Array.length tb.Testbeds.routers in
+  List.mapi
+    (fun idx device ->
+      let modules =
+        if idx = 0 then
+          [
+            Eth ("a", 0);
+            Eth ("b", 1);
+            Ip ("g", [ "eth1" ], "C1");
+            Ip ("h", [ "eth2" ], "ISP");
+            Gre "l";
+            Mpls "o";
+          ]
+        else if idx = n - 1 then
+          [
+            Eth ("e", 0); (* eth1, towards the core *)
+            Eth ("f", 1); (* eth2, customer-facing *)
+            Ip ("j", [ "eth1" ], "ISP");
+            Ip ("k", [ "eth2" ], "C1");
+            Gre "n";
+            Mpls "q";
+          ]
+        else
+          let mid prefix = Printf.sprintf "%s%d" prefix (idx + 1) in
+          [
+            Eth (mid "c", 0); Eth (mid "d", 1); Ip (mid "i", [ "eth1"; "eth2" ], "ISP"); Mpls (mid "p");
+          ]
+      in
+      { device; station = station idx; modules })
+    (Array.to_list tb.Testbeds.routers)
+
+let chain_goal (tb : Testbeds.chain) =
+  let n = Array.length tb.Testbeds.routers in
+  {
+    (vpn_goal ()) with
+    Path_finder.g_from = Ids.v "ETH" "a" "id-R1";
+    g_to = Ids.v "ETH" "f" (Printf.sprintf "id-R%d" n);
+    g_scope = Array.to_list (Array.map (fun d -> d.Device.dev_id) tb.Testbeds.routers);
+  }
+
+let build_chain ?(addressed = true) ?fault_seed n =
   let tb = Testbeds.chain ~addressed n in
   let net = tb.Testbeds.chain_net in
-  let routers = Array.to_list tb.Testbeds.routers in
-  let chan, cfaults, ctransport, cadmission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:routers
-      ~attach_to:tb.Testbeds.routers.(0)
-  in
-  let module_domains = ref [] in
-  let setup_device dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            module_domains := (mref "IP" mid dev, domain) :: !module_domains;
-            let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain () in
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  let agents =
-    List.mapi
-      (fun idx dev ->
-        if idx = 0 then
-          setup_device dev
-            [
-              `Eth ("a", 0);
-              `Eth ("b", 1);
-              `Ip ("g", [ "eth1" ], "C1");
-              `Ip ("h", [ "eth2" ], "ISP");
-              `Gre "l";
-              `Mpls "o";
-            ]
-        else if idx = n - 1 then
-          setup_device dev
-            [
-              `Eth ("e", 0); (* eth1, towards the core *)
-              `Eth ("f", 1); (* eth2, customer-facing *)
-              `Ip ("j", [ "eth1" ], "ISP");
-              `Ip ("k", [ "eth2" ], "C1");
-              `Gre "n";
-              `Mpls "q";
-            ]
-        else
-          setup_device dev
-            [
-              `Eth (Printf.sprintf "c%d" (idx + 1), 0);
-              `Eth (Printf.sprintf "d%d" (idx + 1), 1);
-              `Ip (Printf.sprintf "i%d" (idx + 1), [ "eth1"; "eth2" ], "ISP");
-              `Mpls (Printf.sprintf "p%d" (idx + 1));
-            ])
-      routers
-  in
-  let nm = Nm.create ~transport:ctransport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = List.map (fun d -> d.Device.dev_id) routers in
-  Nm.harvest_potentials nm scope;
-  Topology.set_domains (Nm.topology nm) ~module_domains:!module_domains
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ];
-  let goal =
-    {
-      Path_finder.g_from = Ids.v "ETH" "a" "id-R1";
-      g_to = Ids.v "ETH" "f" (Printf.sprintf "id-R%d" n);
-      g_customer = "C1";
-      g_src_domain = "C1-S1";
-      g_dst_domain = "C1-S2";
-      g_src_site = "S1";
-      g_dst_site = "S2";
-      g_tradeoffs = tradeoffs;
-      g_scope = scope;
-    }
-  in
-  { ctb = tb; cchan = chan; cfaults; ctransport; cadmission; cnm = nm; cgoal = goal; cscope = scope }
+  let layout = chain_layout (fun _ -> nm_station_id) tb in
+  let d = deploy ?fault_seed `Oob net ~attach_to:tb.Testbeds.routers.(0) layout in
+  let nm = Nm.create ~transport:d.transport ~chan:d.chan ~net ~my_id:nm_station_id () in
+  discover nm ~announce:(announce_all d) net layout;
+  {
+    ctb = tb;
+    cchan = d.chan;
+    cfaults = d.faults;
+    ctransport = d.transport;
+    cadmission = d.admission;
+    cnm = nm;
+    cgoal = chain_goal tb;
+    cscope = scope_of layout;
+  }
 
 let chain_reachable c = Testbeds.chain_reachable c.ctb
 
@@ -315,111 +324,58 @@ type diamond = {
   dagents : (string * Agent.t) list; (* device id -> agent *)
 }
 
-let build_diamond ?(channel = `Oob) ?fault_seed ?reliability ?admission ?journal () =
+let diamond_layout (tb : Testbeds.diamond) =
+  [
+    node tb.Testbeds.dia_a
+      [
+        Eth ("a", 0);
+        Eth ("b1", 1);
+        Eth ("b2", 2);
+        Ip ("g", [ "eth1" ], "C1");
+        Ip ("h", [ "eth2"; "eth3" ], "ISP");
+        Gre "l";
+        Mpls "o";
+      ];
+    node tb.Testbeds.dia_b1
+      [ Eth ("c1", 0); Eth ("d1", 1); Ip ("i1", [ "eth1"; "eth2" ], "ISP"); Mpls "p1" ];
+    node tb.Testbeds.dia_b2
+      [ Eth ("c2", 0); Eth ("d2", 1); Ip ("i2", [ "eth1"; "eth2" ], "ISP"); Mpls "p2" ];
+    node tb.Testbeds.dia_c
+      [
+        Eth ("e1", 0);
+        Eth ("e2", 1);
+        Eth ("f", 2);
+        Ip ("j", [ "eth1"; "eth2" ], "ISP");
+        Ip ("k", [ "eth3" ], "C1");
+        Gre "n";
+        Mpls "q";
+      ];
+  ]
+
+let build_diamond ?fault_seed () =
   let tb = Testbeds.diamond () in
   let net = tb.Testbeds.dia_net in
-  let managed = [ tb.Testbeds.dia_a; tb.Testbeds.dia_b1; tb.Testbeds.dia_b2; tb.Testbeds.dia_c ] in
-  let chan, dfaults, dtransport, dadmission, _ =
-    make_channel ?fault_seed ?reliability ?admission channel net ~devices:managed
-      ~attach_to:tb.Testbeds.dia_a
-  in
-  let module_domains = ref [] in
-  let setup dev specs =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(mref "ETH" mid dev) ~ports:[ port ] ~switching:false
-                 ~neighbours:(eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            module_domains := (mref "IP" mid dev, domain) :: !module_domains;
-            let impl, _ = Ip_module.make ~env ~mref:(mref "IP" mid dev) ~ifaces ~domain () in
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(mref "GRE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(mref "MPLS" mid dev) ()))
-      specs;
-    agent
-  in
-  let agents =
-    [
-      setup tb.Testbeds.dia_a
-        [
-          `Eth ("a", 0);
-          `Eth ("b1", 1);
-          `Eth ("b2", 2);
-          `Ip ("g", [ "eth1" ], "C1");
-          `Ip ("h", [ "eth2"; "eth3" ], "ISP");
-          `Gre "l";
-          `Mpls "o";
-        ];
-      setup tb.Testbeds.dia_b1
-        [ `Eth ("c1", 0); `Eth ("d1", 1); `Ip ("i1", [ "eth1"; "eth2" ], "ISP"); `Mpls "p1" ];
-      setup tb.Testbeds.dia_b2
-        [ `Eth ("c2", 0); `Eth ("d2", 1); `Ip ("i2", [ "eth1"; "eth2" ], "ISP"); `Mpls "p2" ];
-      setup tb.Testbeds.dia_c
-        [
-          `Eth ("e1", 0);
-          `Eth ("e2", 1);
-          `Eth ("f", 2);
-          `Ip ("j", [ "eth1"; "eth2" ], "ISP");
-          `Ip ("k", [ "eth3" ], "C1");
-          `Gre "n";
-          `Mpls "q";
-        ];
-    ]
-  in
-  let nm = Nm.create ~transport:dtransport ?journal ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = [ "id-A"; "id-B1"; "id-B2"; "id-C" ] in
-  Nm.harvest_potentials nm scope;
-  Topology.set_domains (Nm.topology nm) ~module_domains:!module_domains
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ];
-  let goal =
-    {
-      Path_finder.g_from = Ids.v "ETH" "a" "id-A";
-      g_to = Ids.v "ETH" "f" "id-C";
-      g_customer = "C1";
-      g_src_domain = "C1-S1";
-      g_dst_domain = "C1-S2";
-      g_src_site = "S1";
-      g_dst_site = "S2";
-      g_tradeoffs = [ "in-order-delivery"; "low-error-rate" ];
-      g_scope = scope;
-    }
-  in
+  let layout = diamond_layout tb in
+  let d = deploy ?fault_seed `Oob net ~attach_to:tb.Testbeds.dia_a layout in
+  let nm = Nm.create ~transport:d.transport ~chan:d.chan ~net ~my_id:nm_station_id () in
+  discover nm ~announce:(announce_all d) net layout;
+  let scope = scope_of layout in
   {
     dtb = tb;
-    dchan = chan;
-    dfaults;
-    dtransport;
-    dadmission;
+    dchan = d.chan;
+    dfaults = d.faults;
+    dtransport = d.transport;
+    dadmission = d.admission;
     dnm = nm;
-    dgoal = goal;
+    dgoal = { (vpn_goal ()) with Path_finder.g_scope = scope };
     dscope = scope;
-    dagents = List.combine scope agents;
+    dagents = List.map (fun (dev, a) -> (dev.Device.dev_id, a)) d.agents;
   }
 
 let diamond_reachable d = Testbeds.diamond_reachable d.dtb
 
 let diamond_adopt d nm =
-  List.iter (fun (_, a) -> Agent.announce a d.dtb.Testbeds.dia_net) d.dagents;
-  Nm.run nm;
-  Nm.harvest_potentials nm d.dscope;
-  Topology.set_domains (Nm.topology nm)
-    ~module_domains:
-      [
-        (Ids.v "IP" "g" "id-A", "C1");
-        (Ids.v "IP" "h" "id-A", "ISP");
-        (Ids.v "IP" "i1" "id-B1", "ISP");
-        (Ids.v "IP" "i2" "id-B2", "ISP");
-        (Ids.v "IP" "j" "id-C", "ISP");
-        (Ids.v "IP" "k" "id-C", "C1");
-      ]
-    ~domain_prefixes:[ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+  discover nm ~announce:(List.map snd d.dagents) d.dtb.Testbeds.dia_net (diamond_layout d.dtb)
 
 (* Path classification helpers for picking the pure-GRE/MPLS/IP-IP paths out
    of the enumeration. *)
@@ -448,40 +404,32 @@ type vlan = {
   vagents : (string * Agent.t) list;
 }
 
-let build_vlan ?(channel = `Oob) ?fault_seed ?reliability () =
+(* Every switch runs one switching ETH module over all its ports and a
+   VLAN module. *)
+let switch_node device eth vlan = node device [ Switch eth; Vlan vlan ]
+
+let build_vlan ?(channel = `Oob) () =
   let tb = Testbeds.vlan () in
   let net = tb.Testbeds.vlan_net in
-  let switches = [ tb.Testbeds.swa; tb.Testbeds.swb; tb.Testbeds.swc ] in
-  let chan, vfaults, vtransport, vadmission, _ =
-    make_channel ?fault_seed ?reliability channel net ~devices:switches ~attach_to:tb.Testbeds.swb
+  let layout =
+    [
+      switch_node tb.Testbeds.swa "a" "d";
+      switch_node tb.Testbeds.swb "b" "e";
+      switch_node tb.Testbeds.swc "c" "f";
+    ]
   in
-  let setup sw (eth_mid, vlan_mid) =
-    let agent = Agent.create ~chan ~nm_device:nm_station_id sw in
-    let env = Agent.env agent in
-    let ports = List.init (Array.length sw.Device.ports) Fun.id in
-    Agent.register agent
-      (Eth_module.make ~env ~mref:(mref "ETH" eth_mid sw) ~ports ~switching:true
-         ~neighbours:(eth_neighbours net sw) ());
-    Agent.register agent (Vlan_module.make ~env ~mref:(mref "VLAN" vlan_mid sw) ());
-    agent
-  in
-  let agent_a = setup tb.Testbeds.swa ("a", "d") in
-  let agent_b = setup tb.Testbeds.swb ("b", "e") in
-  let agent_c = setup tb.Testbeds.swc ("c", "f") in
-  let nm = Nm.create ~transport:vtransport ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) [ agent_a; agent_b; agent_c ];
-  Nm.run nm;
-  let scope = [ "id-SwA"; "id-SwB"; "id-SwC" ] in
-  Nm.harvest_potentials nm scope;
+  let d = deploy channel net ~attach_to:tb.Testbeds.swb layout in
+  let nm = Nm.create ~transport:d.transport ~chan:d.chan ~net ~my_id:nm_station_id () in
+  discover nm ~announce:(announce_all d) net layout;
   {
     vtb = tb;
-    vchan = chan;
-    vfaults;
-    vtransport;
-    vadmission;
+    vchan = d.chan;
+    vfaults = d.faults;
+    vtransport = d.transport;
+    vadmission = d.admission;
     vnm = nm;
-    vscope = scope;
-    vagents = [ ("SwA", agent_a); ("SwB", agent_b); ("SwC", agent_c) ];
+    vscope = scope_of layout;
+    vagents = List.map (fun (dev, a) -> (dev.Device.dev_name, a)) d.agents;
   }
 
 let vlan_reachable v = Testbeds.vlan_reachable v.vtb
@@ -497,33 +445,27 @@ type vlan_chain = {
   vcscope : string list;
 }
 
-let build_vlan_chain ?(channel = `Oob) ?fault_seed ?reliability n =
+let build_vlan_chain n =
   let tb = Testbeds.vlan_chain n in
   let net = tb.Testbeds.vc_net in
-  let switches = Array.to_list tb.Testbeds.switches in
-  let chan, vcfaults, vctransport, vcadmission, _ =
-    make_channel ?fault_seed ?reliability channel net ~devices:switches
-      ~attach_to:tb.Testbeds.switches.(0)
-  in
-  let agents =
+  let layout =
     List.mapi
       (fun idx sw ->
-        let agent = Agent.create ~chan ~nm_device:nm_station_id sw in
-        let env = Agent.env agent in
-        let ports = List.init (Array.length sw.Device.ports) Fun.id in
         let suffix = string_of_int (idx + 1) in
-        Agent.register agent
-          (Eth_module.make ~env ~mref:(mref "ETH" ("eth" ^ suffix) sw) ~ports ~switching:true
-             ~neighbours:(eth_neighbours net sw) ());
-        Agent.register agent (Vlan_module.make ~env ~mref:(mref "VLAN" ("vl" ^ suffix) sw) ());
-        agent)
-      switches
+        switch_node sw ("eth" ^ suffix) ("vl" ^ suffix))
+      (Array.to_list tb.Testbeds.switches)
   in
-  let nm = Nm.create ~transport:vctransport ~chan ~net ~my_id:nm_station_id () in
-  List.iter (fun a -> Agent.announce a net) agents;
-  Nm.run nm;
-  let scope = List.map (fun d -> d.Device.dev_id) switches in
-  Nm.harvest_potentials nm scope;
-  { vctb = tb; vcchan = chan; vcfaults; vctransport; vcadmission; vcnm = nm; vcscope = scope }
+  let d = deploy `Oob net ~attach_to:tb.Testbeds.switches.(0) layout in
+  let nm = Nm.create ~transport:d.transport ~chan:d.chan ~net ~my_id:nm_station_id () in
+  discover nm ~announce:(announce_all d) net layout;
+  {
+    vctb = tb;
+    vcchan = d.chan;
+    vcfaults = d.faults;
+    vctransport = d.transport;
+    vcadmission = d.admission;
+    vcnm = nm;
+    vcscope = scope_of layout;
+  }
 
 let vlan_chain_reachable v = Testbeds.vlan_chain_reachable v.vctb

@@ -1,7 +1,8 @@
 (** Ready-made CONMan deployments of the paper's experimental set-ups:
     netsim testbed + management channel + agents + protocol modules + NM,
     already discovered (Hello + showPotential) and primed with the NM's
-    address-domain knowledge. *)
+    address-domain knowledge. Each builder is a layout put up with
+    {!deploy} and learnt with {!discover}. *)
 
 val nm_station_id : string
 (** Device id the (primary) NM subscribes under. *)
@@ -13,27 +14,57 @@ type channel_kind = [ `Oob | `Raw ]
 (** Pre-configured out-of-band channel, or the 4D-style raw in-band
     flooding channel (§III-A). *)
 
-val make_channel :
+(** {1 Deploying a layout} *)
+
+(** One protocol module, as a device's agent registers it. Each names the
+    module's short id. *)
+type spec =
+  | Eth of string * int  (** an ETH module on one port *)
+  | Switch of string  (** a switching ETH module over every port *)
+  | Ip of string * string list * string
+      (** an IP module on these interfaces, serving this address domain *)
+  | Gre of string
+  | Esp of string
+  | Ike of string
+  | Mpls of string
+  | Vlan of string
+
+type node = {
+  device : Netsim.Device.t;
+  station : string;  (** the NM station its agent reports to *)
+  modules : spec list;  (** in registration order *)
+}
+(** A managed device of a layout (a [node list], in agent creation order). *)
+
+type deployment = {
+  chan : Mgmt.Channel.t;
+  faults : Mgmt.Faults.t;
+  transport : Mgmt.Reliable.t;
+  admission : Mgmt.Admission.t;
+  agents : (Netsim.Device.t * Agent.t) list;  (** in layout order *)
+  ip_handles : (string * Ip_module.handle) list;  (** module id -> handle *)
+}
+
+val deploy :
   ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
   channel_kind ->
   Netsim.Net.t ->
-  devices:Netsim.Device.t list ->
   attach_to:Netsim.Device.t ->
-  Mgmt.Channel.t * Mgmt.Faults.t * Mgmt.Reliable.t * Mgmt.Admission.t * Netsim.Device.t option
-(** The full management-channel stack (base, faults, reliable delivery,
-    overload admission) every builder here uses — exported so other
-    deployment builders (e.g. the federated two-domain one) wire the same
-    stack. For [`Raw] a management-station device is created and cabled to
-    [attach_to]; [`Oob] ignores [devices]/[attach_to]. *)
+  node list ->
+  deployment
+(** [deploy kind net ~attach_to layout] builds the management-channel
+    stack (base, faults, reliable delivery, overload admission; the fault
+    layer is a no-op until a knob on [faults] is turned, [fault_seed]
+    defaults to 42), then each node's agent, in layout order, registering
+    its modules in order. For [`Raw] a management-station device is
+    created and cabled to [attach_to]; [`Oob] ignores [attach_to]. *)
 
-val eth_neighbours : Netsim.Net.t -> Netsim.Device.t -> int -> (string * string) list
-(** Physical neighbours of a device's port, as (device id, peer port name)
-    — the shape {!Eth_module.make} wants for Hello reporting. *)
-
-val mref : string -> string -> Netsim.Device.t -> Ids.t
-(** [mref name short dev] is the module reference [name:short\@dev]. *)
+val discover : Nm.t -> announce:Agent.t list -> Netsim.Net.t -> node list -> unit
+(** One NM's bring-up: the agents in [announce] say Hello, then the NM
+    harvests the showPotential of the layout's devices homed to its
+    station, in layout order, and is told the address domain of each of
+    their IP modules, newest registration first, with the customer prefix
+    map. An NM that learns no IP module learns no prefixes either. *)
 
 (** {1 Figure 4: the VPN testbed} *)
 
@@ -55,19 +86,15 @@ val build_vpn :
   ?secure:bool ->
   ?tradeoffs:string list ->
   ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
   ?journal:Intent.journal ->
   unit ->
   vpn
 (** [secure:true] additionally registers the figure-1 IPsec pair on the
     edge routers: ESP data modules whose "esp-keys" dependency is satisfied
-    by IKE control modules (§II-F). [fault_seed] (default 42) seeds the
-    fault-injection layer — a no-op until knobs on [faults] are turned;
-    [reliability] overrides {!Mgmt.Reliable.default_config}; [admission]
-    overrides {!Mgmt.Admission.default_config} (tightening the overload
-    budget); [journal] seeds the NM's intent journal (an NM restarting from
-    stable storage). All apply to the other builders below too. *)
+    by IKE control modules (§II-F). [fault_seed] seeds the fault-injection
+    layer (see {!deploy}); [journal] seeds the NM's intent journal (an NM
+    restarting from stable storage). Over [`Oob] the customer hosts also
+    run agents, each with one IP module, that the NM never manages. *)
 
 val vpn_goal : ?tradeoffs:string list -> unit -> Path_finder.goal
 
@@ -93,18 +120,16 @@ type chain = {
   cscope : string list;
 }
 
-val build_chain :
-  ?channel:channel_kind ->
-  ?addressed:bool ->
-  ?tradeoffs:string list ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?journal:Intent.journal ->
-  int ->
-  chain
+val build_chain : ?addressed:bool -> ?fault_seed:int -> int -> chain
 (** [addressed:false] leaves the ISP routers without addresses: the NM is
     expected to assign them via {!Nm.assign_address}. *)
+
+val chain_layout : (int -> string) -> Netsim.Testbeds.chain -> node list
+(** [chain_layout station tb] is the chain's layout, router [i] homed to
+    [station i]: figure 4(b)'s A and C modules at the ends, B's between. *)
+
+val chain_goal : Netsim.Testbeds.chain -> Path_finder.goal
+(** The chain's end-to-end goal, the figure-4 one between its edges. *)
 
 val chain_reachable : chain -> bool
 
@@ -122,14 +147,7 @@ type diamond = {
   dagents : (string * Agent.t) list; (** device id -> agent *)
 }
 
-val build_diamond :
-  ?channel:channel_kind ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?journal:Intent.journal ->
-  unit ->
-  diamond
+val build_diamond : ?fault_seed:int -> unit -> diamond
 val diamond_reachable : diamond -> bool
 
 val diamond_adopt : diamond -> Nm.t -> unit
@@ -155,8 +173,7 @@ type vlan = {
   vagents : (string * Agent.t) list;
 }
 
-val build_vlan :
-  ?channel:channel_kind -> ?fault_seed:int -> ?reliability:Mgmt.Reliable.config -> unit -> vlan
+val build_vlan : ?channel:channel_kind -> unit -> vlan
 val vlan_reachable : vlan -> bool
 
 type vlan_chain = {
@@ -169,6 +186,5 @@ type vlan_chain = {
   vcscope : string list;
 }
 
-val build_vlan_chain :
-  ?channel:channel_kind -> ?fault_seed:int -> ?reliability:Mgmt.Reliable.config -> int -> vlan_chain
+val build_vlan_chain : int -> vlan_chain
 val vlan_chain_reachable : vlan_chain -> bool

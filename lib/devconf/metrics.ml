@@ -57,18 +57,3 @@ let analyze_script ~dialect script =
 
 let analyze_linux = analyze_script ~dialect:`Linux
 let analyze_catos = analyze_script ~dialect:`Catos
-
-let pp_row ppf (label, c) =
-  Fmt.pf ppf "%-22s cmds: %d generic / %d specific   vars: %d generic / %d specific" label
-    (n_generic_cmds c) (n_specific_cmds c) (n_generic_vars c) (n_specific_vars c)
-
-let pp_details ppf c =
-  Fmt.pf ppf "generic cmds: %a@.specific cmds: %a@.generic vars: %a@.specific vars: %a"
-    Fmt.(list ~sep:comma string)
-    c.generic_cmds
-    Fmt.(list ~sep:comma string)
-    c.specific_cmds
-    Fmt.(list ~sep:comma string)
-    c.generic_vars
-    Fmt.(list ~sep:comma string)
-    c.specific_vars

@@ -17,12 +17,8 @@ val make : cmds:(string * Classify.klass) list -> vars:(string * Classify.klass)
 (** Deduplicates; a value counted as specific anywhere is not also counted
     as generic. *)
 
-val of_analyses : Classify.line_analysis list -> counts
 val analyze_linux : string -> counts
 (** Table-V counts for a Linux-dialect script (figures 7(a)/8(a)). *)
 
 val analyze_catos : string -> counts
 (** Table-V counts for a CatOS-dialect script (figure 9(a)). *)
-
-val pp_row : (string * counts) Fmt.t
-val pp_details : counts Fmt.t

@@ -11,7 +11,6 @@ val create : (string list -> string) -> t
 (** [create exec] builds a shell whose commands are run by [exec argv],
     returning their stdout. *)
 
-val run_line : t -> string -> unit
 val run : t -> string -> unit
 (** Runs a whole (newline-separated) script. *)
 
@@ -21,5 +20,3 @@ val parse_assignment : string -> (string * string) option
 (** [parse_assignment "N=`cmd | f`"] is [Some ("N", "cmd | f")] — exposed
     for the Table-V script classifier. *)
 
-val tokenize : string -> string list
-val expand : (string, string) Hashtbl.t -> string -> string

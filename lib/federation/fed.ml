@@ -739,8 +739,6 @@ let commits_received t = t.stats.commits_in
 let aborts_received t = t.stats.aborts_in
 let delegated_aborted t = List.length (List.filter (fun d -> d.d_aborted) t.delegated)
 let nm t = t.nm
-let domain t = t.domain
-let devices t = t.devices
 let set_registry t r = t.registry <- Some r
 
 let goal_trace t id =

@@ -61,9 +61,6 @@ val tick : t -> tick:int -> unit
 
 (** {1 Observation} *)
 
-type status = Pending | Achieved_ok | Failed_with of string
-
-val status : t -> int -> status
 val achieved : t -> int -> bool
 
 val replans : t -> int
@@ -83,8 +80,6 @@ val delegated_aborted : t -> int
     commits that never arrived). *)
 
 val nm : t -> Nm.t
-val domain : t -> string
-val devices : t -> string list
 
 (** {1 Tracing and metrics}
 

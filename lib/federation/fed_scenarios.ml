@@ -28,113 +28,39 @@ type two_domain = {
   fagents : (string * Agent.t) list;
 }
 
-let build_two_domain ?(tradeoffs = [ "in-order-delivery"; "low-error-rate" ]) ?fault_seed
-    ?reliability ?admission ?split n =
+let build_two_domain ?fault_seed n =
   let tb = Netsim.Testbeds.chain ~addressed:true n in
   let net = tb.Netsim.Testbeds.chain_net in
-  let routers = Array.to_list tb.Netsim.Testbeds.routers in
-  let split = match split with Some s -> s | None -> n / 2 in
-  if split < 1 || split > n - 1 then invalid_arg "build_two_domain: split out of range";
-  let ids = List.map (fun d -> d.Netsim.Device.dev_id) routers in
-  let west_devices = List.filteri (fun i _ -> i < split) ids in
-  let east_devices = List.filteri (fun i _ -> i >= split) ids in
-  let chan, faults, transport, admission, _ =
-    Scenarios.make_channel ?fault_seed ?reliability ?admission `Oob net ~devices:routers
-      ~attach_to:(List.hd routers)
-  in
-  let w_md = ref [] and e_md = ref [] in
+  let split = n / 2 in
   (* same module layout as build_chain, so the single-NM run over the same
      testbed produces the same plan space *)
-  let setup_device ~station ~md dev specs =
-    let agent = Agent.create ~chan ~nm_device:station dev in
-    let env = Agent.env agent in
-    List.iter
-      (fun spec ->
-        match spec with
-        | `Eth (mid, port) ->
-            Agent.register agent
-              (Eth_module.make ~env ~mref:(Scenarios.mref "ETH" mid dev) ~ports:[ port ]
-                 ~switching:false ~neighbours:(Scenarios.eth_neighbours net dev) ())
-        | `Ip (mid, ifaces, domain) ->
-            md := (Scenarios.mref "IP" mid dev, domain) :: !md;
-            let impl, _ = Ip_module.make ~env ~mref:(Scenarios.mref "IP" mid dev) ~ifaces ~domain () in
-            Agent.register agent impl
-        | `Gre mid -> Agent.register agent (Gre_module.make ~env ~mref:(Scenarios.mref "GRE" mid dev) ())
-        | `Mpls mid -> Agent.register agent (Mpls_module.make ~env ~mref:(Scenarios.mref "MPLS" mid dev) ()))
-      specs;
-    agent
+  let layout =
+    Scenarios.chain_layout (fun idx -> if idx < split then west_station else east_station) tb
   in
-  let agents =
-    List.mapi
-      (fun idx dev ->
-        let station, md = if idx < split then (west_station, w_md) else (east_station, e_md) in
-        let specs =
-          if idx = 0 then
-            [
-              `Eth ("a", 0);
-              `Eth ("b", 1);
-              `Ip ("g", [ "eth1" ], "C1");
-              `Ip ("h", [ "eth2" ], "ISP");
-              `Gre "l";
-              `Mpls "o";
-            ]
-          else if idx = n - 1 then
-            [
-              `Eth ("e", 0); (* eth1, towards the core *)
-              `Eth ("f", 1); (* eth2, customer-facing *)
-              `Ip ("j", [ "eth1" ], "ISP");
-              `Ip ("k", [ "eth2" ], "C1");
-              `Gre "n";
-              `Mpls "q";
-            ]
-          else
-            [
-              `Eth (Printf.sprintf "c%d" (idx + 1), 0);
-              `Eth (Printf.sprintf "d%d" (idx + 1), 1);
-              `Ip (Printf.sprintf "i%d" (idx + 1), [ "eth1"; "eth2" ], "ISP");
-              `Mpls (Printf.sprintf "p%d" (idx + 1));
-            ]
-        in
-        (dev.Netsim.Device.dev_id, setup_device ~station ~md dev specs))
-      routers
-  in
-  let nm_w = Nm.create ~transport ~chan ~net ~my_id:west_station () in
-  let nm_e = Nm.create ~transport ~chan ~net ~my_id:east_station () in
-  List.iter (fun (_, a) -> Agent.announce a net) agents;
-  (* shared network: one run delivers the Hellos to both stations *)
-  Nm.run nm_w;
-  Nm.harvest_potentials nm_w west_devices;
-  Nm.harvest_potentials nm_e east_devices;
-  let prefixes = [ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ] in
-  Topology.set_domains (Nm.topology nm_w) ~module_domains:!w_md ~domain_prefixes:prefixes;
-  Topology.set_domains (Nm.topology nm_e) ~module_domains:!e_md ~domain_prefixes:prefixes;
+  let d = Scenarios.deploy ?fault_seed `Oob net ~attach_to:tb.Netsim.Testbeds.routers.(0) layout in
+  let nm_w = Nm.create ~transport:d.Scenarios.transport ~chan:d.chan ~net ~my_id:west_station () in
+  let nm_e = Nm.create ~transport:d.transport ~chan:d.chan ~net ~my_id:east_station () in
+  (* shared network: the west NM's run delivers every Hello to both stations *)
+  Scenarios.discover nm_w ~announce:(List.map snd d.agents) net layout;
+  Scenarios.discover nm_e ~announce:[] net layout;
+  let agents = List.map (fun (dev, a) -> (dev.Netsim.Device.dev_id, a)) d.agents in
+  let ids = List.map fst agents in
+  let west_devices = List.filteri (fun i _ -> i < split) ids in
+  let east_devices = List.filteri (fun i _ -> i >= split) ids in
   let west = Fed.create ~nm:nm_w ~domain:"west" ~devices:west_devices ~peers:[ east_station ] () in
   let east = Fed.create ~nm:nm_e ~domain:"east" ~devices:east_devices ~peers:[ west_station ] () in
   Fed.announce west;
   Fed.announce east;
   Nm.run nm_w;
-  let goal =
-    {
-      Path_finder.g_from = Ids.v "ETH" "a" "id-R1";
-      g_to = Ids.v "ETH" "f" (Printf.sprintf "id-R%d" n);
-      g_customer = "C1";
-      g_src_domain = "C1-S1";
-      g_dst_domain = "C1-S2";
-      g_src_site = "S1";
-      g_dst_site = "S2";
-      g_tradeoffs = tradeoffs;
-      g_scope = ids;
-    }
-  in
   {
     ftb = tb;
-    fchan = chan;
-    ffaults = faults;
-    ftransport = transport;
-    fadmission = admission;
+    fchan = d.chan;
+    ffaults = d.faults;
+    ftransport = d.transport;
+    fadmission = d.admission;
     fwest = west;
     feast = east;
-    fgoal = goal;
+    fgoal = Scenarios.chain_goal tb;
     fscope = ids;
     fwest_devices = west_devices;
     feast_devices = east_devices;
@@ -166,20 +92,21 @@ let instrument t =
   Observe.attach_rings obs;
   obs
 
-(* Drives both federation nodes a bounded interval per tick until the goal
-   is achieved — the fault-free drive; the chaos engine has its own with
-   fault injection interleaved. *)
-let converge ?obs ?(interval_ns = 500_000_000L) ?(max_ticks = 40) t gid =
+(* Drives both federation nodes half a virtual second per tick until the
+   goal is achieved, for at most 40 ticks — the fault-free drive; the
+   chaos engine has its own with fault injection interleaved. *)
+let converge ?obs t gid =
   let net = Nm.net (Fed.nm t.fwest) in
   let eq = Netsim.Net.eq net in
   let rec go tick =
     (match obs with Some o -> Observe.set_tick o tick | None -> ());
     if Fed.achieved t.fwest gid || Fed.achieved t.feast gid then true
-    else if tick >= max_ticks then false
+    else if tick >= 40 then false
     else begin
       Fed.tick t.fwest ~tick;
       Fed.tick t.feast ~tick;
-      ignore (Netsim.Net.run_until net ~deadline:(Int64.add (Netsim.Event_queue.now eq) interval_ns));
+      ignore
+        (Netsim.Net.run_until net ~deadline:(Int64.add (Netsim.Event_queue.now eq) 500_000_000L));
       go (tick + 1)
     end
   in

@@ -25,20 +25,14 @@ type two_domain = {
   fagents : (string * Agent.t) list;  (** device id -> agent *)
 }
 
-val build_two_domain :
-  ?tradeoffs:string list ->
-  ?fault_seed:int ->
-  ?reliability:Mgmt.Reliable.config ->
-  ?admission:Mgmt.Admission.config ->
-  ?split:int ->
-  int ->
-  two_domain
+val build_two_domain : ?fault_seed:int -> int -> two_domain
 (** [build_two_domain n] builds the n-router chain with routers
-    [0..split-1] owned by the west NM and the rest by the east NM
-    ([split] defaults to [n/2]). Each agent is homed to its domain's
-    station; each NM discovers, harvests and holds module-domain
-    knowledge for its own devices only. Domain adverts have already been
-    exchanged on return. *)
+    [0..n/2-1] owned by the west NM and the rest by the east NM: the
+    layout of {!Conman.Scenarios.build_chain}, each router homed to its
+    domain's station, put up with {!Conman.Scenarios.deploy}. Each NM
+    discovers, harvests and holds module-domain knowledge for its own
+    devices only ({!Conman.Scenarios.discover}). Domain adverts have
+    already been exchanged on return. *)
 
 val two_domain_reachable : two_domain -> bool
 (** Bidirectional reachability between the chain's customer edges. *)
@@ -51,9 +45,8 @@ val instrument : two_domain -> Observe.t
     [fed_west.*], [netsim.*], [rings.*], ...) and both Fed nodes feeding
     the [fed.plan_ticks]/[fed.commit_ticks]/[fed.abort_ticks] histograms. *)
 
-val converge :
-  ?obs:Observe.t -> ?interval_ns:int64 -> ?max_ticks:int -> two_domain -> int -> bool
+val converge : ?obs:Observe.t -> two_domain -> int -> bool
 (** [converge t gid] drives both federation nodes (one {!Fed.tick} each,
-    then a bounded network interval) until goal [gid] is achieved or
-    [max_ticks] is exhausted — the fault-free drive. [?obs] keeps the
-    observability clock in step with the drive's ticks. *)
+    then half a virtual second of network time) until goal [gid] is
+    achieved or 40 ticks are exhausted — the fault-free drive. [?obs]
+    keeps the observability clock in step with the drive's ticks. *)

@@ -30,10 +30,6 @@ type config = {
   drain_period_ns : int64;  (** backstop drainer period while frames wait *)
 }
 
-val default_config : config
-(** 512-frame burst, 1024 frames/s sustained, 128-frame backlog, 400 ms P3
-    deadline, 1 ms drainer — generous enough that only storms trip it. *)
-
 type class_counters = {
   mutable admitted : int;  (** frames handed to the layer below *)
   mutable deferred : int;  (** frames that had to wait for tokens *)

@@ -56,8 +56,6 @@ module Oob : sig
 end
 
 module Raw : sig
-  val default_window : int
-
   val create : ?window:int -> unit -> t * (Netsim.Device.t -> unit)
   (** [create ()] returns the channel and an [attach] function that turns a
       device into a flooding management agent (it claims the device's
@@ -71,7 +69,7 @@ module Raw : sig
 
       [window] bounds the per-source flood-suppression state: each agent
       remembers at most [window] recent sequence numbers per source
-      (default {!default_window}); anything older than [hi - window] is
+      (default 512); anything older than [hi - window] is
       treated as already seen. Sending from a device that is not attached
       drops the frame and increments [frames_dropped] rather than raising. *)
 end

@@ -50,8 +50,3 @@ let decode buf off =
 let equal a b =
   a.src_device = b.src_device && a.dst_device = b.dst_device && a.seq = b.seq
   && Bytes.equal a.payload b.payload
-
-let pp ppf t =
-  Fmt.pf ppf "mgmt %s -> %s #%d (%d bytes)" t.src_device
-    (if t.dst_device = "" then "*" else t.dst_device)
-    t.seq (Bytes.length t.payload)

@@ -18,4 +18,3 @@ val decode : bytes -> int -> t
     {!Bad_frame} on any malformed input. *)
 
 val equal : t -> t -> bool
-val pp : t Fmt.t

@@ -24,12 +24,6 @@ let register t subsystem source =
     invalid_arg (Printf.sprintf "Obs.Registry.register: duplicate subsystem %S" subsystem);
   t.sources <- t.sources @ [ (subsystem, source) ]
 
-let unregister t subsystem =
-  let subsystem = normalize subsystem in
-  t.sources <- List.filter (fun (s, _) -> s <> subsystem) t.sources
-
-let subsystems t = List.map fst t.sources
-
 let snapshot t =
   List.concat_map
     (fun (subsystem, source) ->

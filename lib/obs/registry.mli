@@ -22,9 +22,6 @@ val register : t -> string -> (unit -> (string * int) list) -> unit
 (** [register t subsystem source] — raises [Invalid_argument] on a
     duplicate subsystem. *)
 
-val unregister : t -> string -> unit
-val subsystems : t -> string list
-
 val snapshot : t -> (string * int) list
 (** Every ["subsystem.name"] key, sorted. *)
 

@@ -64,8 +64,6 @@ let add t span =
     t.st_dropped <- t.st_dropped + 1
   done
 
-let ctx_of s = { goal = s.s_goal; span = s.s_id; parent = s.s_parent }
-
 let start ?parent t name =
   let id = fresh_id () in
   let goal, parent_id = match parent with None -> (id, 0) | Some c -> (c.goal, c.span) in

@@ -48,7 +48,6 @@ val start : ?parent:ctx -> t -> string -> ctx
 (** [start t name] opens a span. Without [?parent] it is a root: its goal
     id is its own span id. With [?parent] it joins that context's goal. *)
 
-val ctx_of : span -> ctx
 val event : t -> ctx -> string -> unit
 val finish : t -> ctx -> status:string -> unit
 val find : t -> int -> span option

@@ -1060,6 +1060,136 @@ let test_flat_goal_cost () =
   check tint "surfaced beside the other rings" dropped
     (List.assoc ("nm_retired_intents_" ^ Scenarios.nm_station_id) (Observe.ring_dropped obs))
 
+(* --- deployments: the operator knowledge derived from each layout ---------- *)
+
+let c1_prefixes = [ ("C1-S1", "10.0.1.0/24"); ("C1-S2", "10.0.2.0/24") ]
+
+let tknowledge =
+  Alcotest.(
+    pair
+      (slist (pair string string) compare)
+      (slist (pair string string) compare))
+
+(* An NM's (module, domain) pairs and prefix map, compared as sets. *)
+let knowledge nm =
+  let topo = Nm.topology nm in
+  ( List.map (fun (m, d) -> (Ids.to_string m, d)) topo.Topology.module_domains,
+    topo.Topology.domain_prefixes )
+
+let expect what nm domains prefixes =
+  let named = List.map (fun ((name, mid, dev), d) -> (Ids.to_string (Ids.v name mid dev), d)) in
+  check tknowledge what (named domains, prefixes) (knowledge nm)
+
+let vpn_domains =
+  [
+    (("IP", "g", "id-A"), "C1");
+    (("IP", "h", "id-A"), "ISP");
+    (("IP", "i", "id-B"), "ISP");
+    (("IP", "j", "id-C"), "ISP");
+    (("IP", "k", "id-C"), "C1");
+  ]
+
+let diamond_domains =
+  [
+    (("IP", "g", "id-A"), "C1");
+    (("IP", "h", "id-A"), "ISP");
+    (("IP", "i1", "id-B1"), "ISP");
+    (("IP", "i2", "id-B2"), "ISP");
+    (("IP", "j", "id-C"), "ISP");
+    (("IP", "k", "id-C"), "C1");
+  ]
+
+let test_deployed_knowledge () =
+  expect "VPN" (Scenarios.build_vpn ()).Scenarios.nm vpn_domains c1_prefixes;
+  expect "secure VPN" (Scenarios.build_vpn ~secure:true ()).Scenarios.nm vpn_domains c1_prefixes;
+  expect "diamond" (Scenarios.build_diamond ()).Scenarios.dnm diamond_domains c1_prefixes;
+  expect "chain n=5" (Scenarios.build_chain 5).Scenarios.cnm
+    [
+      (("IP", "g", "id-R1"), "C1");
+      (("IP", "h", "id-R1"), "ISP");
+      (("IP", "i2", "id-R2"), "ISP");
+      (("IP", "i3", "id-R3"), "ISP");
+      (("IP", "i4", "id-R4"), "ISP");
+      (("IP", "j", "id-R5"), "ISP");
+      (("IP", "k", "id-R5"), "C1");
+    ]
+    c1_prefixes;
+  expect "VLAN" (Scenarios.build_vlan ()).Scenarios.vnm [] [];
+  expect "VLAN chain n=3" (Scenarios.build_vlan_chain 3).Scenarios.vcnm [] []
+
+(* Each domain's NM knows only its own IP modules. The lists reach the
+   wire (Fed adverts and plan replies), so their order is pinned too:
+   newest registration first. *)
+let test_two_domain_knowledge () =
+  let t = Federation.Fed_scenarios.build_two_domain 4 in
+  let listed fed =
+    List.map
+      (fun (m, d) -> (Ids.to_string m, d))
+      (Nm.topology (Federation.Fed.nm fed)).Topology.module_domains
+  in
+  let ip mid dev = Ids.to_string (Ids.v "IP" mid dev) in
+  check
+    Alcotest.(list (pair string string))
+    "west: R1-R2 only"
+    [ (ip "i2" "id-R2", "ISP"); (ip "h" "id-R1", "ISP"); (ip "g" "id-R1", "C1") ]
+    (listed t.Federation.Fed_scenarios.fwest);
+  check
+    Alcotest.(list (pair string string))
+    "east: R3-R4 only"
+    [ (ip "k" "id-R4", "C1"); (ip "j" "id-R4", "ISP"); (ip "i3" "id-R3", "ISP") ]
+    (listed t.Federation.Fed_scenarios.feast);
+  List.iter
+    (fun fed ->
+      check
+        Alcotest.(slist (pair string string) compare)
+        "prefixes" c1_prefixes
+        (Nm.topology (Federation.Fed.nm fed)).Topology.domain_prefixes)
+    [ t.Federation.Fed_scenarios.fwest; t.Federation.Fed_scenarios.feast ]
+
+(* A replacement NM pointed at a deployment learns the same knowledge and
+   the same devices. *)
+let test_adopt_knowledge () =
+  let fresh ~transport ~chan ~net =
+    Nm.create ~transport ~chan ~net ~my_id:Scenarios.nm_station_id ()
+  in
+  let devices nm =
+    List.map (fun (d : Topology.device_info) -> d.Topology.di_id) (Nm.topology nm).Topology.devices
+  in
+  let v = Scenarios.build_vpn () in
+  let nm =
+    fresh ~transport:v.Scenarios.transport ~chan:v.Scenarios.chan
+      ~net:v.Scenarios.tb.Netsim.Testbeds.vpn_net
+  in
+  Scenarios.vpn_adopt v nm;
+  expect "vpn_adopt" nm vpn_domains c1_prefixes;
+  check Alcotest.(list string) "vpn_adopt harvests the scope" v.Scenarios.scope (devices nm);
+  let d = Scenarios.build_diamond () in
+  let nm =
+    fresh ~transport:d.Scenarios.dtransport ~chan:d.Scenarios.dchan
+      ~net:d.Scenarios.dtb.Netsim.Testbeds.dia_net
+  in
+  Scenarios.diamond_adopt d nm;
+  expect "diamond_adopt" nm diamond_domains c1_prefixes;
+  check Alcotest.(list string) "diamond_adopt harvests the scope" d.Scenarios.dscope (devices nm)
+
+(* The customer hosts run agents the NM never manages: it neither knows
+   the devices nor their IP modules' domains, and holds no handle on them. *)
+let test_vpn_hosts_unmanaged () =
+  let v = Scenarios.build_vpn () in
+  let topo = Nm.topology v.Scenarios.nm in
+  check
+    Alcotest.(slist string compare)
+    "ip_handles" [ "g"; "h"; "i"; "j"; "k" ]
+    (List.map fst v.Scenarios.ip_handles);
+  List.iter
+    (fun host ->
+      check tbool (host ^ " unknown") true (Topology.device topo host = None);
+      check tbool (host ^ " has no domain") false
+        (List.exists (fun ((m : Ids.t), _) -> m.Ids.dev = host) topo.Topology.module_domains))
+    [ "id-X"; "id-Y" ];
+  (* the hosts' agents are up all the same: the filter example needs them *)
+  check tbool "host agent answers" true (Nm.show_actual v.Scenarios.nm "id-X" <> None)
+
 let () =
   Alcotest.run "conman"
     [
@@ -1144,5 +1274,12 @@ let () =
           Alcotest.test_case "read replies not retained" `Quick test_read_replies_not_retained;
           Alcotest.test_case "teardown leaves no residue" `Quick test_teardown_leaves_no_residue;
           Alcotest.test_case "flat per-goal cost" `Quick test_flat_goal_cost;
+        ] );
+      ( "deployments",
+        [
+          Alcotest.test_case "knowledge derived from layouts" `Quick test_deployed_knowledge;
+          Alcotest.test_case "two-domain split" `Quick test_two_domain_knowledge;
+          Alcotest.test_case "adopt re-enters the knowledge" `Quick test_adopt_knowledge;
+          Alcotest.test_case "VPN hosts stay unmanaged" `Quick test_vpn_hosts_unmanaged;
         ] );
     ]
