@@ -147,12 +147,14 @@ let attempt ~req ~ok f =
     ok
   with Failure e | Devconf.Linux_cli.Error e -> Wire.Bundle_err { req; error = e }
 
-(* showActual: every module's state report, rendered on each request. A
-   read with a [tag] that still matches the state gets the one-line
+(* showActual: every module's state report, rendered on each request. *)
+let state t = List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) t.modules
+
+(* A read with a [tag] that still matches the state gets the one-line
    [Show_actual_unchanged] instead. Reads stay out of [done_reqs]: a retry
    simply renders again. *)
 let show_actual t ~req tag =
-  let state = List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) t.modules in
+  let state = state t in
   send t
     (match tag with
     | Some tag when String.equal (Wire.state_tag state) tag -> Wire.Show_actual_unchanged { req }
@@ -195,9 +197,11 @@ and dispatch t ~src msg =
   | Wire.Show_actual_unless { req; tag } -> show_actual t ~req (Some tag)
   | Wire.Show_perf_req { req } ->
       (* read-only like showActual: never cached in done_reqs, a retry
-         simply re-scrapes the (monotonic) counters *)
+         simply re-scrapes the (monotonic) counters. The reply carries
+         the state's tag, so the NM learns from the scrape alone which
+         devices' state it need not read again. *)
       let perf = List.map (fun m -> (m.Module_impl.mref, m.Module_impl.perf ())) t.modules in
-      send t (Wire.Show_perf_resp { req; perf })
+      send t (Wire.Show_perf_resp { req; tag = Wire.state_tag (state t); perf })
   | Wire.Bundle { req; cmds; annex } -> (
       match Hashtbl.find_opt t.done_reqs req with
       | Some reply ->

@@ -87,6 +87,21 @@ let abstraction () =
     security = [ "confidentiality"; "integrity" ];
   }
 
+(* up = authenticated+decrypted packets delivered upwards, down = packets
+   sealed and pushed down; no-SA sends count as drops, not transmissions *)
+let tunnel_report =
+  report
+    [
+      ("up_frames", "rx_packets");
+      ("up_bytes", "rx_bytes");
+      ("down_frames", "tx_packets");
+      ("down_bytes", "tx_bytes");
+      ("drop:rx_errors", "rx_errors");
+      ("drop:no_sa", "tx_no_sa_drop");
+    ]
+
+let tunnel_traffic = traffic ~rx:"rx_packets" ~tx:"tx_packets"
+
 let make ~env ~mref () =
   let st = { env; mref; pipes = []; pending = []; tunnels = [] } in
   {
@@ -117,41 +132,24 @@ let make ~env ~mref () =
         | _ -> None);
     perf =
       (fun () ->
-        (* up = authenticated+decrypted packets delivered upwards, down =
-           packets sealed and pushed down; no-SA sends count as drops, not
-           transmissions *)
         List.map
           (fun (pid, name) ->
-            let c =
-              match Netsim.Device.find_iface st.env.device name with
-              | Some i -> fun n -> Netsim.Counters.get i.Netsim.Device.if_counters n
-              | None -> fun _ -> 0
-            in
             ( pid,
-              [
-                ("up_frames", c "rx_packets");
-                ("up_bytes", c "rx_bytes");
-                ("down_frames", c "tx_packets");
-                ("down_bytes", c "tx_bytes");
-                ("drop:rx_errors", c "rx_errors");
-                ("drop:no_sa", c "tx_no_sa_drop");
-              ] ))
+              tunnel_report
+                (Option.map
+                   (fun i -> i.Netsim.Device.if_counters)
+                   (Netsim.Device.find_iface st.env.device name)) ))
           st.tunnels);
     actual =
       (fun () ->
-        List.concat_map
+        List.filter_map
           (fun (pid, name) ->
-            match Netsim.Device.find_iface st.env.device name with
-            | Some i ->
-                [
-                  ( "tunnel:" ^ pid,
-                    Printf.sprintf "%s rx=%d tx=%d" name
-                      (Netsim.Counters.get i.Netsim.Device.if_counters "rx_packets")
-                      (Netsim.Counters.get i.Netsim.Device.if_counters "tx_packets") );
-                ]
-            | None -> [])
+            Option.map
+              (fun i ->
+                ("tunnel:" ^ pid, name ^ " " ^ tunnel_traffic i.Netsim.Device.if_counters))
+              (Netsim.Device.find_iface st.env.device name))
           st.tunnels
-        @ List.map (fun r -> (Fmt.str "pending[%a]" Primitive.pp_rule r, "waiting")) st.pending);
+        @ List.map (fun r -> ("pending[" ^ Primitive.rule_to_string r ^ "]", "waiting")) st.pending);
     poll = poll st;
     self_test =
       (fun ~against:_ ~reply ->

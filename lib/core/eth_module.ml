@@ -9,18 +9,31 @@ type state = {
   env : env;
   mref : Ids.t;
   ports : int list; (* port indices this module represents *)
+  phys : (int * string) list; (* each port's physical pipe id, Phy-<dev>-<port> *)
   switching : bool;
   up_connectable : string list;
   mutable pipes : (Primitive.pipe_spec * role) list;
   mutable rules : Primitive.switch_rule list;
 }
 
-let phys_pipe_id (st : state) port_index =
-  let p = Netsim.Device.port st.env.device port_index in
-  Printf.sprintf "Phy-%s-%s" st.env.device.Netsim.Device.dev_name p.Netsim.Device.port_name
+let port_report =
+  report
+    [
+      ("up_frames", "rx_frames");
+      ("up_bytes", "rx_bytes");
+      ("down_frames", "tx_frames");
+      ("down_bytes", "tx_bytes");
+      ("drop:rx_bad", "rx_bad");
+      ("drop:rx_vlan", "rx_vlan_drop");
+      ("drop:tx_down", "tx_down");
+    ]
+
+let port_traffic = traffic ~rx:"rx_frames" ~tx:"tx_frames"
+
+let phys_pipe_id (st : state) port_index = List.assoc port_index st.phys
 
 let port_of_phys st phys_id =
-  List.find_opt (fun i -> phys_pipe_id st i = phys_id) st.ports
+  List.find_map (fun (i, id) -> if String.equal id phys_id then Some i else None) st.phys
 
 let port_name st i = (Netsim.Device.port st.env.device i).Netsim.Device.port_name
 
@@ -83,11 +96,16 @@ let fields st key =
   | _ -> None
 
 let make ~env ~mref ~ports ~switching ~neighbours () =
+  let phys_id i =
+    "Phy-" ^ env.device.Netsim.Device.dev_name ^ "-"
+    ^ (Netsim.Device.port env.device i).Netsim.Device.port_name
+  in
   let st =
     {
       env;
       mref;
       ports;
+      phys = List.map (fun i -> (i, phys_id i)) ports;
       switching;
       up_connectable = (if switching then [ "IP"; "MPLS"; "VLAN" ] else [ "IP"; "MPLS" ]);
       pipes = [];
@@ -113,33 +131,18 @@ let make ~env ~mref ~ports ~switching ~neighbours () =
         (* up = frames delivered off the wire towards the module above;
            down = frames sent onto the wire *)
         List.map
-          (fun i ->
+          (fun (i, phys_id) ->
             let p = Netsim.Device.port st.env.device i in
-            let c n = Netsim.Counters.get p.Netsim.Device.port_counters n in
-            ( phys_pipe_id st i,
-              [
-                ("up_frames", c "rx_frames");
-                ("up_bytes", c "rx_bytes");
-                ("down_frames", c "tx_frames");
-                ("down_bytes", c "tx_bytes");
-                ("drop:rx_bad", c "rx_bad");
-                ("drop:rx_vlan", c "rx_vlan_drop");
-                ("drop:tx_down", c "tx_down");
-              ] ))
-          st.ports);
+            (phys_id, port_report (Some p.Netsim.Device.port_counters)))
+          st.phys);
     actual =
       (fun () ->
-        List.concat_map
+        List.map
           (fun i ->
             let p = Netsim.Device.port st.env.device i in
-            [
-              ( "port:" ^ p.Netsim.Device.port_name,
-                Printf.sprintf "rx=%d tx=%d"
-                  (Netsim.Counters.get p.Netsim.Device.port_counters "rx_frames")
-                  (Netsim.Counters.get p.Netsim.Device.port_counters "tx_frames") );
-            ])
+            ("port:" ^ p.Netsim.Device.port_name, port_traffic p.Netsim.Device.port_counters))
           st.ports
-        @ List.map (fun r -> ("switch", Fmt.str "%a" Primitive.pp_rule r)) st.rules
+        @ List.map (fun r -> ("switch", Primitive.rule_to_string r)) st.rules
         @ List.map
             (fun (s, _) -> ("pipe", s.Primitive.pipe_id))
             st.pipes);

@@ -156,8 +156,9 @@ let make ~env ~mref () =
       (fun () ->
         List.map
           (fun sa ->
-            ( Printf.sprintf "sa:%s->%s" sa.sa_local sa.sa_remote,
-              if sa.established then "established" else Printf.sprintf "negotiating (try %d)" sa.tries ))
+            ( "sa:" ^ sa.sa_local ^ "->" ^ sa.sa_remote,
+              if sa.established then "established"
+              else "negotiating (try " ^ string_of_int sa.tries ^ ")" ))
           st.sas);
     self_test =
       (fun ~against:_ ~reply ->

@@ -460,6 +460,18 @@ let abstraction () =
 
 type handle = { change_address : iface:string -> string -> string -> unit; state : state }
 
+(* per pipe, from the interface the pipe resolves over *)
+let pipe_report =
+  report
+    [
+      ("up_frames", "rx_packets");
+      ("up_bytes", "rx_bytes");
+      ("down_frames", "tx_packets");
+      ("down_bytes", "tx_bytes");
+      ("drop:rx_errors", "rx_errors");
+      ("drop:policer", "policer_drops");
+    ]
+
 let make ~env ~mref ~ifaces ~domain () =
   let st =
     {
@@ -610,40 +622,29 @@ let make ~env ~mref ~ifaces ~domain () =
           | _ -> None);
       perf =
         (fun () ->
-          (* per pipe, from the interface the pipe resolves over; a pipe
-             whose interface has not resolved yet reports zeros *)
+          (* a pipe whose interface has not resolved yet reports zeros *)
           List.map
             (fun ps ->
-              let c =
-                match
-                  Option.bind (under_iface st ps) (Netsim.Device.find_iface st.env.device)
-                with
-                | Some i -> fun n -> Netsim.Counters.get i.Netsim.Device.if_counters n
-                | None -> fun _ -> 0
-              in
               ( ps.spec.Primitive.pipe_id,
-                [
-                  ("up_frames", c "rx_packets");
-                  ("up_bytes", c "rx_bytes");
-                  ("down_frames", c "tx_packets");
-                  ("down_bytes", c "tx_bytes");
-                  ("drop:rx_errors", c "rx_errors");
-                  ("drop:policer", c "policer_drops");
-                ] ))
+                pipe_report
+                  (Option.map
+                     (fun i -> i.Netsim.Device.if_counters)
+                     (Option.bind (under_iface st ps) (Netsim.Device.find_iface st.env.device))) ))
             st.pipes);
       actual =
         (fun () ->
           List.map
             (fun ps ->
               ( "pipe:" ^ ps.spec.Primitive.pipe_id,
-                Printf.sprintf "role=%s peer-addr=%s"
-                  (match ps.role with `Top -> "top" | `Bottom -> "bottom")
-                  (Option.value ~default:"?" ps.peer_addr) ))
+                "role="
+                ^ (match ps.role with `Top -> "top" | `Bottom -> "bottom")
+                ^ " peer-addr="
+                ^ Option.value ~default:"?" ps.peer_addr ))
             st.pipes
           @ List.map (fun (r, cmds) ->
-                (Fmt.str "switch[%a]" Primitive.pp_rule r, String.concat " ; " cmds))
+                ("switch[" ^ Primitive.rule_to_string r ^ "]", String.concat " ; " cmds))
               st.applied
-          @ List.map (fun r -> (Fmt.str "pending[%a]" Primitive.pp_rule r, "waiting")) st.pending
+          @ List.map (fun r -> ("pending[" ^ Primitive.rule_to_string r ^ "]", "waiting")) st.pending
           @ [ ("ip_forward", string_of_bool st.env.device.Netsim.Device.ip_forward) ]);
       poll = poll st;
       self_test =

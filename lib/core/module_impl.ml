@@ -89,3 +89,20 @@ let run device argv = ignore (Devconf.Linux_cli.exec device argv)
 (* A command line, split on spaces: the IP module's form, whose lines are
    also its showActual record and its undo log. *)
 let run_cmd device line = run device (String.split_on_char ' ' line |> List.filter (( <> ) ""))
+
+(* A showPerf entry: each (reported name, counter name) pair's counter is
+   interned once, when the reader is built; the reader then reads a
+   counter set by key, or reports zeros when there is none. *)
+let report fields =
+  let keyed = List.map (fun (name, counter) -> (name, Netsim.Counters.key counter)) fields in
+  function
+  | Some counters -> List.map (fun (name, k) -> (name, Netsim.Counters.value counters k)) keyed
+  | None -> List.map (fun (name, _) -> (name, 0)) keyed
+
+(* "rx=<n> tx=<m>": the traffic a showActual entry reports, its two
+   counters interned once, as [report]'s. *)
+let traffic ~rx ~tx =
+  let rx = Netsim.Counters.key rx and tx = Netsim.Counters.key tx in
+  fun counters ->
+    "rx=" ^ string_of_int (Netsim.Counters.value counters rx) ^ " tx="
+    ^ string_of_int (Netsim.Counters.value counters tx)

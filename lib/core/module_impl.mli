@@ -74,3 +74,15 @@ val run_cmd : Netsim.Device.t -> string -> unit
 (** [run_cmd device line] is {!run} on [line] split at spaces. Only the IP
     module uses it: its route and rule lines are also its showActual record
     and its undo log, so they are printed either way. *)
+
+val report : (string * string) list -> Netsim.Counters.t option -> (string * int) list
+(** [report fields] reads one showPerf entry: for each (reported name,
+    counter name) pair of [fields], the counter's value in the given set,
+    or 0 when there is none (an interface that has not resolved yet). The
+    counter names are interned once, by [report fields] itself, so build
+    the reader once per module, not once per report. *)
+
+val traffic : rx:string -> tx:string -> Netsim.Counters.t -> string
+(** [traffic ~rx ~tx] reads a showActual entry's traffic figure,
+    ["rx=<n> tx=<m>"], from the two named counters of a set, interned
+    once as {!report}'s are. *)

@@ -9,7 +9,10 @@
      probe_end_to_end  — is the data plane carrying traffic edge to edge?
      drift check       — does show_actual still contain the structural
                          state snapshotted when the intent was last
-                         healthy (pipes, switch rules, tunnels)?
+                         healthy (pipes, switch rules, tunnels)? Only
+                         devices whose state tag from this tick's
+                         telemetry scrape differs from their baseline's
+                         are read, in one round.
      repair            — drift with a healthy path is resynced by
                          re-sending the script (idempotent); a dead path
                          is re-achieved over the next-best path, avoiding
@@ -37,6 +40,9 @@ type t = {
   nm : Nm.t;
   cfg : config;
   telemetry : Telemetry.t option;
+  mutable tick_rounds : int option;
+      (* inside a tick with telemetry: the scrape rounds done before it
+         began, so the state tags of later rounds are this tick's *)
   mutable ticks : int;
   mutable repairs : int;
   mutable resyncs : int;
@@ -55,6 +61,7 @@ let create ?(config = default_config) ?telemetry nm =
     nm;
     cfg = config;
     telemetry;
+    tick_rounds = None;
     ticks = 0;
     repairs = 0;
     resyncs = 0;
@@ -100,38 +107,54 @@ let structural_keys state =
   |> List.sort_uniq compare
 
 (* Re-baselines the drift check: records, per device the script touches,
-   the structural keys present now and the state's tag. Called when the
-   intent (re)converges. *)
+   the structural keys present now and the state's tag, read in one round.
+   Called when the intent (re)converges. *)
 let snapshot t (intent : Intent.t) =
   Intent.clear_baseline intent;
   match intent.Intent.script with
   | None -> ()
   | Some s ->
+      let devs =
+        List.filter_map
+          (fun (dev, prims) -> if prims = [] then None else Some dev)
+          s.Script_gen.per_device
+      in
+      let replies = Nm.show_actual_round t.nm (List.map (fun dev -> (dev, None)) devs) in
       let read =
         List.filter_map
-          (fun (dev, prims) ->
-            if prims = [] then None
-            else
-              match Nm.show_actual t.nm dev with
-              | Some state -> Some (dev, structural_keys state, Wire.state_tag state)
-              | None -> None)
-          s.Script_gen.per_device
+          (fun (dev, reply) ->
+            match reply with
+            | Some (Some state) -> Some (dev, structural_keys state, Wire.state_tag state)
+            | Some None | None -> None)
+          (List.combine devs replies)
       in
       intent.Intent.expected <- List.map (fun (dev, keys, _) -> (dev, keys)) read;
       intent.Intent.tags <- List.map (fun (dev, _, tag) -> (dev, tag)) read
 
 (* Devices whose show_actual lost structural keys the baseline had. Extra
-   keys are fine (other intents add state); missing ones are drift. Each
-   read is conditional on the device's tag: "unchanged" means the device
-   still has the keys of a state already found free of drift. A full reply
-   is checked against the keys, and if it shows no drift its tag becomes
-   the device's. *)
+   keys are fine (other intents add state); missing ones are drift. A
+   device whose tag from this tick's scrape is its baseline tag still has
+   the keys of a state already found free of drift, and is not read. The
+   others are read in one round, each conditional on its tag: "unchanged"
+   means the same. A full reply is checked against the keys, and if it
+   shows no drift its tag becomes the device's. *)
 let drift t (intent : Intent.t) =
+  (* no tag: "" matches no state, so the device answers in full *)
+  let baseline dev = Option.value ~default:"" (List.assoc_opt dev intent.Intent.tags) in
+  let scraped dev =
+    match (t.telemetry, t.tick_rounds) with
+    | Some tel, Some since -> Telemetry.tag tel ~since dev
+    | _ -> None
+  in
+  let unread =
+    List.filter (fun (dev, _) -> scraped dev <> Some (baseline dev)) intent.Intent.expected
+  in
+  let replies =
+    Nm.show_actual_round t.nm (List.map (fun (dev, _) -> (dev, Some (baseline dev))) unread)
+  in
   List.filter_map
-    (fun (dev, keys) ->
-      (* no tag: "" matches no state, so the device answers in full *)
-      let tag = Option.value ~default:"" (List.assoc_opt dev intent.Intent.tags) in
-      match Nm.show_actual_unless t.nm dev ~tag with
+    (fun ((dev, keys), reply) ->
+      match reply with
       | None -> None (* no answer is unreachability, not drift *)
       | Some None -> None (* the keys of a state already found free of drift *)
       | Some (Some state) ->
@@ -143,7 +166,7 @@ let drift t (intent : Intent.t) =
             None
           end
           else Some (dev, missing))
-    intent.Intent.expected
+    (List.combine unread replies)
 
 (* --- repair ------------------------------------------------------------------- *)
 
@@ -344,8 +367,11 @@ let tick t =
   (* probes and repairs run inside a bounded horizon so later scheduled
      faults stay in the future *)
   Nm.set_horizon t.nm (Some (Int64.add deadline t.cfg.probe_slack_ns));
+  t.tick_rounds <- Option.map Telemetry.rounds t.telemetry;
   Fun.protect
-    ~finally:(fun () -> Nm.set_horizon t.nm None)
+    ~finally:(fun () ->
+      Nm.set_horizon t.nm None;
+      t.tick_rounds <- None)
     (fun () ->
       (* re-issue requests the reliable transport abandoned (give-up during
          a drop burst or partition) — without this, a lost back-out deletion

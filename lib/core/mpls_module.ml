@@ -150,6 +150,28 @@ let abstraction () =
     fast_forwarding = true;
   }
 
+(* per adjacency pipe: labelled traffic on the interface below it *)
+let adjacency_report =
+  report
+    [
+      ("up_frames", "rx_mpls");
+      ("up_bytes", "rx_mpls_bytes");
+      ("down_frames", "tx_mpls");
+      ("down_bytes", "tx_mpls_bytes");
+    ]
+
+(* the "local" pseudo-pipe: the label-switching engine's switched and
+   drop-cause counters *)
+let engine_report =
+  report
+    [
+      ("switched_packets", "mpls_switched");
+      ("drop:no_ilm", "mpls_no_ilm_drop");
+      ("drop:no_xc", "mpls_no_xc_drop");
+      ("drop:no_nhlfe", "mpls_no_nhlfe_drop");
+      ("drop:ttl", "mpls_ttl_drop");
+    ]
+
 let make ~env ~mref () =
   let st =
     {
@@ -263,53 +285,28 @@ let make ~env ~mref () =
         | _ -> None);
     perf =
       (fun () ->
-        (* per adjacency pipe: labelled traffic on the interface below it;
-           the "local" pseudo-pipe carries the label-switching engine's
-           aggregate switched/drop-cause counters *)
         let dev = st.env.device in
-        let adj_entries =
-          List.map
-            (fun adj ->
-              let c =
-                match
-                  Option.bind
-                    (st.env.local_query adj.a_spec.Primitive.bottom "iface")
-                    (Netsim.Device.find_iface dev)
-                with
-                | Some i -> fun n -> Netsim.Counters.get i.Netsim.Device.if_counters n
-                | None -> fun _ -> 0
-              in
-              ( adj.a_spec.Primitive.pipe_id,
-                [
-                  ("up_frames", c "rx_mpls");
-                  ("up_bytes", c "rx_mpls_bytes");
-                  ("down_frames", c "tx_mpls");
-                  ("down_bytes", c "tx_mpls_bytes");
-                ] ))
-            st.adjacencies
-        in
-        let d n = Netsim.Counters.get dev.Netsim.Device.dev_counters n in
-        adj_entries
-        @ [
-            ( "local",
-              [
-                ("switched_packets", d "mpls_switched");
-                ("drop:no_ilm", d "mpls_no_ilm_drop");
-                ("drop:no_xc", d "mpls_no_xc_drop");
-                ("drop:no_nhlfe", d "mpls_no_nhlfe_drop");
-                ("drop:ttl", d "mpls_ttl_drop");
-              ] );
-          ]);
+        List.map
+          (fun adj ->
+            ( adj.a_spec.Primitive.pipe_id,
+              adjacency_report
+                (Option.map
+                   (fun i -> i.Netsim.Device.if_counters)
+                   (Option.bind
+                      (st.env.local_query adj.a_spec.Primitive.bottom "iface")
+                      (Netsim.Device.find_iface dev))) ))
+          st.adjacencies
+        @ [ ("local", engine_report (Some dev.Netsim.Device.dev_counters)) ]);
     actual =
       (fun () ->
         List.map
           (fun adj ->
             ( "adjacency:" ^ adj.a_spec.Primitive.pipe_id,
-              Printf.sprintf "in-label=%d out-label=%s" adj.a_in_label
-                (match adj.a_out_label with Some l -> string_of_int l | None -> "?") ))
+              "in-label=" ^ string_of_int adj.a_in_label ^ " out-label="
+              ^ (match adj.a_out_label with Some l -> string_of_int l | None -> "?") ))
           st.adjacencies
         @ List.map (fun (l, k) -> ("xc:" ^ string_of_int l, "nhlfe " ^ string_of_int k)) st.xconnects
-        @ List.map (fun r -> (Fmt.str "pending[%a]" Primitive.pp_rule r, "waiting")) st.pending);
+        @ List.map (fun r -> ("pending[" ^ Primitive.rule_to_string r ^ "]", "waiting")) st.pending);
     poll = poll st;
     self_test =
       (fun ~against:_ ~reply ->

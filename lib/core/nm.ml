@@ -43,12 +43,12 @@ type t = {
   mutable inflight : (int * string * Wire.t) list;
       (* state-changing requests (bundles, address assignments) sent but
          not yet confirmed — replayed by a standby after take_over *)
-  mutable outstanding : int list; (* unanswered request ids *)
-  mutable actuals : (int * (Ids.t * (string * string) list) list option) list;
-      (* [None]: the agent answered a conditional read "unchanged" *)
-  mutable perfs : (int * (Ids.t * (string * (string * int) list) list) list) list;
-  mutable self_tests : (int * (Ids.t * bool * string)) list;
-      (* replies to read requests, held only until their reader takes them *)
+  reads : (int, Wire.t option) Hashtbl.t;
+      (* read requests (showPotential, showActual, showPerf, selfTest) by
+         id: [None] until the answer arrives, then the answer, held only
+         until its reader takes it *)
+  writes : (string, int ref) Hashtbl.t;
+      (* state-changing requests sent to each device, re-sends included *)
   completions : (Ids.t * string) ring;
   mutable errors : (string * string) list;
   mutable triggers : (Ids.t * string * string) list;
@@ -200,6 +200,9 @@ let send_req t ~dst ~req msg =
   in
   t.inflight <- (req, dst, msg) :: t.inflight;
   (match t.on_inflight_add with Some f -> f (req, dst, msg) | None -> ());
+  (match Hashtbl.find t.writes dst with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add t.writes dst (ref 1));
   send t ~dst msg
 
 let confirm t req =
@@ -245,7 +248,7 @@ let send_deletion_reachable t (script : Script_gen.script) =
 
 let fresh_req t =
   t.req <- t.req + 1;
-  t.outstanding <- t.req :: t.outstanding;
+  Hashtbl.replace t.reads t.req None;
   t.req
 
 (* Per-process NM boot counter; see [create]. *)
@@ -268,19 +271,18 @@ let settle_debts t src =
   | _ -> Hashtbl.remove t.pending_deletes src
 
 (* A read reply is kept for its reader only while the request is still
-   outstanding; a late answer (its reader gave up at a horizon), a
+   unanswered; a late answer (its reader gave up at a horizon), a
    duplicate or a reply to someone else's request is dropped. *)
-let answered t req =
-  let waiting = List.mem req t.outstanding in
-  if waiting then t.outstanding <- List.filter (( <> ) req) t.outstanding;
-  waiting
+let answered t req reply =
+  match Hashtbl.find_opt t.reads req with
+  | Some None -> Hashtbl.replace t.reads req (Some reply)
+  | Some (Some _) | None -> ()
 
 (* Hands the reader its reply and forgets the request, answered or not. *)
-let take t req replies =
-  t.outstanding <- List.filter (( <> ) req) t.outstanding;
-  match List.assoc_opt req replies with
-  | Some r -> (Some r, List.remove_assoc req replies)
-  | None -> (None, replies)
+let take t req =
+  let reply = Option.join (Hashtbl.find_opt t.reads req) in
+  Hashtbl.remove t.reads req;
+  reply
 
 let rec handle t ~src payload =
   match Wire.decode payload with
@@ -360,12 +362,10 @@ and handle_msg t ~src msg =
           end
       | Wire.Show_potential_resp { req; modules } ->
           Topology.record_potential t.topo ~src modules;
-          t.outstanding <- List.filter (( <> ) req) t.outstanding
-      | Wire.Show_actual_resp { req; state } ->
-          if answered t req then t.actuals <- (req, Some state) :: t.actuals
-      | Wire.Show_actual_unchanged { req } ->
-          if answered t req then t.actuals <- (req, None) :: t.actuals
-      | Wire.Show_perf_resp { req; perf } -> if answered t req then t.perfs <- (req, perf) :: t.perfs
+          Hashtbl.remove t.reads req
+      | Wire.Show_actual_resp { req; _ } | Wire.Show_actual_unchanged { req }
+      | Wire.Show_perf_resp { req; _ } | Wire.Self_test_resp { req; _ } ->
+          answered t req msg
       | Wire.Convey { src = msrc; dst; payload } -> (
           (* the NM relays module-to-module messages (conveyMessage); a
              destination outside our domain is handed to the federation
@@ -380,8 +380,6 @@ and handle_msg t ~src msg =
           finish_req t req ("failed: " ^ error);
           confirm t req;
           t.errors <- (src, error) :: t.errors
-      | Wire.Self_test_resp { req; target; ok; detail } ->
-          if answered t req then t.self_tests <- (req, (target, ok, detail)) :: t.self_tests
       | Wire.Trigger { src = m; field; value } ->
           t.triggers <- (m, field, value) :: t.triggers;
           (* dependency maintenance (§II-E): a low-level value changed; the
@@ -417,10 +415,8 @@ and create ?transport ?journal ~chan ~net ~my_id () =
       stats = { sent = 0; received = 0; acks = 0 };
       req = !incarnations * req_stride;
       inflight = [];
-      outstanding = [];
-      actuals = [];
-      perfs = [];
-      self_tests = [];
+      reads = Hashtbl.create 16;
+      writes = Hashtbl.create 16;
       completions = ring ();
       errors = [];
       triggers = [];
@@ -530,31 +526,56 @@ let harvest_potentials t devices =
   List.iter (fun dev -> send t ~dst:dev (Wire.Show_potential_req { req = fresh_req t })) devices;
   run t
 
-(* showActual at one device, plain or conditional on [tag]: [None] when
-   the agent did not answer, [Some None] when it answered "unchanged". *)
-let read_actual t dev tag =
-  let req = fresh_req t in
-  send t ~dst:dev
-    (match tag with
-    | None -> Wire.Show_actual_req { req }
-    | Some tag -> Wire.Show_actual_unless { req; tag });
-  run t;
-  let reply, rest = take t req t.actuals in
-  t.actuals <- rest;
-  reply
+(* One round of reads: sends each listed device the request [ask] builds
+   from a fresh id, runs the network once and takes each reply by its id,
+   in list order. A device that did not answer (within the horizon) reads
+   [None]. An empty round runs nothing. *)
+let read_round t = function
+  | [] -> []
+  | asks ->
+      let sent =
+        List.map
+          (fun (dev, ask) ->
+            let req = fresh_req t in
+            send t ~dst:dev (ask req);
+            req)
+          asks
+      in
+      run t;
+      List.map (take t) sent
 
-let show_actual t dev = Option.join (read_actual t dev None)
-let show_actual_unless t dev ~tag = read_actual t dev (Some tag)
+(* showActual, plain or conditional on a tag: [Some None] when the agent
+   answered "unchanged". *)
+let show_actual_round t reads =
+  read_round t
+    (List.map
+       (fun (dev, tag) ->
+         ( dev,
+           fun req ->
+             match tag with
+             | None -> Wire.Show_actual_req { req }
+             | Some tag -> Wire.Show_actual_unless { req; tag } ))
+       reads)
+  |> List.map (function
+       | Some (Wire.Show_actual_resp { state; _ }) -> Some (Some state)
+       | Some (Wire.Show_actual_unchanged _) -> Some None
+       | _ -> None)
 
-(* showPerf at one device: per-module, per-pipe counter snapshots. [None]
-   means the agent never answered (within the horizon). *)
+let show_actual t dev =
+  match show_actual_round t [ (dev, None) ] with [ Some state ] -> state | _ -> None
+
+(* showPerf: per device, its state tag and per-module, per-pipe counter
+   snapshots. *)
+let show_perf_round t devs =
+  read_round t (List.map (fun dev -> (dev, fun req -> Wire.Show_perf_req { req })) devs)
+  |> List.map (function
+       | Some (Wire.Show_perf_resp { tag; perf; _ }) -> Some (tag, perf)
+       | _ -> None)
+
 let show_perf t dev =
-  let req = fresh_req t in
-  send t ~dst:dev (Wire.Show_perf_req { req });
-  run t;
-  let reply, rest = take t req t.perfs in
-  t.perfs <- rest;
-  reply
+  match show_perf_round t [ dev ] with [ Some (_, perf) ] -> Some perf | _ -> None
+
+let writes t dev = match Hashtbl.find t.writes dev with n -> !n | exception Not_found -> 0
 
 (* --- goal achievement (figure 7(a) top: high-level goal -> low-level goal ->
    CONMan script -> protocol state) ------------------------------------------ *)
@@ -1114,14 +1135,11 @@ let escalate t (intent : Intent.t) msg =
 (* --- debugging (§II-D.2) ------------------------------------------------------ *)
 
 let self_test ?against t target =
-  let req = fresh_req t in
-  send t ~dst:target.Ids.dev (Wire.Self_test_req { req; target; against });
-  run t;
-  let reply, rest = take t req t.self_tests in
-  t.self_tests <- rest;
-  match reply with
-  | Some (_, ok, detail) -> (ok, detail)
-  | None -> (false, "no response from device (management channel?)")
+  match
+    read_round t [ (target.Ids.dev, fun req -> Wire.Self_test_req { req; target; against }) ]
+  with
+  | [ Some (Wire.Self_test_resp { ok; detail; _ }) ] -> (ok, detail)
+  | _ -> (false, "no response from device (management channel?)")
 
 (* Walks the modules of a configured path, self-testing each; returns the
    per-module verdicts so a failure can be localised. *)
@@ -1168,7 +1186,7 @@ let ring_dropped t =
     ("journal_compacted", Intent.compacted t.journal);
   ]
 
-let stored_replies t = List.length t.actuals + List.length t.perfs + List.length t.self_tests
+let stored_replies t = Hashtbl.fold (fun _ r n -> if r = None then n else n + 1) t.reads 0
 let errors t = t.errors
 let triggers t = t.triggers
 let set_auto_repair t v = t.auto_repair <- v

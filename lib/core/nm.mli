@@ -47,26 +47,35 @@ val set_horizon : t -> int64 option -> unit
 val harvest_potentials : t -> string list -> unit
 (** showPotential at every listed device; fills {!topology}. *)
 
-val show_actual : t -> string -> (Ids.t * (string * string) list) list option
-(** showActual at one device: per-module low-level state report. [None]
-    when the agent did not answer within the horizon. The NM keeps no
-    reply once it is returned, and ignores an answer that arrives after
-    its reader gave up. *)
+val show_actual_round :
+  t -> (string * string option) list -> (Ids.t * (string * string) list) list option option list
+(** One round of showActual reads: a request to every listed device, one
+    run of the network, and each reply taken by its request id. The
+    answers come in list order, each the device's per-module low-level
+    state report [Some (Some state)], or [None] when the agent did not
+    answer within the horizon. A device listed with a tag reads
+    [Some None] when its state still has that tag ({!Wire.state_tag}).
+    The NM keeps no reply once it is returned, and ignores an answer that
+    arrives after its reader gave up. *)
 
-val show_actual_unless :
-  t -> string -> tag:string -> (Ids.t * (string * string) list) list option option
-(** showActual at one device unless its state still has [tag]
-    ({!Wire.state_tag}): [Some None] when the agent answered unchanged,
-    [Some (Some state)] with its full report, [None] when it did not
-    answer within the horizon. One request and one reply, as
-    {!show_actual}. *)
+val show_actual : t -> string -> (Ids.t * (string * string) list) list option
+(** {!show_actual_round} at one device, untagged. *)
+
+val show_perf_round :
+  t -> string list -> (string * (Ids.t * (string * (string * int) list) list) list) option list
+(** One round of showPerf reads, as {!show_actual_round}: per device, in
+    list order, its state tag and its per-module, per-pipe monotonic
+    counter snapshots (the abstraction's performance aspect), or [None]
+    when the agent did not answer within the horizon — telemetry treats
+    that as the device being unreachable. *)
 
 val show_perf : t -> string -> (Ids.t * (string * (string * int) list) list) list option
-(** showPerf at one device: per-module, per-pipe monotonic counter
-    snapshots (the abstraction's performance aspect). [None] when the
-    agent did not answer within the horizon — telemetry treats that as
-    the device being unreachable. Replies are kept no longer than
-    {!show_actual}'s. *)
+(** {!show_perf_round} at one device, without the tag. *)
+
+val writes : t -> string -> int
+(** State-changing requests (bundles, address assignments) sent to the
+    device so far, re-sends included. A state tag read before this count
+    last moved may be stale. *)
 
 val stored_replies : t -> int
 (** showActual, showPerf and selfTest replies the NM holds for readers

@@ -59,13 +59,18 @@ type t =
 
 (* --- rendering (the style of figures 7(b)/8(b)) --------------------------- *)
 
-let pp_rule ppf = function
-  | Bidi (p1, p2) -> Fmt.pf ppf "%s, %s" p1 p2
-  | Directed { from_pipe; to_pipe; sel = Any } -> Fmt.pf ppf "[%s => %s]" from_pipe to_pipe
+(* Built by concatenation: modules render rules into every showActual
+   report, and since showPerf replies carry the state's tag, into every
+   telemetry scrape too. *)
+let rule_to_string = function
+  | Bidi (p1, p2) -> p1 ^ ", " ^ p2
+  | Directed { from_pipe; to_pipe; sel = Any } -> "[" ^ from_pipe ^ " => " ^ to_pipe ^ "]"
   | Directed { from_pipe; to_pipe; sel = To_gateway g } ->
-      Fmt.pf ppf "[%s => %s, %s]" from_pipe to_pipe g
+      "[" ^ from_pipe ^ " => " ^ to_pipe ^ ", " ^ g ^ "]"
   | Directed { from_pipe; to_pipe; sel } ->
-      Fmt.pf ppf "[%s, %s => %s]" from_pipe (selector_to_string sel) to_pipe
+      "[" ^ from_pipe ^ ", " ^ selector_to_string sel ^ " => " ^ to_pipe ^ "]"
+
+let pp_rule ppf r = Fmt.string ppf (rule_to_string r)
 
 let pp_opt_mref ppf = function None -> Fmt.string ppf "None" | Some m -> Ids.pp ppf m
 

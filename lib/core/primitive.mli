@@ -43,7 +43,9 @@ type t =
 val pp : t Fmt.t
 (** Figure-7(b) style rendering. *)
 
-val pp_rule : switch_rule Fmt.t
+val rule_to_string : switch_rule -> string
+(** A switch rule as figure 7(b) writes it, e.g. ["[P0, dst:C1-S2 => P1]"]:
+    the form modules report it in, and the form {!pp} prints. *)
 
 val target : t -> string
 (** The device id a primitive must be delivered to. *)

@@ -2,7 +2,12 @@
    on a period, feeds the Diagnose time-series store, and adapts configured
    paths into the hop/segment shape the protocol-agnostic localizer works
    on (using only the potential graph: ETH physical pipes and the modules
-   the path visits). *)
+   the path visits). Each round also keeps every device's state tag, which
+   the Monitor's drift check compares with its baselines. *)
+
+(* A device's state tag as one scrape round read it, with the NM's count
+   of state-changing requests to the device when the round began. *)
+type scraped = { tag : string; round : int; writes : int }
 
 type t = {
   nm : Nm.t;
@@ -19,6 +24,7 @@ type t = {
   mutable shed_probe : (unit -> int) option;
   mutable last_shed : int;
   mutable backoffs : int;
+  tags : (string, scraped) Hashtbl.t; (* per device, from the latest round it answered *)
 }
 
 let create ?window ?(period_ns = 250_000_000L) ~scope nm =
@@ -34,6 +40,7 @@ let create ?window ?(period_ns = 250_000_000L) ~scope nm =
     shed_probe = None;
     last_shed = 0;
     backoffs = 0;
+    tags = Hashtbl.create 16;
   }
 
 let store t = t.store
@@ -66,15 +73,21 @@ let adapt t =
 
 let now t = Netsim.Event_queue.now (Netsim.Net.eq (Nm.net t.nm))
 
+(* One round over the scope, its replies observed in scope order. *)
 let scrape t =
   t.rounds <- t.rounds + 1;
   let at_ns = now t in
   t.last_scrape <- Some at_ns;
-  List.iter
-    (fun dev ->
-      match Nm.show_perf t.nm dev with
-      | None -> Diagnose.note_unreachable t.store dev
-      | Some reports ->
+  let writes = List.map (Nm.writes t.nm) t.scope in
+  let replies = Nm.show_perf_round t.nm t.scope in
+  List.iter2
+    (fun (dev, writes) reply ->
+      match reply with
+      | None ->
+          Hashtbl.remove t.tags dev;
+          Diagnose.note_unreachable t.store dev
+      | Some (tag, reports) ->
+          Hashtbl.replace t.tags dev { tag; round = t.rounds; writes };
           Diagnose.note_reachable t.store dev;
           List.iter
             (fun (m, pipes) ->
@@ -84,7 +97,12 @@ let scrape t =
                   Diagnose.observe t.store ~at_ns ~device:dev ~module_id ~pipe counters)
                 pipes)
             reports)
-    t.scope
+    (List.combine t.scope writes) replies
+
+let tag t ~since dev =
+  match Hashtbl.find_opt t.tags dev with
+  | Some s when s.round > since && s.writes = Nm.writes t.nm dev -> Some s.tag
+  | Some _ | None -> None
 
 let maybe_scrape t =
   adapt t;

@@ -13,6 +13,7 @@ val create : ?window:int -> ?period_ns:int64 -> scope:string list -> Nm.t -> t
 
 val store : t -> Diagnose.t
 val rounds : t -> int
+(** Scrape rounds so far; round [n] is the [n]th {!scrape}. *)
 
 val period_ns : t -> int64
 (** Current scrape period — equals the base period until shed feedback
@@ -30,8 +31,16 @@ val backoffs : t -> int
 (** How many times the scrape period was doubled in response to sheds. *)
 
 val scrape : t -> unit
-(** One scrape round, now: showPerf at every device in scope; devices
-    that do not answer are noted unreachable in the store. *)
+(** One scrape round, now: showPerf at every device in scope, in one
+    {!Nm.show_perf_round}, the replies observed in scope order; devices
+    that do not answer are noted unreachable in the store. Each device's
+    state tag is kept for {!tag}. *)
+
+val tag : t -> since:int -> string -> string option
+(** [tag t ~since dev]: the state tag ({!Wire.state_tag}) [dev] answered
+    in a round numbered above [since] (see {!rounds}), unless the NM has
+    sent [dev] a state-changing request since that round began
+    ({!Nm.writes}), which may have changed the state. *)
 
 val maybe_scrape : t -> unit
 (** {!scrape}, but only if the period elapsed since the last round. *)

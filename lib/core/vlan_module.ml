@@ -163,6 +163,18 @@ let abstraction () =
     perf_reporting = [ "up_frames"; "up_bytes"; "down_frames"; "down_bytes"; "tagged_frames" ];
   }
 
+let port_report =
+  report
+    [
+      ("up_frames", "rx_frames");
+      ("up_bytes", "rx_bytes");
+      ("down_frames", "tx_frames");
+      ("down_bytes", "tx_bytes");
+      ("tagged_frames", "tagged_frames");
+      ("drop:rx_vlan", "rx_vlan_drop");
+      ("drop:tx_mtu_or_vlan", "tx_mtu_or_vlan_drop");
+    ]
+
 let make ~env ~mref () =
   let st =
     {
@@ -230,18 +242,9 @@ let make ~env ~mref () =
           (fun (name, kind) ->
             match Netsim.Device.port_by_name st.env.device name with
             | Some p ->
-                let c n = Netsim.Counters.get p.Netsim.Device.port_counters n in
                 Some
                   ( (match kind with `Tunnel -> "tunnel:" | `Trunk -> "trunk:") ^ name,
-                    [
-                      ("up_frames", c "rx_frames");
-                      ("up_bytes", c "rx_bytes");
-                      ("down_frames", c "tx_frames");
-                      ("down_bytes", c "tx_bytes");
-                      ("tagged_frames", c "tagged_frames");
-                      ("drop:rx_vlan", c "rx_vlan_drop");
-                      ("drop:tx_mtu_or_vlan", c "tx_mtu_or_vlan_drop");
-                    ] )
+                    port_report (Some p.Netsim.Device.port_counters) )
             | None -> None)
           st.applied_ports);
     actual =

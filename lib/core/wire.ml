@@ -53,8 +53,13 @@ type t =
   | Show_actual_resp of { req : int; state : (Ids.t * (string * string) list) list }
   (* the answer to [Show_actual_unless] when the tags match *)
   | Show_actual_unchanged of { req : int }
-  (* per module: pipe id -> monotonic counter snapshot *)
-  | Show_perf_resp of { req : int; perf : (Ids.t * (string * (string * int) list) list) list }
+  (* per module: pipe id -> monotonic counter snapshot; and the
+     [state_tag] of the device's showActual state *)
+  | Show_perf_resp of {
+      req : int;
+      tag : string;
+      perf : (Ids.t * (string * (string * int) list) list) list;
+    }
   | Bundle_ack of { req : int } (* explicit success: the bundle was applied *)
   | Ack of { req : int } (* generic ack for requests without a richer reply *)
   | Bundle_err of { req : int; error : string }
@@ -176,11 +181,12 @@ let rec to_sexp msg =
                    [ Sexp.of_mref m; Sexp.List (List.map (Sexp.of_pair a a) kvs) ])
                state);
         ]
-  | Show_perf_resp { req; perf } ->
+  | Show_perf_resp { req; tag; perf } ->
       Sexp.List
         [
           a "perf";
           Sexp.of_int req;
+          a tag;
           Sexp.List
             (List.map
                (fun (m, pipes) ->
@@ -325,10 +331,11 @@ let rec of_sexp sexp =
                 | _ -> raise (Sexp.Parse_error "actual module"))
               mods;
         }
-  | Sexp.List [ Sexp.Atom "perf"; req; Sexp.List mods ] ->
+  | Sexp.List [ Sexp.Atom "perf"; req; tag; Sexp.List mods ] ->
       Show_perf_resp
         {
           req = Sexp.to_int req;
+          tag = s tag;
           perf =
             List.map
               (function

@@ -57,8 +57,14 @@ type t =
   | Show_actual_unchanged of { req : int }
       (** device -> NM: the state still has the tag {!Show_actual_unless}
           named *)
-  | Show_perf_resp of { req : int; perf : (Ids.t * (string * (string * int) list) list) list }
-      (** per module: pipe id -> monotonic counter snapshot *)
+  | Show_perf_resp of {
+      req : int;
+      tag : string;
+      perf : (Ids.t * (string * (string * int) list) list) list;
+    }
+      (** per module: pipe id -> monotonic counter snapshot; and the
+          {!state_tag} of the device's showActual state, so one scrape
+          tells the NM which devices' configuration may have changed *)
   | Bundle_ack of { req : int }
       (** device -> NM: the bundle was applied — success is explicit *)
   | Ack of { req : int }

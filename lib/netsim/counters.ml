@@ -36,10 +36,9 @@ let add t k n =
 
 let incr t k = add t k 1
 
-let get t name =
-  match Hashtbl.find_opt keys name with
-  | Some k when k < Array.length t.values && t.values.(k) <> absent -> t.values.(k)
-  | Some _ | None -> 0
+let value t k = if k < Array.length t.values && t.values.(k) <> absent then t.values.(k) else 0
+
+let get t name = match Hashtbl.find_opt keys name with Some k -> value t k | None -> 0
 
 let to_list t =
   let acc = ref [] in

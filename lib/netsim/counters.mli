@@ -14,8 +14,11 @@ val create : unit -> t
 val incr : t -> key -> unit
 val add : t -> key -> int -> unit
 
-val get : t -> string -> int
+val value : t -> key -> int
 (** 0 for counters never incremented. *)
+
+val get : t -> string -> int
+(** {!value} by name, hashing it: 0 for counters never incremented. *)
 
 val to_list : t -> (string * int) list
 (** The counters ever incremented, sorted by name. *)

@@ -126,6 +126,7 @@ let test_wire_roundtrip () =
       Wire.Show_perf_resp
         {
           req = 5;
+          tag = Wire.state_tag [ (Ids.v "ETH" "a" "id-A", [ ("pipe", "P0") ]) ];
           perf = [ (Ids.v "ETH" "a" "id-A", [ ("P0", [ ("up_frames", 12); ("drop:cut", 1) ]) ]) ];
         };
       Wire.Bundle_ack { req = 9 };

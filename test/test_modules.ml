@@ -258,6 +258,102 @@ let golden_device_states =
       ("424254033c5a87abc791cc4535169e3c", "a0f229ecf240e95aa4865b2c811b816e") );
   ]
 
+(* --- golden module reports ------------------------------------------------------- *)
+
+(* Every module's showActual and showPerf report on every managed device,
+   one line per entry, in the order the agents answer. *)
+let reports_fingerprint nm scope =
+  let actual dev =
+    match Nm.show_actual nm dev with
+    | None -> [ "  no showActual" ]
+    | Some state ->
+        List.concat_map
+          (fun (m, kvs) ->
+            ("  actual " ^ Ids.qualified m) :: List.map (fun (k, v) -> "    " ^ k ^ " = " ^ v) kvs)
+          state
+  in
+  let perf dev =
+    match Nm.show_perf nm dev with
+    | None -> [ "  no showPerf" ]
+    | Some perf ->
+        List.concat_map
+          (fun (m, pipes) ->
+            ("  perf " ^ Ids.qualified m)
+            :: List.map
+                 (fun (pipe, cs) ->
+                   "    " ^ pipe ^ ":"
+                   ^ String.concat "" (List.map (fun (c, n) -> " " ^ c ^ "=" ^ string_of_int n) cs))
+                 pipes)
+          perf
+  in
+  String.concat "\n" (List.concat_map (fun dev -> ((dev ^ ":") :: actual dev) @ perf dev) scope)
+
+let achieved nm goal =
+  match Nm.achieve nm goal with Ok _ -> () | Error e -> Alcotest.fail e
+
+(* Each deployment is configured and pinged both ways, so the counters the
+   reports print have moved. *)
+let vpn_reports ?secure ?tradeoffs ?pick () =
+  let v = Scenarios.build_vpn ?secure ?tradeoffs () in
+  let nm = v.Scenarios.nm and goal = v.Scenarios.goal in
+  (match pick with
+  | None -> achieved nm goal
+  | Some pick -> ignore (Nm.configure_path nm goal (List.find pick (Nm.find_paths nm goal))));
+  check tbool "ping" true (Scenarios.vpn_reachable v);
+  reports_fingerprint nm v.Scenarios.scope
+
+let diamond_reports () =
+  let d = Scenarios.build_diamond () in
+  achieved d.Scenarios.dnm d.Scenarios.dgoal;
+  check tbool "ping" true (Scenarios.diamond_reachable d);
+  reports_fingerprint d.Scenarios.dnm d.Scenarios.dscope
+
+let chain_reports n () =
+  let c = Scenarios.build_chain n in
+  achieved c.Scenarios.cnm c.Scenarios.cgoal;
+  check tbool "ping" true (Scenarios.chain_reachable c);
+  reports_fingerprint c.Scenarios.cnm c.Scenarios.cscope
+
+let vlan_reports () =
+  let v = Scenarios.build_vlan () in
+  (match
+     Nm.achieve_l2 v.Scenarios.vnm ~scope:v.Scenarios.vscope
+       ~from_eth:(Ids.v "ETH" "a" "id-SwA") ~to_eth:(Ids.v "ETH" "c" "id-SwC")
+   with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> ());
+  check tbool "ping" true (Scenarios.vlan_reachable v);
+  reports_fingerprint v.Scenarios.vnm v.Scenarios.vscope
+
+(* The golden values are MD5 digests of the reports, taken from the build
+   whose modules rendered them with Printf and Fmt: they pin that the
+   concatenating renderers print the same bytes. A mismatch prints the
+   reports. *)
+let test_golden_reports (run, golden) () =
+  let reports = run () in
+  let digest = Digest.to_hex (Digest.string reports) in
+  if digest <> golden then
+    Alcotest.failf "digest %S, golden %S; reports:\n%s" digest golden reports
+
+let golden_reports =
+  [
+    ("VPN", (fun () -> vpn_reports ()), "7338b350a7ff54c85f9ebc097e751cdf");
+    ( "VPN pure GRE, both trade-offs",
+      (fun () ->
+        vpn_reports ~tradeoffs:[ "in-order-delivery"; "low-error-rate" ] ~pick:Scenarios.pure_gre ()),
+      "fa24445384a223d37de3e4ccfcd17249" );
+    ( "VPN pure IP-IP",
+      (fun () -> vpn_reports ~pick:Scenarios.pure_ipip ()),
+      "b9f5442f61f8cda6b8af96510e356c4a" );
+    ("secure VPN", (fun () -> vpn_reports ~secure:true ()), "9bff858983c007ec679853f3ee687eb5");
+    ( "secure VPN ESP",
+      (fun () -> vpn_reports ~secure:true ~pick:Scenarios.secure ()),
+      "cbed607882777b60cec5169911264458" );
+    ("diamond", diamond_reports, "8fe05f263daf2b38bf461a1f799c338b");
+    ("chain n=5", chain_reports 5, "5ea3c7b41b6d68caa91dab467eb7036b");
+    ("VLAN", vlan_reports, "ef48451ff230ccf8c43b63423052bf37");
+  ]
+
 (* --- the agent ------------------------------------------------------------------ *)
 
 let test_agent_unknown_module_bundle_err () =
@@ -333,6 +429,10 @@ let () =
           (fun (name, run, golden) ->
             Alcotest.test_case name `Quick (test_golden_device_state (run, golden)))
           golden_device_states );
+      ( "module reports",
+        List.map
+          (fun (name, run, golden) -> Alcotest.test_case name `Quick (test_golden_reports (run, golden)))
+          golden_reports );
       ( "agent",
         [
           Alcotest.test_case "unknown module -> Bundle_err" `Quick test_agent_unknown_module_bundle_err;

@@ -40,7 +40,12 @@ let test_wire_priorities () =
   check tint "fenced probe is P2" 2
     (p (Wire.Fenced { epoch = 1; msg = Wire.Show_actual_req { req = 5 } }));
   check tint "showPerf req is P3" 3 (p (Wire.Show_perf_req { req = 6 }));
-  check tint "showPerf resp is P3" 3 (p (Wire.Show_perf_resp { req = 6; perf = [] }))
+  check tint "showPerf resp is P3" 3
+    (p (Wire.Show_perf_resp { req = 6; tag = Wire.state_tag []; perf = [] }));
+  check tint "fenced showPerf resp is P3" 3
+    (p
+       (Wire.Fenced
+          { epoch = 2; msg = Wire.Show_perf_resp { req = 7; tag = Wire.state_tag []; perf = [] } }))
 
 (* --- admission unit tests ------------------------------------------------- *)
 
@@ -256,7 +261,11 @@ let wire_corpus =
     Wire.Show_actual_unchanged { req = 2 };
     Wire.Show_perf_req { req = 3 };
     Wire.Show_perf_resp
-      { req = 3; perf = [ (Ids.v "ETH" "a" "id-A", [ ("pipe0", [ ("rx", 12) ]) ]) ] };
+      {
+        req = 3;
+        tag = Wire.state_tag [ (Ids.v "ETH" "a" "id-A", [ ("pipe", "pipe0") ]) ];
+        perf = [ (Ids.v "ETH" "a" "id-A", [ ("pipe0", [ ("rx", 12) ]) ]) ];
+      };
     Wire.Nm_takeover { nm = "id-NM2"; epoch = 3 };
     Wire.Ha_heartbeat { epoch = 2; seq = 17 };
     Wire.Ha_journal_ack { epoch = 2; upto = 40 };

@@ -288,7 +288,9 @@ let tap_reads (d : Scenarios.diamond) =
     d.Scenarios.dagents;
   log
 
-let test_monitor_tagged_drift_reads () =
+(* The diamond's goal under a Monitor, with every agent tapped, after the
+   first healthy tick, which baselines the drift check. *)
+let monitored_diamond ~telemetry =
   let d = Scenarios.build_diamond () in
   let nm = d.Scenarios.dnm in
   let script =
@@ -296,20 +298,27 @@ let test_monitor_tagged_drift_reads () =
     | Ok (_, _, s) -> s
     | Error e -> Alcotest.failf "diamond achieve: %s" e
   in
-  let tel = Telemetry.create ~scope:d.Scenarios.dscope nm in
-  let mon = Monitor.create ~telemetry:tel nm in
+  let telemetry = if telemetry then Some (Telemetry.create ~scope:d.Scenarios.dscope nm) else None in
+  let mon = Monitor.create ?telemetry nm in
   let log = tap_reads d in
-  Monitor.tick mon (* the first healthy tick baselines the drift check *);
+  Monitor.tick mon;
   let intent = match Nm.intents nm with [ i ] -> i | _ -> Alcotest.fail "unexpected intent set" in
   let devices = List.map fst intent.Intent.expected in
   check tbool "the baseline read every scripted device in full" true
     (devices <> []
+    && List.length !log = List.length devices
     && List.for_all
          (fun (_, m, reply) ->
            match (m, reply) with
            | Wire.Show_actual_req _, Some (Wire.Show_actual_resp _) -> true
            | _ -> false)
          !log);
+  (d, script, mon, intent, devices, log)
+
+(* 20 fault-free ticks with a ping before each: the pings move state
+   values but no device's keys, and every read the ticks send is tagged
+   and answered unchanged. Returns the reads. *)
+let fault_free_reads (d : Scenarios.diamond) mon devices log =
   let rendered dev =
     let agent = List.assoc dev d.Scenarios.dagents in
     List.map (fun m -> (m.Module_impl.mref, m.Module_impl.actual ())) (Agent.modules agent)
@@ -324,7 +333,6 @@ let test_monitor_tagged_drift_reads () =
   check tbool "the pings moved state values" true (before <> after);
   check tbool "but no device's keys" true
     (List.map Wire.state_tag before = List.map Wire.state_tag after);
-  check tint "one read per scripted device per tick" (20 * List.length devices) (List.length !log);
   List.iter
     (fun (dev, m, reply) ->
       match (m, reply) with
@@ -334,6 +342,14 @@ let test_monitor_tagged_drift_reads () =
             Fmt.(option ~none:(any "nothing") Wire.pp)
             reply)
     !log;
+  !log
+
+let test_monitor_tagged_drift_reads () =
+  let d, script, mon, intent, devices, log = monitored_diamond ~telemetry:true in
+  (* each tick's scrape carries every device's tag, all equal to the
+     baselines: the drift check reads nothing *)
+  check tint "no read while every scraped tag is its baseline's" 0
+    (List.length (fault_free_reads d mon devices log));
   (* delete a pipe on id-B1 through its module, behind the NM's back *)
   let owner, pid =
     match
@@ -369,7 +385,7 @@ let test_monitor_tagged_drift_reads () =
     (List.exists (fun e -> e.Monitor.ev_what = "drift on id-B1: resynced") (Monitor.events mon));
   log := [];
   Monitor.tick mon;
-  check tint "after the resync, one read per device" (List.length devices) (List.length !log);
+  check tint "after the resync, no read" 0 (List.length !log);
   check tbool "each answered unchanged" true
     (List.for_all
        (fun (_, m, reply) ->
@@ -378,6 +394,106 @@ let test_monitor_tagged_drift_reads () =
          | _ -> false)
        !log);
   check tint "no repair" 0 (Monitor.repairs mon + Monitor.escalations mon)
+
+(* Without telemetry no tick learns a tag, so the drift check reads every
+   scripted device each tick, conditional on its baseline tag. *)
+let test_monitor_tagged_drift_reads_untelemetered () =
+  let d, _, mon, _, devices, log = monitored_diamond ~telemetry:false in
+  let reads = fault_free_reads d mon devices log in
+  check tint "one read per scripted device per tick" (20 * List.length devices) (List.length reads);
+  check tint "no resync or repair" 0
+    (Monitor.resyncs mon + Monitor.repairs mon + Monitor.escalations mon)
+
+(* A scraped tag counts only until the NM next writes the device. An
+   address intent older than the goal is reconciled first in every tick:
+   its Set_address to id-A goes out after the tick's scrape and before the
+   goal's drift check, which must then read id-A, and only id-A. *)
+let test_monitor_reads_written_device () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  Nm.assign_address nm ~target:(Ids.v "IP" "g" "id-A") ~addr:"192.168.0.2" ~plen:30;
+  (match Nm.achieve nm d.Scenarios.dgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "diamond achieve: %s" e);
+  let mon = Monitor.create ~telemetry:(Telemetry.create ~scope:d.Scenarios.dscope nm) nm in
+  let log = tap_reads d in
+  Monitor.tick mon (* baselines the goal's drift check *);
+  log := [];
+  for _ = 1 to 5 do
+    let writes = Nm.writes nm "id-A" in
+    Monitor.tick mon;
+    check tbool "the address intent wrote id-A" true (Nm.writes nm "id-A" > writes)
+  done;
+  check (Alcotest.list Alcotest.string) "one read of id-A per tick, of nothing else"
+    [ "id-A"; "id-A"; "id-A"; "id-A"; "id-A" ]
+    (List.map (fun (dev, _, _) -> dev) !log);
+  check tbool "each tagged and answered unchanged" true
+    (List.for_all
+       (fun (_, m, reply) ->
+         match (m, reply) with
+         | Wire.Show_actual_unless _, Some (Wire.Show_actual_unchanged _) -> true
+         | _ -> false)
+       !log);
+  check tint "no resync or repair" 0
+    (Monitor.resyncs mon + Monitor.repairs mon + Monitor.escalations mon)
+
+(* A scraped tag counts only in the tick that scraped it. With a scrape
+   period of two ticks, every other tick has no tag of its own and reads
+   every scripted device; the ticks that scrape read none. *)
+let test_monitor_tag_lives_one_tick () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  (match Nm.achieve nm d.Scenarios.dgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "diamond achieve: %s" e);
+  let tel = Telemetry.create ~period_ns:1_000_000_000L ~scope:d.Scenarios.dscope nm in
+  let mon = Monitor.create ~telemetry:tel nm in
+  let log = tap_reads d in
+  Monitor.tick mon (* baselines the drift check *);
+  let devices =
+    match Nm.intents nm with
+    | [ i ] -> List.length i.Intent.expected
+    | _ -> Alcotest.fail "unexpected intent set"
+  in
+  let quiet = ref 0 in
+  for _ = 1 to 10 do
+    log := [];
+    let rounds = Telemetry.rounds tel in
+    Monitor.tick mon;
+    let scraped = Telemetry.rounds tel > rounds in
+    if not scraped then incr quiet;
+    check tint
+      (if scraped then "a tick that scraped reads nothing" else "a tick without a scrape reads all")
+      (if scraped then 0 else devices)
+      (List.length !log)
+  done;
+  check tbool "both kinds of tick ran" true (!quiet > 0 && !quiet < 10)
+
+(* --- scale: a long chain under the Monitor with telemetry ---------------------- *)
+
+(* Each tick's reads are one round of showPerf and at most one of
+   showActual, so their virtual time does not grow with the chain: 10
+   fault-free ticks over 240 routers stay inside every tick's horizon. *)
+let test_monitor_long_chain () =
+  let n = 240 in
+  let c = Scenarios.build_chain n in
+  let nm = c.Scenarios.cnm in
+  (match Nm.achieve nm c.Scenarios.cgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "chain achieve: %s" e);
+  let tel = Telemetry.create ~scope:c.Scenarios.cscope nm in
+  let mon = Monitor.create ~telemetry:tel nm in
+  Monitor.run mon ~ticks:10;
+  check tint "no repair" 0 (Monitor.repairs mon);
+  check tint "no resync" 0 (Monitor.resyncs mon);
+  check tint "no escalation" 0 (Monitor.escalations mon);
+  check (Alcotest.list Alcotest.string) "no silent device" []
+    (List.filter (Diagnose.is_silent (Telemetry.store tel)) c.Scenarios.cscope);
+  match Nm.intents nm with
+  | [ i ] ->
+      check tint "the drift baseline covers every scripted device" n
+        (List.length i.Intent.expected)
+  | _ -> Alcotest.fail "unexpected intent set"
 
 (* --- escalation: unrepairable faults are bounded and surfaced ------------------ *)
 
@@ -514,6 +630,12 @@ let () =
           Alcotest.test_case "flapping core self-heals" `Quick test_diamond_selfheal_on_flap;
           Alcotest.test_case "drift resync" `Quick test_monitor_resyncs_drift;
           Alcotest.test_case "tagged drift reads" `Quick test_monitor_tagged_drift_reads;
+          Alcotest.test_case "tagged drift reads without telemetry" `Quick
+            test_monitor_tagged_drift_reads_untelemetered;
+          Alcotest.test_case "a write after the scrape is read" `Quick
+            test_monitor_reads_written_device;
+          Alcotest.test_case "a tag counts only in its tick" `Quick test_monitor_tag_lives_one_tick;
+          Alcotest.test_case "240-router chain" `Quick test_monitor_long_chain;
           Alcotest.test_case "escalate then revive" `Quick test_monitor_escalates_then_revives;
         ] );
       ( "restart",
