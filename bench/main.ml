@@ -468,7 +468,11 @@ let plan_datapoints () =
    cut at a known virtual time and the reconciliation loop repairs around
    it. The numbers that matter for the perf trajectory — repair latency in
    virtual time, frames lost while converging, management messages spent
-   reconfiguring — are emitted machine-readable. *)
+   reconfiguring — are emitted machine-readable. The [flap_soak] row is
+   the Monitor with telemetry over a seeded Chaos.Flap_soak run: its
+   repairs, the attempts that did not restore connectivity, the NM
+   messages of the ticks that logged an event per repair, and the median
+   virtual time from a cut to its repair. *)
 let selfheal_datapoints () =
   let d = Scenarios.build_diamond () in
   let nm = d.Scenarios.dnm in
@@ -498,6 +502,9 @@ let selfheal_datapoints () =
       (Monitor.events mon)
   in
   let latency = Option.map (fun t -> Int64.sub t cut_at) repaired_at in
+  let seed = 3 and ticks = 400 in
+  let soak = Chaos.Flap_soak.run ~seed ~ticks in
+  let to_repair = List.sort compare (List.map fst soak.Chaos.Flap_soak.repaired) in
   let json =
     Printf.sprintf
       "{\n\
@@ -509,7 +516,9 @@ let selfheal_datapoints () =
       \  \"resyncs\": %d,\n\
       \  \"escalations\": %d,\n\
       \  \"link_flaps\": %d,\n\
-      \  \"reachable_after\": %b\n\
+      \  \"reachable_after\": %b,\n\
+      \  \"flap_soak\": { \"seed\": %d, \"ticks\": %d, \"cuts\": %d, \"repairs\": %d, \
+       \"failed_attempts\": %d, \"messages_per_repair\": %.1f, \"median_cut_to_repair_ns\": %s }\n\
        }\n"
       (match latency with Some l -> Int64.to_string l | None -> "null")
       (Netsim.Link.drop_count seg "cut")
@@ -517,6 +526,13 @@ let selfheal_datapoints () =
       (Monitor.repairs mon) (Monitor.resyncs mon) (Monitor.escalations mon)
       (Netsim.Link.flaps seg)
       (Scenarios.diamond_reachable d)
+      seed ticks soak.Chaos.Flap_soak.cuts soak.Chaos.Flap_soak.repairs
+      soak.Chaos.Flap_soak.failed_attempts
+      (float_of_int soak.Chaos.Flap_soak.repair_messages
+      /. float_of_int (max 1 soak.Chaos.Flap_soak.repairs))
+      (match to_repair with
+      | [] -> "null"
+      | l -> Int64.to_string (List.nth l (List.length l / 2)))
   in
   write_bench "BENCH_selfheal.json" ~title:"self-healing data points" json
 

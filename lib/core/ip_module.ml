@@ -362,25 +362,26 @@ let poll st () =
 
 (* --- peer messages ---------------------------------------------------------- *)
 
+let probe_id = 0xbeef
+
 (* Sends one echo request and reports asynchronously whether the matching
-   reply arrived within the probe window. *)
+   reply arrived within the probe window. The probe waits on its own ICMP
+   waiter, so probes that overlap in time do not disturb each other. *)
 let probe_ping st ~src ~dst ~reply =
   let got = ref false in
   let dev = st.env.device in
   let dst_addr = Packet.Ipv4_addr.of_string dst in
-  let saved = dev.Netsim.Device.icmp_hook in
-  dev.Netsim.Device.icmp_hook <-
-    Some
-      (fun hdr msg ->
-        (match saved with Some f -> f hdr msg | None -> ());
-        match msg with
-        | Packet.Icmp.Echo_reply _ when Packet.Ipv4_addr.equal hdr.Packet.Ipv4.src dst_addr ->
-            got := true
-        | _ -> ());
-  Netsim.Datapath.icmp_echo dev ~src:(Packet.Ipv4_addr.of_string src) ~dst:dst_addr ~id:0xbeef
+  let waiter hdr = function
+    | Packet.Icmp.Echo_reply { id; _ }
+      when id = probe_id && Packet.Ipv4_addr.equal hdr.Packet.Ipv4.src dst_addr ->
+        got := true
+    | _ -> ()
+  in
+  Netsim.Device.add_icmp_waiter dev waiter;
+  Netsim.Datapath.icmp_echo dev ~src:(Packet.Ipv4_addr.of_string src) ~dst:dst_addr ~id:probe_id
     ~seq:1 (Bytes.of_string "self-test");
   st.env.schedule ~delay_ns:1_000_000L (fun () ->
-      dev.Netsim.Device.icmp_hook <- saved;
+      Netsim.Device.remove_icmp_waiter dev waiter;
       if !got then reply ~ok:true ~detail:("peer " ^ dst ^ " reachable")
       else reply ~ok:false ~detail:("no reply from peer " ^ dst))
 

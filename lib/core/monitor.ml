@@ -16,8 +16,8 @@
      repair            — drift with a healthy path is resynced by
                          re-sending the script (idempotent); a dead path
                          is re-achieved over the next-best path, avoiding
-                         devices diagnose marks as failing and backing the
-                         stale script out first.
+                         the devices the telemetry localizer's verdict
+                         names and backing the stale script out first.
 
    Repairs are bounded: after [max_repair_attempts] consecutive failures
    the intent is escalated to the NM's error report and left for an
@@ -176,19 +176,21 @@ let mark_healthy t (intent : Intent.t) =
   intent.Intent.tried <- [];
   if intent.Intent.expected = [] then snapshot t intent
 
-(* Failing modules along the intent's current path, excluding the goal's
-   edge devices (which every candidate path must visit). *)
-let diagnosed_avoid t (intent : Intent.t) =
-  match (intent.Intent.spec, intent.Intent.script) with
-  | Intent.Connect goal, Some s when s.Script_gen.path.Path_finder.visits <> [] ->
-      let ends = [ goal.Path_finder.g_from.Ids.dev; goal.Path_finder.g_to.Ids.dev ] in
-      Nm.diagnose t.nm s.Script_gen.path
-      |> List.filter_map (fun ((m : Ids.t), ok, _) -> if ok then None else Some m.Ids.dev)
-      |> List.sort_uniq compare
-      |> List.filter (fun d -> not (List.mem d ends))
-  | _ -> []
+(* The devices a reroute steers around on the localizer's verdict: both
+   ends of a cut or lossy segment, a silent agent, or the device of a
+   misconfigured module. The goal's end devices are never avoided: every
+   candidate path visits them. *)
+let avoid (goal : Path_finder.goal) verdict =
+  let ends = [ goal.Path_finder.g_from.Ids.dev; goal.Path_finder.g_to.Ids.dev ] in
+  (match verdict with
+  | Diagnose.Cut_link s | Diagnose.Lossy_segment s -> [ s.Diagnose.s_from; s.Diagnose.s_to ]
+  | Diagnose.Unreachable_agent dev | Diagnose.Misconfigured_module { dev; _ } -> [ dev ])
+  |> List.filter (fun d -> not (List.mem d ends))
 
-let attempt_repair t (intent : Intent.t) detail =
+let verdict_avoid (intent : Intent.t) verdict =
+  match intent.Intent.spec with Intent.Connect goal -> avoid goal verdict | _ -> []
+
+let attempt_repair t (intent : Intent.t) ~avoid detail =
   if intent.Intent.repair_attempts >= t.cfg.max_repair_attempts then begin
     if intent.Intent.status <> Intent.Failed then begin
       t.escalations <- t.escalations + 1;
@@ -206,7 +208,6 @@ let attempt_repair t (intent : Intent.t) detail =
           [ Path_finder.signature s.Script_gen.path ]
       | _ -> []
     in
-    let avoid = diagnosed_avoid t intent in
     let exclude = List.sort_uniq compare (current @ intent.Intent.tried) in
     intent.Intent.tried <- exclude;
     let result =
@@ -295,6 +296,12 @@ let reconcile t (intent : Intent.t) =
             log t intent "configured from journal"
           end
       | Error e -> log t intent ("configuration failed: " ^ e))
+  | Intent.Active
+    when (match intent.Intent.spec with Intent.Address _ | Intent.Rate _ -> true | _ -> false) ->
+      (* a realised address or rate has nothing to probe, and re-sending it
+         would only write the device again; a recovered device's Hello
+         re-sends it *)
+      ()
   | Intent.Active | Intent.Degraded -> (
       if intent.Intent.script = None then (
         match Nm.reconfigure t.nm intent with
@@ -327,7 +334,7 @@ let reconcile t (intent : Intent.t) =
               (* the path itself is the problem: resyncing state onto it
                  cannot help, skip straight to re-achieving around it *)
               log t intent (Fmt.str "diagnosed %a: rerouting" Diagnose.pp_verdict v);
-              attempt_repair t intent detail
+              attempt_repair t intent ~avoid:(verdict_avoid intent v) detail
           | Some { Diagnose.verdict = Misconfigured_module { dev; _ } as v; _ } ->
               (* one module's state drifted: re-sending the script is the
                  cheapest repair, reroute only if that fails *)
@@ -341,7 +348,7 @@ let reconcile t (intent : Intent.t) =
                 mark_healthy t intent;
                 log t intent "resync restored connectivity"
               end
-              else attempt_repair t intent detail2
+              else attempt_repair t intent ~avoid:(verdict_avoid intent v) detail2
           | None -> (
               match drift t intent with
               | _ :: _ as drifted ->
@@ -353,8 +360,8 @@ let reconcile t (intent : Intent.t) =
                     (Printf.sprintf "drift on %s: resynced"
                        (String.concat ", " (List.map fst drifted)));
                   let ok2, detail2 = probe t intent in
-                  if ok2 then mark_healthy t intent else attempt_repair t intent detail2
-              | [] -> attempt_repair t intent detail)
+                  if ok2 then mark_healthy t intent else attempt_repair t intent ~avoid:[] detail2
+              | [] -> attempt_repair t intent ~avoid:[] detail)
         end)
 
 (* --- driving ------------------------------------------------------------------ *)

@@ -5,15 +5,17 @@
     place thanks to {!Netsim.Net.run_until}), end-to-end probes and a
     [show_actual]-based drift check classify each intent, and the repair
     ladder is: resync the script on drift, re-achieve over the next-best
-    path (avoiding diagnosed-failing devices, backing the stale script
-    out) on a dead path, and escalate to the NM's error report after a
-    bounded number of attempts.
+    path (backing the stale script out) on a dead path, and escalate to
+    the NM's error report after a bounded number of attempts.
 
     With a {!Telemetry.t} attached, a failed probe first consults the
     counter-based root-cause localizer and the diagnosis picks the first
     repair rung: a cut link, lossy segment or unreachable agent skips
-    resync and goes straight to re-achieving around the path; a
-    misconfigured module resyncs the script in place first. *)
+    resync and goes straight to re-achieving around the devices the
+    verdict names ({!avoid}); a misconfigured module resyncs the script in
+    place first, and reroutes around the module's device if that fails.
+    No rung walks the path with self-tests: without telemetry, a reroute
+    avoids only the paths already tried. *)
 
 type config = {
   interval_ns : int64;  (** virtual time between reconciliation ticks *)
@@ -68,6 +70,12 @@ val drift : t -> Intent.t -> (string * string list) list
     baseline, conditional on the device's tag, and per device whose state
     lost structural keys the baseline has, those keys. A full reply that
     shows no drift becomes the device's tag; a drifted one never does. *)
+
+val avoid : Path_finder.goal -> Diagnose.verdict -> string list
+(** The devices a reroute steers around on a localizer verdict: both
+    devices of a cut or lossy segment, a silent agent, or a misconfigured
+    module's device, less the goal's end devices (every path visits
+    them). *)
 
 val structural_keys : (Ids.t * (string * string) list) list -> string list
 (** The structural part of a [show_actual] report, as the drift check sees

@@ -246,6 +246,24 @@ let send_deletion_reachable t (script : Script_gen.script) =
           Hashtbl.replace t.pending_deletes dev (owed @ prims))
     del.Script_gen.per_device
 
+(* Sends the one request that realises an address or rate intent, without
+   running the network: an address assignment to an IP module, the task the
+   paper deliberately centralises in the NM "as DHCP servers do today"
+   (§II-E), or performance-enforcement state (§II-D.1(c)) that rate-limits
+   what a module sends into a pipe. *)
+let send_setting t = function
+  | Intent.Address { target; addr; plen } ->
+      t.req <- t.req + 1;
+      send_req t ~dst:target.Ids.dev ~req:t.req
+        (Wire.Set_address { req = t.req; target; addr; plen })
+  | Intent.Rate { owner; pipe_id; rate_kbps } ->
+      send_bundle t ~dst:owner.Ids.dev [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ]
+  | Intent.Connect _ | Intent.Connect_l2 _ -> ()
+
+let setting_device = function
+  | Intent.Address { target = m; _ } | Intent.Rate { owner = m; _ } -> Some m.Ids.dev
+  | Intent.Connect _ | Intent.Connect_l2 _ -> None
+
 let fresh_req t =
   t.req <- t.req + 1;
   Hashtbl.replace t.reads t.req None;
@@ -358,7 +376,13 @@ and handle_msg t ~src msg =
                     if dev = src && prims <> [] then
                       send_bundle ?reporter:script.Script_gen.reporter t ~dst:dev prims)
                   script.Script_gen.per_device)
-              t.active_scripts
+              t.active_scripts;
+            (* and the live address and rate intents it holds, oldest
+               first: the Monitor leaves realised ones alone *)
+            List.iter
+              (fun (i : Intent.t) ->
+                if setting_device i.Intent.spec = Some src then send_setting t i.Intent.spec)
+              (List.rev t.live)
           end
       | Wire.Show_potential_resp { req; modules } ->
           Topology.record_potential t.topo ~src modules;
@@ -772,28 +796,16 @@ let take_over ?epoch t =
     pending;
   run t
 
-(* Assigns an address to an IP module — the task the paper deliberately
-   centralises in the NM "as DHCP servers do today" (§II-E). *)
-let send_address t ~target ~addr ~plen =
-  t.req <- t.req + 1;
-  send_req t ~dst:target.Ids.dev ~req:t.req
-    (Wire.Set_address { req = t.req; target; addr; plen });
-  run t
-
 let assign_address t ~target ~addr ~plen =
   let intent = record_intent t (Intent.Address { target; addr; plen }) in
-  send_address t ~target ~addr ~plen;
+  send_setting t intent.Intent.spec;
+  run t;
   commit_intent t intent
-
-(* Installs performance-enforcement state (§II-D.1(c)): rate-limit the
-   traffic a module sends into a pipe. *)
-let send_rate t ~owner ~pipe_id ~rate_kbps =
-  send_bundle t ~dst:owner.Ids.dev [ Primitive.Create_perf { owner; pipe_id; rate_kbps } ];
-  run t
 
 let enforce_rate t ~owner ~pipe_id ~rate_kbps =
   let intent = record_intent t (Intent.Rate { owner; pipe_id; rate_kbps }) in
-  send_rate t ~owner ~pipe_id ~rate_kbps;
+  send_setting t intent.Intent.spec;
+  run t;
   commit_intent t intent
 
 let remove_rate t ~owner ~pipe_id =
@@ -1087,12 +1099,9 @@ let reconfigure ?(exclude = []) ?(avoid = []) t (intent : Intent.t) =
       | Error e ->
           Intent.note_error intent e;
           Error e)
-  | Intent.Address { target; addr; plen } ->
-      send_address t ~target ~addr ~plen;
-      commit_intent t intent;
-      Ok ()
-  | Intent.Rate { owner; pipe_id; rate_kbps } ->
-      send_rate t ~owner ~pipe_id ~rate_kbps;
+  | (Intent.Address _ | Intent.Rate _) as spec ->
+      send_setting t spec;
+      run t;
       commit_intent t intent;
       Ok ()
 

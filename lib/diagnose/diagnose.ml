@@ -225,16 +225,16 @@ type seg = {
 }
 
 type verdict =
-  | Cut_link of string (* seg name *)
-  | Lossy_segment of string
+  | Cut_link of seg
+  | Lossy_segment of seg
   | Misconfigured_module of { dev : string; module_id : string }
   | Unreachable_agent of string
 
 type diagnosis = { verdict : verdict; confidence : float; evidence : string list }
 
 let pp_verdict ppf = function
-  | Cut_link l -> Fmt.pf ppf "cut link %s" l
-  | Lossy_segment l -> Fmt.pf ppf "lossy segment %s" l
+  | Cut_link s -> Fmt.pf ppf "cut link %s" s.s_name
+  | Lossy_segment s -> Fmt.pf ppf "lossy segment %s" s.s_name
   | Misconfigured_module { dev; module_id } ->
       Fmt.pf ppf "misconfigured module %s on %s" module_id dev
   | Unreachable_agent d -> Fmt.pf ppf "unreachable agent %s" d
@@ -265,13 +265,13 @@ let localize t ~hops ~segs =
         let tx = last_delta t txk "down_frames" and rx = last_delta t rxk "up_frames" in
         let txw = recent t txk "down_frames" and rxw = recent t rxk "up_frames" in
         if tx > 0 && rx = 0 then
-          add (Cut_link s.s_name) 0.9
+          add (Cut_link s) 0.9
             [
               Fmt.str "%s sent %d frame(s) towards %s, %s received 0 (last scrape)" s.s_from tx
                 s.s_to s.s_to;
             ]
         else if txw > 0 && rxw < txw && txw - rxw >= max 2 (txw / 5) then
-          add (Lossy_segment s.s_name) 0.7
+          add (Lossy_segment s) 0.7
             [
               Fmt.str "%s sent %d frame(s), %s received only %d over the recent window" s.s_from
                 txw s.s_to rxw;

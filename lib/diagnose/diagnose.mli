@@ -79,8 +79,8 @@ type seg = {
 }
 
 type verdict =
-  | Cut_link of string
-  | Lossy_segment of string
+  | Cut_link of seg  (** the segment the localizer found cut, as it was given *)
+  | Lossy_segment of seg
   | Misconfigured_module of { dev : string; module_id : string }
   | Unreachable_agent of string
 

@@ -296,6 +296,12 @@ let rec tunnel_in mode ~local ~remote = function
           (i, t)
       | Tun _ | Phys _ | Loopback -> tunnel_in mode ~local ~remote rest)
 
+let rec notify hdr msg = function
+  | [] -> ()
+  | w :: ws ->
+      w hdr msg;
+      notify hdr msg ws
+
 let rec filtered src dst = function
   | [] -> false
   | (s, d) :: rest -> (Prefix.mem src s && Prefix.mem dst d) || filtered src dst rest
@@ -425,7 +431,7 @@ and icmp_input dev ~depth buf ip at n =
   match Icmp.get buf at n with
   | exception Icmp.Bad_header _ -> count dev icmp_bad
   | msg -> (
-      (match dev.icmp_hook with Some f -> f (Ipv4.get buf ip) msg | None -> ());
+      (match dev.icmp_waiters with [] -> () | ws -> notify (Ipv4.get buf ip) msg ws);
       match msg with
       | Icmp.Echo_request { id; seq } ->
           icmp_send dev ~depth:(depth + 1) ~src:(Ipv4.dst buf ip) ~dst:(Ipv4.src buf ip)

@@ -121,7 +121,9 @@ type t = {
   sw : switch_state;
   arp : arp_state;
   udp_socks : (int, udp_handler) Hashtbl.t;
-  mutable icmp_hook : (Ipv4.t -> Icmp.t -> unit) option;
+  mutable icmp_waiters : (Ipv4.t -> Icmp.t -> unit) list;
+      (* each sees every ICMP message the device receives; a probe adds
+         its own and removes it when it is done *)
   mutable mgmt_hook : (in_port:int -> bytes -> unit) option;
       (* receives the whole frame; the management payload follows the
          Ethernet header *)
@@ -160,7 +162,7 @@ let create ?(switching = false) ~eq ~id ~name () =
       sw = { switching; fdb = Hashtbl.create 16; vlans = Hashtbl.create 4; tag_native = false };
       arp = { arp_cache = Hashtbl.create 8; arp_pending = Hashtbl.create 4 };
       udp_socks = Hashtbl.create 4;
-      icmp_hook = None;
+      icmp_waiters = [];
       mgmt_hook = None;
       dev_counters = Counters.create ();
       rx_dispatch = (fun _ _ -> ());
@@ -450,6 +452,15 @@ let crash dev =
   Hashtbl.reset dev.sw.fdb
 
 let restart dev = dev.dev_up <- true
+
+(* ICMP waiters --------------------------------------------------------- *)
+
+let add_icmp_waiter dev w = dev.icmp_waiters <- w :: dev.icmp_waiters
+
+let rec without w = function [] -> [] | x :: xs -> if x == w then xs else x :: without w xs
+
+(* Removes exactly [w] (by identity), whatever was added or removed since. *)
+let remove_icmp_waiter dev w = dev.icmp_waiters <- without w dev.icmp_waiters
 
 (* Misc ---------------------------------------------------------------- *)
 

@@ -13,16 +13,12 @@ let reachable ?payload net ~from ~src ~dst () =
   let id = !next_id land 0xffff in
   let data = match payload with Some p -> p | None -> Bytes.of_string "conman-ping" in
   let replied = ref false in
-  let saved = from.Device.icmp_hook in
-  from.Device.icmp_hook <-
-    Some
-      (fun hdr msg ->
-        (match saved with Some f -> f hdr msg | None -> ());
-        match msg with
-        | Icmp.Echo_reply r when r.id = id && Ipv4_addr.equal hdr.Ipv4.src dst -> replied := true
-        | Icmp.Echo_reply _ | Icmp.Echo_request _ | Icmp.Dest_unreachable _ | Icmp.Time_exceeded
-          -> ());
+  let waiter hdr = function
+    | Icmp.Echo_reply r when r.id = id && Ipv4_addr.equal hdr.Ipv4.src dst -> replied := true
+    | Icmp.Echo_reply _ | Icmp.Echo_request _ | Icmp.Dest_unreachable _ | Icmp.Time_exceeded -> ()
+  in
+  Device.add_icmp_waiter from waiter;
   Datapath.icmp_echo from ~src ~dst ~id ~seq:1 data;
   ignore (Net.run net);
-  from.Device.icmp_hook <- saved;
+  Device.remove_icmp_waiter from waiter;
   !replied

@@ -144,7 +144,8 @@ let test_localize_cut_link () =
     localize ~pick:Scenarios.pure_gre ~inject:(fun v -> Netsim.Link.cut (vpn_seg v)) ()
   in
   (match top.Diagnose.verdict with
-  | Diagnose.Cut_link seg -> check Alcotest.string "cut segment named" "id-A--id-B" seg
+  | Diagnose.Cut_link seg ->
+      check Alcotest.string "cut segment named" "id-A--id-B" seg.Diagnose.s_name
   | other -> Alcotest.failf "expected a cut link, got %a" Diagnose.pp_verdict other);
   check tbool "high confidence" true (top.Diagnose.confidence >= 0.9)
 
@@ -174,7 +175,8 @@ let test_localize_lossy_segment () =
       ()
   in
   match top.Diagnose.verdict with
-  | Diagnose.Lossy_segment seg -> check Alcotest.string "lossy segment named" "id-A--id-B" seg
+  | Diagnose.Lossy_segment seg ->
+      check Alcotest.string "lossy segment named" "id-A--id-B" seg.Diagnose.s_name
   | other -> Alcotest.failf "expected a lossy segment, got %a" Diagnose.pp_verdict other
 
 let test_localize_unreachable_agent () =
@@ -224,6 +226,84 @@ let test_monitor_reroutes_on_diagnosed_cut () =
   check tint "no resync wasted on a cut path" 0 (Monitor.resyncs mon);
   check tbool "repaired over the other core" true (Monitor.repairs mon >= 1);
   check tbool "reachable after repair" true (Scenarios.diamond_reachable d)
+
+(* A reroute goes on the localizer's verdict: with A--B1 cut under the
+   goal, the Monitor moves it onto the B2 core without walking the path
+   with self-tests. Every Self_test_req any agent receives is an
+   end-to-end probe (IP g on id-A towards IP k on id-C). *)
+let test_monitor_reroutes_without_walk () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  (match Nm.achieve nm d.Scenarios.dgoal with
+  | Ok (_, path, _) ->
+      check tbool "the goal crosses B1" true
+        (List.exists
+           (fun (v : Path_finder.visit) -> v.Path_finder.v_mod.Ids.dev = "id-B1")
+           path.Path_finder.visits)
+  | Error e -> Alcotest.failf "achieve: %s" e);
+  let self_tests = ref [] in
+  let rec unwrap = function Wire.Fenced { msg; _ } | Wire.Traced { msg; _ } -> unwrap msg | m -> m in
+  List.iter
+    (fun (dev, agent) ->
+      Mgmt.Channel.subscribe d.Scenarios.dchan ~device_id:dev (fun ~src payload ->
+          Agent.handle agent ~src payload;
+          match unwrap (Wire.decode payload) with
+          | Wire.Self_test_req { target; against; _ } -> self_tests := (target, against) :: !self_tests
+          | _ -> ()
+          | exception Sexp.Parse_error _ -> ()))
+    d.Scenarios.dagents;
+  let seg = Netsim.Net.find_segment_exn d.Scenarios.dtb.Netsim.Testbeds.dia_net "A--B1" in
+  Netsim.Link.flap ~cycles:1 seg ~first_down_ns:1_000_000_000L ~down_ns:3_000_000_000L
+    ~up_ns:1_000_000_000L;
+  let mon = Monitor.create ~telemetry:(Telemetry.create ~scope:d.Scenarios.dscope nm) nm in
+  Monitor.run mon ~ticks:10;
+  check tint "one repair" 1 (Monitor.repairs mon);
+  check tbool "diagnosed the cut" true
+    (List.exists
+       (fun (e : Monitor.event) -> e.Monitor.ev_what = "diagnosed cut link id-A--id-B1: rerouting")
+       (Monitor.events mon));
+  check tbool "self-tests were sent" true (!self_tests <> []);
+  check tbool "each an end-to-end probe" true
+    (List.for_all
+       (fun (target, against) ->
+         Ids.equal target (Ids.v "IP" "g" "id-A") && against = Some (Ids.v "IP" "k" "id-C"))
+       !self_tests);
+  check tbool "reachable after the repair" true (Scenarios.diamond_reachable d)
+
+(* The devices a reroute avoids, per verdict kind: both ends of a segment,
+   a silent agent, a misconfigured module's device; never the goal's end
+   devices id-A and id-C. *)
+let test_monitor_avoid_per_verdict () =
+  let goal = (Scenarios.build_diamond ()).Scenarios.dgoal in
+  let seg s_from s_to =
+    {
+      Diagnose.s_name = s_from ^ "--" ^ s_to;
+      s_from;
+      s_from_module = s_from ^ ".e";
+      s_from_pipe = "P0";
+      s_to;
+      s_to_module = s_to ^ ".e";
+      s_to_pipe = "P1";
+    }
+  in
+  List.iter
+    (fun (verdict, expected) ->
+      check
+        Alcotest.(list string)
+        (Fmt.str "%a" Diagnose.pp_verdict verdict)
+        expected (Monitor.avoid goal verdict))
+    [
+      (Diagnose.Cut_link (seg "id-A" "id-B1"), [ "id-B1" ]);
+      (Diagnose.Cut_link (seg "id-B2" "id-C"), [ "id-B2" ]);
+      (Diagnose.Cut_link (seg "id-B1" "id-B2"), [ "id-B1"; "id-B2" ]);
+      (Diagnose.Cut_link (seg "id-A" "id-C"), []);
+      (Diagnose.Lossy_segment (seg "id-B1" "id-C"), [ "id-B1" ]);
+      (Diagnose.Lossy_segment (seg "id-B2" "id-B1"), [ "id-B2"; "id-B1" ]);
+      (Diagnose.Unreachable_agent "id-B2", [ "id-B2" ]);
+      (Diagnose.Unreachable_agent "id-A", []);
+      (Diagnose.Misconfigured_module { dev = "id-B1"; module_id = "id-B1.p1" }, [ "id-B1" ]);
+      (Diagnose.Misconfigured_module { dev = "id-C"; module_id = "id-C.q" }, []);
+    ]
 
 let test_monitor_resyncs_on_diagnosed_drift () =
   let v = Scenarios.build_vpn () in
@@ -421,13 +501,13 @@ module List_store = struct
           let tx = last_delta t txk "down_frames" and rx = last_delta t rxk "up_frames" in
           let txw = recent t txk "down_frames" and rxw = recent t rxk "up_frames" in
           if tx > 0 && rx = 0 then
-            add (Cut_link s.s_name) 0.9
+            add (Cut_link s) 0.9
               [
                 Fmt.str "%s sent %d frame(s) towards %s, %s received 0 (last scrape)" s.s_from
                   tx s.s_to s.s_to;
               ]
           else if txw > 0 && rxw < txw && txw - rxw >= max 2 (txw / 5) then
-            add (Lossy_segment s.s_name) 0.7
+            add (Lossy_segment s) 0.7
               [
                 Fmt.str "%s sent %d frame(s), %s received only %d over the recent window"
                   s.s_from txw s.s_to rxw;
@@ -681,5 +761,8 @@ let () =
             test_monitor_reroutes_on_diagnosed_cut;
           Alcotest.test_case "resyncs on diagnosed drift" `Quick
             test_monitor_resyncs_on_diagnosed_drift;
+          Alcotest.test_case "reroutes without a self-test walk" `Quick
+            test_monitor_reroutes_without_walk;
+          Alcotest.test_case "avoid per verdict" `Quick test_monitor_avoid_per_verdict;
         ] );
     ]

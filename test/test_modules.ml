@@ -406,6 +406,67 @@ let test_self_test_unreachable_device () =
   let ok, _ = Nm.self_test v.Scenarios.nm (Ids.v "IP" "zz" "id-NOPE") in
   check tbool "no response treated as failure" false ok
 
+(* Echo probes that overlap in time each add and remove their own ICMP
+   waiter on the device: every probe reports its own result, whichever
+   finishes first, and none leaves a waiter behind. On the configured
+   diamond, IP g on id-A reaches IP k on id-C end to end, but not IP i1
+   on id-B1, which has no route back to g's customer-side address. *)
+let test_overlapping_probes () =
+  let d = Scenarios.build_diamond () in
+  (match Nm.achieve d.Scenarios.dnm d.Scenarios.dgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "diamond achieve: %s" e);
+  let tb = d.Scenarios.dtb in
+  let net = tb.Netsim.Testbeds.dia_net and a = tb.Netsim.Testbeds.dia_a in
+  let g =
+    match Agent.find_module (List.assoc "id-A" d.Scenarios.dagents) (Ids.v "IP" "g" "id-A") with
+    | Some m -> m
+    | None -> Alcotest.fail "no IP g on id-A"
+  in
+  let results = ref [] in
+  let probe name target =
+    g.Module_impl.self_test ~against:(Some target) ~reply:(fun ~ok ~detail:_ ->
+        results := (name, ok) :: !results)
+  in
+  let far = Ids.v "IP" "k" "id-C" and core = Ids.v "IP" "i1" "id-B1" in
+  let outcome = Alcotest.(list (pair string bool)) in
+  let no_waiter what =
+    check tint (what ^ ": no waiter left") 0 (List.length a.Netsim.Device.icmp_waiters)
+  in
+  probe "far" far;
+  ignore (Netsim.Net.run net);
+  probe "core" core;
+  ignore (Netsim.Net.run net);
+  check outcome "one at a time" [ ("far", true); ("core", false) ] (List.rev !results);
+  no_waiter "one at a time";
+  (* overlapping: both start before the network runs *)
+  results := [];
+  probe "far" far;
+  probe "core" core;
+  ignore (Netsim.Net.run net);
+  check outcome "overlapping, each its own result"
+    [ ("core", false); ("far", true) ]
+    (List.sort compare !results);
+  no_waiter "overlapping";
+  (* staggered: the far probe starts just before the core probe's window
+     closes, so the core probe finishes while the far one still waits; a
+     ping to the address the core probe pings runs meanwhile *)
+  results := [];
+  let eq = Netsim.Net.eq net in
+  probe "core" core;
+  while a.Netsim.Device.icmp_waiters = [] && Netsim.Event_queue.pending eq > 0 do
+    try ignore (Netsim.Event_queue.run ~max_events:1 eq)
+    with Netsim.Event_queue.Budget_exhausted -> ()
+  done;
+  ignore (Netsim.Net.run_until net ~deadline:(Int64.add (Netsim.Event_queue.now eq) 990_000L));
+  probe "far" far;
+  check tbool "a ping while the probes wait" true
+    (Netsim.Ping.reachable net ~from:a ~src:(Packet.Ipv4_addr.of_string "204.9.100.1")
+       ~dst:(Packet.Ipv4_addr.of_string "204.9.100.2") ());
+  check outcome "staggered, each its own result" [ ("core", false); ("far", true) ]
+    (List.rev !results);
+  no_waiter "staggered"
+
 let () =
   Alcotest.run "modules"
     [
@@ -440,5 +501,6 @@ let () =
           Alcotest.test_case "malformed message ignored" `Quick test_agent_malformed_message_ignored;
           Alcotest.test_case "self-test: unknown module" `Quick test_self_test_unknown_module;
           Alcotest.test_case "self-test: unreachable device" `Quick test_self_test_unreachable_device;
+          Alcotest.test_case "self-test: overlapping probes" `Quick test_overlapping_probes;
         ] );
     ]

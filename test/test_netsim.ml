@@ -484,16 +484,14 @@ let counters_digest net =
    came back. *)
 let echo net ~from ~src ~dst =
   let got = ref false in
-  let saved = from.Device.icmp_hook in
-  from.Device.icmp_hook <-
-    Some
-      (fun hdr msg ->
-        match msg with
-        | Icmp.Echo_reply { id = 77; _ } when Ipv4_addr.equal hdr.Ipv4.src (ip dst) -> got := true
-        | _ -> ());
+  let waiter hdr = function
+    | Icmp.Echo_reply { id = 77; _ } when Ipv4_addr.equal hdr.Ipv4.src (ip dst) -> got := true
+    | _ -> ()
+  in
+  Device.add_icmp_waiter from waiter;
   Datapath.icmp_echo from ~src:(ip src) ~dst:(ip dst) ~id:77 ~seq:1 (Bytes.of_string "conman-ping");
   ignore (Net.run net);
-  from.Device.icmp_hook <- saved;
+  Device.remove_icmp_waiter from waiter;
   !got
 
 let both_ways net a a_addr b b_addr =

@@ -487,8 +487,8 @@ let test_time_exceeded_reaches_sender () =
   Device.add_route h1
     { Device.rt_dst = pfx "0.0.0.0/0"; rt_via = Some (ip "10.0.1.1"); rt_dev = None; rt_mpls = None };
   let got_te = ref false in
-  h1.Device.icmp_hook <-
-    Some (fun _ msg -> match msg with Icmp.Time_exceeded -> got_te := true | _ -> ());
+  Device.add_icmp_waiter h1 (fun _ msg ->
+      match msg with Icmp.Time_exceeded -> got_te := true | _ -> ());
   Datapath.ip_send h1
     (Ipv4.make ~ttl:1 ~proto:Ip_proto.Icmp ~src:(ip "10.0.1.2") ~dst:(ip "10.0.2.9") ())
     (Icmp.encode (Icmp.Echo_request { id = 1; seq = 1 }) Bytes.empty);

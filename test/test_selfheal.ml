@@ -405,13 +405,17 @@ let test_monitor_tagged_drift_reads_untelemetered () =
     (Monitor.resyncs mon + Monitor.repairs mon + Monitor.escalations mon)
 
 (* A scraped tag counts only until the NM next writes the device. An
-   address intent older than the goal is reconciled first in every tick:
-   its Set_address to id-A goes out after the tick's scrape and before the
-   goal's drift check, which must then read id-A, and only id-A. *)
+   address intent older than the goal, marked degraded before every tick,
+   is reconciled first in each: its Set_address to id-A goes out after the
+   tick's scrape and before the goal's drift check, which must then read
+   id-A, and only id-A. *)
 let test_monitor_reads_written_device () =
   let d = Scenarios.build_diamond () in
   let nm = d.Scenarios.dnm in
   Nm.assign_address nm ~target:(Ids.v "IP" "g" "id-A") ~addr:"192.168.0.2" ~plen:30;
+  let address =
+    match Nm.intents nm with [ i ] -> i | _ -> Alcotest.fail "unexpected intent set"
+  in
   (match Nm.achieve nm d.Scenarios.dgoal with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "diamond achieve: %s" e);
@@ -421,6 +425,7 @@ let test_monitor_reads_written_device () =
   log := [];
   for _ = 1 to 5 do
     let writes = Nm.writes nm "id-A" in
+    address.Intent.status <- Intent.Degraded;
     Monitor.tick mon;
     check tbool "the address intent wrote id-A" true (Nm.writes nm "id-A" > writes)
   done;
@@ -494,6 +499,74 @@ let test_monitor_long_chain () =
       check tint "the drift baseline covers every scripted device" n
         (List.length i.Intent.expected)
   | _ -> Alcotest.fail "unexpected intent set"
+
+(* --- address and rate intents ---------------------------------------------------- *)
+
+(* A realised address or rate intent has nothing to probe: fault-free ticks
+   send it nothing, journal nothing and log nothing. *)
+let test_monitor_leaves_settings_alone () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  let g = Ids.v "IP" "g" "id-A" in
+  Nm.assign_address nm ~target:g ~addr:"192.168.0.2" ~plen:30;
+  Nm.enforce_rate nm ~owner:g ~pipe_id:"P0" ~rate_kbps:512;
+  let mon = Monitor.create nm in
+  let journal = Intent.length (Nm.journal nm) and writes = Nm.writes nm "id-A" in
+  Monitor.run mon ~ticks:10;
+  check tint "no journal entry" journal (Intent.length (Nm.journal nm));
+  check tint "no write to id-A" writes (Nm.writes nm "id-A");
+  check tint "no event" 0 (List.length (Monitor.events mon));
+  check tbool "both intents active" true
+    (List.for_all (fun (i : Intent.t) -> i.Intent.status = Intent.Active) (Nm.intents nm))
+
+(* A device that comes back, saying Hello after the transport gave up on
+   it, gets its live address and rate intents again, as it gets its script
+   slices: here it lost the address while it was down. *)
+let test_hello_resends_settings () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm and b1 = d.Scenarios.dtb.Netsim.Testbeds.dia_b1 in
+  let target = Ids.v "IP" "i1" "id-B1" and addr = Packet.Ipv4_addr.of_string "10.0.9.1" in
+  Nm.assign_address nm ~target ~addr:"10.0.9.1" ~plen:24;
+  Nm.enforce_rate nm ~owner:target ~pipe_id:"P0" ~rate_kbps:512;
+  check tbool "address applied" true (Netsim.Device.is_local_addr b1 addr);
+  Netsim.Device.crash b1;
+  Mgmt.Faults.crash d.Scenarios.dfaults "id-B1";
+  ignore (Nm.self_test nm target);
+  check tbool "B1 unreachable" false (Topology.is_reachable (Nm.topology nm) "id-B1");
+  List.iter
+    (fun (i : Netsim.Device.iface) ->
+      i.Netsim.Device.if_addrs <-
+        List.filter (fun (a, _) -> not (Packet.Ipv4_addr.equal a addr)) i.Netsim.Device.if_addrs)
+    b1.Netsim.Device.ifaces;
+  let writes = Nm.writes nm "id-B1" in
+  Netsim.Device.restart b1;
+  Mgmt.Faults.restart d.Scenarios.dfaults "id-B1";
+  Agent.announce (List.assoc "id-B1" d.Scenarios.dagents) d.Scenarios.dtb.Netsim.Testbeds.dia_net;
+  Nm.run nm;
+  check tbool "B1 reachable again" true (Topology.is_reachable (Nm.topology nm) "id-B1");
+  check tint "the address and the rate re-sent" (writes + 2) (Nm.writes nm "id-B1");
+  check tbool "address applied again" true (Netsim.Device.is_local_addr b1 addr);
+  check tbool "no errors" true (Nm.errors nm = [])
+
+(* --- a seeded flap soak --------------------------------------------------------- *)
+
+(* 400 ticks of Chaos.Flap_soak, seed 3: 41 cuts of the core link under the
+   goal, each repaired onto the other core. The repaired signatures are
+   the ones a Monitor that walked the failed path with self-tests before
+   each reroute chose, cut for cut, and no reroute misses its confirming
+   probe. (Other seeds still log a few such misses: under loss a tick's
+   reads and reroute can use up its 100 ms horizon, ROADMAP item 2(c).) *)
+let test_flap_soak () =
+  let r = Chaos.Flap_soak.run ~seed:3 ~ticks:400 in
+  let b1 = "a, g, o, b1, c1, p1, d1, e1, q, k, f" and b2 = "a, g, o, b2, c2, p2, d2, e2, q, k, f" in
+  check tint "cuts" 41 r.Chaos.Flap_soak.cuts;
+  check
+    Alcotest.(list string)
+    "each cut repaired onto the other core"
+    (List.init 41 (fun i -> if i mod 2 = 0 then b2 else b1))
+    (List.map snd r.Chaos.Flap_soak.repaired);
+  check tint "repairs" 41 r.Chaos.Flap_soak.repairs;
+  check tint "no attempt that did not restore connectivity" 0 r.Chaos.Flap_soak.failed_attempts
 
 (* --- escalation: unrepairable faults are bounded and surfaced ------------------ *)
 
@@ -637,6 +710,9 @@ let () =
           Alcotest.test_case "a tag counts only in its tick" `Quick test_monitor_tag_lives_one_tick;
           Alcotest.test_case "240-router chain" `Quick test_monitor_long_chain;
           Alcotest.test_case "escalate then revive" `Quick test_monitor_escalates_then_revives;
+          Alcotest.test_case "address and rate left alone" `Quick test_monitor_leaves_settings_alone;
+          Alcotest.test_case "Hello re-sends address and rate" `Quick test_hello_resends_settings;
+          Alcotest.test_case "400-tick flap soak" `Quick test_flap_soak;
         ] );
       ( "restart",
         [
