@@ -38,8 +38,12 @@ type state = {
   (* exchange requests that arrived before our bundle created the matching
      pipe (bundles to different devices race with coordination traffic) *)
   mutable early : (Ids.t * string * (string * string) list) list;
-  (* outstanding end-to-end probes: target module -> reply continuation *)
-  mutable probes : (Ids.t * (ok:bool -> detail:string -> unit)) list;
+  (* end-to-end probes waiting for their target's address: target module,
+     the remembered address that did not answer (if any), continuation *)
+  mutable probes : (Ids.t * string option * (ok:bool -> detail:string -> unit)) list;
+  (* the address each probe target last gave: a probe pings it directly
+     and asks the target again only when it does not answer *)
+  mutable probe_targets : (Ids.t * string) list;
   (* NM-assigned diagnostic address inside the customer prefix this edge
      module serves; reachable through the configured path, so end-to-end
      probes stay within the managed devices *)
@@ -326,17 +330,25 @@ let try_filter st f =
         if f.f_src_addr = None then ask f.f_src;
         if f.f_dst_addr = None then ask f.f_dst
 
-(* Applies requested rate limits once the pipe's underlying interface is
-   known (e.g. the tunnel device exists). *)
+(* The interface a pipe's traffic leaves by: an LSP's egress device, not
+   the MPLS pop pseudo-interface [under_iface] names for [ip rule iif]. *)
+let egress_iface st ps =
+  match ps.spec.Primitive.bottom.Ids.name with
+  | "MPLS" -> st.env.local_query ps.spec.Primitive.bottom ("ftn-dev:" ^ ps.spec.Primitive.pipe_id)
+  | _ -> under_iface st ps
+
+(* Applies requested rate limits once the pipe's egress interface is known
+   (e.g. the tunnel device exists). A re-sent request replaces the pipe's
+   entry. *)
 let try_perf st =
   st.perf_pending <-
     List.filter
       (fun (pid, rate_kbps) ->
-        match Option.bind (find_pipe st pid) (under_iface st) with
+        match Option.bind (find_pipe st pid) (egress_iface st) with
         | Some dev ->
             run_cmd st.env.device
               (Printf.sprintf "tc qdisc add dev %s rate %d burst 100" dev (rate_kbps * 1000));
-            st.perf_applied <- (pid, dev) :: st.perf_applied;
+            st.perf_applied <- (pid, dev) :: List.remove_assoc pid st.perf_applied;
             false
         | None -> true)
       st.perf_pending
@@ -363,6 +375,7 @@ let poll st () =
 (* --- peer messages ---------------------------------------------------------- *)
 
 let probe_id = 0xbeef
+let no_reply dst = "no reply from peer " ^ dst
 
 (* Sends one echo request and reports asynchronously whether the matching
    reply arrived within the probe window. The probe waits on its own ICMP
@@ -383,7 +396,36 @@ let probe_ping st ~src ~dst ~reply =
   st.env.schedule ~delay_ns:1_000_000L (fun () ->
       Netsim.Device.remove_icmp_waiter dev waiter;
       if !got then reply ~ok:true ~detail:("peer " ^ dst ^ " reachable")
-      else reply ~ok:false ~detail:("no reply from peer " ^ dst))
+      else reply ~ok:false ~detail:(no_reply dst))
+
+(* This module's end of an end-to-end probe: its diagnostic address when it
+   serves a site, its own address otherwise. *)
+let probe_src st = match st.probe_addr with Some a -> Some a | None -> own_addr st
+
+(* Asks [target] for its address (listFieldsAndValues, relayed by the NM);
+   [stale] is the remembered address that just failed to answer. *)
+let ask_probe_target st target ~stale reply =
+  st.probes <- (target, stale, reply) :: st.probes;
+  st.env.convey ~src:st.mref ~dst:target
+    (Peer_msg.Lfv_request { purpose = "probe"; fields = [ "address" ]; own = [] })
+
+(* End-to-end probe: pings the address [target] last gave. One that does
+   not answer is forgotten and the target asked again: the same address
+   fails the probe at once, a new one is pinged instead. *)
+let probe_target st target ~reply =
+  let remembered =
+    List.find_map (fun (t, a) -> if Ids.equal t target then Some a else None) st.probe_targets
+  in
+  match (remembered, probe_src st) with
+  | Some dst, Some src ->
+      probe_ping st ~src ~dst ~reply:(fun ~ok ~detail ->
+          if ok then reply ~ok ~detail
+          else begin
+            st.probe_targets <-
+              List.filter (fun (t, a) -> not (Ids.equal t target && a = dst)) st.probe_targets;
+            ask_probe_target st target ~stale:(Some dst) reply
+          end)
+  | _ -> ask_probe_target st target ~stale:None reply
 
 let answer_exchange st src ps own =
   (match List.assoc_opt "address" own with
@@ -415,13 +457,19 @@ let on_peer st ~src msg =
              exists *)
           st.early <- (src, purpose, own) :: st.early)
   | Peer_msg.Lfv_reply { purpose = "probe"; fields } -> (
-      let pending, rest = List.partition (fun (t, _) -> Ids.equal t src) st.probes in
+      let pending, rest = List.partition (fun (t, _, _) -> Ids.equal t src) st.probes in
       st.probes <- rest;
-      let my_addr = match st.probe_addr with Some a -> Some a | None -> own_addr st in
-      match (List.assoc_opt "address" fields, my_addr) with
+      match (List.assoc_opt "address" fields, probe_src st) with
       | Some dst, Some my_addr ->
-          List.iter (fun (_, reply) -> probe_ping st ~src:my_addr ~dst ~reply) pending
-      | _ -> List.iter (fun (_, reply) -> reply ~ok:false ~detail:"probe target has no address") pending)
+          st.probe_targets <-
+            (src, dst) :: List.filter (fun (t, _) -> not (Ids.equal t src)) st.probe_targets;
+          List.iter
+            (fun (_, stale, reply) ->
+              if stale = Some dst then reply ~ok:false ~detail:(no_reply dst)
+              else probe_ping st ~src:my_addr ~dst ~reply)
+            pending
+      | _ ->
+          List.iter (fun (_, _, reply) -> reply ~ok:false ~detail:"probe target has no address") pending)
   | Peer_msg.Lfv_reply { purpose = "filter"; fields } ->
       let addr = List.assoc_opt "address" fields in
       List.iter
@@ -487,6 +535,7 @@ let make ~env ~mref ~ifaces ~domain () =
       next_table = 0;
       early = [];
       probes = [];
+      probe_targets = [];
       probe_addr = None;
       perf_pending = [];
       perf_applied = [];
@@ -575,7 +624,7 @@ let make ~env ~mref ~ifaces ~domain () =
           | [] -> ());
       create_perf =
         (fun ~pipe_id ~rate_kbps ->
-          st.perf_pending <- (pipe_id, rate_kbps) :: st.perf_pending;
+          st.perf_pending <- (pipe_id, rate_kbps) :: List.remove_assoc pipe_id st.perf_pending;
           poll st ());
       delete_perf =
         (fun ~pipe_id ->
@@ -664,12 +713,7 @@ let make ~env ~mref ~ifaces ~domain () =
               with
               | Some (src, dst) -> probe_ping st ~src ~dst ~reply
               | None -> reply ~ok:true ~detail:"no peers to test")
-          | Some target ->
-              (* End-to-end probe: resolve the target module's address via
-                 listFieldsAndValues, then ping it through the data plane. *)
-              st.probes <- (target, reply) :: st.probes;
-              st.env.convey ~src:st.mref ~dst:target
-                (Peer_msg.Lfv_request { purpose = "probe"; fields = [ "address" ]; own = [] }));
+          | Some target -> probe_target st target ~reply);
     }
   in
   let change_address ~iface old_new new_addr =

@@ -282,6 +282,14 @@ let make ~env ~mref () =
         match String.split_on_char ':' key with
         | [ "ftn-key"; pid ] -> Option.map fst (List.assoc_opt pid st.ftn)
         | [ "ftn-via"; pid ] -> Option.map snd (List.assoc_opt pid st.ftn)
+        | [ "ftn-dev"; pid ] ->
+            (* the interface the LSP leaves by, where the IP module above
+               polices the pipe: that of the adjacency whose next hop the
+               FTN's NHLFE pushes to *)
+            Option.bind (List.assoc_opt pid st.ftn) (fun (_, via) ->
+                List.find_map
+                  (fun a -> if a.a_out_nexthop = Some via then Some (iface_of_adj st a) else None)
+                  st.adjacencies)
         | _ -> None);
     perf =
       (fun () ->

@@ -1143,21 +1143,25 @@ let escalate t (intent : Intent.t) msg =
 
 (* --- debugging (§II-D.2) ------------------------------------------------------ *)
 
-let self_test ?against t target =
-  match
-    read_round t [ (target.Ids.dev, fun req -> Wire.Self_test_req { req; target; against }) ]
-  with
-  | [ Some (Wire.Self_test_resp { ok; detail; _ }) ] -> (ok, detail)
-  | _ -> (false, "no response from device (management channel?)")
+(* Self-tests [targets] in one round, answering in list order. *)
+let self_tests ?against t targets =
+  read_round t
+    (List.map
+       (fun target -> (target.Ids.dev, fun req -> Wire.Self_test_req { req; target; against }))
+       targets)
+  |> List.map (function
+       | Some (Wire.Self_test_resp { ok; detail; _ }) -> (ok, detail)
+       | _ -> (false, "no response from device (management channel?)"))
 
-(* Walks the modules of a configured path, self-testing each; returns the
-   per-module verdicts so a failure can be localised. *)
+let self_test ?against t target = List.hd (self_tests ?against t [ target ])
+
+(* Self-tests every module of a configured path in one round; returns the
+   per-module verdicts in path order so a failure can be localised. Each
+   module's echo probe waits on its own ICMP waiter, so the tests may
+   overlap. *)
 let diagnose t (path : Path_finder.path) =
-  List.map
-    (fun (v : Path_finder.visit) ->
-      let ok, detail = self_test t v.Path_finder.v_mod in
-      (v.Path_finder.v_mod, ok, detail))
-    path.Path_finder.visits
+  let mods = List.map (fun (v : Path_finder.visit) -> v.Path_finder.v_mod) path.Path_finder.visits in
+  List.map2 (fun m (ok, detail) -> (m, ok, detail)) mods (self_tests t mods)
 
 (* End-to-end probe: asks the path's first customer-edge IP module to test
    data-plane connectivity all the way to the far edge module. Catches

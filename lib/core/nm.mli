@@ -197,8 +197,9 @@ val self_test : ?against:Ids.t -> t -> Ids.t -> bool * string
     connectivity towards that module instead. *)
 
 val diagnose : t -> Path_finder.path -> (Ids.t * bool * string) list
-(** Walks a configured path, self-testing every module: localises faults
-    like a cut wire to the first failing module. *)
+(** Self-tests every module of a configured path in one round (all
+    requests sent, the network run once) and returns the verdicts in path
+    order: localises faults like a cut wire to the first failing module. *)
 
 val probe_end_to_end : t -> Path_finder.path -> bool * string
 (** Edge-to-edge data-plane probe between the path's customer-edge IP

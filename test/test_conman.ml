@@ -607,6 +607,39 @@ let test_self_test_and_diagnose () =
   Netsim.Link.restore seg;
   check tbool "vpn restored" true (Scenarios.vpn_reachable v)
 
+(* The walk sends every module its self-test in one round: over the VPN's
+   13-module pure-GRE path it costs the serial walk's 26 NM messages and
+   gives its verdicts, in 2.0 ms of virtual time where the serial walk,
+   one round per module each ending on a stale 1 ms retransmit timer, took
+   16.0 ms. *)
+let test_diagnose_one_round () =
+  let v = Scenarios.build_vpn () in
+  let path, _ = configure v canonical_gre in
+  let nm = v.Scenarios.nm and eq = Netsim.Net.eq v.Scenarios.tb.Netsim.Testbeds.vpn_net in
+  let messages () = Nm.stats_sent nm + Nm.stats_received nm in
+  let walk f =
+    let m = messages () and t = Netsim.Event_queue.now eq in
+    let verdicts = f () in
+    (verdicts, messages () - m, Int64.sub (Netsim.Event_queue.now eq) t)
+  in
+  let serial () =
+    List.map
+      (fun (vi : Path_finder.visit) ->
+        let ok, detail = Nm.self_test nm vi.Path_finder.v_mod in
+        (vi.Path_finder.v_mod, ok, detail))
+      path.Path_finder.visits
+  in
+  let verdict = Alcotest.(list (triple string bool string)) in
+  let show = List.map (fun (m, ok, d) -> (Ids.qualified m, ok, d)) in
+  let old_verdicts, old_msgs, old_ns = walk serial in
+  let verdicts, msgs, ns = walk (fun () -> Nm.diagnose nm path) in
+  check tint "13 modules" 13 (List.length verdicts);
+  check tbool "all pass" true (List.for_all (fun (_, ok, _) -> ok) verdicts);
+  check verdict "the serial walk's verdicts, in path order" (show old_verdicts) (show verdicts);
+  check (Alcotest.pair tint tint) "26 messages, as the serial walk's" (26, 26) (old_msgs, msgs);
+  check (Alcotest.pair Alcotest.int64 Alcotest.int64) "virtual time: 2.0 ms, not 16.0"
+    (16_026_000L, 2_002_000L) (old_ns, ns)
+
 let test_dependency_trigger_repair () =
   let v = Scenarios.build_vpn () in
   Nm.set_auto_repair v.Scenarios.nm true;
@@ -787,6 +820,39 @@ let test_perf_enforcement () =
     > 0);
   (* removing the enforcement restores full delivery *)
   Nm.remove_rate v.Scenarios.nm ~owner:(Ids.v "IP" "g" "id-A") ~pipe_id:"P1";
+  check tint "restored" 20 (udp_blast v 20)
+
+(* The same intent on the MPLS path: g's pipe P1 rides an LSP, so the
+   policer goes on the interface the LSP leaves by (A's eth2), not on the
+   pop pseudo-interface mpls0; re-sending the intent applies it again
+   without an error. *)
+let test_perf_enforcement_mpls () =
+  let v = Scenarios.build_vpn () in
+  let _ = configure v canonical_mpls in
+  let nm = v.Scenarios.nm and owner = Ids.v "IP" "g" "id-A" in
+  let errors = Alcotest.(list (pair string string)) in
+  check tint "all 20 arrive unthrottled" 20 (udp_blast v 20);
+  Nm.enforce_rate nm ~owner ~pipe_id:"P1" ~rate_kbps:800;
+  check errors "no errors" [] (Nm.errors nm);
+  let limited = udp_blast v 20 in
+  check tbool (Printf.sprintf "throttled (%d of 20)" limited) true (limited >= 1 && limited < 20);
+  check tbool "policer drops counted on the LSP's egress" true
+    (Netsim.Counters.get
+       (Netsim.Device.find_iface_exn v.Scenarios.tb.Netsim.Testbeds.ra "eth2")
+         .Netsim.Device.if_counters "policer_drops"
+    > 0);
+  let rate =
+    List.find
+      (fun (i : Intent.t) -> match i.Intent.spec with Intent.Rate _ -> true | _ -> false)
+      (Nm.intents nm)
+  in
+  for _ = 1 to 3 do
+    ignore (Nm.reconfigure nm rate)
+  done;
+  check errors "three reconfigures, no errors" [] (Nm.errors nm);
+  let limited = udp_blast v 20 in
+  check tbool (Printf.sprintf "still throttled (%d of 20)" limited) true (limited < 20);
+  Nm.remove_rate nm ~owner ~pipe_id:"P1";
   check tint "restored" 20 (udp_blast v 20)
 
 (* --- security: ESP with the IKE control-module dependency (§II-F, fig. 1) ------- *)
@@ -1242,6 +1308,7 @@ let () =
       ( "debug-and-deps",
         [
           Alcotest.test_case "self test + diagnose" `Quick test_self_test_and_diagnose;
+          Alcotest.test_case "diagnose in one round" `Quick test_diagnose_one_round;
           Alcotest.test_case "dependency trigger repair" `Quick test_dependency_trigger_repair;
           Alcotest.test_case "filter creation" `Quick test_filter_creation;
           Alcotest.test_case "end-to-end probe" `Quick test_probe_end_to_end;
@@ -1252,7 +1319,10 @@ let () =
           Alcotest.test_case "a malformed address is rejected" `Quick test_bad_address_rejected;
         ] );
       ( "performance",
-        [ Alcotest.test_case "rate enforcement on a pipe" `Quick test_perf_enforcement ] );
+        [
+          Alcotest.test_case "rate enforcement on a pipe" `Quick test_perf_enforcement;
+          Alcotest.test_case "rate enforcement on an MPLS pipe" `Quick test_perf_enforcement_mpls;
+        ] );
       ( "security",
         [
           Alcotest.test_case "secure path enumeration" `Quick test_secure_paths_enumerated;

@@ -467,6 +467,57 @@ let test_overlapping_probes () =
     (List.rev !results);
   no_waiter "staggered"
 
+(* An end-to-end probe pings the address its target last gave and asks the
+   target again only when that address does not answer. The target here
+   is IP h on id-A, beside g, which answers with the address of its first
+   bound interface that has one: eth2's, or eth3's once eth2 has none. *)
+let test_stale_probe_address () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  (match Nm.achieve nm d.Scenarios.dgoal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "diamond achieve: %s" e);
+  let net = d.Scenarios.dtb.Netsim.Testbeds.dia_net and a = d.Scenarios.dtb.Netsim.Testbeds.dia_a in
+  let g =
+    match Agent.find_module (List.assoc "id-A" d.Scenarios.dagents) (Ids.v "IP" "g" "id-A") with
+    | Some m -> m
+    | None -> Alcotest.fail "no IP g on id-A"
+  in
+  let h = Ids.v "IP" "h" "id-A" in
+  let relayed () = List.length (Nm.conveys nm) + List.assoc "conveys" (Nm.ring_dropped nm) in
+  (* starts [n] probes at once and returns their results, in the order
+     they finished, and the conveys the NM relayed meanwhile *)
+  let probes n =
+    let results = ref [] and before = relayed () in
+    for _ = 1 to n do
+      g.Module_impl.self_test ~against:(Some h) ~reply:(fun ~ok ~detail ->
+          results := (ok, detail) :: !results)
+    done;
+    ignore (Netsim.Net.run net);
+    check tint "no waiter left" 0 (List.length a.Netsim.Device.icmp_waiters);
+    (List.rev !results, relayed () - before)
+  in
+  let outcome = Alcotest.(pair (list (pair bool string)) int) in
+  let reachable addr = (true, "peer " ^ addr ^ " reachable") in
+  check outcome "the first probe asks" ([ reachable "204.9.100.1" ], 2) (probes 1);
+  check outcome "the next pings the remembered address" ([ reachable "204.9.100.1" ], 0) (probes 1);
+  let eth2 = Netsim.Device.find_iface_exn a "eth2" and eth3 = Netsim.Device.find_iface_exn a "eth3" in
+  let eth2_addrs = eth2.Netsim.Device.if_addrs and eth3_addrs = eth3.Netsim.Device.if_addrs in
+  eth2.Netsim.Device.if_addrs <- [];
+  check outcome "a stale address: asked once, the new address pinged"
+    ([ reachable "204.9.102.1" ], 2)
+    (probes 1);
+  (* 204.9.102.1 goes stale while h gives 204.9.100.1 again: two probes
+     that overlap each ping the stale address, ask again and report the
+     new address's result, once each *)
+  eth2.Netsim.Device.if_addrs <- eth2_addrs;
+  eth3.Netsim.Device.if_addrs <- [];
+  check outcome "overlapping on a stale address, each its own answer"
+    ([ reachable "204.9.100.1"; reachable "204.9.100.1" ], 4)
+    (probes 2);
+  eth3.Netsim.Device.if_addrs <- eth3_addrs;
+  check outcome "then remembered again" ([ reachable "204.9.100.1" ], 0) (probes 1)
+
 let () =
   Alcotest.run "modules"
     [
@@ -502,5 +553,7 @@ let () =
           Alcotest.test_case "self-test: unknown module" `Quick test_self_test_unknown_module;
           Alcotest.test_case "self-test: unreachable device" `Quick test_self_test_unreachable_device;
           Alcotest.test_case "self-test: overlapping probes" `Quick test_overlapping_probes;
+          Alcotest.test_case "self-test: a remembered address gone stale" `Quick
+            test_stale_probe_address;
         ] );
     ]

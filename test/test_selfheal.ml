@@ -500,6 +500,61 @@ let test_monitor_long_chain () =
         (List.length i.Intent.expected)
   | _ -> Alcotest.fail "unexpected intent set"
 
+(* The end-to-end probe asks the far edge for its diagnostic address only
+   when the near edge remembers none or the remembered one does not
+   answer. On the telemetry-attached diamond the first tick relays that
+   exchange (2 conveys); every later fault-free tick relays none and costs
+   10 NM messages: the scrape's 4 showPerf reads and the probe's
+   Self_test request and answer. A cut core fails the probe with 6 in
+   2.010 ms of virtual time, as when every probe asked first: the ping,
+   then the exchange, whose answer is the same address, so nothing is
+   pinged twice. *)
+let test_monitor_probe_remembers_address () =
+  let d = Scenarios.build_diamond () in
+  let nm = d.Scenarios.dnm in
+  let path =
+    match Nm.achieve nm d.Scenarios.dgoal with
+    | Ok (_, _, s) -> s.Script_gen.path
+    | Error e -> Alcotest.failf "diamond achieve: %s" e
+  in
+  let mon = Monitor.create ~telemetry:(Telemetry.create ~scope:d.Scenarios.dscope nm) nm in
+  let relayed () = List.length (Nm.conveys nm) + List.assoc "conveys" (Nm.ring_dropped nm) in
+  let messages () = Nm.stats_sent nm + Nm.stats_received nm in
+  let eq = Netsim.Net.eq d.Scenarios.dtb.Netsim.Testbeds.dia_net in
+  (* what [f] returns, with the conveys and NM messages it cost *)
+  let cost f =
+    let c = relayed () and m = messages () in
+    let r = f () in
+    (r, relayed () - c, messages () - m)
+  in
+  (* a probe's verdict, its cost and its virtual time *)
+  let probe () =
+    let t = Netsim.Event_queue.now eq in
+    let (ok, detail), conveys, msgs = cost (fun () -> Nm.probe_end_to_end nm path) in
+    (ok, detail, (conveys, msgs), Int64.sub (Netsim.Event_queue.now eq) t)
+  in
+  let costs = Alcotest.(pair int int) in
+  let (), conveys, _ = cost (fun () -> Monitor.tick mon) in
+  check tint "the first tick relays the probe's exchange" 2 conveys;
+  for i = 2 to 20 do
+    let (), conveys, msgs = cost (fun () -> Monitor.tick mon) in
+    check costs (Printf.sprintf "tick %d: conveys and NM messages" i) (0, 10) (conveys, msgs)
+  done;
+  check tint "no event" 0 (List.length (Monitor.events mon));
+  let core = if List.mem "id-B1" (path_devices path) then "A--B1" else "A--B2" in
+  let seg = Netsim.Net.find_segment_exn d.Scenarios.dtb.Netsim.Testbeds.dia_net core in
+  Netsim.Link.cut seg;
+  let ok, detail, c, ns = probe () in
+  check tbool ("a cut core fails the probe: " ^ detail) false ok;
+  check tbool "no reply from the far edge" true (contains_sub detail "no reply from peer");
+  check costs "asked again, 6 NM messages" (2, 6) c;
+  check Alcotest.int64 "in the virtual time of an exchange-first probe" 2_010_000L ns;
+  Netsim.Link.restore seg;
+  let ok, _, c, ns = probe () in
+  check tbool "restored" true ok;
+  check costs "the same address remembered" (0, 2) c;
+  check Alcotest.int64 "without the exchange's time" 2_002_000L ns
+
 (* --- address and rate intents ---------------------------------------------------- *)
 
 (* A realised address or rate intent has nothing to probe: fault-free ticks
@@ -709,6 +764,8 @@ let () =
             test_monitor_reads_written_device;
           Alcotest.test_case "a tag counts only in its tick" `Quick test_monitor_tag_lives_one_tick;
           Alcotest.test_case "240-router chain" `Quick test_monitor_long_chain;
+          Alcotest.test_case "the probe remembers the far edge's address" `Quick
+            test_monitor_probe_remembers_address;
           Alcotest.test_case "escalate then revive" `Quick test_monitor_escalates_then_revives;
           Alcotest.test_case "address and rate left alone" `Quick test_monitor_leaves_settings_alone;
           Alcotest.test_case "Hello re-sends address and rate" `Quick test_hello_resends_settings;
