@@ -472,7 +472,9 @@ let plan_datapoints () =
    the Monitor with telemetry over a seeded Chaos.Flap_soak run: its
    repairs, the attempts that did not restore connectivity, the NM
    messages of the ticks that logged an event per repair, and the median
-   virtual time from a cut to its repair. *)
+   virtual time from a cut to its repair. The [flap_soak_sweep] row sums
+   the same counts over seeds 1-30, so a reroute that misses its
+   confirming probe on any of them shows. *)
 let selfheal_datapoints () =
   let d = Scenarios.build_diamond () in
   let nm = d.Scenarios.dnm in
@@ -505,6 +507,9 @@ let selfheal_datapoints () =
   let seed = 3 and ticks = 400 in
   let soak = Chaos.Flap_soak.run ~seed ~ticks in
   let to_repair = List.sort compare (List.map fst soak.Chaos.Flap_soak.repaired) in
+  let sweep = List.init 30 (fun i -> Chaos.Flap_soak.run ~seed:(i + 1) ~ticks) in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 sweep in
+  let sweep_repairs = total (fun r -> r.Chaos.Flap_soak.repairs) in
   let json =
     Printf.sprintf
       "{\n\
@@ -518,7 +523,9 @@ let selfheal_datapoints () =
       \  \"link_flaps\": %d,\n\
       \  \"reachable_after\": %b,\n\
       \  \"flap_soak\": { \"seed\": %d, \"ticks\": %d, \"cuts\": %d, \"repairs\": %d, \
-       \"failed_attempts\": %d, \"messages_per_repair\": %.1f, \"median_cut_to_repair_ns\": %s }\n\
+       \"failed_attempts\": %d, \"messages_per_repair\": %.1f, \"median_cut_to_repair_ns\": %s },\n\
+      \  \"flap_soak_sweep\": { \"seeds\": %d, \"ticks\": %d, \"cuts\": %d, \"repairs\": %d, \
+       \"failed_attempts\": %d, \"messages_per_repair\": %.2f }\n\
        }\n"
       (match latency with Some l -> Int64.to_string l | None -> "null")
       (Netsim.Link.drop_count seg "cut")
@@ -533,6 +540,12 @@ let selfheal_datapoints () =
       (match to_repair with
       | [] -> "null"
       | l -> Int64.to_string (List.nth l (List.length l / 2)))
+      (List.length sweep) ticks
+      (total (fun r -> r.Chaos.Flap_soak.cuts))
+      sweep_repairs
+      (total (fun r -> r.Chaos.Flap_soak.failed_attempts))
+      (float_of_int (total (fun r -> r.Chaos.Flap_soak.repair_messages))
+      /. float_of_int (max 1 sweep_repairs))
   in
   write_bench "BENCH_selfheal.json" ~title:"self-healing data points" json
 
@@ -1154,7 +1167,10 @@ let trace_datapoints () =
    Monitor ticks (probe, drift check and showPerf scrape on each): a tick
    must cost the same late as early. Counts only, never wall clock: mean
    minor words allocated per goal over goals 51-100 and 951-1000 and per
-   tick over ticks 51-100 and 551-600, the management frames per tick over
+   tick over ticks 51-100 and 551-600, the simulator events per goal and
+   per tick and the virtual ns per goal over goals or ticks 51-100 (a call
+   that ends with its own exchange leaves no timer behind to run), the
+   management frames per tick over
    ticks 51-100 and their bytes over ticks 51-100 and 551-600 (a drift read
    of an unchanged device is answered by one short frame, so the bytes
    show whether the reads stay conditional), the policy routing tables on each
@@ -1180,8 +1196,11 @@ let history_datapoints () =
     List.map (fun d -> (d.Netsim.Device.dev_id, List.length d.Netsim.Device.tables - 1)) edges
   in
   let words = Array.make goals 0. in
+  let eq = Netsim.Net.eq v.Scenarios.tb.Netsim.Testbeds.vpn_net in
+  let goal_events = Array.make goals 0. and goal_ns = Array.make goals 0. in
   let after_first = ref [] in
   for k = 0 to goals - 1 do
+    let e0 = Netsim.Event_queue.processed eq and t0 = Netsim.Event_queue.now eq in
     let w0 = Gc.minor_words () in
     (match Nm.achieve nm v.Scenarios.goal with
     | Ok (_, _, script) ->
@@ -1189,6 +1208,8 @@ let history_datapoints () =
         Nm.teardown nm script
     | Error e -> failwith ("history bench: achieve: " ^ e));
     words.(k) <- Gc.minor_words () -. w0;
+    goal_events.(k) <- float_of_int (Netsim.Event_queue.processed eq - e0);
+    goal_ns.(k) <- Int64.to_float (Int64.sub (Netsim.Event_queue.now eq) t0);
     if k = 0 then after_first := policy_tables ()
   done;
   let pings = 100 in
@@ -1212,11 +1233,15 @@ let history_datapoints () =
   let tick_words = Array.make ticks 0. in
   let chan = Mgmt.Channel.stats d.Scenarios.dchan in
   let tick_frames = Array.make ticks 0. and tick_bytes = Array.make ticks 0. in
+  let deq = Netsim.Net.eq d.Scenarios.dtb.Netsim.Testbeds.dia_net in
+  let tick_events = Array.make ticks 0. in
   for k = 0 to ticks - 1 do
     let f0 = chan.Mgmt.Channel.frames_sent and b0 = chan.Mgmt.Channel.bytes_sent in
+    let e0 = Netsim.Event_queue.processed deq in
     let w0 = Gc.minor_words () in
     Monitor.tick mon;
     tick_words.(k) <- Gc.minor_words () -. w0;
+    tick_events.(k) <- float_of_int (Netsim.Event_queue.processed deq - e0);
     tick_frames.(k) <- float_of_int (chan.Mgmt.Channel.frames_sent - f0);
     tick_bytes.(k) <- float_of_int (chan.Mgmt.Channel.bytes_sent - b0)
   done;
@@ -1231,10 +1256,13 @@ let history_datapoints () =
       \  \"goals\": %d,\n\
       \  \"minor_words_per_goal_51_100\": %.1f,\n\
       \  \"minor_words_per_goal_951_1000\": %.1f,\n\
+      \  \"events_per_goal_51_100\": %.1f,\n\
+      \  \"virtual_ns_per_goal_51_100\": %.1f,\n\
       \  \"minor_words_per_ping\": %.1f,\n\
       \  \"ticks\": %d,\n\
       \  \"minor_words_per_tick_51_100\": %.1f,\n\
       \  \"minor_words_per_tick_551_600\": %.1f,\n\
+      \  \"events_per_tick_51_100\": %.1f,\n\
       \  \"mgmt_frames_per_tick_51_100\": %.1f,\n\
       \  \"mgmt_bytes_per_tick_51_100\": %.1f,\n\
       \  \"mgmt_bytes_per_tick_551_600\": %.1f,\n\
@@ -1244,9 +1272,9 @@ let history_datapoints () =
       \  \"journal_entries\": %d,\n\
       \  \"journal_length\": %d\n\
        }\n"
-      goals (mean words 51 100) (mean words 951 1000) (mean ping_words 51 100) ticks
-      (mean tick_words 51 100)
-      (mean tick_words 551 600) (mean tick_frames 51 100) (mean tick_bytes 51 100)
+      goals (mean words 51 100) (mean words 951 1000) (mean goal_events 51 100)
+      (mean goal_ns 51 100) (mean ping_words 51 100) ticks (mean tick_words 51 100)
+      (mean tick_words 551 600) (mean tick_events 51 100) (mean tick_frames 51 100) (mean tick_bytes 51 100)
       (mean tick_bytes 551 600) (tables_json !after_first)
       (tables_json (policy_tables ()))
       (List.length (Nm.intents nm))

@@ -232,8 +232,8 @@ let attempt_repair t (intent : Intent.t) ~avoid detail =
         if ok then begin
           intent.Intent.repairs <- intent.Intent.repairs + 1;
           t.repairs <- t.repairs + 1;
+          (* the reroute's bind cleared the baseline: this re-reads it *)
           mark_healthy t intent;
-          snapshot t intent;
           log t intent
             (Printf.sprintf "repaired over alternate path [%s]"
                (Option.value ~default:"?" (current_sig ())))
@@ -248,14 +248,14 @@ let attempt_repair t (intent : Intent.t) ~avoid detail =
         end
   end
 
-(* With telemetry attached, scrape right after a failed probe — so the
-   probe's own frames are the freshest delta in the store — and ask the
-   localizer where on the path the traffic died. Returns the top-ranked
-   diagnosis, if any. *)
+(* With telemetry attached, scrape the failed path's devices right after
+   the probe — so the probe's own frames are the freshest delta in the
+   store — and ask the localizer where on the path the traffic died.
+   Returns the top-ranked diagnosis, if any. *)
 let diagnose_failure t (intent : Intent.t) =
   match (t.telemetry, intent.Intent.script) with
   | Some tel, Some s when s.Script_gen.path.Path_finder.visits <> [] -> (
-      Telemetry.scrape tel;
+      Telemetry.scrape_path tel s.Script_gen.path;
       match Telemetry.diagnose_path tel s.Script_gen.path with d :: _ -> Some d | [] -> None)
   | _ -> None
 

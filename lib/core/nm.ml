@@ -47,6 +47,7 @@ type t = {
       (* read requests (showPotential, showActual, showPerf, selfTest) by
          id: [None] until the answer arrives, then the answer, held only
          until its reader takes it *)
+  mutable awaited : int; (* replies the current read round still waits for *)
   writes : (string, int ref) Hashtbl.t;
       (* state-changing requests sent to each device, re-sends included *)
   completions : (Ids.t * string) ring;
@@ -64,7 +65,8 @@ type t = {
          script was backed out — flushed when the device says Hello again,
          so back-out does not leak datapath state onto dead devices *)
   mutable horizon : int64 option;
-      (* when set, [run] stops at this virtual time instead of draining the
+      (* when set, a call runs the network only until its own exchange is
+         over, and never past this virtual time, instead of draining the
          queue — lets the monitor interleave with scheduled faults *)
   mutable epoch : int;
       (* leadership epoch (see Ha). 0 = single-NM legacy mode, frames go out
@@ -293,7 +295,9 @@ let settle_debts t src =
    duplicate or a reply to someone else's request is dropped. *)
 let answered t req reply =
   match Hashtbl.find_opt t.reads req with
-  | Some None -> Hashtbl.replace t.reads req (Some reply)
+  | Some None ->
+      Hashtbl.replace t.reads req (Some reply);
+      t.awaited <- t.awaited - 1
   | Some (Some _) | None -> ()
 
 (* Hands the reader its reply and forgets the request, answered or not. *)
@@ -440,6 +444,7 @@ and create ?transport ?journal ~chan ~net ~my_id () =
       req = !incarnations * req_stride;
       inflight = [];
       reads = Hashtbl.create 16;
+      awaited = 0;
       writes = Hashtbl.create 16;
       completions = ring ();
       errors = [];
@@ -483,13 +488,26 @@ let reset_stats t =
   t.stats.received <- 0;
   t.stats.acks <- 0
 
-let run t =
+(* Runs the network for one call. Without a horizon it drains the queue,
+   so a goal also waits for module negotiations to settle. With one, it
+   runs only while [busy ()] says the call's exchange is open, and never
+   past the horizon: the call consumes only the virtual time its own
+   exchange takes, and later scheduled events (link cuts, restores) stay
+   queued for the caller's next [run_until]. *)
+let run_while t busy =
   match t.horizon with
   | None -> ignore (Netsim.Net.run t.net)
   | Some deadline ->
-      (* bounded, non-advancing: the probe consumes only the virtual time
-         its own events take, so several probes fit inside one tick *)
-      ignore (Netsim.Net.run_until ~advance:false t.net ~deadline)
+      ignore (Netsim.Event_queue.run_while (Netsim.Net.eq t.net) ~deadline busy)
+
+(* A write is open while a state-changing request is unconfirmed or a
+   reliable frame unacked. *)
+let writing t =
+  match t.inflight with
+  | _ :: _ -> true
+  | [] -> ( match t.transport with Some tr -> Mgmt.Reliable.in_flight tr > 0 | None -> false)
+
+let run t = run_while t (fun () -> writing t)
 
 let set_horizon t h = t.horizon <- h
 
@@ -552,11 +570,13 @@ let harvest_potentials t devices =
 
 (* One round of reads: sends each listed device the request [ask] builds
    from a fresh id, runs the network once and takes each reply by its id,
-   in list order. A device that did not answer (within the horizon) reads
-   [None]. An empty round runs nothing. *)
+   in list order. Within a horizon the round ends when its last reply is
+   in. A device that did not answer (within the horizon) reads [None]. An
+   empty round runs nothing. *)
 let read_round t = function
   | [] -> []
   | asks ->
+      t.awaited <- List.length asks;
       let sent =
         List.map
           (fun (dev, ask) ->
@@ -565,7 +585,7 @@ let read_round t = function
             req)
           asks
       in
-      run t;
+      run_while t (fun () -> t.awaited > 0);
       List.map (take t) sent
 
 (* showActual, plain or conditional on a tag: [Some None] when the agent

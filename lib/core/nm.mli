@@ -33,14 +33,17 @@ val create :
     them. Without it the NM starts with a fresh, empty journal. *)
 
 val run : t -> unit
-(** Runs the network to quiescence — or up to the current horizon when one
-    is set. *)
+(** Runs the network to quiescence — or, when a horizon is set, until no
+    state-changing request of the NM is unconfirmed and no reliable frame
+    is unacked, and never past the horizon. *)
 
 val set_horizon : t -> int64 option -> unit
-(** Bounds every internal [run] at the given virtual time, so scheduled
-    data-plane faults are not fast-forwarded through. The monitor sets
-    this around each reconciliation tick; [None] restores
-    run-to-quiescence. *)
+(** Bounds every internal run: each call then runs the network only while
+    its own exchange is open (a read round until its replies are in, a
+    write as {!run}) and never past the given virtual time, so scheduled
+    data-plane faults are neither fast-forwarded through nor allowed to end
+    a call early. The monitor sets this around each reconciliation tick;
+    [None] restores run-to-quiescence. *)
 
 (** {1 Discovery} *)
 

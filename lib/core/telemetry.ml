@@ -73,13 +73,13 @@ let adapt t =
 
 let now t = Netsim.Event_queue.now (Netsim.Net.eq (Nm.net t.nm))
 
-(* One round over the scope, its replies observed in scope order. *)
-let scrape t =
+(* One round over [devices], its replies observed in list order. *)
+let scrape_devices t devices =
   t.rounds <- t.rounds + 1;
   let at_ns = now t in
   t.last_scrape <- Some at_ns;
-  let writes = List.map (Nm.writes t.nm) t.scope in
-  let replies = Nm.show_perf_round t.nm t.scope in
+  let writes = List.map (Nm.writes t.nm) devices in
+  let replies = Nm.show_perf_round t.nm devices in
   List.iter2
     (fun (dev, writes) reply ->
       match reply with
@@ -97,7 +97,9 @@ let scrape t =
                   Diagnose.observe t.store ~at_ns ~device:dev ~module_id ~pipe counters)
                 pipes)
             reports)
-    (List.combine t.scope writes) replies
+    (List.combine devices writes) replies
+
+let scrape t = scrape_devices t t.scope
 
 let tag t ~since dev =
   match Hashtbl.find_opt t.tags dev with
@@ -136,6 +138,8 @@ let eth_facing topo dev peer =
           a.Abstraction.physical
       else None)
     (Topology.modules_of_device topo dev)
+
+let scrape_path t path = scrape_devices t (ordered_devices path)
 
 let hops_of_path (path : Path_finder.path) =
   List.map

@@ -36,6 +36,10 @@ val scrape : t -> unit
     that do not answer are noted unreachable in the store. Each device's
     state tag is kept for {!tag}. *)
 
+val scrape_path : t -> Path_finder.path -> unit
+(** {!scrape}, over only the devices [path] visits: the ones
+    {!diagnose_path} reads. *)
+
 val tag : t -> since:int -> string -> string option
 (** [tag t ~since dev]: the state tag ({!Wire.state_tag}) [dev] answered
     in a round numbered above [since] (see {!rounds}), unless the NM has

@@ -63,6 +63,7 @@ type pending = {
   p_cls : int;  (* admission class the sender stated; retries keep it *)
   mutable p_bytes : bytes;  (* full envelope, ready to retransmit *)
   mutable p_retries : int;
+  mutable p_timer : Event_queue.timer;  (* the pending retransmission *)
 }
 
 module Seqs = Map.Make (Int)
@@ -73,7 +74,8 @@ module Seqs = Map.Make (Int)
    suppression: [next] is the next seq due for delivery; anything below it
    already went up (or was skipped — those seqs sit in [skipped] so a late
    arrival is still delivered rather than mistaken for a duplicate).
-   [held] buffers arrivals ahead of a hole. *)
+   [held] buffers arrivals ahead of a hole; [flush] is the gap timer
+   while one is armed. *)
 type link = {
   src : string;
   dst : string;
@@ -84,6 +86,7 @@ type link = {
   mutable held : bytes Seqs.t;
   mutable skipped : unit Seqs.t;
   mutable flush_armed : bool;
+  mutable flush : Event_queue.timer;
 }
 
 type t = {
@@ -92,6 +95,7 @@ type t = {
   config : config;
   counters : counters;
   links : (string * string, link) Hashtbl.t;  (* (src, dst) *)
+  mutable unacked : int;  (* the links' counts, summed *)
   mutable give_up_listeners : (src:string -> dst:string -> unit) list;
   mutable observer : (bytes -> string -> unit) option;
       (* (payload, event) tap on per-frame fate — retried / gave-up /
@@ -119,14 +123,19 @@ let link t ~src ~dst =
           held = Seqs.empty;
           skipped = Seqs.empty;
           flush_armed = false;
+          flush = Event_queue.no_timer;
         }
       in
       Hashtbl.add t.links key l;
       l
 
-let forget l seq =
+(* Drops an unacked frame and cancels its retransmission, so an acked,
+   shed or abandoned frame leaves no event behind. *)
+let forget t l seq p =
+  Event_queue.cancel t.eq p.p_timer;
   l.frames <- Seqs.remove seq l.frames;
-  l.count <- l.count - 1
+  l.count <- l.count - 1;
+  t.unacked <- t.unacked - 1
 
 (* --- envelope codec ---------------------------------------------------- *)
 
@@ -176,14 +185,16 @@ let rec drain l h =
 (* A hole ahead of buffered frames must not stall delivery forever — the
    missing frame may have been abandoned by its sender. After
    [gap_timeout_ns] of no progress, skip to the lowest held seq (recording
-   the skipped seqs so stragglers are still delivered) and drain. *)
+   the skipped seqs so stragglers are still delivered) and drain.
+   The timer is cancelled when the hole fills, so it fires only on a link
+   still holding frames. *)
 let rec arm_flush t l h =
   if not l.flush_armed then begin
     l.flush_armed <- true;
     let expected = l.next in
-    Event_queue.schedule t.eq ~delay_ns:t.config.gap_timeout_ns (fun () ->
-        l.flush_armed <- false;
-        if not (Seqs.is_empty l.held) then begin
+    l.flush <-
+      Event_queue.timer t.eq ~delay_ns:t.config.gap_timeout_ns (fun () ->
+          l.flush_armed <- false;
           if l.next = expected then begin
             let lowest, _ = Seqs.min_binding l.held in
             for s = l.next to lowest - 1 do
@@ -193,8 +204,13 @@ let rec arm_flush t l h =
             t.counters.gap_skips <- t.counters.gap_skips + 1;
             drain l h
           end;
-          if not (Seqs.is_empty l.held) then arm_flush t l h
-        end)
+          if not (Seqs.is_empty l.held) then arm_flush t l h)
+  end
+
+let disarm_flush t l =
+  if l.flush_armed then begin
+    l.flush_armed <- false;
+    Event_queue.cancel t.eq l.flush
   end
 
 (* --- sender side ------------------------------------------------------- *)
@@ -202,26 +218,23 @@ let rec arm_flush t l h =
 let retry_delay t retries =
   Int64.of_float (Int64.to_float t.config.timeout_ns *. (t.config.backoff ** float_of_int retries))
 
-(* The timer holds the seq, not the frame, so an acked envelope is garbage
-   at once rather than when its timer fires. *)
-let rec arm_timer t l seq delay =
-  Event_queue.schedule t.eq ~delay_ns:delay (fun () ->
-      match Seqs.find_opt seq l.frames with
-      | None -> () (* acked in the meantime; timers are never cancelled *)
-      | Some p ->
-          if p.p_retries >= t.config.max_retries then begin
-            forget l seq;
-            t.counters.gave_up <- t.counters.gave_up + 1;
-            observe_pending t p "gave-up";
-            List.iter (fun f -> f ~src:l.src ~dst:l.dst) t.give_up_listeners
-          end
-          else begin
-            p.p_retries <- p.p_retries + 1;
-            t.counters.retransmits <- t.counters.retransmits + 1;
-            observe_pending t p "retried";
-            Channel.send t.inner ~cls:p.p_cls ~src:l.src ~dst:l.dst p.p_bytes;
-            arm_timer t l seq (retry_delay t p.p_retries)
-          end)
+(* The timer runs only while the frame is unacked: [forget] cancels it. *)
+let rec arm_timer t l seq p delay =
+  p.p_timer <-
+    Event_queue.timer t.eq ~delay_ns:delay (fun () ->
+        if p.p_retries >= t.config.max_retries then begin
+          forget t l seq p;
+          t.counters.gave_up <- t.counters.gave_up + 1;
+          observe_pending t p "gave-up";
+          List.iter (fun f -> f ~src:l.src ~dst:l.dst) t.give_up_listeners
+        end
+        else begin
+          p.p_retries <- p.p_retries + 1;
+          t.counters.retransmits <- t.counters.retransmits + 1;
+          observe_pending t p "retried";
+          Channel.send t.inner ~cls:p.p_cls ~src:l.src ~dst:l.dst p.p_bytes;
+          arm_timer t l seq p (retry_delay t p.p_retries)
+        end)
 
 (* The pending set is otherwise unbounded under a partitioned peer: every
    send to it parks an envelope in the retry wheel for the full backoff
@@ -237,7 +250,7 @@ let enforce_pending_cap t l =
     match Seqs.to_seq l.frames |> Seq.find (fun (_, p) -> p.p_cls >= 3 && not (voided p)) with
     | Some (seq, p) ->
         observe_pending t p "transport-shed";
-        forget l seq;
+        forget t l seq p;
         t.counters.pending_shed <- t.counters.pending_shed + 1
     | None -> ()
 
@@ -253,13 +266,15 @@ let send t ~cls ~src ~dst payload =
     let seq = l.last_seq + 1 in
     l.last_seq <- seq;
     let b = encode 'D' seq payload in
-    let p = { p_cls = cls; p_bytes = b; p_retries = 0 } in
+    let p = { p_cls = cls; p_bytes = b; p_retries = 0; p_timer = Event_queue.no_timer } in
     l.frames <- Seqs.add seq p l.frames;
     l.count <- l.count + 1;
+    t.unacked <- t.unacked + 1;
     t.counters.data_sent <- t.counters.data_sent + 1;
     enforce_pending_cap t l;
     Channel.send t.inner ~cls ~src ~dst b;
-    arm_timer t l seq t.config.timeout_ns
+    (* the cap may have shed this very frame: then it is not retried *)
+    if Seqs.mem seq l.frames then arm_timer t l seq p t.config.timeout_ns
   end
 
 (* --- receiver side ----------------------------------------------------- *)
@@ -272,8 +287,11 @@ let subscribe t id (h : Channel.handler) =
       | Some ('A', seq, _) -> (
           t.counters.acks_received <- t.counters.acks_received + 1;
           match Hashtbl.find_opt t.links (id, src) with
-          | Some l when Seqs.mem seq l.frames -> forget l seq
-          | _ -> ())
+          | Some l -> (
+              match Seqs.find seq l.frames with
+              | p -> forget t l seq p
+              | exception Not_found -> ())
+          | None -> ())
       | Some ('D', seq, payload) ->
           (* Always (re-)ack: the previous ack may have been lost. Acks
              state class 1, as acks do in the P0–P3 table; nothing below
@@ -295,7 +313,7 @@ let subscribe t id (h : Channel.handler) =
             if seq <> l.next then t.counters.held_back <- t.counters.held_back + 1;
             l.held <- Seqs.add seq payload l.held;
             drain l h;
-            if not (Seqs.is_empty l.held) then arm_flush t l h
+            if Seqs.is_empty l.held then disarm_flush t l else arm_flush t l h
           end
       | Some _ -> ())
 
@@ -322,6 +340,7 @@ let create ?(config = default_config) ~eq inner =
           pending_shed = 0;
         };
       links = Hashtbl.create 32;
+      unacked = 0;
       give_up_listeners = [];
       observer = None;
     }
@@ -363,7 +382,7 @@ let cancel t ~src ~dst payload =
 let on_give_up t f = t.give_up_listeners <- f :: t.give_up_listeners
 let set_observer t f = t.observer <- Some f
 let counters t = t.counters
-let in_flight t = Hashtbl.fold (fun _ l acc -> acc + l.count) t.links 0
+let in_flight t = t.unacked
 
 type frame_view = { seq : int; cls : int; payload : bytes }
 

@@ -65,5 +65,4 @@ let neighbours t dev port_index =
     t.edges
 
 let run ?max_events t = Event_queue.run ?max_events t.eq
-let run_until ?max_events ?advance t ~deadline =
-  Event_queue.run_until ?max_events ?advance t.eq ~deadline
+let run_until ?max_events t ~deadline = Event_queue.run_until ?max_events t.eq ~deadline

@@ -44,7 +44,6 @@ val neighbours : t -> Device.t -> int -> (Device.t * int) list
 val run : ?max_events:int -> t -> int
 (** Processes events until quiescence; returns the number processed. *)
 
-val run_until : ?max_events:int -> ?advance:bool -> t -> deadline:int64 -> int
+val run_until : ?max_events:int -> t -> deadline:int64 -> int
 (** Processes events up to [deadline] (inclusive) and advances the clock
-    there, leaving later events (scheduled faults, future probes) pending.
-    [advance:false] leaves the clock at the last processed event. *)
+    there, leaving later events (scheduled faults, future probes) pending. *)

@@ -609,9 +609,10 @@ let test_self_test_and_diagnose () =
 
 (* The walk sends every module its self-test in one round: over the VPN's
    13-module pure-GRE path it costs the serial walk's 26 NM messages and
-   gives its verdicts, in 2.0 ms of virtual time where the serial walk,
-   one round per module each ending on a stale 1 ms retransmit timer, took
-   16.0 ms. *)
+   gives its verdicts, in 1.006 ms of virtual time (one 1 ms echo window,
+   the IP modules' probes overlapping) where the serial walk waits out
+   each IP module's window in turn: 3.078 ms. An acked frame leaves no
+   retransmit timer, so neither walk waits for one. *)
 let test_diagnose_one_round () =
   let v = Scenarios.build_vpn () in
   let path, _ = configure v canonical_gre in
@@ -637,8 +638,8 @@ let test_diagnose_one_round () =
   check tbool "all pass" true (List.for_all (fun (_, ok, _) -> ok) verdicts);
   check verdict "the serial walk's verdicts, in path order" (show old_verdicts) (show verdicts);
   check (Alcotest.pair tint tint) "26 messages, as the serial walk's" (26, 26) (old_msgs, msgs);
-  check (Alcotest.pair Alcotest.int64 Alcotest.int64) "virtual time: 2.0 ms, not 16.0"
-    (16_026_000L, 2_002_000L) (old_ns, ns)
+  check (Alcotest.pair Alcotest.int64 Alcotest.int64) "virtual time: 1.0 ms, not 3.1"
+    (3_078_000L, 1_006_000L) (old_ns, ns)
 
 let test_dependency_trigger_repair () =
   let v = Scenarios.build_vpn () in

@@ -384,6 +384,68 @@ let test_reliable_bookkeeping () =
   check tbool "duplicates were suppressed" true (c.Reliable.duplicates > 0);
   check tbool "sends were cancelled" true (!cancelled > 0)
 
+(* Out-of-band delivery (2 us a hop) that loses the frames sent [n]th
+   (counting from 1) on the way down. *)
+let losing eq lost =
+  let inner = Channel.Oob.create eq in
+  let sent = ref 0 in
+  Channel.make
+    ~send:(fun ~cls ~src ~dst b ->
+      incr sent;
+      if not (List.mem !sent lost) then Channel.send inner ~cls ~src ~dst b)
+    ~subscribe:(fun id h -> Channel.subscribe inner ~device_id:id h)
+    ~stats:(Channel.stats inner)
+
+(* A request and its reply over a lossless channel: once the last ack is
+   in, no retransmit timer is left queued, so the exchange ends at its
+   round trips (6 us), not at a stale timer 1 ms later. *)
+let test_reliable_exchange_leaves_no_event () =
+  let eq = Event_queue.create () in
+  let chan, rel = Reliable.create ~eq (losing eq []) in
+  Channel.subscribe chan ~device_id:"a" (fun ~src:_ _ -> ());
+  Channel.subscribe chan ~device_id:"b" (fun ~src p ->
+      Channel.send chan ~cls:2 ~src:"b" ~dst:src (Bytes.cat p (Bytes.of_string "!")));
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "request");
+  ignore (Event_queue.run_while eq ~deadline:Int64.max_int (fun () -> Reliable.in_flight rel > 0));
+  check tint "no event left queued" 0 (Event_queue.pending eq);
+  check Alcotest.int64 "the exchange took its round trips" 6_000L (Event_queue.now eq)
+
+(* The request's first copy is lost: its retry 1 ms later is acked, and
+   the ack cancels the retry's own timer. *)
+let test_reliable_retried_frame_leaves_no_event () =
+  let eq = Event_queue.create () in
+  let chan, rel = Reliable.create ~eq (losing eq [ 1 ]) in
+  let got = ref 0 in
+  Channel.subscribe chan ~device_id:"a" (fun ~src:_ _ -> ());
+  Channel.subscribe chan ~device_id:"b" (fun ~src:_ _ -> incr got);
+  Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string "request");
+  ignore (Event_queue.run eq);
+  check tint "delivered once" 1 !got;
+  check tint "retried once" 1 (Reliable.counters rel).Reliable.retransmits;
+  check Alcotest.int64 "nothing ran after the retry's ack" 1_004_000L (Event_queue.now eq)
+
+(* Frame 1's first copy is lost, so frame 2 is held back behind the hole
+   and the link arms its 50 ms gap flush. Frame 1's retry fills the hole
+   and cancels the flush: nothing runs after its ack, and nothing is
+   skipped. *)
+let test_reliable_filled_hole_cancels_flush () =
+  let eq = Event_queue.create () in
+  let chan, rel = Reliable.create ~eq (losing eq [ 1 ]) in
+  let got = ref [] in
+  Channel.subscribe chan ~device_id:"a" (fun ~src:_ _ -> ());
+  Channel.subscribe chan ~device_id:"b" (fun ~src:_ p -> got := Bytes.to_string p :: !got);
+  List.iter
+    (fun p -> Channel.send chan ~cls:2 ~src:"a" ~dst:"b" (Bytes.of_string p))
+    [ "first"; "second" ];
+  ignore (Event_queue.run_until eq ~deadline:10_000L);
+  let c = Reliable.counters rel in
+  check tint "the second frame waits behind the hole" 1 c.Reliable.held_back;
+  check tint "a retry and a gap flush queued" 2 (Event_queue.pending eq);
+  ignore (Event_queue.run eq);
+  check (Alcotest.list Alcotest.string) "delivered in order" [ "first"; "second" ] (List.rev !got);
+  check tint "no gap skipped" 0 c.Reliable.gap_skips;
+  check Alcotest.int64 "the flush was cancelled" 1_004_000L (Event_queue.now eq)
+
 let () =
   Alcotest.run "mgmt"
     [
@@ -417,5 +479,11 @@ let () =
           Alcotest.test_case "gives up on dead destination" `Quick
             test_reliable_gives_up_on_dead_destination;
           Alcotest.test_case "per-link bookkeeping" `Quick test_reliable_bookkeeping;
+          Alcotest.test_case "an exchange leaves no event" `Quick
+            test_reliable_exchange_leaves_no_event;
+          Alcotest.test_case "a retried frame leaves no event" `Quick
+            test_reliable_retried_frame_leaves_no_event;
+          Alcotest.test_case "a filled hole cancels its flush" `Quick
+            test_reliable_filled_hole_cancels_flush;
         ] );
     ]

@@ -53,7 +53,8 @@ let test_eq_negative_delay_rejected () =
     | _ -> false)
 
 (* The Map-keyed queue the binary heap replaced, kept as the reference
-   model: [prop_eq_matches_reference] runs random programs on both. *)
+   model: [prop_eq_matches_reference] runs random programs on both. A
+   timer is the event's key, and cancelling removes it. *)
 module Ref_queue = struct
   module M = Map.Make (struct
     type t = int64 * int
@@ -68,6 +69,8 @@ module Ref_queue = struct
     mutable processed : int;
   }
 
+  type timer = int64 * int
+
   exception Budget_exhausted
 
   let create () = { now = 0L; seq = 0; events = M.empty; processed = 0 }
@@ -75,17 +78,20 @@ module Ref_queue = struct
   let pending t = M.cardinal t.events
   let processed t = t.processed
 
-  let schedule t ~delay_ns f =
+  let timer t ~delay_ns f =
     if delay_ns < 0L then invalid_arg "Ref_queue.schedule";
     let key = (Int64.add t.now delay_ns, t.seq) in
     t.seq <- t.seq + 1;
-    t.events <- M.add key f t.events
+    t.events <- M.add key f t.events;
+    key
 
-  let run_while ~max_events t due =
+  let cancel t key = t.events <- M.remove key t.events
+
+  let drain ~max_events t due busy =
     let count = ref 0 in
     let rec loop () =
       match M.min_binding_opt t.events with
-      | Some (((time, _) as key), f) when due time ->
+      | Some (((time, _) as key), f) when due time && busy () ->
           if !count >= max_events then raise Budget_exhausted;
           incr count;
           t.processed <- t.processed + 1;
@@ -98,16 +104,21 @@ module Ref_queue = struct
     loop ();
     !count
 
-  let run ?(max_events = 10_000_000) t = run_while ~max_events t (fun _ -> true)
+  let always () = true
+  let run ?(max_events = 10_000_000) t = drain ~max_events t (fun _ -> true) always
 
-  let run_until ?(max_events = 10_000_000) ?(advance = true) t ~deadline =
-    let count = run_while ~max_events t (fun time -> time <= deadline) in
-    if advance && deadline > t.now then t.now <- deadline;
+  let run_until ?(max_events = 10_000_000) t ~deadline =
+    let count = drain ~max_events t (fun time -> time <= deadline) always in
+    if deadline > t.now then t.now <- deadline;
     count
+
+  let run_while ?(max_events = 10_000_000) t ~deadline busy =
+    drain ~max_events t (fun time -> time <= deadline) busy
 end
 
 module type QUEUE = sig
   type t
+  type timer
 
   exception Budget_exhausted
 
@@ -115,38 +126,56 @@ module type QUEUE = sig
   val now : t -> int64
   val pending : t -> int
   val processed : t -> int
-  val schedule : t -> delay_ns:int64 -> (unit -> unit) -> unit
+  val timer : t -> delay_ns:int64 -> (unit -> unit) -> timer
+  val cancel : t -> timer -> unit
   val run : ?max_events:int -> t -> int
-  val run_until : ?max_events:int -> ?advance:bool -> t -> deadline:int64 -> int
+  val run_until : ?max_events:int -> t -> deadline:int64 -> int
+  val run_while : ?max_events:int -> t -> deadline:int64 -> (unit -> bool) -> int
 end
 
-(* An event waits [delay] and, when it fires, schedules its children. *)
-type ev = Ev of int64 * ev list
+(* An event waits [delay] and, when it fires, cancels the [k]th newest
+   event scheduled so far (if it names one) and schedules its children. *)
+type ev = Ev of int64 * int option * ev list
 type deadline = Behind of int64 | Ahead of int64 | Forever
 
 type op =
   | Schedule of ev
+  | Cancel of int  (** the [k]th newest event scheduled so far, run or not *)
   | Run of int option  (** max_events *)
-  | Run_until of deadline * bool * int option  (** deadline, advance, max_events *)
+  | Run_until of deadline * int option  (** deadline, max_events *)
+  | Run_while of deadline * int * int option
+      (** deadline, events the run may fire before it is idle, max_events *)
 
 (* Runs a program and returns, after each op, its outcome, the events fired
    so far (numbered in scheduling order), [now], [pending] and
-   [processed]. A [Run]/[Run_until] outcome is its count, or -1 for
+   [processed]. A run's outcome is its count, or -1 for
    [Budget_exhausted]. Once a [Forever] deadline has advanced the clock
    past 63 bits, later top-level schedules are skipped: the heap keeps
    [int] times. *)
 module Drive (Q : QUEUE) = struct
   let go prog =
     let q = Q.create () in
-    let fired = ref [] and next_id = ref 0 in
-    let rec sched (Ev (delay_ns, kids)) =
+    let fired = ref [] and nfired = ref 0 and next_id = ref 0 and timers = ref [] in
+    let cancel k =
+      match !timers with [] -> () | l -> Q.cancel q (List.nth l (k mod List.length l))
+    in
+    let rec sched (Ev (delay_ns, cancels, kids)) =
       let id = !next_id in
       incr next_id;
-      Q.schedule q ~delay_ns (fun () ->
-          fired := id :: !fired;
-          List.iter sched kids)
+      timers :=
+        Q.timer q ~delay_ns (fun () ->
+            fired := id :: !fired;
+            incr nfired;
+            Option.iter cancel cancels;
+            List.iter sched kids)
+        :: !timers
     in
     let budgeted f = try f () with Q.Budget_exhausted -> -1 in
+    let deadline = function
+      | Behind k -> Int64.sub (Q.now q) k
+      | Ahead k -> Int64.add (Q.now q) k
+      | Forever -> Int64.max_int
+    in
     List.map
       (fun op ->
         let outcome =
@@ -154,15 +183,16 @@ module Drive (Q : QUEUE) = struct
           | Schedule ev ->
               if Q.now q < Int64.of_int max_int then sched ev;
               0
+          | Cancel k ->
+              cancel k;
+              0
           | Run max_events -> budgeted (fun () -> Q.run ?max_events q)
-          | Run_until (d, advance, max_events) ->
-              let deadline =
-                match d with
-                | Behind k -> Int64.sub (Q.now q) k
-                | Ahead k -> Int64.add (Q.now q) k
-                | Forever -> Int64.max_int
-              in
-              budgeted (fun () -> Q.run_until ?max_events ~advance q ~deadline)
+          | Run_until (d, max_events) ->
+              budgeted (fun () -> Q.run_until ?max_events q ~deadline:(deadline d))
+          | Run_while (d, k, max_events) ->
+              let stop = !nfired + k in
+              budgeted (fun () ->
+                  Q.run_while ?max_events q ~deadline:(deadline d) (fun () -> !nfired < stop))
         in
         (outcome, List.rev !fired, Q.now q, Q.pending q, Q.processed q))
       prog
@@ -171,31 +201,38 @@ end
 module Heap_run = Drive (Event_queue)
 module Ref_run = Drive (Ref_queue)
 
-let rec pp_ev (Ev (d, kids)) =
-  Printf.sprintf "%Ld[%s]" d (String.concat " " (List.map pp_ev kids))
+let rec pp_ev (Ev (d, c, kids)) =
+  Printf.sprintf "%Ld%s[%s]" d
+    (Option.fold ~none:"" ~some:(Printf.sprintf " cancel %d") c)
+    (String.concat " " (List.map pp_ev kids))
+
+let pp_deadline = function
+  | Behind k -> Printf.sprintf "now-%Ld" k
+  | Ahead k -> Printf.sprintf "now+%Ld" k
+  | Forever -> "max_int"
+
+let pp_max m = Option.fold ~none:"-" ~some:string_of_int m
 
 let pp_op = function
   | Schedule ev -> "schedule " ^ pp_ev ev
-  | Run m -> Printf.sprintf "run %s" (Option.fold ~none:"-" ~some:string_of_int m)
-  | Run_until (d, adv, m) ->
-      Printf.sprintf "run_until %s advance=%b max=%s"
-        (match d with
-        | Behind k -> Printf.sprintf "now-%Ld" k
-        | Ahead k -> Printf.sprintf "now+%Ld" k
-        | Forever -> "max_int")
-        adv
-        (Option.fold ~none:"-" ~some:string_of_int m)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Run m -> Printf.sprintf "run %s" (pp_max m)
+  | Run_until (d, m) -> Printf.sprintf "run_until %s max=%s" (pp_deadline d) (pp_max m)
+  | Run_while (d, k, m) ->
+      Printf.sprintf "run_while %s for %d max=%s" (pp_deadline d) k (pp_max m)
 
 let prog_gen =
   let open QCheck.Gen in
   (* few distinct delays, so equal timestamps are common *)
   let delay = oneofl [ 0L; 0L; 1L; 2L; 5L; 100L ] in
+  let cancels = frequency [ (4, return None); (1, map Option.some (int_bound 5)) ] in
   let ev =
     fix
       (fun self depth ->
         let* d = delay in
+        let* c = cancels in
         let* kids = if depth = 0 then return [] else list_size (int_bound 2) (self (depth - 1)) in
-        return (Ev (d, kids)))
+        return (Ev (d, c, kids)))
       3
   in
   let budget = frequency [ (3, return None); (2, map Option.some (int_bound 6)) ] in
@@ -211,8 +248,10 @@ let prog_gen =
     frequency
       [
         (5, map (fun e -> Schedule e) ev);
+        (2, map (fun k -> Cancel k) (int_bound 8));
         (1, map (fun m -> Run m) budget);
-        (3, map3 (fun d a m -> Run_until (d, a, m)) deadline bool budget);
+        (2, map2 (fun d m -> Run_until (d, m)) deadline budget);
+        (2, map3 (fun d k m -> Run_while (d, k, m)) deadline (int_bound 6) budget);
       ]
   in
   list_size (int_bound 40) op
@@ -275,6 +314,43 @@ let test_eq_run_until () =
   check tint "rest processed" 2 n;
   check tbool "only up to deadline" true (List.rev !fired = [ 100L; 200L; 300L ]);
   check tbool "clock at second deadline" true (Event_queue.now eq = 1_000L)
+
+(* A cancelled event never runs, never moves the clock and is not
+   pending; a handle whose event already ran cancels nothing, not even the
+   newer event that took over its slot. *)
+let test_eq_cancel () =
+  let eq = Event_queue.create () in
+  let fired = ref [] in
+  let at d = Event_queue.timer eq ~delay_ns:d (fun () -> fired := d :: !fired) in
+  let a = at 100L and b = at 200L and c = at 300L in
+  Event_queue.cancel eq c;
+  check tint "the cancelled event is not pending" 2 (Event_queue.pending eq);
+  check tint "only the live events ran" 2 (Event_queue.run eq);
+  check (Alcotest.list Alcotest.int64) "in time order" [ 100L; 200L ] (List.rev !fired);
+  check Alcotest.int64 "the clock stopped at the last live event" 200L (Event_queue.now eq);
+  let d = at 50L in
+  List.iter (Event_queue.cancel eq) [ a; b; c; Event_queue.no_timer ];
+  check tint "stale handles cancel nothing" 1 (Event_queue.pending eq);
+  ignore (Event_queue.run eq);
+  check (Alcotest.list Alcotest.int64) "the newer event ran" [ 100L; 200L; 50L ] (List.rev !fired);
+  Event_queue.cancel eq d;
+  check tint "cancelling what ran does nothing" 0 (Event_queue.pending eq)
+
+(* [run_while] stops as soon as the work it waits for is done, or at its
+   deadline, leaving the clock at the last event it ran. *)
+let test_eq_run_while () =
+  let eq = Event_queue.create () in
+  let fired = ref 0 in
+  List.iter
+    (fun d -> Event_queue.schedule eq ~delay_ns:d (fun () -> incr fired))
+    [ 100L; 200L; 300L; 400L ];
+  let n = Event_queue.run_while eq ~deadline:1_000L (fun () -> !fired < 2) in
+  check tint "ran until the work was done" 2 n;
+  check Alcotest.int64 "clock at the last event run" 200L (Event_queue.now eq);
+  let n = Event_queue.run_while eq ~deadline:350L (fun () -> true) in
+  check tint "never past the deadline" 1 n;
+  check Alcotest.int64 "nor the clock" 300L (Event_queue.now eq);
+  check tint "the rest still pending" 1 (Event_queue.pending eq)
 
 let test_link_percause_counters () =
   let eq = Event_queue.create () in
@@ -753,6 +829,8 @@ let () =
           Alcotest.test_case "budget guard" `Quick test_eq_budget;
           Alcotest.test_case "negative delay" `Quick test_eq_negative_delay_rejected;
           Alcotest.test_case "run until deadline" `Quick test_eq_run_until;
+          Alcotest.test_case "cancel" `Quick test_eq_cancel;
+          Alcotest.test_case "run while busy" `Quick test_eq_run_while;
           QCheck_alcotest.to_alcotest prop_eq_matches_reference;
         ] );
       ( "links",
