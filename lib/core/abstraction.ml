@@ -45,7 +45,7 @@ type physical_pipe = {
 }
 
 type t = {
-  name : string; (* protocol name: "IP", "GRE", "MPLS", "ETH", "VLAN" *)
+  name : string; (* protocol name: "IP", "GRE", "MPLS", "ETH", "VLAN"; opaque to the NM *)
   up : pipe_side option; (* None: module cannot have up pipes *)
   down : pipe_side option;
   physical : physical_pipe list;
@@ -64,6 +64,9 @@ type t = {
   (* advertised forwarding quality; the paper's NM prefers MPLS because "the
      MPLS abstraction mentions that it offers good forwarding bandwidth" *)
   fast_forwarding : bool;
+  (* the module tells the NM when the path it sits on is established (an
+     LSP or a VLAN negotiated end to end) *)
+  reports_completion : bool;
 }
 
 let default =
@@ -83,6 +86,7 @@ let default =
     security = [];
     provides = [];
     fast_forwarding = false;
+    reports_completion = false;
   }
 
 let can_switch t k = List.mem k t.switch
@@ -141,10 +145,13 @@ let to_sexp t =
       Sexp.List (List.map Sexp.atom t.security);
       Sexp.List (List.map Sexp.atom t.provides);
       Sexp.of_bool t.fast_forwarding;
+      Sexp.of_bool t.reports_completion;
     ]
 
 let of_sexp = function
-  | Sexp.List [ name; up; down; phys; peerable; filterable; switch; origin; mcast; perf; trade; enf; sec; prov; fast ] ->
+  | Sexp.List
+      [ name; up; down; phys; peerable; filterable; switch; origin; mcast; perf; trade; enf; sec; prov; fast; reports ]
+    ->
       {
         name = Sexp.to_atom name;
         up = Sexp.to_option side_of_sexp up;
@@ -165,6 +172,7 @@ let of_sexp = function
         security = List.map Sexp.to_atom (Sexp.to_list sec);
         provides = List.map Sexp.to_atom (Sexp.to_list prov);
         fast_forwarding = Sexp.to_bool fast;
+        reports_completion = Sexp.to_bool reports;
       }
   | _ -> raise (Sexp.Parse_error "abstraction")
 

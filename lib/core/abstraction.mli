@@ -32,7 +32,10 @@ type physical_pipe = {
 }
 
 type t = {
-  name : string; (** protocol name: "IP", "GRE", "MPLS", "ETH", "VLAN", … *)
+  name : string;
+      (** protocol name: "IP", "GRE", "MPLS", "ETH", "VLAN", … The NM
+          compares names only with each other (connectable, peerable and
+          header matching), never with a protocol it knows. *)
   up : pipe_side option; (** [None]: cannot have up pipes *)
   down : pipe_side option;
   physical : physical_pipe list;
@@ -51,6 +54,11 @@ type t = {
   fast_forwarding : bool;
       (** the forwarding-bandwidth hint the paper's chooser uses to prefer
           the MPLS path *)
+  reports_completion : bool;
+      (** the module reports a [Completion] to the NM once the path it
+          sits on is established (MPLS and VLAN do); the script names the
+          last such module on the path as its reporter. Carried by the
+          codec, not printed in Tables III/IV. *)
 }
 
 val default : t

@@ -259,6 +259,18 @@ let diagnose_failure t (intent : Intent.t) =
       match Telemetry.diagnose_path tel s.Script_gen.path with d :: _ -> Some d | [] -> None)
   | _ -> None
 
+(* Re-realises an intent that has no script and marks it healthy once its
+   probe passes, logging [healthy]; a failed reconfigure is logged after
+   [failed], if given. *)
+let realise t (intent : Intent.t) ~healthy ~failed =
+  match Nm.reconfigure t.nm intent with
+  | Ok () ->
+      if fst (probe t intent) then begin
+        mark_healthy t intent;
+        log t intent healthy
+      end
+  | Error e -> Option.iter (fun prefix -> log t intent (prefix ^ e)) failed
+
 let reconcile t (intent : Intent.t) =
   match intent.Intent.status with
   | Intent.Retired -> ()
@@ -271,31 +283,16 @@ let reconcile t (intent : Intent.t) =
           log t intent "recovered without intervention"
         end
       end
-      else begin
+      else
         (* escalated after its script was backed out (every reroute failed
            while the network was down): retry the achieve each tick so the
            intent self-revives once a path exists again, instead of waiting
            for an operator *)
-        match Nm.reconfigure t.nm intent with
-        | Ok () ->
-            let ok, _ = probe t intent in
-            if ok then begin
-              mark_healthy t intent;
-              log t intent "recovered: reconfigured after escalation"
-            end
-        | Error _ -> ()
-      end
-  | Intent.Pending -> (
+        realise t intent ~healthy:"recovered: reconfigured after escalation" ~failed:None
+  | Intent.Pending ->
       (* journalled but never realised (NM died mid-achieve, or no path at
          the time): keep trying to configure it *)
-      match Nm.reconfigure t.nm intent with
-      | Ok () ->
-          let ok, _ = probe t intent in
-          if ok then begin
-            mark_healthy t intent;
-            log t intent "configured from journal"
-          end
-      | Error e -> log t intent ("configuration failed: " ^ e))
+      realise t intent ~healthy:"configured from journal" ~failed:(Some "configuration failed: ")
   | Intent.Active
     when (match intent.Intent.spec with Intent.Address _ | Intent.Rate _ -> true | _ -> false) ->
       (* a realised address or rate has nothing to probe, and re-sending it
@@ -303,15 +300,8 @@ let reconcile t (intent : Intent.t) =
          re-sends it *)
       ()
   | Intent.Active | Intent.Degraded -> (
-      if intent.Intent.script = None then (
-        match Nm.reconfigure t.nm intent with
-        | Ok () ->
-            let ok, _ = probe t intent in
-            if ok then begin
-              mark_healthy t intent;
-              log t intent "reconfigured"
-            end
-        | Error e -> log t intent ("reconfiguration failed: " ^ e))
+      if intent.Intent.script = None then
+        realise t intent ~healthy:"reconfigured" ~failed:(Some "reconfiguration failed: ")
       else
         let ok, detail = probe t intent in
         if ok then

@@ -148,6 +148,7 @@ let abstraction () =
     perf_reporting = [ "up_frames"; "up_bytes"; "down_frames"; "down_bytes"; "switched_packets" ];
     (* the hint the paper's path chooser uses to prefer the MPLS path *)
     fast_forwarding = true;
+    reports_completion = true;
   }
 
 (* per adjacency pipe: labelled traffic on the interface below it *)

@@ -634,12 +634,14 @@ let configure_path ?batched t goal path =
   run t;
   script
 
-let devices_of_path (path : Path_finder.path) =
-  List.fold_left
-    (fun acc (v : Path_finder.visit) ->
-      let d = v.Path_finder.v_mod.Ids.dev in
-      if List.mem d acc then acc else d :: acc)
-    [] path.Path_finder.visits
+(* Is the in-flight request one of [script]'s bundles? *)
+let belongs (script : Script_gen.script) (_, dst, msg) =
+  match payload_of msg with
+  | Wire.Bundle { cmds; _ } ->
+      List.exists
+        (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
+        script.Script_gen.per_device
+  | _ -> false
 
 (* Unconfirmed creates of a script being dismantled must never be
    re-issued by a later [flush_inflight]: a create that was lost in flight
@@ -648,15 +650,7 @@ let devices_of_path (path : Path_finder.path) =
    execute and only its ack was lost, the delete reclaims the state; if it
    never executed, the delete is an idempotent no-op. *)
 let cancel_unconfirmed t (script : Script_gen.script) =
-  let belongs (_, dst, msg) =
-    match payload_of msg with
-    | Wire.Bundle { cmds; _ } ->
-        List.exists
-          (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
-          script.Script_gen.per_device
-    | _ -> false
-  in
-  let victims, keep = List.partition belongs t.inflight in
+  let victims, keep = List.partition (belongs script) t.inflight in
   t.inflight <- keep;
   (* the standby replicated these sends as re-issue candidates; a cancel
      is as final as a confirm, so tell it — otherwise a promotion replays
@@ -717,9 +711,11 @@ let achieve_raw ?(configure = true) ?(exclude = []) ?(avoid = []) t goal =
           let down_before = Topology.unreachable t.topo in
           let script = configure_path t goal path in
           let newly_down =
-            List.filter
-              (fun d -> List.mem d (devices_of_path path) && not (List.mem d down_before))
-              (Topology.unreachable t.topo)
+            match List.filter (fun d -> not (List.mem d down_before)) (Topology.unreachable t.topo) with
+            | [] -> []
+            | down ->
+                let on_path = Path_finder.devices path in
+                List.filter (fun d -> List.mem d on_path) down
           in
           if newly_down = [] then Ok (completed, path, script)
           else begin
@@ -850,26 +846,9 @@ let teardown t (script : Script_gen.script) =
 
 (* --- layer-2 (VLAN) goals: figure 9 ------------------------------------------
 
-   Connect two customer-facing ETH modules across a chain of layer-2
-   switches by creating VLAN pipes; the VID is negotiated by the modules. *)
-
-let eth_module_of t dev =
-  Topology.modules_of_device t.topo dev
-  |> List.find_map (fun ((m : Ids.t), (a : Abstraction.t)) ->
-         if a.Abstraction.name = "ETH" then Some m else None)
-
-let vlan_module_of t dev =
-  Topology.modules_of_device t.topo dev
-  |> List.find_map (fun ((m : Ids.t), (a : Abstraction.t)) ->
-         if a.Abstraction.name = "VLAN" then Some m else None)
-
-(* The physical pipe id an ETH module advertises towards a peer device. *)
-let phys_pipe_towards t (eth : Ids.t) peer_dev =
-  let a = Topology.find_module_exn t.topo eth in
-  List.find_map
-    (fun (p : Abstraction.physical_pipe) ->
-      if p.Abstraction.peer_device = peer_dev then Some p.Abstraction.phys_id else None)
-    a.Abstraction.physical
+   Connect two customer-facing modules across a chain of two or more
+   layer-2 switches by creating VLAN pipes; the VID is negotiated by the
+   modules. *)
 
 (* The physical pipe facing outside the managed scope: the customer port. *)
 let customer_phys t (eth : Ids.t) ~scope =
@@ -879,6 +858,9 @@ let customer_phys t (eth : Ids.t) ~scope =
       if not (List.mem p.Abstraction.peer_device scope) then Some p.Abstraction.phys_id else None)
     a.Abstraction.physical
 
+(* Each switch of the chain contributes its physical-facing module
+   towards a chain neighbour and the module the potential graph puts
+   above that one. *)
 let achieve_l2_raw ?(configure = true) t ~scope ~from_eth ~to_eth =
   match
     Topology.device_walk t.topo
@@ -886,166 +868,104 @@ let achieve_l2_raw ?(configure = true) t ~scope ~from_eth ~to_eth =
       ~src:from_eth.Ids.dev ~dst:to_eth.Ids.dev
   with
   | None -> Error "no layer-2 chain between the switches"
+  | Some ([] | [ _ ]) -> Error "a layer-2 goal needs two switches"
   | Some chain -> (
-      let vlans = List.filter_map (vlan_module_of t) chain in
-      let eths = List.filter_map (eth_module_of t) chain in
-      if List.length vlans <> List.length chain || List.length eths <> List.length chain then
-        Error "chain devices lack ETH/VLAN modules"
-      else
-        let vlan_arr = Array.of_list vlans and eth_arr = Array.of_list eths in
-        let n = Array.length vlan_arr in
-        let counter = ref 0 in
-        let fresh () =
-          incr counter;
-          Printf.sprintf "P%d" !counter
+      let graph = Topology.graph t.topo in
+      let devs = Array.of_list chain in
+      let n = Array.length devs in
+      let get = function Some x -> x | None -> raise Exit in
+      match
+        let facing i j =
+          get (Potential_graph.facing (Potential_graph.modules_of graph devs.(i)) devs.(j))
         in
-        (* customer pipes at the two ends: top ETH, bottom VLAN, peered with
-           the far end (figure 9(b) P1) *)
-        let cust_a =
-          {
-            Primitive.pipe_id = fresh ();
-            top = eth_arr.(0);
-            bottom = vlan_arr.(0);
-            peer_top = Some eth_arr.(n - 1);
-            peer_bottom = Some vlan_arr.(n - 1);
-            tradeoffs = [];
-            deps = [];
-          }
-        in
-        let cust_c =
-          {
-            Primitive.pipe_id = fresh ();
-            top = eth_arr.(n - 1);
-            bottom = vlan_arr.(n - 1);
-            peer_top = Some eth_arr.(0);
-            peer_bottom = Some vlan_arr.(0);
-            tradeoffs = [];
-            deps = [];
-          }
-        in
-        (* trunk pipes: per adjacent switch pair, one pipe on each side
-           (top VLAN, bottom ETH), peered with the neighbour (fig 9(b) P2) *)
-        let trunks =
-          List.concat
-            (List.init (n - 1) (fun i ->
-                 let left =
-                   {
-                     Primitive.pipe_id = fresh ();
-                     top = vlan_arr.(i);
-                     bottom = eth_arr.(i);
-                     peer_top = Some vlan_arr.(i + 1);
-                     peer_bottom = Some eth_arr.(i + 1);
-                     tradeoffs = [];
-                     deps = [];
-                   }
-                 in
-                 let right =
-                   {
-                     Primitive.pipe_id = fresh ();
-                     top = vlan_arr.(i + 1);
-                     bottom = eth_arr.(i + 1);
-                     peer_top = Some vlan_arr.(i);
-                     peer_bottom = Some eth_arr.(i);
-                     tradeoffs = [];
-                     deps = [];
-                   }
-                 in
-                 [ ((i, `Left), left); ((i, `Right), right) ]))
-        in
-        let trunk side i = List.assoc (i, side) trunks in
-        let chain_arr = Array.of_list chain in
-        match
-          ( customer_phys t eth_arr.(0) ~scope,
-            customer_phys t eth_arr.(n - 1) ~scope )
-        with
-        | Some p0_a, Some p0_c ->
-            let prims = ref [] in
-            let add p = prims := !prims @ [ p ] in
-            add (Primitive.Create_pipe cust_a);
-            add (Primitive.Create_pipe cust_c);
-            List.iter (fun (_, sp) -> add (Primitive.Create_pipe sp)) trunks;
-            (* switch rules at the end switches (figure 9(b)) *)
-            let end_rules eth cust_pipe p0 =
-              add
-                (Primitive.Create_switch
-                   {
-                     owner = eth;
-                     rule =
-                       Primitive.Directed
-                         { from_pipe = p0; to_pipe = cust_pipe; sel = Primitive.Tagged };
-                   });
-              add
-                (Primitive.Create_switch
-                   {
-                     owner = eth;
-                     rule = Primitive.Directed { from_pipe = cust_pipe; to_pipe = p0; sel = Primitive.Any };
-                   })
-            in
-            end_rules eth_arr.(0) cust_a.Primitive.pipe_id p0_a;
-            end_rules eth_arr.(n - 1) cust_c.Primitive.pipe_id p0_c;
-            (* VLAN switch rules and trunk hand-off rules *)
-            add
-              (Primitive.Create_switch
-                 {
-                   owner = vlan_arr.(0);
-                   rule = Primitive.Bidi (cust_a.Primitive.pipe_id, (trunk `Left 0).Primitive.pipe_id);
-                 });
-            add
-              (Primitive.Create_switch
-                 {
-                   owner = vlan_arr.(n - 1);
-                   rule =
-                     Primitive.Bidi (cust_c.Primitive.pipe_id, (trunk `Right (n - 2)).Primitive.pipe_id);
-                 });
-            for i = 1 to n - 2 do
-              add
-                (Primitive.Create_switch
-                   {
-                     owner = vlan_arr.(i);
-                     rule =
-                       Primitive.Bidi
-                         ((trunk `Right (i - 1)).Primitive.pipe_id, (trunk `Left i).Primitive.pipe_id);
-                   })
-            done;
-            (* bind trunk pipes to their physical ports *)
-            for i = 0 to n - 2 do
-              (match phys_pipe_towards t eth_arr.(i) chain_arr.(i + 1) with
-              | Some phys ->
-                  add
-                    (Primitive.Create_switch
-                       {
-                         owner = eth_arr.(i);
-                         rule = Primitive.Bidi ((trunk `Left i).Primitive.pipe_id, phys);
-                       })
-              | None -> ());
-              match phys_pipe_towards t eth_arr.(i + 1) chain_arr.(i) with
-              | Some phys ->
-                  add
-                    (Primitive.Create_switch
-                       {
-                         owner = eth_arr.(i + 1);
-                         rule = Primitive.Bidi ((trunk `Right i).Primitive.pipe_id, phys);
-                       })
-              | None -> ()
-            done;
-            let per_device =
-              List.map (fun d -> (d, List.filter (fun p -> Primitive.target p = d) !prims)) chain
-            in
-            let script =
-              {
-                Script_gen.prims = !prims;
-                per_device;
-                reporter = Some vlan_arr.(n - 1);
-                path = { Path_finder.visits = [] };
-              }
-            in
-            if configure then begin
-              t.active_scripts <- script :: t.active_scripts;
-              send_script t script;
-              run t
-            end;
-            Ok script
-        | _ -> Error "could not locate the customer-facing ports")
+        let eth = Array.init n (fun i -> fst (facing i (if i = 0 then 1 else i - 1))) in
+        let above m = match Potential_graph.above graph m with v :: _ -> v | [] -> raise Exit in
+        (* the ports at the two ends of the trunk between switches i and i + 1 *)
+        let ports = Array.init (n - 1) (fun i -> (snd (facing i (i + 1)), snd (facing (i + 1) i))) in
+        (eth, Array.map above eth, ports)
+      with
+      | exception Exit -> Error "a chain switch lacks a physical-facing module with one above it"
+      | eth, vlan, ports -> (
+          match (customer_phys t eth.(0) ~scope, customer_phys t eth.(n - 1) ~scope) with
+          | Some p0_a, Some p0_c ->
+              let pipe k ~top ~bottom ~peer_top ~peer_bottom =
+                {
+                  Primitive.pipe_id = Printf.sprintf "P%d" k;
+                  top;
+                  bottom;
+                  peer_top = Some peer_top;
+                  peer_bottom = Some peer_bottom;
+                  tradeoffs = [];
+                  deps = [];
+                }
+              in
+              (* customer pipes at the two ends: top ETH, bottom VLAN, peered
+                 with the far end (figure 9(b) P1) *)
+              let cust_a =
+                pipe 1 ~top:eth.(0) ~bottom:vlan.(0) ~peer_top:eth.(n - 1) ~peer_bottom:vlan.(n - 1)
+              and cust_c =
+                pipe 2 ~top:eth.(n - 1) ~bottom:vlan.(n - 1) ~peer_top:eth.(0) ~peer_bottom:vlan.(0)
+              in
+              (* trunk pipes: per adjacent switch pair, one pipe on each side
+                 (top VLAN, bottom ETH), peered with the neighbour (fig 9(b) P2) *)
+              let left i =
+                pipe (3 + (2 * i)) ~top:vlan.(i) ~bottom:eth.(i) ~peer_top:vlan.(i + 1)
+                  ~peer_bottom:eth.(i + 1)
+              and right i =
+                pipe (4 + (2 * i)) ~top:vlan.(i + 1) ~bottom:eth.(i + 1) ~peer_top:vlan.(i)
+                  ~peer_bottom:eth.(i)
+              in
+              let id p = p.Primitive.pipe_id in
+              let switch owner rule = Primitive.Create_switch { owner; rule } in
+              let bidi owner a b = switch owner (Primitive.Bidi (a, b)) in
+              (* switch rules at the end switches (figure 9(b)) *)
+              let end_rules eth cust p0 =
+                [
+                  switch eth
+                    (Primitive.Directed { from_pipe = p0; to_pipe = id cust; sel = Primitive.Tagged });
+                  switch eth
+                    (Primitive.Directed { from_pipe = id cust; to_pipe = p0; sel = Primitive.Any });
+                ]
+              in
+              let trunks = List.init (n - 1) Fun.id in
+              let prims =
+                List.map
+                  (fun p -> Primitive.Create_pipe p)
+                  (cust_a :: cust_c :: List.concat_map (fun i -> [ left i; right i ]) trunks)
+                @ end_rules eth.(0) cust_a p0_a
+                @ end_rules eth.(n - 1) cust_c p0_c
+                (* VLAN switch rules and trunk hand-off rules *)
+                @ bidi vlan.(0) (id cust_a) (id (left 0))
+                  :: bidi vlan.(n - 1) (id cust_c) (id (right (n - 2)))
+                  :: List.init (n - 2) (fun k ->
+                         bidi vlan.(k + 1) (id (right k)) (id (left (k + 1))))
+                (* bind trunk pipes to their physical ports *)
+                @ List.concat_map
+                    (fun i ->
+                      [
+                        bidi eth.(i) (id (left i)) (fst ports.(i));
+                        bidi eth.(i + 1) (id (right i)) (snd ports.(i));
+                      ])
+                    trunks
+              in
+              let per_device =
+                List.map (fun d -> (d, List.filter (fun p -> Primitive.target p = d) prims)) chain
+              in
+              let script =
+                {
+                  Script_gen.prims;
+                  per_device;
+                  reporter = Some vlan.(n - 1);
+                  path = { Path_finder.visits = [] };
+                }
+              in
+              if configure then begin
+                t.active_scripts <- script :: t.active_scripts;
+                send_script t script;
+                run t
+              end;
+              Ok script
+          | _ -> Error "could not locate the customer-facing ports"))
 
 let achieve_l2 ?(configure = true) t ~scope ~from_eth ~to_eth =
   if not configure then achieve_l2_raw ~configure:false t ~scope ~from_eth ~to_eth
@@ -1283,15 +1203,5 @@ let run_script t (script : Script_gen.script) =
   t.active_scripts <- script :: t.active_scripts;
   send_script t script
 
-(* Is any of [script]'s bundles still awaiting confirmation? Uses the same
-   slice-matching predicate as [cancel_unconfirmed]. *)
-let script_pending t (script : Script_gen.script) =
-  List.exists
-    (fun (_, dst, msg) ->
-      match payload_of msg with
-      | Wire.Bundle { cmds; _ } ->
-          List.exists
-            (fun (dev, prims) -> dev = dst && prims <> [] && cmds = prims)
-            script.Script_gen.per_device
-      | _ -> false)
-    t.inflight
+(* Is any of [script]'s bundles still awaiting confirmation? *)
+let script_pending t (script : Script_gen.script) = List.exists (belongs script) t.inflight

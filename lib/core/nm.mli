@@ -133,8 +133,12 @@ val achieve_l2 :
   from_eth:Ids.t ->
   to_eth:Ids.t ->
   (Script_gen.script, string) result
-(** The figure-9 layer-2 goal: bridge two customer-facing ETH modules
-    across a chain of switches with a negotiated VLAN tunnel. *)
+(** The figure-9 layer-2 goal: bridge two customer-facing modules across
+    a chain of switches with a negotiated VLAN tunnel. On each switch the
+    script uses the physical-facing module towards a chain neighbour
+    ({!Potential_graph.facing}) and the module the potential graph puts
+    above it. Two ends on one switch leave no trunk to build:
+    [Error "a layer-2 goal needs two switches"]. *)
 
 val assign_address : t -> target:Ids.t -> addr:string -> plen:int -> unit
 (** Assigns an address to an IP module (the paper's DHCP-like exception to

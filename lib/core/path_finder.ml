@@ -1,13 +1,19 @@
 (* The NM's path finder (§III-C.1): a depth-first traversal of the
    potential-connectivity graph that tracks encapsulation and
    decapsulation so only protocol-"sane" paths survive, and prunes paths
-   that would peer IP modules from different address domains (figure 6).
+   that would peer modules from different address domains (figure 6).
 
    A path is the sequence of modules customer traffic crosses between the
-   two customer-facing ETH modules of the goal. Customer traffic itself is
-   modelled as two base headers (the customer's Ethernet frame and IP
-   packet): [phy=>up] at the first module pops the base Ethernet header,
-   and the final [up=>phy] at the target restores it. *)
+   goal's two customer-facing modules. The traversal carries the traffic's
+   header stack, and each step acts on its top by the switch kind it
+   takes: [up=>down] and [up=>phy] push the module's own header, [down=>up]
+   and [phy=>up] pop it, [down=>down] and [phy=>phy] inspect it. A header
+   is named after the module that pushed it, and a module acts only on a
+   header bearing its own name, so no protocol is named here. Customer
+   traffic is the stack's two bottom entries: the customer's frame, named
+   after [g_from]'s protocol, popped at [g_from] and pushed back out at
+   the target; and the customer's packet, named after the modules serving
+   the customer's address domain, which no module terminates. *)
 
 type action = Push | Pop | Inspect
 
@@ -15,13 +21,13 @@ type visit = {
   v_mod : Ids.t;
   v_kind : Abstraction.switch_kind;
   v_action : action;
-  v_chain : int; (* 0 = base ETH, 1 = base (customer) IP, >=2 pushed headers *)
+  v_chain : int; (* 0 = the customer's frame, 1 = its packet, >=2 pushed headers *)
 }
 
 type path = { visits : visit list }
 
 type goal = {
-  g_from : Ids.t; (* customer-facing ETH module at the source site *)
+  g_from : Ids.t; (* customer-facing module at the source site *)
   g_to : Ids.t;
   g_customer : string; (* address domain of the customer, e.g. "C1" *)
   g_src_domain : string; (* e.g. "C1-S1" *)
@@ -37,7 +43,8 @@ let base_ip = 1
 
 type entry = From_phy | From_above | From_below
 
-(* a pushed header on the logical stack *)
+(* a header on the traffic's stack: its chain, the protocol of the module
+   that pushed it and that module's address domain *)
 type hdr = { h_chain : int; h_proto : string; h_domain : string option }
 
 (* --- the search's view of the index ---------------------------------------------------
@@ -87,7 +94,6 @@ type dfs_state = {
   graph : Potential_graph.t;
   free : Bytes.t; (* the view's mask, cleared along the partial path *)
   target : int;
-  customer_ip : hdr; (* the customer's packet, outermost once its frame is popped *)
   prune_domains : bool;
   mutable next_chain : int;
   mutable expanded : int;
@@ -99,96 +105,108 @@ type dfs_state = {
          of fast-forwarding modules *)
 }
 
-let customer_eth = { h_chain = base_eth; h_proto = "ETH"; h_domain = None }
-
-(* What the traversal sees as the outermost header. *)
-let logical_top st stack ~eth_missing =
-  match stack with h :: _ -> h | [] -> if eth_missing then st.customer_ip else customer_eth
-
+(* Figure 6(b): a module handles a header only within one address domain.
+   A header carries the domain of the module that pushed it (the
+   customer's packet the customer's), and a module the NM knows no domain
+   for handles only headers that carry none. *)
 let domain_compatible st (node : Potential_graph.node) hdr =
-  if (not st.prune_domains) || hdr.h_proto <> "IP" then true
-  else
-    match (hdr.h_domain, node.domain) with
-    | Some a, Some b -> a = b
-    | _ -> false (* IP modules without domain knowledge cannot be placed *)
+  (not st.prune_domains)
+  ||
+  match (hdr.h_domain, node.domain) with
+  | None, None -> true
+  | Some a, Some b -> String.equal a b
+  | Some _, None | None, Some _ -> false
+
+(* Is [h] the module's own header, in its address domain? *)
+let mine st (node : Potential_graph.node) h =
+  String.equal h.h_proto node.abs.Abstraction.name && domain_compatible st node h
 
 (* every transition but a physical hop instantiates a pipe *)
 let pipes_after kind pipes =
   match kind with Abstraction.Up_phy | Abstraction.Phy_phy -> pipes | _ -> pipes + 1
 
-let rec step st ~pos ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast =
+let visit (node : Potential_graph.node) kind action chain acc =
+  { v_mod = node.id; v_kind = kind; v_action = action; v_chain = chain } :: acc
+
+let rec step st ~pos ~entry ~stack ~acc ~depth ~pipes ~fast =
   st.expanded <- st.expanded + 1;
   let node : Potential_graph.node = Potential_graph.node st.graph pos in
-  let abs = node.abs in
-  let fast = if abs.Abstraction.fast_forwarding then fast + 1 else fast in
-  let visit kind action chain =
-    { v_mod = node.id; v_kind = kind; v_action = action; v_chain = chain } :: acc
-  in
-  (* take [kind] here, then try each of [mods], entered as [entry] *)
-  let next kind action chain ~entry ~stack ~eth_missing mods =
-    go st ~entry ~stack ~eth_missing ~acc:(visit kind action chain) ~depth:(depth + 1)
-      ~pipes:(pipes_after kind pipes) ~fast mods
-  in
+  let fast = if node.abs.Abstraction.fast_forwarding then fast + 1 else fast in
   let was_free = Bytes.unsafe_get st.free pos in
   Bytes.unsafe_set st.free pos '\000';
-  (* goal completion: at the target ETH module, entered from above, with all
-     transit encapsulations undone — push the customer frame back out. *)
-  if
-    pos = st.target && entry = From_above && stack = [] && eth_missing
-    && Abstraction.can_switch abs Abstraction.Up_phy
-  then st.complete (List.rev (visit Abstraction.Up_phy Push base_eth)) ~pipes ~fast
-  else
-    List.iter
-      (fun kind ->
-        match (kind, entry) with
-        | Abstraction.Phy_up, From_phy -> (
-            match stack with
-            | h :: rest when h.h_proto = "ETH" ->
-                next kind Pop h.h_chain ~entry:From_below ~stack:rest ~eth_missing node.above
-            | _ :: _ -> ()
-            | [] ->
-                if not eth_missing then
-                  (* popping the customer's own frame: path entry *)
-                  next kind Pop base_eth ~entry:From_below ~stack ~eth_missing:true node.above)
-        | Abstraction.Phy_phy, From_phy ->
-            let h = logical_top st stack ~eth_missing in
-            if h.h_proto = "ETH" then
-              next kind Inspect h.h_chain ~entry:From_phy ~stack ~eth_missing node.phys
-        | Abstraction.Down_up, From_below -> (
-            match stack with
-            | h :: rest when h.h_proto = abs.Abstraction.name && domain_compatible st node h ->
-                next kind Pop h.h_chain ~entry:From_below ~stack:rest ~eth_missing node.above
-            | _ -> () (* base headers are never terminated mid-path *))
-        | Abstraction.Down_down, From_below ->
-            let h = logical_top st stack ~eth_missing in
-            if h.h_proto = abs.Abstraction.name && domain_compatible st node h then
-              next kind Inspect h.h_chain ~entry:From_above ~stack ~eth_missing node.below
-        | Abstraction.Up_down, From_above ->
-            st.next_chain <- st.next_chain + 1;
-            let h =
-              { h_chain = st.next_chain; h_proto = abs.Abstraction.name; h_domain = node.domain }
-            in
-            next kind Push h.h_chain ~entry:From_above ~stack:(h :: stack) ~eth_missing node.below
-        | Abstraction.Up_phy, From_above ->
-            st.next_chain <- st.next_chain + 1;
-            let h = { h_chain = st.next_chain; h_proto = "ETH"; h_domain = None } in
-            next kind Push h.h_chain ~entry:From_phy ~stack:(h :: stack) ~eth_missing node.phys
-        | Abstraction.Up_up, _ ->
-            (* loopback switching creates no inter-device paths; skipped *)
-            ()
-        | ( ( Abstraction.Phy_up | Abstraction.Phy_phy | Abstraction.Down_up
-            | Abstraction.Down_down | Abstraction.Up_down | Abstraction.Up_phy ),
-            _ ) ->
-            ())
-      abs.Abstraction.switch;
+  (match stack with
+  | [ _ ]
+    when pos = st.target && entry = From_above
+         && Abstraction.can_switch node.abs Abstraction.Up_phy ->
+      (* goal completion: at the target, entered from above, with every
+         header but the customer's packet undone — push the customer's
+         frame back out *)
+      st.complete (List.rev (visit node Abstraction.Up_phy Push base_eth acc)) ~pipes ~fast
+  | _ -> switch st node ~entry ~stack ~acc ~depth ~pipes ~fast node.abs.Abstraction.switch);
   Bytes.unsafe_set st.free pos was_free
 
-and go st ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast mods =
+(* Tries each of the module's switch kinds in turn. A kind takes the
+   traffic that enters from its first side. *)
+and switch st node ~entry ~stack ~acc ~depth ~pipes ~fast = function
+  | [] -> ()
+  | kind :: kinds ->
+      (match (kind, entry) with
+      | (Abstraction.Phy_up, From_phy | Abstraction.Down_up, From_below) -> (
+          (* pop the module's header, never the customer's packet *)
+          match stack with
+          | h :: (_ :: _ as rest) when mine st node h ->
+              next st node ~acc ~depth ~pipes ~fast kind Pop h.h_chain ~stack:rest
+          | _ -> ())
+      | (Abstraction.Phy_phy, From_phy | Abstraction.Down_down, From_below) -> (
+          match stack with
+          | h :: _ when mine st node h ->
+              next st node ~acc ~depth ~pipes ~fast kind Inspect h.h_chain ~stack
+          | _ -> ())
+      | (Abstraction.Up_down | Abstraction.Up_phy), From_above ->
+          st.next_chain <- st.next_chain + 1;
+          let h =
+            { h_chain = st.next_chain; h_proto = node.abs.Abstraction.name; h_domain = node.domain }
+          in
+          next st node ~acc ~depth ~pipes ~fast kind Push h.h_chain ~stack:(h :: stack)
+      | Abstraction.Up_up, _ ->
+          (* loopback switching creates no inter-device paths; skipped *)
+          ()
+      | ( ( Abstraction.Phy_up | Abstraction.Phy_phy | Abstraction.Down_up
+          | Abstraction.Down_down | Abstraction.Up_down | Abstraction.Up_phy ),
+          _ ) ->
+          ());
+      switch st node ~entry ~stack ~acc ~depth ~pipes ~fast kinds
+
+(* Takes [kind] here and tries each module it leads to, entered from the
+   side it leaves by. *)
+and next st node ~acc ~depth ~pipes ~fast kind action chain ~stack =
+  let acc = visit node kind action chain acc and depth = depth + 1 in
+  let pipes = pipes_after kind pipes in
+  match kind with
+  | Abstraction.Phy_up | Abstraction.Down_up ->
+      go st ~entry:From_below ~stack ~acc ~depth ~pipes ~fast node.above
+  | Abstraction.Down_down | Abstraction.Up_down ->
+      go st ~entry:From_above ~stack ~acc ~depth ~pipes ~fast node.below
+  | Abstraction.Phy_phy | Abstraction.Up_phy ->
+      go st ~entry:From_phy ~stack ~acc ~depth ~pipes ~fast node.phys
+  | Abstraction.Up_up -> ()
+
+and go st ~entry ~stack ~acc ~depth ~pipes ~fast mods =
   for i = 0 to Array.length mods - 1 do
     let m = mods.(i) in
     if Bytes.unsafe_get st.free m = '\001' && st.admit m ~depth ~pipes then
-      step st ~pos:m ~entry ~stack ~eth_missing ~acc ~depth ~pipes ~fast
+      step st ~pos:m ~entry ~stack ~acc ~depth ~pipes ~fast
   done
+
+(* The protocol of the modules serving address domain [d], as they name
+   it; "" (no module's) when the NM knows none. *)
+let rec serving graph d e =
+  if e >= Potential_graph.size graph then ""
+  else
+    let node : Potential_graph.node = Potential_graph.node graph e in
+    match node.domain with
+    | Some d' when String.equal d d' -> node.abs.Abstraction.name
+    | _ -> serving graph d (e + 1)
 
 (* Runs from [g_from]; the root stays on the path throughout, so the
    search never steps back onto it. The traversal leaves the view's mask
@@ -199,7 +217,6 @@ let traverse ?(prune_domains = true) (v : view) goal ~admit ~complete =
       graph = v.graph;
       free = v.free;
       target = v.target;
-      customer_ip = { h_chain = base_ip; h_proto = "IP"; h_domain = Some goal.g_customer };
       prune_domains;
       next_chain = base_ip;
       expanded = 0;
@@ -207,8 +224,20 @@ let traverse ?(prune_domains = true) (v : view) goal ~admit ~complete =
       complete;
     }
   in
-  step st ~pos:v.from ~entry:From_phy ~stack:[] ~eth_missing:false ~acc:[] ~depth:0 ~pipes:0
-    ~fast:0;
+  let frame =
+    {
+      h_chain = base_eth;
+      h_proto = (Potential_graph.node v.graph v.from).abs.Abstraction.name;
+      h_domain = None;
+    }
+  and packet =
+    {
+      h_chain = base_ip;
+      h_proto = serving v.graph goal.g_customer 0;
+      h_domain = Some goal.g_customer;
+    }
+  in
+  step st ~pos:v.from ~entry:From_phy ~stack:[ frame; packet ] ~acc:[] ~depth:0 ~pipes:0 ~fast:0;
   st.expanded
 
 type search = { completed : path list; expanded : int }
@@ -247,6 +276,15 @@ let find_hierarchical ?prune_domains topo goal =
   | Some devices ->
       (* restrict the module-level search to the chosen device walk *)
       find ?prune_domains topo { goal with g_scope = devices }
+
+(* The devices a path visits, in the order it first reaches them. *)
+let devices path =
+  List.rev
+    (List.fold_left
+       (fun acc v ->
+         let d = v.v_mod.Ids.dev in
+         if List.mem d acc then acc else d :: acc)
+       [] path.visits)
 
 (* The paper's rendering: "a, g, l, h, b, c, i, d, e, j, n, k, f". *)
 let signature path = String.concat ", " (List.map (fun v -> Ids.short v.v_mod) path.visits)

@@ -2,8 +2,10 @@
 
     A depth-first traversal of the potential-connectivity graph that tracks
     encapsulation and decapsulation so only protocol-"sane" paths survive
-    (figure 6(a)), and prunes paths that would peer IP modules from
-    different address domains (figure 6(b)). On the figure-4 testbed it
+    (figure 6(a)), and prunes paths that would peer modules from
+    different address domains (figure 6(b)). It names no protocol: a
+    header is named after the module that pushed it, and only a module of
+    that name pops or inspects it. On the figure-4 testbed it
     enumerates exactly the paper's nine paths.
 
     Every search ({!enumerate}, {!find}, {!find_hierarchical}, {!best},
@@ -30,12 +32,16 @@ type visit = {
 
 type path = { visits : visit list }
 
-(** A high-level connectivity goal: connect two customer-facing ETH modules
+(** A high-level connectivity goal: connect two customer-facing modules
     for traffic between two customer sites (§III-C). *)
 type goal = {
-  g_from : Ids.t; (** customer-facing ETH module at the source site *)
+  g_from : Ids.t;
+      (** customer-facing module at the source site; the customer's frame
+          is named after its protocol *)
   g_to : Ids.t;
-  g_customer : string; (** customer address domain, e.g. "C1" *)
+  g_customer : string;
+      (** customer address domain, e.g. "C1"; the customer's packet is
+          named after the protocol of the modules serving it *)
   g_src_domain : string; (** e.g. "C1-S1" *)
   g_dst_domain : string;
   g_src_site : string; (** e.g. "S1" *)
@@ -45,12 +51,12 @@ type goal = {
 }
 
 val base_eth : int
-(** Chain id of the customer's Ethernet frame (popped at entry, restored at
-    the exit module). *)
+(** Chain id of the customer's frame (popped at entry, restored at the
+    exit module). *)
 
 val base_ip : int
-(** Chain id of the customer's IP packet (inspected by the edge IP
-    modules, never terminated mid-path). *)
+(** Chain id of the customer's packet (inspected by the customer-edge
+    modules, never terminated). *)
 
 (** What one traversal did. *)
 type search = {
@@ -72,6 +78,9 @@ val find_hierarchical : ?prune_domains:bool -> Topology.t -> goal -> path list
 (** The paper's scalability suggestion (§III-C.3): find a device-level walk
     first (BFS over physical links), then the module-level paths restricted
     to it. *)
+
+val devices : path -> string list
+(** The devices [path] visits, in the order it first reaches them. *)
 
 val signature : path -> string
 (** The paper's rendering: ["a, g, l, h, b, c, i, d, e, j, n, k, f"]. *)

@@ -1,7 +1,8 @@
 (* The potential-connectivity graph (§III-C.1, figure 5): which up-down
    pipes could exist between the modules of each device, and which physical
-   pipes connect ETH modules across devices. Derived purely from the
-   abstractions returned by showPotential.
+   pipes connect physical-facing modules across devices. Derived purely
+   from the abstractions returned by showPotential: a module is
+   physical-facing when it advertises physical pipes, whatever its name.
 
    The [_in] functions are the one definition of the edges: they read a
    device's module list as given. [build] numbers every module once and
@@ -24,27 +25,33 @@ let above_in modules (m : Ids.t) am =
     (fun (other, a) -> if (not (Ids.equal other m)) && connectable a am then Some other else None)
     modules
 
-(* Physical neighbours of an ETH module: (phys pipe id, remote ETH module,
-   remote phys pipe id). The remote module is the ETH module of the peer
-   device that lists the peer port among its physical pipes. *)
+let rec pipe_to peer = function
+  | [] -> None
+  | (p : Abstraction.physical_pipe) :: ps ->
+      if String.equal p.Abstraction.peer_device peer then Some p.Abstraction.phys_id
+      else pipe_to peer ps
+
+(* The physical-facing module of [modules] towards device [peer]: the
+   first that advertises a physical pipe to it, with that pipe's id. *)
+let rec facing modules peer =
+  match modules with
+  | [] -> None
+  | (m, (a : Abstraction.t)) :: rest -> (
+      match pipe_to peer a.Abstraction.physical with
+      | Some phys -> Some (m, phys)
+      | None -> facing rest peer)
+
+(* Physical neighbours of a physical-facing module: (phys pipe id, remote
+   module, remote phys pipe id). The remote module is the peer device's
+   module facing [m]'s device. *)
 let phys_in ~modules_of (m : Ids.t) (am : Abstraction.t) =
-  let facing_us (q : Abstraction.physical_pipe) = q.Abstraction.peer_device = m.Ids.dev in
   List.filter_map
     (fun (p : Abstraction.physical_pipe) ->
       if p.Abstraction.peer_device = "" then None
       else
-        modules_of p.Abstraction.peer_device
-        |> List.find_map (fun (other, a) ->
-               if a.Abstraction.name = "ETH" && List.exists facing_us a.Abstraction.physical then
-                 (* the remote module's phys pipe id facing us *)
-                 let remote_phys =
-                   List.find_map
-                     (fun (q : Abstraction.physical_pipe) ->
-                       if facing_us q then Some q.Abstraction.phys_id else None)
-                     a.Abstraction.physical
-                 in
-                 Some (p.Abstraction.phys_id, other, Option.value ~default:"" remote_phys)
-               else None))
+        match facing (modules_of p.Abstraction.peer_device) m.Ids.dev with
+        | Some (remote, remote_phys) -> Some (p.Abstraction.phys_id, remote, remote_phys)
+        | None -> None)
     am.Abstraction.physical
 
 (* --- the index ----------------------------------------------------------------
@@ -148,11 +155,9 @@ let node g e = g.nodes.(e)
 let entry g m = Hashtbl.find_opt g.entries m
 
 let entry_exn g m =
-  match Hashtbl.find_opt g.entries m with
-  | Some e -> e
-  | None -> failwith (Fmt.str "topology: unknown module %a" Ids.pp m)
-
-let find g m = Option.map (fun e -> g.nodes.(e).abs) (entry g m)
+  match Hashtbl.find g.entries m with
+  | e -> e
+  | exception Not_found -> failwith (Fmt.str "topology: unknown module %a" Ids.pp m)
 
 let modules_of g dev =
   match Hashtbl.find_opt g.devices dev with Some d -> d.d_modules | None -> []
@@ -160,7 +165,9 @@ let modules_of g dev =
 let device_entries g dev =
   match Hashtbl.find_opt g.devices dev with Some d -> d.d_entries | None -> [||]
 
-let below g m = Array.to_list (Array.map (fun e -> g.nodes.(e).id) g.nodes.(entry_exn g m).below)
+let ids g entries = Array.to_list (Array.map (fun e -> g.nodes.(e).id) entries)
+let above g m = ids g g.nodes.(entry_exn g m).above
+let below g m = ids g g.nodes.(entry_exn g m).below
 
 let phys_neighbours g m = phys_in ~modules_of:(modules_of g) m g.nodes.(entry_exn g m).abs
 

@@ -6,7 +6,7 @@
 type script = {
   prims : Primitive.t list; (* full script in path order *)
   per_device : (string * Primitive.t list) list; (* grouped, order preserved *)
-  reporter : Ids.t option; (* module that reports completion (MPLS/VLAN) *)
+  reporter : Ids.t option; (* the last module on the path that reports completion *)
   path : Path_finder.path;
 }
 
@@ -41,22 +41,22 @@ let chains visits =
 
 type pipe_info = { pi_id : string; pi_spec : Primitive.pipe_spec option (* None for phys *) }
 
+(* The abstraction of a module on the path. *)
+let abstraction graph m = (Potential_graph.node graph (Potential_graph.entry_exn graph m)).abs
+
 (* Dependencies the bottom module declares for its up pipes, resolved to
    same-device modules advertising that they provide them (§II-F): e.g. an
    ESP module's "esp-keys" dependency resolves to the local IKE module. *)
-let resolve_deps graph (bottom : Ids.t) =
-  match Potential_graph.find graph bottom with
+let resolve_deps graph (bottom : Ids.t) (a : Abstraction.t) =
+  match a.Abstraction.up with
   | None -> []
-  | Some a -> (
-      match a.Abstraction.up with
-      | None -> []
-      | Some side ->
-          List.filter_map
-            (fun dep ->
-              Potential_graph.modules_of graph bottom.Ids.dev
-              |> List.find_map (fun (m, ab) ->
-                     if List.mem dep ab.Abstraction.provides then Some (dep, m) else None))
-            side.Abstraction.dependencies)
+  | Some side ->
+      List.filter_map
+        (fun dep ->
+          Potential_graph.modules_of graph bottom.Ids.dev
+          |> List.find_map (fun (m, ab) ->
+                 if List.mem dep ab.Abstraction.provides then Some (dep, m) else None))
+        side.Abstraction.dependencies
 
 (* Groups [prims] by target device, in the order of [devs]; each group
    keeps the script's order. *)
@@ -104,7 +104,10 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
     Array.init (n - 1) (fun i ->
         let v = visits.(i) and w = visits.(i + 1) in
         let id = "P" ^ string_of_int i in
-        let spec ~top ~bottom ~peer_top ~peer_bottom ~tradeoffs =
+        (* a pipe the traffic enters from its top gets the goal's
+           trade-offs when its bottom module lists trade-offs (Table III) *)
+        let spec ~top ~bottom ~peer_top ~peer_bottom ~downwards =
+          let a = abstraction graph bottom in
           Some
             {
               Primitive.pipe_id = id;
@@ -112,8 +115,10 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
               bottom;
               peer_top;
               peer_bottom;
-              tradeoffs;
-              deps = resolve_deps graph bottom;
+              tradeoffs =
+                (if downwards && a.Abstraction.perf_tradeoffs <> [] then goal.Path_finder.g_tradeoffs
+                 else []);
+              deps = resolve_deps graph bottom a;
             }
         in
         match v.Path_finder.v_kind with
@@ -127,17 +132,16 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
               pi_spec =
                 spec ~top:w.Path_finder.v_mod ~bottom:v.Path_finder.v_mod
                   ~peer_top:(peer_as_top (i + 1) ~towards_end:false)
-                  ~peer_bottom:(peer_as_bottom i) ~tradeoffs:[];
+                  ~peer_bottom:(peer_as_bottom i) ~downwards:false;
             }
         | Abstraction.Down_down | Abstraction.Up_down ->
-            let bottom = w.Path_finder.v_mod in
             {
               pi_id = id;
               pi_spec =
-                spec ~top:v.Path_finder.v_mod ~bottom
+                spec ~top:v.Path_finder.v_mod ~bottom:w.Path_finder.v_mod
                   ~peer_top:(peer_as_top i ~towards_end:true)
                   ~peer_bottom:(peer_as_bottom (i + 1))
-                  ~tradeoffs:(if bottom.Ids.name = "GRE" then goal.Path_finder.g_tradeoffs else []);
+                  ~downwards:true;
             }
         | Abstraction.Up_up -> assert false)
   in
@@ -148,10 +152,10 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
     let entry_pipe = pipes.(i - 1).pi_id and exit_pipe = pipes.(i).pi_id in
     if v.Path_finder.v_action = Path_finder.Inspect && v.Path_finder.v_chain = Path_finder.base_ip
     then begin
-      (* a customer-edge IP module: route the customer prefixes; the
-         source-side edge module (the chain's first inspector) enters from
-         the customer and exits into the path, the far edge the other way
-         round *)
+      (* a customer-edge module (an inspector of the customer's packet):
+         route the customer prefixes; the source-side edge module (the
+         chain's first inspector) enters from the customer and exits into
+         the path, the far edge the other way round *)
       let first_inspector = Ids.equal (mod_at members.(i).(0)) owner in
       let customer_pipe, path_pipe, dst_domain, gateway =
         if first_inspector then
@@ -192,8 +196,8 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
     end
     else [ Primitive.Create_switch { owner; rule = Primitive.Bidi (entry_pipe, exit_pipe) } ]
   in
-  (* switch rules, one per mid-path visit; the customer-facing ETH
-     modules pass through *)
+  (* switch rules, one per mid-path visit; the customer-facing modules
+     pass through *)
   let rules = List.concat (List.init n (fun i -> if endpoint i then [] else rules_at i)) in
   let creates =
     Array.fold_right
@@ -208,7 +212,7 @@ let generate topo (goal : Path_finder.goal) (path : Path_finder.path) =
   let reporter =
     List.fold_left
       (fun acc (v : Path_finder.visit) ->
-        if v.Path_finder.v_mod.Ids.name = "MPLS" || v.Path_finder.v_mod.Ids.name = "VLAN" then
+        if (abstraction graph v.Path_finder.v_mod).Abstraction.reports_completion then
           Some v.Path_finder.v_mod
         else acc)
       None path.Path_finder.visits

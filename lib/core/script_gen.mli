@@ -7,8 +7,9 @@ type script = {
   prims : Primitive.t list; (** the full script in path order *)
   per_device : (string * Primitive.t list) list; (** grouped, order kept *)
   reporter : Ids.t option;
-      (** module that reports completion to the NM (the far-edge MPLS/VLAN
-          module in hop-by-hop scenarios) *)
+      (** module that reports completion to the NM: the last one on the
+          path whose abstraction says it reports completion (the far-edge
+          MPLS module of a label-switched path) *)
   path : Path_finder.path;
 }
 

@@ -1,9 +1,10 @@
 (* The NM-side telemetry poller: scrapes showPerf across the managed scope
    on a period, feeds the Diagnose time-series store, and adapts configured
    paths into the hop/segment shape the protocol-agnostic localizer works
-   on (using only the potential graph: ETH physical pipes and the modules
-   the path visits). Each round also keeps every device's state tag, which
-   the Monitor's drift check compares with its baselines. *)
+   on (using only the potential graph: the physical pipes of
+   physical-facing modules and the modules the path visits). Each round
+   also keeps every device's state tag, which the Monitor's drift check
+   compares with its baselines. *)
 
 (* A device's state tag as one scrape round read it, with the NM's count
    of state-changing requests to the device when the round began. *)
@@ -116,30 +117,7 @@ let anomalies t = Diagnose.anomalies t.store
 
 (* --- path adaptation --------------------------------------------------- *)
 
-(* Devices in path order (first visit order). *)
-let ordered_devices (path : Path_finder.path) =
-  List.rev
-    (List.fold_left
-       (fun acc (v : Path_finder.visit) ->
-         let d = v.Path_finder.v_mod.Ids.dev in
-         if List.mem d acc then acc else d :: acc)
-       [] path.Path_finder.visits)
-
-(* The ETH module (and physical pipe) of [dev] facing [peer], from the
-   harvested potential. *)
-let eth_facing topo dev peer =
-  List.find_map
-    (fun (m, (a : Abstraction.t)) ->
-      if a.Abstraction.name = "ETH" then
-        List.find_map
-          (fun (p : Abstraction.physical_pipe) ->
-            if p.Abstraction.peer_device = peer then Some (Ids.qualified m, p.Abstraction.phys_id)
-            else None)
-          a.Abstraction.physical
-      else None)
-    (Topology.modules_of_device topo dev)
-
-let scrape_path t path = scrape_devices t (ordered_devices path)
+let scrape_path t path = scrape_devices t (Path_finder.devices path)
 
 let hops_of_path (path : Path_finder.path) =
   List.map
@@ -152,28 +130,31 @@ let hops_of_path (path : Path_finder.path) =
           [] path.Path_finder.visits
       in
       { Diagnose.h_dev = dev; h_modules = List.rev mods })
-    (ordered_devices path)
+    (Path_finder.devices path)
 
+(* Each pair of consecutive path devices is a segment between the
+   physical-facing modules (and pipes) that face each other. *)
 let segs_of_path t (path : Path_finder.path) =
   let topo = Nm.topology t.nm in
+  let facing dev peer = Potential_graph.facing (Topology.modules_of_device topo dev) peer in
   let rec pair = function
     | d1 :: (d2 :: _ as rest) -> (
-        match (eth_facing topo d1 d2, eth_facing topo d2 d1) with
+        match (facing d1 d2, facing d2 d1) with
         | Some (m1, p1), Some (m2, p2) ->
             {
               Diagnose.s_name = d1 ^ "--" ^ d2;
               s_from = d1;
-              s_from_module = m1;
+              s_from_module = Ids.qualified m1;
               s_from_pipe = p1;
               s_to = d2;
-              s_to_module = m2;
+              s_to_module = Ids.qualified m2;
               s_to_pipe = p2;
             }
             :: pair rest
         | _ -> pair rest)
     | _ -> []
   in
-  pair (ordered_devices path)
+  pair (Path_finder.devices path)
 
 let diagnose_path t path =
   Diagnose.localize t.store ~hops:(hops_of_path path) ~segs:(segs_of_path t path)

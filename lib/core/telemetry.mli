@@ -3,7 +3,9 @@
     Scrapes per-pipe counters from every device in scope, feeds the
     {!Diagnose} time-series store, and localizes faults on configured
     paths by adapting them (through the potential graph) into the hops and
-    inter-device segments the protocol-agnostic localizer consumes. *)
+    inter-device segments the protocol-agnostic localizer consumes. A
+    segment joins the physical-facing modules ({!Potential_graph.facing})
+    of two consecutive path devices. *)
 
 type t
 

@@ -161,6 +161,7 @@ let abstraction () =
     peerable = [ "VLAN" ];
     switch = [ Abstraction.Down_up; Abstraction.Up_down; Abstraction.Down_down ];
     perf_reporting = [ "up_frames"; "up_bytes"; "down_frames"; "down_bytes"; "tagged_frames" ];
+    reports_completion = true;
   }
 
 let port_report =

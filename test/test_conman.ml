@@ -320,6 +320,7 @@ let test_abstraction_roundtrip () =
       up = Some { Abstraction.connectable = [ "IP" ]; dependencies = [ "x" ] };
       switch = [ Abstraction.Up_down; Abstraction.Down_up ];
       perf_tradeoffs = [ { Abstraction.gives = [ "in-order-delivery" ]; costs = [ "delay" ] } ];
+      reports_completion = true;
       physical = [ { Abstraction.phys_id = "Phy-A-eth1"; peer_device = "id-D"; peer_port = "eth0"; broadcast = false } ];
       fast_forwarding = true;
     }

@@ -321,6 +321,84 @@ let test_long_chains () =
         (Option.to_list (fst (Path_finder.best topo c.Scenarios.cgoal))))
     [ 20; 64; 160 ]
 
+(* --- what the generator reads from the abstraction ---------------------------------
+
+   Trade-offs and the completion reporter follow what each module's
+   recorded abstraction says, whatever the module is called: the NM's
+   recorded potential is edited on every VPN device, and the script for a
+   path follows the edit. *)
+
+(* Re-records every device's potential with [edit] applied to the modules
+   named [name]. *)
+let edit_potential topo name edit =
+  List.iter
+    (fun (d : Topology.device_info) ->
+      Topology.record_potential topo ~src:d.Topology.di_id
+        (List.map
+           (fun ((m : Ids.t), a) -> if m.Ids.name = name then (m, edit a) else (m, a))
+           d.Topology.di_modules))
+    topo.Topology.devices
+
+let pipes (s : Script_gen.script) =
+  List.filter_map
+    (function Primitive.Create_pipe p -> Some p | _ -> None)
+    s.Script_gen.prims
+
+let vpn_script select edits =
+  let v = Scenarios.build_vpn () in
+  let topo = Nm.topology v.Scenarios.nm in
+  List.iter (fun (name, edit) -> edit_potential topo name edit) edits;
+  let path = List.find select (Path_finder.find topo v.Scenarios.goal) in
+  (v.Scenarios.goal, Script_gen.generate topo v.Scenarios.goal path)
+
+let test_no_listed_tradeoffs () =
+  let _, s =
+    vpn_script Scenarios.pure_gre [ ("GRE", fun a -> { a with Abstraction.perf_tradeoffs = [] }) ]
+  in
+  check tbool "GRE pipes exist" true
+    (List.exists (fun p -> p.Primitive.bottom.Ids.name = "GRE") (pipes s));
+  List.iter
+    (fun p ->
+      check tbool ("no trade-offs on " ^ p.Primitive.pipe_id) true (p.Primitive.tradeoffs = []))
+    (pipes s)
+
+let test_listed_tradeoffs () =
+  let offer = [ { Abstraction.gives = [ "in-order-delivery" ]; costs = [ "delay" ] } ] in
+  let goal, s =
+    vpn_script Scenarios.pure_mpls
+      [ ("MPLS", fun a -> { a with Abstraction.perf_tradeoffs = offer }) ]
+  in
+  (* the pipe the traffic enters from its top, into the head-end MPLS
+     module, gets the goal's trade-offs; pipes over modules listing none
+     get none *)
+  let into_mpls =
+    List.filter
+      (fun p -> p.Primitive.bottom.Ids.name = "MPLS" && p.Primitive.tradeoffs <> [])
+      (pipes s)
+  in
+  check Alcotest.(list string) "trade-offs on the pipe into o" [ "o" ]
+    (List.map (fun p -> p.Primitive.bottom.Ids.mid) into_mpls);
+  List.iter
+    (fun p ->
+      check Alcotest.(list string) ("the goal's trade-offs on " ^ p.Primitive.pipe_id)
+        goal.Path_finder.g_tradeoffs p.Primitive.tradeoffs)
+    into_mpls;
+  List.iter
+    (fun p ->
+      if p.Primitive.bottom.Ids.name <> "MPLS" then
+        check tbool ("no trade-offs on " ^ p.Primitive.pipe_id) true (p.Primitive.tradeoffs = []))
+    (pipes s)
+
+let test_completion_flag () =
+  let _, s = vpn_script Scenarios.pure_mpls [] in
+  check tbool "the far-edge MPLS module reports" true
+    (s.Script_gen.reporter = Some (Ids.v "MPLS" "q" "id-C"));
+  let _, s =
+    vpn_script Scenarios.pure_mpls
+      [ ("MPLS", fun a -> { a with Abstraction.reports_completion = false }) ]
+  in
+  check tbool "no reporter once MPLS says it reports nothing" true (s.Script_gen.reporter = None)
+
 let () =
   Alcotest.run "script_gen"
     [
@@ -329,5 +407,13 @@ let () =
           Alcotest.test_case "every vpn path, every trade-off set" `Quick test_vpn;
           Alcotest.test_case "every diamond and chain n=2..8 path" `Quick test_diamond_and_chains;
           Alcotest.test_case "the planner's path at n=20/64/160" `Quick test_long_chains;
+        ] );
+      ( "abstraction",
+        [
+          Alcotest.test_case "a module listing no trade-offs gets none" `Quick
+            test_no_listed_tradeoffs;
+          Alcotest.test_case "a module listing trade-offs gets the goal's" `Quick
+            test_listed_tradeoffs;
+          Alcotest.test_case "the reporter follows the completion flag" `Quick test_completion_flag;
         ] );
     ]

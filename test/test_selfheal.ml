@@ -655,6 +655,28 @@ let test_monitor_leaves_settings_alone () =
   check tbool "both intents active" true
     (List.for_all (fun (i : Intent.t) -> i.Intent.status = Intent.Active) (Nm.intents nm))
 
+(* A layer-2 goal whose two ends share a switch has no trunk to build:
+   the achieve answers an error, its journalled intent stays pending, and
+   neither a Monitor tick nor a recovery raises on it. *)
+let test_monitor_one_switch_l2 () =
+  let v = Scenarios.build_vlan () in
+  let nm = v.Scenarios.vnm and a = Ids.v "ETH" "a" "id-SwA" in
+  (match Nm.achieve_l2 nm ~scope:v.Scenarios.vscope ~from_eth:a ~to_eth:a with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a one-switch layer-2 goal cannot be configured");
+  let pending () =
+    match Nm.intents nm with [ i ] -> i.Intent.status = Intent.Pending | _ -> false
+  in
+  check tbool "journalled and pending" true (pending ());
+  let mon = Monitor.create nm in
+  Monitor.run mon ~ticks:1;
+  check tbool "the tick logged the failed configuration" true
+    (List.exists
+       (fun e -> contains_sub e.Monitor.ev_what "configuration failed")
+       (Monitor.events mon));
+  Nm.recover nm;
+  check tbool "still pending after a recovery" true (pending ())
+
 (* A device that comes back, saying Hello after the transport gave up on
    it, gets its live address and rate intents again, as it gets its script
    slices: here it lost the address while it was down. *)
@@ -849,6 +871,7 @@ let () =
             test_monitor_probe_remembers_address;
           Alcotest.test_case "escalate then revive" `Quick test_monitor_escalates_then_revives;
           Alcotest.test_case "address and rate left alone" `Quick test_monitor_leaves_settings_alone;
+          Alcotest.test_case "a one-switch layer-2 goal" `Quick test_monitor_one_switch_l2;
           Alcotest.test_case "Hello re-sends address and rate" `Quick test_hello_resends_settings;
           Alcotest.test_case "400-tick flap soak" `Quick test_flap_soak;
           Alcotest.test_case "a restore inside the horizon" `Quick
